@@ -47,7 +47,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 # Desk-scale defaults; --allow-large lifts them with a warning.
 SWEEP_BOUND = 8
-BUCHBERGER_BOUNDS = {"toric": 7, "secant": 6, "symbolic-square": 6}
+BUCHBERGER_BOUNDS = {"toric": 7, "secant": 7, "symbolic-square": 6}
 
 
 class UsageError(Exception):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .noncrossing import (
 )
 from .master import master_polynomial
 from .order import CircularTermOrder
-from .poly import Monomial, Polynomial, format_monomial, format_polynomial
+from .poly import Monomial, Polynomial, format_monomial, format_polynomial, is_edge_var
 
 SECANT = "secant"
 SYMBOLIC_SQUARE = "symbolic-square"
@@ -87,95 +88,255 @@ class GroebnerCertificate:
 # ---------------------------------------------------------------------------
 # division and S-pairs
 # ---------------------------------------------------------------------------
-
-def _reducer_data(G: Sequence[Polynomial], order: CircularTermOrder):
-    """Precompute (terms, lt, lt coeff, lt var mask, squarefree flag) per reducer."""
-    varbit: dict = {}
-    data = []
-    for g in G:
-        if g.is_zero:
-            raise ValueError("reducers must be nonzero")
-        ltm, ltc = order.leading_term(g)
-        if ltc not in (1, -1):
-            raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
-        mask = 0
-        for v, _ in ltm.factors:
-            b = varbit.get(v)
-            if b is None:
-                b = 1 << len(varbit)
-                varbit[v] = b
-            mask |= b
-        data.append((dict(g.terms()), ltm, ltc, mask, ltm.is_squarefree))
-    return data, varbit
+#
+# One engine serves reduce() and buchberger_verify.  It works on packed
+# monomials, after Monagan and Pearce (sparse division with a heap over packed
+# exponent vectors; CASC 2007, JSC 2011): an edge monomial is one int, so a
+# product is a sum, the order is int comparison and divisibility is one
+# guard-bit test.  Monomial stays the type at the boundary.
 
 
-def _mask_factory(varbit: dict):
-    memo: dict[Monomial, int] = {}
-
-    def mask_of(m: Monomial) -> int:
-        r = memo.get(m)
-        if r is None:
-            r = 0
-            for v, _ in m.factors:
-                b = varbit.get(v)
-                if b is not None:
-                    r |= b
-            memo[m] = r
-        return r
-
-    return mask_of
+class _Overflow(Exception):
+    """A term outgrew the degree limit of its packing; redo with wider fields."""
 
 
-def _reduce_terms(work: dict, data, key, mask_of) -> tuple[dict, int]:
-    """Full normal form of the term dict `work`; returns (remainder, max size).
+class _Packing:
+    """Edge monomials under one circular order, packed as (weight << E) | fields.
 
-    Reducer choice is deterministic: the largest reducible term is rewritten
-    by the first reducer in list order whose leading term divides it.
+    `fields` is a row of slots of bits + 1 bits; the top bit of a slot is a
+    guard, clear in every stored monomial.  Each block owns the same number of
+    slots: an empty one on top, its variables below it, then unused ones.
+    Read as digits in base 2**(bits + 1), the order weight is, block 1 first:
+      lex      the exponents, so the weight is the fields themselves;
+      grevlex  the block degree in the empty slot, then the exponents negated
+               in reverse variable order.
+    That is a balanced mixed-radix integer, which compares like
+    CircularTermOrder.key while no total degree exceeds `limit`.  Both parts
+    are linear in the exponents, so multiplying monomials is `+`.
     """
-    result: dict[Monomial, int] = {}
-    max_terms = len(work)
-    while work:
-        m = max(work, key=key)
-        mmask = mask_of(m)
-        hit = None
-        for gterms, ltm, ltc, ltmask, sfree in data:
-            if ltmask & ~mmask:
-                continue
-            if sfree or ltm.divides(m):
-                hit = (gterms, ltm, ltc)
-                break
-        if hit is None:
-            result[m] = work.pop(m)
-            continue
-        gterms, ltm, ltc = hit
-        scale = work[m] * ltc
-        cof = m.divide_by(ltm)
-        if cof.is_one:
-            for gm, gc in gterms.items():
-                nc = work.get(gm, 0) - scale * gc
-                if nc:
-                    work[gm] = nc
-                else:
-                    work.pop(gm, None)
+
+    def __init__(self, order: CircularTermOrder, bits: int):
+        self.n = order.n
+        self.bits = bits
+        self.limit = (1 << bits) - 1
+        self.lex = order.inner == "lex"
+        w = bits + 1
+        span = max(len(block) for block in order.blocks) + 1
+        slots = span * order.block_count
+        self.offset: dict = {}
+        degree_slots = 0
+        for c, block in enumerate(order.blocks):
+            top = slots - 1 - c * span
+            degree_slots |= ((1 << w) - 1) << (w * top)
+            for k, v in enumerate(block):
+                self.offset[v] = w * (top - 1 - k if self.lex else top - len(block) + k)
+        self.ones = sum(1 << (w * s) for s in range(slots))
+        self.guard = self.ones << bits
+        self.shift = w * slots
+        self.fields_mask = (1 << self.shift) - 1
+        self._degree_slots = degree_slots
+        # Multiplying by the window sums each block's span - 1 slots into the
+        # slot above them; no window sum exceeds `limit`, so nothing carries.
+        self._window = sum(1 << (w * k) for k in range(1, span))
+        self._total_at = w * (slots - 1)
+        self._digit = (1 << w) - 1
+
+    def join(self, fields: int) -> int:
+        """The packed monomial with these exponent fields."""
+        if self.lex:
+            weight = fields
         else:
-            for gm, gc in gterms.items():
-                mm = gm.mul(cof)
-                nc = work.get(mm, 0) - scale * gc
-                if nc:
-                    work[mm] = nc
+            weight = ((fields * self._window) & self._degree_slots) - fields
+        return (weight << self.shift) | fields
+
+    def pack(self, m: Monomial) -> int:
+        fields = 0
+        for v, e in m.factors:
+            at = self.offset.get(v)
+            if at is None:
+                if not is_edge_var(v):
+                    raise ValueError(f"monomial contains non-edge variable {v!r}")
+                raise ValueError(f"variable {v!r} is out of range for n={self.n}")
+            fields += e << at
+        return self.join(fields)
+
+    def unpack(self, p: int) -> Monomial:
+        return Monomial((v, (p >> at) & self.limit) for v, at in self.offset.items())
+
+    def degree(self, p: int) -> int:
+        return ((p & self.fields_mask) * self.ones >> self._total_at) & self._digit
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        return Polynomial((self.unpack(p), c) for p, c in terms.items())
+
+
+class _Divider:
+    """Packed reducers in list order, with full division and the S-pair sweep.
+
+    `gens` holds each reducer as a list of (packed monomial, coefficient).
+    A support is the set of guard bits of a monomial's nonzero slots.  `memo`
+    maps a term's support to the bitset of reducers whose leading-term support
+    fits inside it; a divider lives for one call, and so does its memo.
+    """
+
+    def __init__(self, packing: _Packing, gens):
+        self.packing = packing
+        self.memo: dict = {}
+        self.lts, self.ltcs, self.tails, self.grows, self.supports = [], [], [], [], []
+        for terms in gens:
+            if not terms:
+                raise ValueError("reducers must be nonzero")
+            lt, ltc = max(terms)
+            if ltc not in (1, -1):
+                raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
+            self.lts.append(lt)
+            self.ltcs.append(ltc)
+            self.tails.append([t for t in terms if t[0] != lt])
+            # How far one rewrite by this reducer can raise a term's degree.
+            top = max(packing.degree(p) for p, _ in terms)
+            self.grows.append(top - packing.degree(lt))
+            self.supports.append(((lt | packing.guard) - packing.ones) & packing.guard)
+        # Per slot (keyed by its guard bit), the bitset of reducers whose
+        # leading term uses it.
+        self._users: dict = {}
+        for k, support in enumerate(self.supports):
+            while support:
+                low = support & -support
+                self._users[low] = self._users.get(low, 0) | 1 << k
+                support ^= low
+
+    def _fitting(self, support: int) -> int:
+        """Bitset of the reducers whose leading-term support lies in `support`."""
+        fit = (1 << len(self.lts)) - 1
+        for slot, users in self._users.items():
+            if not slot & support:
+                fit &= ~users
+        return fit
+
+    def normal_form(self, work: dict) -> tuple[dict, int]:
+        """Full normal form of the term dict `work`, consumed; (remainder, max size).
+
+        The largest remaining term is rewritten by the first reducer in list
+        order whose leading term divides it.  A max-heap with lazy deletion
+        finds that term: every term pushed is below the one being rewritten,
+        so an entry whose term has left `work` is stale and skipped.  Of the
+        reducers in the memo's bitset for the term's support, the lowest one
+        whose leading term divides it is the first divisor.
+        """
+        pk, memo = self.packing, self.memo
+        guard, ones, limit = pk.guard, pk.ones, pk.limit
+        lts, ltcs, tails, grows = self.lts, self.ltcs, self.tails, self.grows
+        heap = [-p for p in work]
+        heapify(heap)
+        rem: dict = {}
+        max_terms = len(work)
+        while heap:
+            p = -heappop(heap)
+            c = work.pop(p, 0)
+            if not c:
+                continue
+            pg = p | guard
+            support = (pg - ones) & guard
+            cands = memo.get(support)
+            if cands is None:
+                cands = memo[support] = self._fitting(support)
+            while cands:
+                low = cands & -cands
+                i = low.bit_length() - 1
+                if (pg - lts[i]) & guard == guard:
+                    break
+                cands ^= low
+            else:
+                rem[p] = c
+                continue
+            if grows[i] > 0 and pk.degree(p) + grows[i] > limit:
+                raise _Overflow
+            cof = p - lts[i]
+            scale = c * ltcs[i]
+            for gp, gc in tails[i]:
+                q = gp + cof
+                old = work.get(q)
+                if old is None:
+                    work[q] = -scale * gc
+                    heappush(heap, -q)
                 else:
-                    work.pop(mm, None)
-        size = len(work) + len(result)
-        if size > max_terms:
-            max_terms = size
-    return result, max_terms
+                    nc = old - scale * gc
+                    if nc:
+                        work[q] = nc
+                    else:
+                        del work[q]
+            size = len(work) + len(rem)
+            if size > max_terms:
+                max_terms = size
+        return rem, max_terms
+
+    def verify_pairs(self, pairs):
+        """Reduce the S-polynomial of each listed pair; collect failures."""
+        pk = self.packing
+        guard, fields_mask, bits = pk.guard, pk.fields_mask, pk.bits
+        lts, ltcs, tails, supports = self.lts, self.ltcs, self.tails, self.supports
+        failures = []
+        skipped = reduced = max_terms = 0
+        for i, j in pairs:
+            if not supports[i] & supports[j]:
+                skipped += 1  # coprime leading terms always reduce to zero
+                continue
+            fi, fj = lts[i] & fields_mask, lts[j] & fields_mask
+            ge = ((fi | guard) - fj) & guard  # guards of the slots where fi >= fj
+            take = ge - (ge >> bits)
+            lcm = (fi & take) | (fj & ~take)
+            # The leading terms cancel at the lcm; every other term lies below it.
+            work: dict = {}
+            for k, f, sign in ((i, fi, 1), (j, fj, -1)):
+                cof = pk.join(lcm - f)
+                scale = sign * ltcs[k]
+                for gp, gc in tails[k]:
+                    q = gp + cof
+                    nc = work.get(q, 0) + scale * gc
+                    if nc:
+                        work[q] = nc
+                    else:
+                        work.pop(q, None)
+            reduced += 1
+            rem, mt = self.normal_form(work)
+            if mt > max_terms:
+                max_terms = mt
+            if rem:
+                failures.append(
+                    {
+                        "pair": [i, j],
+                        "remainder_terms": len(rem),
+                        "remainder": format_polynomial(pk.polynomial(rem)),
+                    }
+                )
+        return failures, skipped, reduced, max_terms
+
+
+def _packed_terms(p: Polynomial, packing: _Packing) -> list[tuple[int, int]]:
+    return [(packing.pack(m), c) for m, c in p.terms()]
+
+
+def _with_packing(order: CircularTermOrder, degree: int, run):
+    """run(packing) for a packing whose degree limit is at least `degree`,
+    redone with wider fields while a term outgrows them."""
+    bits = max(degree, 1).bit_length()
+    while True:
+        try:
+            return run(_Packing(order, bits))
+        except _Overflow:
+            bits += 1
 
 
 def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> Polynomial:
     """Normal form of f modulo G: no remainder term divisible by any LT(g)."""
-    data, varbit = _reducer_data(G, order)
-    rem, _ = _reduce_terms(dict(f.terms()), data, order.key, _mask_factory(varbit))
-    return Polynomial(rem)
+    G = list(G)
+
+    def run(packing):
+        divider = _Divider(packing, [_packed_terms(g, packing) for g in G])
+        rem, _ = divider.normal_form(dict(_packed_terms(f, packing)))
+        return packing.polynomial(rem)
+
+    return _with_packing(order, max([f.degree] + [g.degree for g in G]), run)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: CircularTermOrder) -> Polynomial:
@@ -190,65 +351,37 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: CircularTermOrder) -> Poly
     return left - right
 
 
-def _verify_pair_range(pairs, data, key, mask_of):
-    """Reduce the S-polynomial of each listed pair; collect failures."""
-    failures = []
-    skipped = reduced = max_terms = 0
-    for i, j in pairs:
-        terms_i, lti, ci, maski, _ = data[i]
-        terms_j, ltj, cj, maskj, _ = data[j]
-        if maski & maskj == 0:
-            skipped += 1  # coprime leading terms always reduce to zero
-            continue
-        lcm = lti.lcm(ltj)
-        work: dict[Monomial, int] = {}
-        cof_i = lcm.divide_by(lti)
-        cof_j = lcm.divide_by(ltj)
-        for gm, gc in terms_i.items():
-            mm = gm.mul(cof_i)
-            nc = work.get(mm, 0) + ci * gc
-            if nc:
-                work[mm] = nc
-            else:
-                work.pop(mm, None)
-        for gm, gc in terms_j.items():
-            mm = gm.mul(cof_j)
-            nc = work.get(mm, 0) - cj * gc
-            if nc:
-                work[mm] = nc
-            else:
-                work.pop(mm, None)
-        reduced += 1
-        rem, mt = _reduce_terms(work, data, key, mask_of)
-        if mt > max_terms:
-            max_terms = mt
-        if rem:
-            failures.append(
-                {
-                    "pair": [i, j],
-                    "remainder_terms": len(rem),
-                    "remainder": format_polynomial(Polynomial(rem)),
-                }
-            )
-    return failures, skipped, reduced, max_terms
-
-
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(gen_terms, n, inner):
-    order = CircularTermOrder(n, inner)
-    G = [Polynomial((Monomial(f), c) for f, c in terms) for terms in gen_terms]
-    data, varbit = _reducer_data(G, order)
-    _WORKER_CTX["data"] = data
-    _WORKER_CTX["key"] = order.key
-    _WORKER_CTX["mask_of"] = _mask_factory(varbit)
+def _worker_init(n, inner, bits, gens):
+    packing = _Packing(CircularTermOrder(n, inner), bits)
+    _WORKER_CTX["divider"] = _Divider(packing, gens)
 
 
 def _worker_chunk(pairs):
-    return _verify_pair_range(
-        pairs, _WORKER_CTX["data"], _WORKER_CTX["key"], _WORKER_CTX["mask_of"]
-    )
+    return _WORKER_CTX["divider"].verify_pairs(pairs)
+
+
+def _sweep(divider: _Divider, gens, pairs, order: CircularTermOrder, threads: int):
+    """Per-chunk (failures, skipped, reduced, max_terms), in pair order."""
+    if threads > 1 and len(pairs) > 64:
+        try:
+            import multiprocessing as mp
+
+            chunk_count = max(threads * 4, 1)
+            step = max(1, -(-len(pairs) // chunk_count))
+            chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
+            ctx = mp.get_context("fork")
+            with ctx.Pool(
+                processes=threads,
+                initializer=_worker_init,
+                initargs=(order.n, order.inner, divider.packing.bits, gens),
+            ) as pool:
+                return pool.map(_worker_chunk, chunks)
+        except (ImportError, OSError):
+            pass
+    return [divider.verify_pairs(pairs)]
 
 
 def buchberger_verify(
@@ -267,29 +400,15 @@ def buchberger_verify(
     fixed, so the certificate is identical to the serial one.
     """
     G = list(G)
-    data, varbit = _reducer_data(G, order)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    started = time.perf_counter()
-    results = []
-    if threads > 1 and len(pairs) > 64:
-        try:
-            import multiprocessing as mp
 
-            gen_terms = [[(m.factors, c) for m, c in g.terms()] for g in G]
-            chunk_count = max(threads * 4, 1)
-            step = max(1, -(-len(pairs) // chunk_count))
-            chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(
-                processes=threads,
-                initializer=_worker_init,
-                initargs=(gen_terms, order.n, order.inner),
-            ) as pool:
-                results = pool.map(_worker_chunk, chunks)
-        except (ImportError, OSError):
-            results = []
-    if not results:
-        results = [_verify_pair_range(pairs, data, order.key, _mask_factory(varbit))]
+    def run(packing):
+        gens = [_packed_terms(g, packing) for g in G]
+        return _sweep(_Divider(packing, gens), gens, pairs, order, threads)
+
+    started = time.perf_counter()
+    # An S-polynomial term has degree at most deg LT(g_j) + deg g_i.
+    results = _with_packing(order, 2 * max((g.degree for g in G), default=0), run)
     failures: list = []
     skipped = reduced = max_terms = 0
     for fl, sk, rd, mt in results:

@@ -65,6 +65,11 @@ class CircularTermOrder:
     def block_count(self) -> int:
         return len(self._blocks)
 
+    @property
+    def blocks(self) -> tuple[tuple[Variable, ...], ...]:
+        """The variables of each class block, block 1 first, each ascending."""
+        return self._blocks
+
     def descriptor(self) -> dict:
         return {"blocks": "circular", "inner": self.inner}
 

@@ -149,7 +149,7 @@ class TestVerify:
 
 class TestBoundsAndExitCodes:
     def test_buchberger_bound_enforced(self):
-        assert main(["verify", "buchberger", "--n", "7", "--kind", "secant"]) == EXIT_USAGE
+        assert main(["verify", "buchberger", "--n", "8", "--kind", "secant"]) == EXIT_USAGE
 
     def test_sweep_bound_enforced(self):
         assert main(["secant-gb", "--n", "9"]) == EXIT_USAGE

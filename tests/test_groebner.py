@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersecant import (
     CircularTermOrder,
@@ -29,7 +31,9 @@ from hypersecant import (
     toric_gb_polynomials,
 )
 
-from conftest import polynomial_strategy
+from hypersecant.groebner import _Packing
+
+from conftest import monomial_strategy, polynomial_strategy
 
 
 def mono(*edges):
@@ -38,6 +42,66 @@ def mono(*edges):
 
 def binom(lead, trail):
     return Polynomial.from_edge_terms([(1, lead), (-1, trail)])
+
+
+def power(a, b, e=1):
+    return Polynomial.from_monomial(Monomial({("x", a, b): e}))
+
+
+def mutated_secant_gb_6():
+    """secant_gb(6) with one non-leading coefficient of its last minor tripled."""
+    gens = secant_gb(6)
+    minor = gens[-1]
+    lead = CircularTermOrder(6).leading_monomial(minor)
+    m = min(x for x in minor.monomials() if x != lead)
+    gens[-1] = minor + Polynomial.from_monomial(m, 2 * minor.coefficient(m))
+    return gens
+
+
+def degree_growing_basis():
+    """x12 - x24^3 and x12^6 - v for eleven other variables v (n = 6).
+
+    Rewriting by the first generator raises degrees: S-pairs reach x24^18,
+    past the fields sized from the generators' degrees.
+    """
+    edges = [e for e in itertools.combinations(range(1, 7), 2) if e not in ((1, 2), (2, 4))]
+    return [power(1, 2) - power(2, 4, 3)] + [power(1, 2, 6) - power(*e) for e in edges[:11]]
+
+
+def reference_normal_form(f, G, order):
+    """Division on Monomial and Polynomial values, the rule spelled out: the
+    largest remaining term is rewritten by the first reducer whose leading
+    term divides it, or else moved to the remainder."""
+    leads = [order.leading_term(g) for g in G]
+    rem = {}
+    while not f.is_zero:
+        m, c = order.leading_term(f)
+        for g, (lt, ltc) in zip(G, leads):
+            if lt.divides(m):
+                f = f - g * Polynomial.from_monomial(m.divide_by(lt), c * ltc)
+                break
+        else:
+            rem[m] = c
+            f = f - Polynomial.from_monomial(m, c)
+    return Polynomial(rem)
+
+
+@st.composite
+def unit_reducers(draw, order, n):
+    """Up to three reducers with leading coefficient +-1, not homogeneous."""
+    out = []
+    for p in draw(st.lists(polynomial_strategy(n=n, max_terms=3, max_factors=2), max_size=3)):
+        if p.is_zero:
+            continue
+        lm, lc = order.leading_term(p)
+        unit = draw(st.sampled_from((1, -1)))
+        out.append(p + Polynomial.from_monomial(lm, unit - lc))
+    return out
+
+
+def stats_tuple(cert):
+    s = cert.spair_stats
+    return (s.count, s.skipped_coprime, s.reduced, s.max_terms)
 
 
 class TestReduce:
@@ -78,6 +142,31 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(Polynomial.from_monomial(mono((1, 2))), [Polynomial.zero()], order)
 
+    def test_degree_growth_is_exact(self):
+        # Under a block order x12 > x24^3, so each rewrite raises the degree
+        # and the result outgrows fields sized from the inputs' degrees.
+        for order in both_inner_orders(6):
+            g = power(1, 2) - power(2, 4, 3)
+            assert reduce(power(1, 2, 5), [g], order) == power(2, 4, 15)
+            assert reduce(power(1, 2, 40), [g], order) == power(2, 4, 120)
+            assert reduce(power(1, 2, 2) + power(1, 3), [g], order) == power(2, 4, 6) + power(1, 3)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_division(self, data):
+        inner = data.draw(st.sampled_from(("grevlex", "lex")))
+        order = CircularTermOrder(5, inner)
+        G = data.draw(unit_reducers(order, 5))
+        f = data.draw(polynomial_strategy(n=5, max_terms=4, max_exp=3))
+        assert reduce(f, G, order) == reference_normal_form(f, G, order)
+
+    def test_rejects_variables_outside_the_order(self):
+        order = CircularTermOrder(4)
+        with pytest.raises(ValueError):
+            reduce(power(1, 5), [], order)
+        with pytest.raises(ValueError):
+            reduce(Polynomial.variable(("t", 1)), [], order)
+
     @given(polynomial_strategy(n=5, max_terms=4, max_exp=2))
     @settings(max_examples=100, deadline=None)
     def test_reduction_monotone_and_terminating(self, f):
@@ -89,6 +178,23 @@ class TestReduce:
         assert reduce(f - r, G, order).is_zero
         if not f.is_zero and not r.is_zero:
             assert order.compare(order.leading_monomial(r), order.leading_monomial(f)) <= 0
+
+
+class TestPacking:
+    @pytest.mark.parametrize("n", [7, 8])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packed_ints_follow_the_order(self, n, data):
+        m1 = data.draw(monomial_strategy(n=n, max_factors=5, max_exp=3))
+        m2 = data.draw(monomial_strategy(n=n, max_factors=5, max_exp=3))
+        for order in both_inner_orders(n):
+            pk = _Packing(order, 5)
+            p1, p2 = pk.pack(m1), pk.pack(m2)
+            assert (p1 < p2) == (order.key(m1) < order.key(m2))
+            assert (p1 == p2) == (m1 == m2)
+            assert p1 + p2 == pk.pack(m1.mul(m2))
+            assert pk.unpack(p1) == m1
+            assert pk.degree(p1 + p2) == m1.degree + m2.degree
 
 
 class TestSPolynomial:
@@ -154,15 +260,74 @@ class TestBuchbergerVerify:
         assert cert.passed
         assert cert.spair_stats.skipped_coprime == 1
 
+    # (count, skipped_coprime, reduced, max_terms) per inner order, recorded
+    # from the Monomial-dict engine that preceded the packed one; equal
+    # counters mean both engines walk the same reduction path.
+    PINNED = {
+        ("secant", 6): {"grevlex": (136, 7, 129, 99), "lex": (136, 7, 129, 83)},
+        ("symbolic", 5): {"grevlex": (1485, 300, 1185, 14), "lex": (1485, 300, 1185, 12)},
+        ("secant", 7): {"grevlex": (6328, 1743, 4585, 306), "lex": (6328, 1743, 4585, 269)},
+    }
+
+    @pytest.mark.parametrize("kind,n", sorted(PINNED))
+    def test_pinned_counters(self, kind, n):
+        gens = secant_gb(n) if kind == "secant" else symbolic_square_gb(n)
+        for order in both_inner_orders(n):
+            cert = buchberger_verify(gens, order, n=n)
+            assert cert.passed
+            assert stats_tuple(cert) == self.PINNED[kind, n][order.inner]
+
+    # (i, j, remainder_terms) of every failing pair of the mutated basis,
+    # the same under both inner orders.
+    MUTATED_FAILURES = [
+        (0, 2, 4), (0, 3, 6), (0, 4, 4), (0, 5, 8), (0, 6, 2), (0, 12, 8), (0, 13, 2),
+        (0, 16, 6), (1, 6, 2), (1, 7, 8), (1, 8, 4), (1, 9, 6), (1, 10, 4), (1, 11, 8),
+        (1, 13, 2), (1, 16, 12), (2, 6, 7), (2, 7, 9), (2, 8, 4), (2, 9, 4), (2, 10, 4),
+        (2, 11, 4), (2, 13, 4), (2, 16, 10), (3, 6, 4), (3, 7, 4), (3, 8, 4), (3, 10, 4),
+        (3, 11, 8), (3, 13, 4), (3, 16, 12), (4, 6, 4), (4, 7, 4), (4, 8, 4), (4, 9, 4),
+        (4, 10, 4), (4, 11, 6), (4, 13, 8), (4, 16, 10), (5, 6, 2), (5, 7, 4), (5, 8, 4),
+        (5, 9, 8), (5, 10, 6), (5, 13, 2), (5, 16, 12), (6, 7, 2), (6, 8, 4), (6, 9, 6),
+        (6, 10, 8), (6, 11, 2), (6, 12, 6), (6, 13, 4), (6, 14, 4), (6, 15, 2), (6, 16, 10),
+        (7, 13, 6), (7, 16, 8), (8, 12, 9), (8, 13, 7), (8, 16, 6), (9, 12, 4), (9, 13, 4),
+        (9, 16, 6), (10, 12, 4), (10, 13, 4), (10, 16, 6), (11, 12, 4), (11, 13, 2),
+        (11, 16, 8), (12, 13, 2), (12, 16, 12), (13, 14, 2), (13, 15, 2), (13, 16, 10),
+    ]
+
+    def test_mutated_minor_fails_with_pinned_witnesses(self):
+        gens = mutated_secant_gb_6()
+        for order in both_inner_orders(6):
+            cert = buchberger_verify(gens, order, n=6)
+            assert not cert.passed
+            assert stats_tuple(cert) == self.PINNED["secant", 6][order.inner]
+            (check,) = cert.checks
+            assert len(check.witness) == 75
+            got = [(*w["pair"], w["remainder_terms"]) for w in check.witness]
+            assert got == self.MUTATED_FAILURES
+
+    def test_degree_growing_sweep_is_exact(self):
+        for order in both_inner_orders(6):
+            cert = buchberger_verify(degree_growing_basis(), order)
+            assert stats_tuple(cert) == (66, 0, 66, 2)
+            witness = cert.checks[0].witness
+            assert len(witness) == 66
+            assert witness[0]["remainder"] == "-1*x[2,4]^18 +1*x[1,3]"
+            assert witness[-1]["remainder"] == "+1*x[4,5] -1*x[3,6]"
+
     def test_threads_match_serial(self):
-        order = CircularTermOrder(5)
-        G = toric_gb_polynomials(5)
-        serial = buchberger_verify(G, order, threads=1)
-        parallel = buchberger_verify(G, order, threads=2)
-        assert parallel.passed == serial.passed
-        assert parallel.spair_stats.count == serial.spair_stats.count
-        assert parallel.spair_stats.skipped_coprime == serial.spair_stats.skipped_coprime
-        assert parallel.spair_stats.reduced == serial.spair_stats.reduced
+        # Every basis has more than 64 pairs, so threads=2 runs the pool.
+        for gens, n in (
+            (secant_gb(6), 6),
+            (symbolic_square_gb(5), 5),
+            (mutated_secant_gb_6(), 6),
+            (degree_growing_basis(), 6),
+        ):
+            for order in both_inner_orders(n):
+                serial = buchberger_verify(gens, order, threads=1)
+                parallel = buchberger_verify(gens, order, threads=2)
+                assert stats_tuple(parallel) == stats_tuple(serial)
+                assert dataclasses.replace(parallel, spair_stats=None) == dataclasses.replace(
+                    serial, spair_stats=None
+                )
 
 
 class TestOffDiagonalMinor:
