@@ -11,11 +11,9 @@ from .poly import (
     Monomial,
     Polynomial,
     Variable,
-    add,
     edge_var,
     format_monomial,
     format_polynomial,
-    mul,
     param_t,
     param_u,
     parse_monomial,
@@ -23,7 +21,7 @@ from .poly import (
     partial_derivative,
     substitute_rank,
 )
-from .order import CircularTermOrder, both_inner_orders, compare, edge_class, leading_term
+from .order import CircularTermOrder, both_inner_orders, edge_class
 from .hypersimplex import (
     BinomialGenerator,
     MonomialIdeal,

@@ -1,9 +1,10 @@
 """Command line front end binding the library into reproducible workflows.
 
 Every behavior is flag-driven; there are no config files or environment
-variables, and equal configurations produce byte-identical output (timings
+variables, and equal invocations produce byte-identical output (timings
 are reported on stderr only).  Exit codes: 0 success, 1 a requested
-verification failed, 2 invalid input or out-of-range parameters.
+verification failed, 2 invalid input or out-of-range parameters, 3 an
+internal fault.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from .fixtures import reproduce_reference_examples
@@ -29,6 +31,7 @@ from .noncrossing import (
     all_admissible_sequences,
     build_graph,
     induced_odd_cycles,
+    odd_floor,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
@@ -43,36 +46,18 @@ from .poly import (
     param_u,
 )
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 # Desk-scale defaults; --allow-large lifts them with a warning.
 SWEEP_BOUND = 8
 BUCHBERGER_BOUNDS = {"toric": 7, "secant": 7, "symbolic-square": 6}
+# A master of length 2k+1 sums 2^(2k+1) conjugates: about 0.5 s at k = 6,
+# four to five times that per further k.
+MASTER_K_BOUND = 6
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; equal configs yield byte-identical stdout."""
-
-    command: str
-    n: int | None = None
-    inner: str = "grevlex"
-    format: str = "text"
-    threads: int = 1
-    allow_large: bool = False
-    output: str | None = None
-    max_len: int | None = None
-    k: int | None = None
-    i_vals: tuple[int, ...] | None = None
-    j_vals: tuple[int, ...] | None = None
-    kind: str | None = None
-    verify_what: str | None = None
-    with_buchberger: bool = False
-    select_all: bool = True
 
 
 @dataclass
@@ -110,14 +95,17 @@ def monomial_from_json(data) -> Monomial:
     return Monomial(factors)
 
 
-def polynomial_to_json(p: Polynomial, order: CircularTermOrder | None = None) -> dict:
+def _term_key(p: Polynomial, order: CircularTermOrder | None):
+    """Sort key for p's terms: the order's key if p is edge-only, else canonical."""
     if order is not None and p.uses_only_edge_vars():
-        key = order.key
-    else:
-        key = lambda m: (m.degree, m.factors)
+        return order.key
+    return lambda m: (m.degree, m.factors)
+
+
+def polynomial_to_json(p: Polynomial, order: CircularTermOrder | None = None) -> dict:
     terms = [
         {"coeff": p.coefficient(m), "monomial": monomial_to_json(m)}
-        for m in sorted(p.monomials(), key=key, reverse=True)
+        for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True)
     ]
     return {"terms": terms}
 
@@ -126,12 +114,6 @@ def polynomial_from_json(data) -> Polynomial:
     return Polynomial(
         (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
     )
-
-
-def _poly_text(p: Polynomial, order: CircularTermOrder | None) -> str:
-    if order is not None and p.uses_only_edge_vars():
-        return format_polynomial(p, order.key)
-    return format_polynomial(p)
 
 
 def _cas_monomial(m: Monomial) -> str:
@@ -147,9 +129,8 @@ def _cas_monomial(m: Monomial) -> str:
 def _cas_polynomial(p: Polynomial, order: CircularTermOrder | None) -> str:
     if p.is_zero:
         return "0"
-    key = order.key if (order and p.uses_only_edge_vars()) else (lambda m: (m.degree, m.factors))
     parts = []
-    for m in sorted(p.monomials(), key=key, reverse=True):
+    for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True):
         c = p.coefficient(m)
         if m.is_one:
             body = str(abs(c))
@@ -228,39 +209,46 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _text_lines(lines: list[str]) -> str:
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # ---------------------------------------------------------------------------
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _order(config: RunConfig, n: int) -> CircularTermOrder:
-    return CircularTermOrder(n, config.inner)
-
-
-def _need_n(config: RunConfig) -> int:
-    if config.n is None:
+def _need_n(args: argparse.Namespace, least: int = 3) -> int:
+    if args.n is None:
         raise UsageError("--n is required for this command")
-    if config.n < 3:
-        raise UsageError(f"--n must be at least 3, got {config.n}")
-    return config.n
+    if args.n < least:
+        raise UsageError(f"--n must be at least {least}, got {args.n}")
+    return args.n
 
 
-def _check_bound(config: RunConfig, n: int, bound: int, what: str) -> str:
-    if n <= bound:
+def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, name: str = "n") -> str:
+    if value <= bound:
         return ""
-    if not config.allow_large:
+    if not args.allow_large:
         raise UsageError(
-            f"n={n} exceeds the desk-scale bound {bound} for {what}; pass --allow-large to override"
+            f"{name}={value} exceeds the desk-scale bound {bound} for {what}; pass --allow-large to override"
         )
-    return f"warning: n={n} exceeds the desk-scale bound {bound} for {what}; continuing\n"
+    return f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n"
 
 
-def _odd_floor(n: int) -> int:
-    return n if n % 2 else n - 1
+def _max_len(args: argparse.Namespace, n: int) -> int:
+    max_len = args.max_len if args.max_len is not None else odd_floor(n)
+    if max_len % 2 == 0 or max_len < 3:
+        raise UsageError(f"--max-len must be odd and >= 3, got {max_len}")
+    return max_len
 
 
-def _emit_monomial_ideal(config: RunConfig, ideal: MonomialIdeal, n: int, meta: dict) -> RunResult:
-    order = _order(config, n)
-    if config.format == "json":
+def _kind(args: argparse.Namespace) -> str:
+    return "symbolic-square" if args.kind == "symbolic" else args.kind
+
+
+def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int, meta: dict) -> str:
+    order = CircularTermOrder(n, args.inner)
+    if args.format == "json":
         payload = {
             **meta,
             "order": order.descriptor(),
@@ -268,42 +256,51 @@ def _emit_monomial_ideal(config: RunConfig, ideal: MonomialIdeal, n: int, meta: 
             "degrees": list(ideal.degrees()),
             "generators": [monomial_to_json(m) for m in ideal.generators],
         }
-        return RunResult(EXIT_OK, _json_dump(payload))
-    if config.format == "algebra-script":
-        return RunResult(
-            EXIT_OK,
-            algebra_script([Polynomial.from_monomial(m) for m in ideal.generators], n, order),
-        )
-    lines = [format_monomial(m) for m in ideal.generators]
-    return RunResult(EXIT_OK, "\n".join(lines) + ("\n" if lines else ""))
+        return _json_dump(payload)
+    if args.format == "algebra-script":
+        return algebra_script([Polynomial.from_monomial(m) for m in ideal.generators], n, order)
+    return _text_lines([format_monomial(m) for m in ideal.generators])
 
 
-def _emit_polynomials(config: RunConfig, polys, n: int, meta: dict) -> RunResult:
-    order = _order(config, n)
-    if config.format == "json":
+def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> str:
+    order = CircularTermOrder(n, args.inner)
+    if args.format == "json":
         payload = {
             **meta,
             "order": order.descriptor(),
             "count": len(polys),
             "generators": [polynomial_to_json(p, order) for p in polys],
         }
-        return RunResult(EXIT_OK, _json_dump(payload))
-    if config.format == "algebra-script":
-        return RunResult(EXIT_OK, algebra_script(polys, n, order))
-    lines = [_poly_text(p, order) for p in polys]
-    return RunResult(EXIT_OK, "\n".join(lines) + ("\n" if lines else ""))
+        return _json_dump(payload)
+    if args.format == "algebra-script":
+        return algebra_script(polys, n, order)
+    return _text_lines([format_polynomial(p, _term_key(p, order)) for p in polys])
 
 
-def _cmd_toric_gb(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "toric-gb")
+def _cmd_build(args: argparse.Namespace) -> RunResult:
+    """The build-then-emit commands: one initial ideal or candidate basis at --n."""
+    n = _need_n(args, args.least_n)
+    warn = _check_bound(args, n, SWEEP_BOUND, args.command)
+    built, extra = args.build(args, n)
+    meta = {"command": args.command, "n": n, **extra}
+    emit = _emit_monomial_ideal if isinstance(built, MonomialIdeal) else _emit_polynomials
+    return RunResult(EXIT_OK, emit(args, built, n, meta), warn)
+
+
+def _build_initial_secant(args: argparse.Namespace, n: int):
+    max_len = _max_len(args, n)
+    return secant_of_edge_ideal(build_graph(n), max_len), {"max_len": max_len}
+
+
+def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
+    n = _need_n(args)
+    warn = _check_bound(args, n, SWEEP_BOUND, "toric-gb")
     gens = toric_gb(n)
-    order = _order(config, n)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "command": "toric-gb",
             "n": n,
-            "order": order.descriptor(),
+            "order": CircularTermOrder(n, args.inner).descriptor(),
             "count": len(gens),
             "generators": [
                 {"lead": monomial_to_json(g.lead), "trail": monomial_to_json(g.trail)}
@@ -311,48 +308,16 @@ def _cmd_toric_gb(config: RunConfig) -> RunResult:
             ],
         }
         return RunResult(EXIT_OK, _json_dump(payload), warn)
-    res = _emit_polynomials(config, [g.polynomial() for g in gens], n, {"command": "toric-gb", "n": n})
-    res.stderr = warn
-    return res
+    meta = {"command": "toric-gb", "n": n}
+    return RunResult(EXIT_OK, _emit_polynomials(args, [g.polynomial() for g in gens], n, meta), warn)
 
 
-def _cmd_initial_ideal(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "initial-ideal")
-    res = _emit_monomial_ideal(config, initial_edge_ideal(n), n, {"command": "initial-ideal", "n": n})
-    res.stderr = warn
-    return res
-
-
-def _cmd_initial_secant(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "initial-secant")
-    max_len = config.max_len if config.max_len is not None else _odd_floor(n)
-    ideal = secant_of_edge_ideal(build_graph(n), max_len)
-    res = _emit_monomial_ideal(
-        config, ideal, n, {"command": "initial-secant", "n": n, "max_len": max_len}
-    )
-    res.stderr = warn
-    return res
-
-
-def _cmd_initial_symbolic(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "initial-symbolic")
-    ideal = symbolic_square_of_edge_ideal(build_graph(n))
-    res = _emit_monomial_ideal(config, ideal, n, {"command": "initial-symbolic", "n": n})
-    res.stderr = warn
-    return res
-
-
-def _cmd_odd_cycles(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "odd-cycles")
-    max_len = config.max_len if config.max_len is not None else _odd_floor(n)
-    if max_len % 2 == 0 or max_len < 3:
-        raise UsageError(f"--max-len must be odd and >= 3, got {max_len}")
+def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
+    n = _need_n(args)
+    warn = _check_bound(args, n, SWEEP_BOUND, "odd-cycles")
+    max_len = _max_len(args, n)
     cycles = induced_odd_cycles(build_graph(n), max_len)
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "command": "odd-cycles",
             "n": n,
@@ -362,17 +327,19 @@ def _cmd_odd_cycles(config: RunConfig) -> RunResult:
         }
         return RunResult(EXIT_OK, _json_dump(payload), warn)
     lines = [format_monomial(Monomial.from_edges(c)) for c in cycles]
-    return RunResult(EXIT_OK, "\n".join(lines) + ("\n" if lines else ""), warn)
+    return RunResult(EXIT_OK, _text_lines(lines), warn)
 
 
-def _cmd_admissible(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "admissible")
-    if config.k is not None:
-        seqs = admissible_sequences(n, config.k)
-    else:
+def _cmd_admissible(args: argparse.Namespace) -> RunResult:
+    n = _need_n(args)
+    warn = _check_bound(args, n, SWEEP_BOUND, "admissible")
+    if args.k is None:
         seqs = all_admissible_sequences(n)
-    if config.format == "json":
+    elif args.k < 1:
+        raise UsageError(f"--k must be at least 1, got {args.k}")
+    else:
+        seqs = admissible_sequences(n, args.k)
+    if args.format == "json":
         payload = {
             "command": "admissible",
             "n": n,
@@ -383,26 +350,27 @@ def _cmd_admissible(config: RunConfig) -> RunResult:
     lines = [
         f"k={s.k} i={','.join(map(str, s.i))} j={','.join(map(str, s.j))}" for s in seqs
     ]
-    return RunResult(EXIT_OK, "\n".join(lines) + ("\n" if lines else ""), warn)
+    return RunResult(EXIT_OK, _text_lines(lines), warn)
 
 
-def _sequence_from_config(config: RunConfig) -> AdmissibleSequence:
-    if config.i_vals is None or config.j_vals is None:
+def _sequence_from_args(args: argparse.Namespace) -> AdmissibleSequence:
+    if args.i_vals is None or args.j_vals is None:
         raise UsageError("--i and --j are both required")
     try:
-        return AdmissibleSequence.from_arrays(config.i_vals, config.j_vals)
+        return AdmissibleSequence.from_arrays(args.i_vals, args.j_vals)
     except ValueError as exc:
         raise UsageError(f"invalid admissible sequence: {exc}") from exc
 
 
-def _cmd_master_poly(config: RunConfig) -> RunResult:
-    seq = _sequence_from_config(config)
-    n = config.n if config.n is not None else max(3, seq.min_ambient())
+def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
+    seq = _sequence_from_args(args)
+    n = args.n if args.n is not None else max(3, seq.min_ambient())
     if n < seq.min_ambient():
         raise UsageError(f"--n {n} is too small for indices up to {seq.min_ambient()}")
+    warn = _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     poly = master_polynomial(seq)
-    if config.format == "json":
-        order = _order(config, n)
+    if args.format == "json":
+        order = CircularTermOrder(n, args.inner)
         payload = {
             "command": "master-poly",
             "n": n,
@@ -413,120 +381,86 @@ def _cmd_master_poly(config: RunConfig) -> RunResult:
             "term_count": poly.term_count,
             "polynomial": polynomial_to_json(poly, order),
         }
-        return RunResult(EXIT_OK, _json_dump(payload))
-    return _emit_polynomials(config, [poly], n, {"command": "master-poly", "n": n})
+        return RunResult(EXIT_OK, _json_dump(payload), warn)
+    return RunResult(EXIT_OK, _emit_polynomials(args, [poly], n, {"command": "master-poly", "n": n}), warn)
 
 
-def _cmd_secant_gb(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "secant-gb")
-    if n < 4:
-        raise UsageError("secant-gb requires n >= 4")
-    res = _emit_polynomials(config, secant_gb(n), n, {"command": "secant-gb", "n": n})
-    res.stderr = warn
-    return res
-
-
-def _cmd_symbolic_gb(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, "symbolic-gb")
-    if n < 4:
-        raise UsageError("symbolic-gb requires n >= 4")
-    res = _emit_polynomials(config, symbolic_square_gb(n), n, {"command": "symbolic-gb", "n": n})
-    res.stderr = warn
-    return res
-
-
-def _selected_sequences(config: RunConfig, n: int) -> list[AdmissibleSequence]:
-    if config.i_vals is not None or config.j_vals is not None:
-        return [_sequence_from_config(config)]
-    return all_admissible_sequences(n)
-
-
-def _sequence_report(results) -> tuple[bool, list[str], list[dict]]:
-    ok = all(r["pass"] for r in results)
-    lines = [
-        ("ok   " if r["pass"] else "FAIL ")
-        + f"k={r['k']} i={','.join(map(str, r['i']))} j={','.join(map(str, r['j']))}"
-        for r in results
-    ]
-    return ok, lines, results
-
-
-def _cmd_verify_sequences(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    warn = _check_bound(config, n, SWEEP_BOUND, f"verify {config.verify_what}")
-    order = _order(config, n)
+def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
+    n = _need_n(args)
+    warn = _check_bound(args, n, SWEEP_BOUND, f"verify {args.verify_what}")
+    order = CircularTermOrder(n, args.inner)
+    if args.i_vals is not None or args.j_vals is not None:
+        seqs = [_sequence_from_args(args)]
+    else:
+        seqs = all_admissible_sequences(n)
     results = []
-    for s in _selected_sequences(config, n):
+    for s in seqs:
         if s.min_ambient() > n:
             raise UsageError(f"sequence uses indices above n={n}")
-        if config.verify_what == "membership":
+        if args.verify_what == "membership":
             passed = verify_membership(n, s)
-        elif config.verify_what == "prolongation":
+        elif args.verify_what == "prolongation":
             passed = verify_prolongation(n, master_polynomial(s), s.k)
         else:
             passed = verify_leading_term(n, s, order)
         results.append({"k": s.k, "i": list(s.i), "j": list(s.j), "pass": passed})
-    ok, lines, _ = _sequence_report(results)
+    ok = all(r["pass"] for r in results)
     code = EXIT_OK if ok else EXIT_FAIL
-    if config.format == "json":
+    if args.format == "json":
         payload = {
-            "command": f"verify {config.verify_what}",
+            "command": f"verify {args.verify_what}",
             "n": n,
             "order": order.descriptor(),
             "results": results,
             "pass": ok,
         }
         return RunResult(code, _json_dump(payload), warn)
-    summary = "PASS" if ok else "FAIL"
-    return RunResult(code, "\n".join(lines + [summary]) + "\n", warn)
+    lines = [
+        ("ok   " if r["pass"] else "FAIL ")
+        + f"k={r['k']} i={','.join(map(str, r['i']))} j={','.join(map(str, r['j']))}"
+        for r in results
+    ]
+    return RunResult(code, _text_lines(lines + ["PASS" if ok else "FAIL"]), warn)
 
 
-def _cmd_verify_buchberger(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    kind = config.kind or "toric"
-    if kind == "symbolic":
-        kind = "symbolic-square"
-    if kind not in BUCHBERGER_BOUNDS:
-        raise UsageError(f"--kind must be toric, secant or symbolic, got {kind!r}")
-    warn = _check_bound(config, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
-    order = _order(config, n)
+def _certificate_result(args: argparse.Namespace, cert: GroebnerCertificate, warn: str) -> RunResult:
+    if cert.spair_stats is not None:
+        warn += f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n"
+    code = EXIT_OK if cert.passed else EXIT_FAIL
+    if args.format == "json":
+        return RunResult(code, _json_dump(certificate_to_json(cert)), warn)
+    return RunResult(code, certificate_text(cert), warn)
+
+
+def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
+    kind = _kind(args)
+    n = _need_n(args, 3 if kind == "toric" else 4)
+    warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
     if kind == "toric":
         gens = toric_gb_polynomials(n)
     elif kind == "secant":
         gens = secant_gb(n)
     else:
         gens = symbolic_square_gb(n)
-    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=config.threads)
-    warn += f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n"
-    code = EXIT_OK if cert.passed else EXIT_FAIL
-    if config.format == "json":
-        return RunResult(code, _json_dump(certificate_to_json(cert)), warn)
-    return RunResult(code, certificate_text(cert), warn)
+    order = CircularTermOrder(n, args.inner)
+    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads)
+    return _certificate_result(args, cert, warn)
 
 
-def _cmd_verify_delightful(config: RunConfig) -> RunResult:
-    n = _need_n(config)
-    kind = config.kind or "secant"
-    if kind == "symbolic":
-        kind = "symbolic-square"
-    bound = BUCHBERGER_BOUNDS.get(kind, 6) if config.with_buchberger else SWEEP_BOUND
-    warn = _check_bound(config, n, bound, f"delightful {kind}")
-    order = _order(config, n)
-    cert = delightful_check(n, kind, order, with_buchberger=config.with_buchberger, threads=config.threads)
-    if cert.spair_stats is not None:
-        warn += f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n"
-    code = EXIT_OK if cert.passed else EXIT_FAIL
-    if config.format == "json":
-        return RunResult(code, _json_dump(certificate_to_json(cert)), warn)
-    return RunResult(code, certificate_text(cert), warn)
+def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
+    kind = _kind(args)
+    n = _need_n(args, 4)
+    bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else SWEEP_BOUND
+    warn = _check_bound(args, n, bound, f"delightful {kind}")
+    order = CircularTermOrder(n, args.inner)
+    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
+    return _certificate_result(args, cert, warn)
 
 
-def _cmd_reproduce(config: RunConfig) -> RunResult:
+def _cmd_reproduce(args: argparse.Namespace) -> RunResult:
     report = reproduce_reference_examples()
     code = EXIT_OK if report["match"] else EXIT_FAIL
-    if config.format == "json":
+    if args.format == "json":
         return RunResult(code, _json_dump({"command": "reproduce", **report}))
     lines = []
     for name in ("cubic", "pentad", "generic_quintic"):
@@ -539,37 +473,12 @@ def _cmd_reproduce(config: RunConfig) -> RunResult:
         for mm in section.get("mismatches", []):
             lines.append(f"  {mm['monomial']}: expected {mm['expected']}, computed {mm['computed']}")
     lines.append("PASS" if report["match"] else "FAIL")
-    return RunResult(code, "\n".join(lines) + "\n")
+    return RunResult(code, _text_lines(lines))
 
 
-_COMMANDS = {
-    "toric-gb": _cmd_toric_gb,
-    "initial-ideal": _cmd_initial_ideal,
-    "initial-secant": _cmd_initial_secant,
-    "initial-symbolic": _cmd_initial_symbolic,
-    "odd-cycles": _cmd_odd_cycles,
-    "admissible": _cmd_admissible,
-    "master-poly": _cmd_master_poly,
-    "secant-gb": _cmd_secant_gb,
-    "symbolic-gb": _cmd_symbolic_gb,
-    "reproduce": _cmd_reproduce,
-}
-
-
-def run(config: RunConfig) -> RunResult:
-    """Dispatch a parsed configuration; pure apart from computation time."""
-    if config.command == "verify":
-        if config.verify_what in ("membership", "prolongation", "leading-term"):
-            return _cmd_verify_sequences(config)
-        if config.verify_what == "buchberger":
-            return _cmd_verify_buchberger(config)
-        if config.verify_what == "delightful":
-            return _cmd_verify_delightful(config)
-        raise UsageError(f"unknown verify target {config.verify_what!r}")
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    return handler(config)
+def run(args: argparse.Namespace) -> RunResult:
+    """Run a parsed invocation; pure apart from computation time."""
+    return args.handler(args)
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +501,43 @@ def _parse_index_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated index list, got {text!r}")
 
 
-def _add_common(p: argparse.ArgumentParser, with_n: bool = True) -> None:
-    if with_n:
+def _parse_threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _add_command(sub, name: str, handler, *, n: bool = True, order: bool = True,
+                 script: bool = False, bounded: bool = True, **defaults) -> argparse.ArgumentParser:
+    """A subcommand with the shared flags its handler reads."""
+    # No prefix matching: a removed flag such as --all must not be read as --allow-large.
+    p = sub.add_parser(name, allow_abbrev=False)
+    p.set_defaults(handler=handler, **defaults)
+    if n:
         p.add_argument("--n", type=int, default=None, help="ambient vertex count")
-    p.add_argument("--order", type=_parse_order, default="grevlex", dest="inner",
-                   metavar="inner=grevlex|lex", help="inner order of the circular blocks")
-    p.add_argument("--format", choices=("text", "json", "algebra-script"), default="text")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for S-pair sweeps")
-    p.add_argument("--allow-large", action="store_true", help="override desk-scale bounds")
+    if order:
+        p.add_argument("--order", type=_parse_order, default="grevlex", dest="inner",
+                       metavar="inner=grevlex|lex", help="inner order of the circular blocks")
+    formats = ("text", "json", "algebra-script") if script else ("text", "json")
+    p.add_argument("--format", choices=formats, default="text")
+    if bounded:
+        p.add_argument("--allow-large", action="store_true", help="override desk-scale bounds")
     p.add_argument("--output", default=None, help="write stdout payload to this path")
+    return p
+
+
+def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--i", type=_parse_index_list, default=None, dest="i_vals")
+    p.add_argument("--j", type=_parse_index_list, default=None, dest="j_vals")
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=_parse_threads, default=1,
+                   help="worker processes for S-pair sweeps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,65 +548,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("toric-gb", "initial-ideal", "initial-symbolic", "secant-gb", "symbolic-gb"):
-        _add_common(sub.add_parser(name))
-
-    p = sub.add_parser("initial-secant")
-    _add_common(p)
+    _add_command(sub, "toric-gb", _cmd_toric_gb, script=True)
+    for name, least_n, build in (
+        ("initial-ideal", 3, lambda args, n: (initial_edge_ideal(n), {})),
+        ("initial-symbolic", 3, lambda args, n: (symbolic_square_of_edge_ideal(build_graph(n)), {})),
+        ("secant-gb", 4, lambda args, n: (secant_gb(n), {})),
+        ("symbolic-gb", 4, lambda args, n: (symbolic_square_gb(n), {})),
+    ):
+        _add_command(sub, name, _cmd_build, script=True, build=build, least_n=least_n)
+    p = _add_command(sub, "initial-secant", _cmd_build, script=True,
+                     build=_build_initial_secant, least_n=3)
     p.add_argument("--max-len", type=int, default=None)
 
-    p = sub.add_parser("odd-cycles")
-    _add_common(p)
+    p = _add_command(sub, "odd-cycles", _cmd_odd_cycles, order=False)
     p.add_argument("--max-len", type=int, default=None)
 
-    p = sub.add_parser("admissible")
-    _add_common(p)
+    p = _add_command(sub, "admissible", _cmd_admissible, order=False)
     p.add_argument("--k", type=int, default=None)
 
-    p = sub.add_parser("master-poly")
-    _add_common(p)
-    p.add_argument("--i", type=_parse_index_list, default=None, dest="i_vals")
-    p.add_argument("--j", type=_parse_index_list, default=None, dest="j_vals")
+    _add_sequence_flags(_add_command(sub, "master-poly", _cmd_master_poly, script=True))
 
-    p = sub.add_parser("verify")
-    vsub = p.add_subparsers(dest="verify_what", required=True)
+    vsub = sub.add_parser("verify").add_subparsers(dest="verify_what", required=True)
     for name in ("membership", "prolongation", "leading-term"):
-        vp = vsub.add_parser(name)
-        _add_common(vp)
-        vp.add_argument("--all", action="store_true", dest="select_all",
-                        help="sweep every admissible sequence (default unless --i/--j given)")
-        vp.add_argument("--i", type=_parse_index_list, default=None, dest="i_vals")
-        vp.add_argument("--j", type=_parse_index_list, default=None, dest="j_vals")
-    vp = vsub.add_parser("buchberger")
-    _add_common(vp)
-    vp.add_argument("--kind", choices=("toric", "secant", "symbolic"), default="toric")
-    vp = vsub.add_parser("delightful")
-    _add_common(vp)
-    vp.add_argument("--kind", choices=("secant", "symbolic"), default="secant")
-    vp.add_argument("--buchberger", action="store_true", dest="with_buchberger")
+        _add_sequence_flags(_add_command(vsub, name, _cmd_verify_sequences))
+    p = _add_command(vsub, "buchberger", _cmd_verify_buchberger)
+    p.add_argument("--kind", choices=("toric", "secant", "symbolic"), default="toric")
+    _add_threads_flag(p)
+    p = _add_command(vsub, "delightful", _cmd_verify_delightful)
+    p.add_argument("--kind", choices=("secant", "symbolic"), default="secant")
+    p.add_argument("--buchberger", action="store_true", dest="with_buchberger")
+    _add_threads_flag(p)
 
-    _add_common(sub.add_parser("reproduce"), with_n=False)
+    _add_command(sub, "reproduce", _cmd_reproduce, n=False, order=False, bounded=False)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        inner=getattr(args, "inner", "grevlex"),
-        format=getattr(args, "format", "text"),
-        threads=getattr(args, "threads", 1),
-        allow_large=getattr(args, "allow_large", False),
-        output=getattr(args, "output", None),
-        max_len=getattr(args, "max_len", None),
-        k=getattr(args, "k", None),
-        i_vals=getattr(args, "i_vals", None),
-        j_vals=getattr(args, "j_vals", None),
-        kind=getattr(args, "kind", None),
-        verify_what=getattr(args, "verify_what", None),
-        with_buchberger=getattr(args, "with_buchberger", False),
-        select_all=getattr(args, "select_all", True),
-    )
 
 
 def main(argv=None) -> int:
@@ -677,22 +588,19 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = config_from_args(args)
-    if config.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        result = run(config)
+        result = run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if result.stderr:
         sys.stderr.write(result.stderr)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(result.stdout)
     else:
         sys.stdout.write(result.stdout)

@@ -27,6 +27,7 @@ from .noncrossing import (
     admissible_sequences,
     all_admissible_sequences,
     build_graph,
+    odd_floor,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
@@ -496,13 +497,15 @@ def circular_minor_splits(subset: Sequence[int]) -> list[tuple[tuple[int, ...], 
     return out
 
 
+def _minor_splits(n: int):
+    """(rows, cols) of each circularly consecutive split of each 6-subset of 1..n."""
+    for sub in combinations(range(1, n + 1), 6):
+        yield from circular_minor_splits(sub)
+
+
 def nested_triple_monomials(n: int) -> list[Monomial]:
     """The circularly nested noncrossing triples, one family per 6-subset split."""
-    out = []
-    for sub in combinations(range(1, n + 1), 6):
-        for rows, cols in circular_minor_splits(sub):
-            out.append(antidiagonal_monomial(rows, cols))
-    return out
+    return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
 
 
 def secant_gb(n: int) -> list[Polynomial]:
@@ -514,18 +517,12 @@ def secant_gb(n: int) -> list[Polynomial]:
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
-    out = [master_polynomial(s) for s in all_admissible_sequences(n)]
-    for sub in combinations(range(1, n + 1), 6):
-        for rows, cols in circular_minor_splits(sub):
-            out.append(off_diagonal_minor(rows, cols))
-    return out
+    masters = [master_polynomial(s) for s in all_admissible_sequences(n)]
+    return masters + [off_diagonal_minor(rows, cols) for rows, cols in _minor_splits(n)]
 
 
 def _symbolic_components(n: int):
-    minors = []
-    for sub in combinations(range(1, n + 1), 6):
-        for rows, cols in circular_minor_splits(sub):
-            minors.append(off_diagonal_minor(rows, cols))
+    minors = [off_diagonal_minor(rows, cols) for rows, cols in _minor_splits(n)]
     masters = [master_polynomial(s) for s in admissible_sequences(n, 1)] if n >= 5 else []
     toric = toric_gb_polynomials(n)
     products = [(a, b, toric[a] * toric[b]) for a, b in combinations_with_replacement(range(len(toric)), 2)]
@@ -545,13 +542,12 @@ def symbolic_square_identity_holds(n: int) -> bool:
     """Monomial-ideal identity: the symbolic square of the initial ideal equals
     its ordinary square plus the secant of the initial ideal."""
     g = build_graph(n)
-    max_len = n if n % 2 else n - 1
     square_gens = [
         a.mul(b)
         for a, b in combinations_with_replacement(initial_edge_ideal(n).generators, 2)
     ]
     union = list(square_gens)
-    union.extend(secant_of_edge_ideal(g, max_len).generators)
+    union.extend(secant_of_edge_ideal(g, odd_floor(n)).generators)
     return MonomialIdeal(union) == symbolic_square_of_edge_ideal(g)
 
 
@@ -588,7 +584,6 @@ def delightful_check(
     kind = _normalize_kind(kind)
     checks: list[CheckResult] = []
     graph = build_graph(n)
-    max_len = n if n % 2 else n - 1
 
     if kind == SECANT:
         gens = secant_gb(n)
@@ -600,7 +595,7 @@ def delightful_check(
         checks.append(
             CheckResult("generators_vanish_on_rank_two_locus", "fail" if bad else "pass", bad or None)
         )
-        target = secant_of_edge_ideal(graph, max_len)
+        target = secant_of_edge_ideal(graph, odd_floor(n))
     else:
         minors, masters, toric, products = _symbolic_components(n)
         gens = minors + masters + [p for _, _, p in products]

@@ -99,6 +99,11 @@ def build_graph(n: int) -> NoncrossingGraph:
     return NoncrossingGraph(n)
 
 
+def odd_floor(n: int) -> int:
+    """Length of the longest odd cycle on n vertices."""
+    return n if n % 2 else n - 1
+
+
 def induced_odd_cycles(g: NoncrossingGraph, max_len: int) -> list[tuple[tuple[int, int], ...]]:
     """All vertex subsets of odd size in [3, max_len] inducing a cycle.
 

@@ -115,20 +115,8 @@ class CircularTermOrder:
     def leading_monomial(self, p: Polynomial) -> Monomial:
         return self.leading_term(p)[0]
 
-    def sort_terms(self, p: Polynomial) -> list[tuple[Monomial, int]]:
-        """Terms of p in descending order, for deterministic serialization."""
-        return [(m, p.coefficient(m)) for m in sorted(p.monomials(), key=self.key, reverse=True)]
-
     def __repr__(self) -> str:
         return f"CircularTermOrder(n={self.n}, inner={self.inner!r})"
-
-
-def compare(order: CircularTermOrder, m1: Monomial, m2: Monomial) -> int:
-    return order.compare(m1, m2)
-
-
-def leading_term(order: CircularTermOrder, p: Polynomial) -> tuple[Monomial, int]:
-    return order.leading_term(p)
 
 
 def both_inner_orders(n: int) -> tuple[CircularTermOrder, CircularTermOrder]:

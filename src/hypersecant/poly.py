@@ -299,16 +299,6 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Coefficient-wise sum with zero terms dropped."""
-    return p + q
-
-
-def mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Distributive product, normalized."""
-    return p * q
-
-
 def partial_derivative(p: Polynomial, edges: Sequence[tuple[int, int]]) -> Polynomial:
     """Iterated formal partial derivative of p by a multiset of edges.
 

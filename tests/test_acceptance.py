@@ -36,7 +36,7 @@ from hypersecant import (
     toric_gb_polynomials,
     verify_prolongation,
 )
-from hypersecant.cli import build_parser, config_from_args, run
+from hypersecant.cli import build_parser, run
 from hypersecant.fixtures import (
     GENERIC_QUINTIC_SEQUENCE,
     REFERENCE_CUBIC_TERMS,
@@ -82,8 +82,7 @@ def test_criterion_03_generic_term_count():
 
 def test_criterion_04_initial_secant_n5():
     t0 = time.perf_counter()
-    args = build_parser().parse_args(["initial-secant", "--n", "5"])
-    res = run(config_from_args(args))
+    res = run(build_parser().parse_args(["initial-secant", "--n", "5"]))
     expected = Monomial.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     ideal = secant_of_edge_ideal(build_graph(5), 5)
     ok = (
