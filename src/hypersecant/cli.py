@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 import traceback
 from dataclasses import dataclass
 
@@ -583,6 +585,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_atomically(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path.
+
+    Readers see the old file or the whole new one; if anything fails, the old
+    file is left untouched and the temporary file is removed.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -600,8 +622,11 @@ def main(argv=None) -> int:
     if result.stderr:
         sys.stderr.write(result.stderr)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(result.stdout)
+        try:
+            _write_atomically(args.output, result.stdout)
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(result.stdout)
     return result.code

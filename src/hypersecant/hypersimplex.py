@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .poly import Monomial, Polynomial, substitute_rank
 
@@ -72,38 +72,42 @@ class MonomialIdeal:
     """A monomial ideal held by its inclusion-minimal generating set.
 
     Membership and equality queries reduce to divisibility against the
-    minimal generators, which are computed once at construction.
+    minimal generators, which are computed once at construction.  An index
+    maps each variable to the bitset of generators that use it; the
+    generators whose support lies inside a monomial's support are the full
+    set minus the users of every variable the monomial lacks, and only those
+    get the exponent test.
     """
 
-    __slots__ = ("generators", "_varbits", "_gen_data")
+    __slots__ = ("generators", "_users")
 
     def __init__(self, generators: Iterable[Monomial] = ()):
-        gens = sorted(set(generators), key=lambda m: (m.degree, m.factors))
-        varbits: dict = {}
-        for m in gens:
-            for v, _ in m.factors:
-                if v not in varbits:
-                    varbits[v] = 1 << len(varbits)
-
-        def mask(m: Monomial) -> int:
-            b = 0
-            for v, _ in m.factors:
-                b |= varbits[v]
-            return b
-
+        self._users: dict = {}
         kept: list[Monomial] = []
-        kept_data: list[tuple[int, Monomial]] = []
-        for m in gens:
-            mm = mask(m)
-            # Generators arrive degree-sorted, so only strictly smaller kept
-            # generators can strictly divide; equal monomials were deduped.
-            if any(km & ~mm == 0 and kg.divides(m) for km, kg in kept_data):
+        # Sorted by degree, only strictly smaller kept generators can strictly
+        # divide a candidate; equal monomials were deduped.
+        for m in sorted(set(generators), key=lambda m: (m.degree, m.factors)):
+            if self._has_divisor(m, kept):
                 continue
+            bit = 1 << len(kept)
             kept.append(m)
-            kept_data.append((mm, m))
+            for v, _ in m.factors:
+                self._users[v] = self._users.get(v, 0) | bit
         self.generators = tuple(kept)
-        self._varbits = varbits
-        self._gen_data = tuple(kept_data)
+
+    def _has_divisor(self, m: Monomial, gens: Sequence[Monomial]) -> bool:
+        """Whether one of `gens`, indexed by `_users`, divides m."""
+        fit = (1 << len(gens)) - 1
+        support = {v for v, _ in m.factors}
+        for v, users in self._users.items():
+            if v not in support:
+                fit &= ~users
+        while fit:
+            low = fit & -fit
+            if gens[low.bit_length() - 1].divides(m):
+                return True
+            fit ^= low
+        return False
 
     @property
     def is_empty(self) -> bool:
@@ -114,13 +118,7 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides m."""
-        bits = self._varbits
-        mm = 0
-        for v, _ in m.factors:
-            b = bits.get(v)
-            if b is not None:
-                mm |= b
-        return any(km & ~mm == 0 and kg.divides(m) for km, kg in self._gen_data)
+        return self._has_divisor(m, self.generators)
 
     __contains__ = contains
 

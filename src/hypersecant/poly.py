@@ -13,6 +13,7 @@ everything here is safe to share across threads or processes.
 from __future__ import annotations
 
 import re
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # A variable is a plain tuple: ('x', a, b) with a < b, ('t', i) or ('u', i).
@@ -62,9 +63,11 @@ class Monomial:
     __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
-        items = factors.items() if isinstance(factors, Mapping) else factors
+        # The dict test first: it is cheap, and the Mapping check is not.
+        if isinstance(factors, dict) or isinstance(factors, Mapping):
+            factors = factors.items()
         acc: dict[Variable, int] = {}
-        for v, e in items:
+        for v, e in factors:
             if not isinstance(e, int):
                 raise TypeError(f"exponent of {v} must be an int, got {e!r}")
             if e < 0:
@@ -162,9 +165,10 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        if isinstance(terms, dict) or isinstance(terms, Mapping):
+            terms = terms.items()
         acc: dict[Monomial, int] = {}
-        for m, c in items:
+        for m, c in terms:
             if not isinstance(c, int):
                 raise TypeError(f"coefficient must be an int, got {c!r}")
             nc = acc.get(m, 0) + c
@@ -337,6 +341,12 @@ def substitute_rank(p: Polynomial, r: int) -> Polynomial:
     This is the defining parameterization of the rank-r locus: the result is
     identically zero exactly when p vanishes on all rank-r points.  Only
     r = 1 and r = 2 are supported; there is no third parameter family.
+
+    The expansion runs on packed parameter monomials: each vertex of p owns
+    one field for t_v and one for u_v, so x[a,b] maps to the ints T_a+T_b and
+    U_a+U_b and multiplying by a factor is an add.  An edge raises any one
+    parameter by at most 1, so no exponent exceeds p.degree and fields of
+    its bit length never carry.  Only surviving terms become Monomials.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive int, got {r!r}")
@@ -344,34 +354,38 @@ def substitute_rank(p: Polynomial, r: int) -> Polynomial:
         raise ValueError("only ranks 1 and 2 are supported")
     if not p.uses_only_edge_vars():
         raise ValueError("substitute_rank requires a polynomial in edge variables only")
-    acc: dict[Monomial, int] = {}
+    w = max(p.degree, 1).bit_length()
+    vertices = sorted({a for _, *ends in p.variables() for a in ends})
+    at = {a: 2 * w * k for k, a in enumerate(vertices)}
+    # Per edge power x[a,b]^e, the packed terms of (t_a t_b)^k (u_a u_b)^(e-k)
+    # with their binomial coefficients; rank 1 keeps only k = e.
+    powers: dict = {}
+    acc: dict[int, int] = {}
     for m, c in p.terms():
-        expansion: dict[tuple, int] = {(): c}
-        for (_, a, b), e in m.factors:
-            for _ in range(e):
-                nxt: dict[tuple, int] = {}
-                choices = [((param_t(a), param_t(b)),)] if r == 1 else [
-                    ((param_t(a), param_t(b)),),
-                    ((param_u(a), param_u(b)),),
-                ]
-                for pm, pc in expansion.items():
-                    for (pair,) in choices:
-                        d: dict[Variable, int] = {}
-                        for v, ex in pm:
-                            d[v] = d.get(v, 0) + ex
-                        for v in pair:
-                            d[v] = d.get(v, 0) + 1
-                        key = tuple(sorted(d.items()))
-                        nxt[key] = nxt.get(key, 0) + pc
-                expansion = nxt
-        for pm, pc in expansion.items():
-            mm = Monomial(pm)
-            nc = acc.get(mm, 0) + pc
-            if nc:
-                acc[mm] = nc
-            else:
-                acc.pop(mm, None)
-    return Polynomial(acc)
+        expansion = {0: c}
+        for power in m.factors:
+            choices = powers.get(power)
+            if choices is None:
+                (_, a, b), e = power
+                t = (1 << at[a]) + (1 << at[b])
+                u = t << w
+                ks = range(e + 1) if r == 2 else (e,)
+                choices = powers[power] = [(k * t + (e - k) * u, comb(e, k)) for k in ks]
+            nxt: dict[int, int] = {}
+            for q, qc in expansion.items():
+                for add, mult in choices:
+                    key = q + add
+                    nxt[key] = nxt.get(key, 0) + qc * mult
+            expansion = nxt
+        for q, qc in expansion.items():
+            acc[q] = acc.get(q, 0) + qc
+    mask = (1 << w) - 1
+    fields = [(v(a), k + shift) for a, k in at.items() for v, shift in ((param_t, 0), (param_u, w))]
+    return Polynomial(
+        (Monomial(((v, e) for v, k in fields if (e := q >> k & mask))), qc)
+        for q, qc in acc.items()
+        if qc
+    )
 
 
 # ----- text grammar -----

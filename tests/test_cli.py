@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -243,6 +244,37 @@ class TestDeterminism:
         code = main(["toric-gb", "--n", "4", "--format", "json", "--output", str(target)])
         assert code == EXIT_OK
         assert json.loads(target.read_text())["count"] == 2
+        umask = os.umask(0)
+        os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_output_to_missing_directory_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot write --output {target}:" in err
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_failed_output_write_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "out.txt"
+        target.write_text("old content\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_USAGE
+        assert "error: cannot write --output" in capsys.readouterr().err
+        assert target.read_text() == "old content\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_output_replaces_existing_file(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old content that is longer than the new payload\n" * 20)
+        assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_OK
+        assert target.read_text() == invoke("toric-gb", "--n", "4").stdout
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestJsonRoundTrip:

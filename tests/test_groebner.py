@@ -12,12 +12,14 @@ from hypersecant import (
     MonomialIdeal,
     Polynomial,
     admissible_sequences,
+    all_admissible_sequences,
     antidiagonal_monomial,
     both_inner_orders,
     buchberger_verify,
     build_graph,
     circular_minor_splits,
     delightful_check,
+    format_monomial,
     in_secant_ideal,
     master_polynomial,
     off_diagonal_minor,
@@ -31,6 +33,7 @@ from hypersecant import (
     toric_gb_polynomials,
 )
 
+from hypersecant import groebner
 from hypersecant.groebner import _Packing
 
 from conftest import monomial_strategy, polynomial_strategy
@@ -435,3 +438,78 @@ class TestDelightfulCheck:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             delightful_check(5, "cubic", CircularTermOrder(5))
+
+
+def _check(cert, name):
+    return next(c for c in cert.checks if c.name == name)
+
+
+class TestDelightfulNegativeControls:
+    """Each certification leg without S-pairs fails on a deliberately broken basis."""
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_flipped_master_coefficient_fails_membership(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        gens = secant_gb(6)
+        k = len(all_admissible_sequences(6)) - 1  # the last master
+        lead = order.leading_monomial(gens[k])
+        m = min(x for x in gens[k].monomials() if x != lead)
+        gens[k] = gens[k] - Polynomial.from_monomial(m, 2 * gens[k].coefficient(m))
+        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        cert = delightful_check(6, "secant", order)
+        assert not cert.passed
+        leg = _check(cert, "generators_vanish_on_rank_two_locus")
+        assert leg.status == "fail"
+        assert [w["index"] for w in leg.witness] == [k]
+        assert _check(cert, "initial_ideal_matches_combinatorial_target").status == "pass"
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_dropped_minor_fails_initial_ideal(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        gens = secant_gb(6)
+        dropped = gens.pop()  # the last minor
+        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        cert = delightful_check(6, "secant", order)
+        assert _check(cert, "generators_vanish_on_rank_two_locus").status == "pass"
+        leg = _check(cert, "initial_ideal_matches_combinatorial_target")
+        assert leg.status == "fail"
+        assert leg.witness["missing"] == [format_monomial(order.leading_monomial(dropped))]
+        assert leg.witness["unexpected"] == []
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_dropped_minor_fails_symbolic_initial_ideal(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        minors, masters, toric, products = groebner._symbolic_components(6)
+        monkeypatch.setattr(
+            groebner, "_symbolic_components", lambda n: (minors[:-1], masters, toric, products)
+        )
+        cert = delightful_check(6, "symbolic-square", order)
+        assert _check(cert, "generators_member_of_symbolic_square").status == "pass"
+        leg = _check(cert, "initial_ideal_matches_combinatorial_target")
+        assert leg.status == "fail"
+        assert leg.witness["missing"]
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_mutated_toric_factor_fails_membership(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        minors, masters, toric, _ = groebner._symbolic_components(6)
+        k = 7
+        lead = order.leading_monomial(toric[k])
+        trail = next(m for m in toric[k].monomials() if m != lead)
+        toric = list(toric)
+        toric[k] = toric[k] + Polynomial.from_monomial(trail, toric[k].coefficient(trail))
+        products = [
+            (a, b, toric[a] * toric[b])
+            for a, b in itertools.combinations_with_replacement(range(len(toric)), 2)
+        ]
+        monkeypatch.setattr(
+            groebner, "_symbolic_components", lambda n: (minors, masters, toric, products)
+        )
+        cert = delightful_check(6, "symbolic-square", order)
+        assert not cert.passed
+        leg = _check(cert, "generators_member_of_symbolic_square")
+        assert leg.status == "fail"
+        offset = len(minors) + len(masters)
+        expected = [offset + i for i, (a, b, _) in enumerate(products) if k in (a, b)]
+        assert [w["index"] for w in leg.witness] == expected
+        assert {w["reason"] for w in leg.witness} == {"factor outside toric ideal"}

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb
 
@@ -10,12 +11,18 @@ from hypersecant import (
     MonomialIdeal,
     Polynomial,
     both_inner_orders,
+    build_graph,
     crosses,
     edge_var,
+    format_monomial,
     in_secant_ideal,
     in_toric_ideal,
     initial_edge_ideal,
     master_polynomial,
+    param_t,
+    param_u,
+    symbolic_square_gb,
+    symbolic_square_of_edge_ideal,
     toric_gb,
 )
 from hypersecant.noncrossing import AdmissibleSequence
@@ -27,6 +34,17 @@ PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
 def mono(*edges):
     return Monomial.from_edges(edges)
+
+
+mixed_monomial = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [edge_var(a, b) for a, b in edges_for(5)] + [param_t(1), param_t(2), param_u(1), param_u(3)]
+        ),
+        st.integers(1, 3),
+    ),
+    max_size=4,
+).map(Monomial)
 
 
 class TestCrosses:
@@ -172,6 +190,32 @@ class TestMonomialIdeal:
         # No generator divides another.
         for a, b in itertools.permutations(ideal.generators, 2):
             assert not a.divides(b)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_minimalization(self, data):
+        # Duplicates, powers, mixed degrees and parameter variables.
+        gens = data.draw(st.lists(mixed_monomial, max_size=12))
+        gens += data.draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
+        ideal = MonomialIdeal(gens)
+        distinct = set(gens)
+        minimal = [m for m in distinct if not any(g != m and g.divides(m) for g in distinct)]
+        assert ideal.generators == tuple(sorted(minimal, key=lambda m: (m.degree, m.factors)))
+        for probe in data.draw(st.lists(mixed_monomial, max_size=8)) + gens:
+            assert ideal.contains(probe) == any(g.divides(probe) for g in gens)
+
+    def test_n7_generators_pinned(self):
+        # Count and digest of the generator tuple, recorded with the earlier
+        # linear-scan minimalization.
+        digest = "b42141ca26ca85d8065d34d0f0f7ef7083734d75c3c58ef81e0af0907b1000bc"
+        ideals = [symbolic_square_of_edge_ideal(build_graph(7))] + [
+            MonomialIdeal(order.leading_monomial(p) for p in symbolic_square_gb(7))
+            for order in both_inner_orders(7)
+        ]
+        for ideal in ideals:
+            assert len(ideal) == 1673
+            text = " ".join(format_monomial(m) for m in ideal.generators)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @given(st.lists(monomial_strategy(max_factors=2), max_size=5))
     @settings(max_examples=200)

@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hypersecant import (
     format_polynomial,
     master_polynomial,
     param_t,
+    param_u,
     parse_monomial,
     parse_polynomial,
     partial_derivative,
@@ -17,11 +20,61 @@ from hypersecant import (
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import monomial_strategy, polynomial_strategy
+from conftest import edges_for, monomial_strategy, polynomial_strategy
 
 X = lambda a, b: Polynomial.variable(edge_var(a, b))
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 CUBIC_SEQ = AdmissibleSequence.from_arrays((1, 3, 5), (2, 4, 6))
+
+
+def reference_substitute_rank(p, r):
+    """x[a,b] -> t_a*t_b (+ u_a*u_b), one factor at a time on Monomial-style
+    sorted tuples, with no packing."""
+    acc = {}
+    for m, c in p.terms():
+        expansion = {(): c}
+        for (_, a, b), e in m.factors:
+            pairs = [(param_t(a), param_t(b)), (param_u(a), param_u(b))][:r]
+            for _ in range(e):
+                nxt = {}
+                for pm, pc in expansion.items():
+                    for pair in pairs:
+                        d = dict(pm)
+                        for v in pair:
+                            d[v] = d.get(v, 0) + 1
+                        key = tuple(sorted(d.items()))
+                        nxt[key] = nxt.get(key, 0) + pc
+                expansion = nxt
+        for pm, pc in expansion.items():
+            mm = Monomial(pm)
+            acc[mm] = acc.get(mm, 0) + pc
+    return Polynomial(acc)
+
+
+def with_power_term():
+    """A random polynomial on 8 vertices plus c*x[a,b]^e with e up to 40; e = 0
+    adds a constant and c = 0 adds nothing."""
+    def add_power(p, edge, e, c):
+        return p + Polynomial.from_monomial(Monomial(((edge_var(*edge), e),)), c)
+
+    return st.builds(
+        add_power,
+        polynomial_strategy(n=8, max_terms=4, max_factors=4, max_exp=3, max_coeff=9),
+        st.sampled_from(edges_for(8)),
+        st.integers(0, 40),
+        st.integers(-9, 9),
+    )
+
+
+class TestConstructors:
+    def test_any_mapping_or_pair_iterable_is_accepted(self):
+        v, w = edge_var(1, 2), edge_var(3, 4)
+        m = Monomial({v: 2, w: 1})
+        assert Monomial(MappingProxyType({w: 1, v: 2})) == m
+        assert Monomial(iter([(w, 1), (v, 1), (v, 1)])) == m
+        p = Polynomial({m: 3})
+        assert Polynomial(MappingProxyType({m: 3})) == p
+        assert Polynomial([(m, 1), (m, 2)]) == p
 
 
 class TestAdd:
@@ -107,6 +160,32 @@ class TestSubstituteRank:
     def test_rejects_parameter_polynomials(self):
         with pytest.raises(ValueError):
             substitute_rank(Polynomial.variable(param_t(1)), 1)
+        with pytest.raises(ValueError):
+            substitute_rank(Polynomial.variable(param_u(2)) + X(1, 2), 2)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_zero_and_constants(self, r):
+        assert substitute_rank(Polynomial.zero(), r).is_zero
+        assert substitute_rank(Polynomial.constant(-7), r) == Polynomial.constant(-7)
+        assert substitute_rank(X(1, 2) + Polynomial.constant(3), r) == reference_substitute_rank(
+            X(1, 2) + Polynomial.constant(3), r
+        )
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 40])
+    def test_powers_at_field_width_boundaries(self, e):
+        # The fields hold exactly the degree: t_1 reaches e in x[1,2]^e.
+        p = Polynomial.from_monomial(Monomial(((edge_var(1, 2), e),)), 5) - X(3, 8) * X(1, 2)
+        for r in (1, 2):
+            assert substitute_rank(p, r) == reference_substitute_rank(p, r)
+        image = substitute_rank(Polynomial.from_monomial(Monomial(((edge_var(1, 2), e),))), 2)
+        assert image.term_count == e + 1
+        t_part = Monomial(((param_t(1), e), (param_t(2), e)))
+        assert image.coefficient(t_part) == 1
+
+    @given(with_power_term(), st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_expansion(self, p, r):
+        assert substitute_rank(p, r) == reference_substitute_rank(p, r)
 
 
 class TestRingLaws:
