@@ -41,6 +41,7 @@ from .order import CircularTermOrder, INNER_ORDERS
 from .poly import (
     Monomial,
     Polynomial,
+    canonical_key,
     edge_var,
     format_monomial,
     format_polynomial,
@@ -100,8 +101,8 @@ def monomial_from_json(data) -> Monomial:
 def _term_key(p: Polynomial, order: CircularTermOrder | None):
     """Sort key for p's terms: the order's key if p is edge-only, else canonical."""
     if order is not None and p.uses_only_edge_vars():
-        return order.key
-    return lambda m: (m.degree, m.factors)
+        return order.sort_key(p.degree)
+    return canonical_key
 
 
 def polynomial_to_json(p: Polynomial, order: CircularTermOrder | None = None) -> dict:
@@ -147,10 +148,10 @@ def _cas_polynomial(p: Polynomial, order: CircularTermOrder | None) -> str:
 
 def algebra_script(polys, n: int, order: CircularTermOrder) -> str:
     one_var = [Monomial(((("x", a, b), 1),)) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    one_var.sort(key=order.key, reverse=True)
+    one_var.sort(key=order.sort_key(1), reverse=True)
     lines = [
         "-- generated by hypersecant; variables listed from largest to smallest",
-        f"-- ambient n = {n}, circular block order, inner = {order.inner}",
+        f"-- ambient n = {n}, circular block order, inner = {order.descriptor()['inner']}",
         "variables: " + ", ".join(_cas_monomial(m) for m in one_var),
         "generators:",
     ]
@@ -237,11 +238,12 @@ def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, na
     return f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n"
 
 
-def _max_len(args: argparse.Namespace, n: int) -> int:
+def _max_len(args: argparse.Namespace, n: int) -> tuple[int, str]:
+    """--max-len (default: the odd floor of n) and the warning for passing that floor."""
     max_len = args.max_len if args.max_len is not None else odd_floor(n)
     if max_len % 2 == 0 or max_len < 3:
         raise UsageError(f"--max-len must be odd and >= 3, got {max_len}")
-    return max_len
+    return max_len, _check_bound(args, max_len, odd_floor(n), args.command, name="max-len")
 
 
 def _kind(args: argparse.Namespace) -> str:
@@ -283,15 +285,14 @@ def _cmd_build(args: argparse.Namespace) -> RunResult:
     """The build-then-emit commands: one initial ideal or candidate basis at --n."""
     n = _need_n(args, args.least_n)
     warn = _check_bound(args, n, SWEEP_BOUND, args.command)
-    built, extra = args.build(args, n)
+    extra = {}
+    if "max_len" in args:
+        extra["max_len"], max_len_warn = _max_len(args, n)
+        warn += max_len_warn
+    built = args.build(n, **extra)
     meta = {"command": args.command, "n": n, **extra}
     emit = _emit_monomial_ideal if isinstance(built, MonomialIdeal) else _emit_polynomials
     return RunResult(EXIT_OK, emit(args, built, n, meta), warn)
-
-
-def _build_initial_secant(args: argparse.Namespace, n: int):
-    max_len = _max_len(args, n)
-    return secant_of_edge_ideal(build_graph(n), max_len), {"max_len": max_len}
 
 
 def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
@@ -317,7 +318,8 @@ def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
 def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
     n = _need_n(args)
     warn = _check_bound(args, n, SWEEP_BOUND, "odd-cycles")
-    max_len = _max_len(args, n)
+    max_len, max_len_warn = _max_len(args, n)
+    warn += max_len_warn
     cycles = induced_odd_cycles(build_graph(n), max_len)
     if args.format == "json":
         payload = {
@@ -369,7 +371,8 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     n = args.n if args.n is not None else max(3, seq.min_ambient())
     if n < seq.min_ambient():
         raise UsageError(f"--n {n} is too small for indices up to {seq.min_ambient()}")
-    warn = _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
+    warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
+    warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     poly = master_polynomial(seq)
     if args.format == "json":
         order = CircularTermOrder(n, args.inner)
@@ -552,14 +555,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     _add_command(sub, "toric-gb", _cmd_toric_gb, script=True)
     for name, least_n, build in (
-        ("initial-ideal", 3, lambda args, n: (initial_edge_ideal(n), {})),
-        ("initial-symbolic", 3, lambda args, n: (symbolic_square_of_edge_ideal(build_graph(n)), {})),
-        ("secant-gb", 4, lambda args, n: (secant_gb(n), {})),
-        ("symbolic-gb", 4, lambda args, n: (symbolic_square_gb(n), {})),
+        ("initial-ideal", 3, initial_edge_ideal),
+        ("initial-symbolic", 3, lambda n: symbolic_square_of_edge_ideal(build_graph(n))),
+        ("secant-gb", 4, secant_gb),
+        ("symbolic-gb", 4, symbolic_square_gb),
     ):
         _add_command(sub, name, _cmd_build, script=True, build=build, least_n=least_n)
-    p = _add_command(sub, "initial-secant", _cmd_build, script=True,
-                     build=_build_initial_secant, least_n=3)
+    p = _add_command(sub, "initial-secant", _cmd_build, script=True, least_n=3,
+                     build=lambda n, max_len: secant_of_edge_ideal(build_graph(n), max_len))
     p.add_argument("--max-len", type=int, default=None)
 
     p = _add_command(sub, "odd-cycles", _cmd_odd_cycles, order=False)

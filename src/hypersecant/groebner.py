@@ -32,8 +32,8 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .master import master_polynomial
-from .order import CircularTermOrder
-from .poly import Monomial, Polynomial, format_monomial, format_polynomial, is_edge_var
+from .order import CircularTermOrder, _Packing
+from .poly import Monomial, Polynomial, format_monomial, format_polynomial
 
 SECANT = "secant"
 SYMBOLIC_SQUARE = "symbolic-square"
@@ -90,85 +90,15 @@ class GroebnerCertificate:
 # division and S-pairs
 # ---------------------------------------------------------------------------
 #
-# One engine serves reduce() and buchberger_verify.  It works on packed
-# monomials, after Monagan and Pearce (sparse division with a heap over packed
-# exponent vectors; CASC 2007, JSC 2011): an edge monomial is one int, so a
-# product is a sum, the order is int comparison and divisibility is one
+# One engine serves reduce() and buchberger_verify.  It works on the order's
+# packed monomials, after Monagan and Pearce (sparse division with a heap over
+# packed exponent vectors; CASC 2007, JSC 2011): an edge monomial is one int,
+# so a product is a sum, the order is int comparison and divisibility is one
 # guard-bit test.  Monomial stays the type at the boundary.
 
 
 class _Overflow(Exception):
     """A term outgrew the degree limit of its packing; redo with wider fields."""
-
-
-class _Packing:
-    """Edge monomials under one circular order, packed as (weight << E) | fields.
-
-    `fields` is a row of slots of bits + 1 bits; the top bit of a slot is a
-    guard, clear in every stored monomial.  Each block owns the same number of
-    slots: an empty one on top, its variables below it, then unused ones.
-    Read as digits in base 2**(bits + 1), the order weight is, block 1 first:
-      lex      the exponents, so the weight is the fields themselves;
-      grevlex  the block degree in the empty slot, then the exponents negated
-               in reverse variable order.
-    That is a balanced mixed-radix integer, which compares like
-    CircularTermOrder.key while no total degree exceeds `limit`.  Both parts
-    are linear in the exponents, so multiplying monomials is `+`.
-    """
-
-    def __init__(self, order: CircularTermOrder, bits: int):
-        self.n = order.n
-        self.bits = bits
-        self.limit = (1 << bits) - 1
-        self.lex = order.inner == "lex"
-        w = bits + 1
-        span = max(len(block) for block in order.blocks) + 1
-        slots = span * order.block_count
-        self.offset: dict = {}
-        degree_slots = 0
-        for c, block in enumerate(order.blocks):
-            top = slots - 1 - c * span
-            degree_slots |= ((1 << w) - 1) << (w * top)
-            for k, v in enumerate(block):
-                self.offset[v] = w * (top - 1 - k if self.lex else top - len(block) + k)
-        self.ones = sum(1 << (w * s) for s in range(slots))
-        self.guard = self.ones << bits
-        self.shift = w * slots
-        self.fields_mask = (1 << self.shift) - 1
-        self._degree_slots = degree_slots
-        # Multiplying by the window sums each block's span - 1 slots into the
-        # slot above them; no window sum exceeds `limit`, so nothing carries.
-        self._window = sum(1 << (w * k) for k in range(1, span))
-        self._total_at = w * (slots - 1)
-        self._digit = (1 << w) - 1
-
-    def join(self, fields: int) -> int:
-        """The packed monomial with these exponent fields."""
-        if self.lex:
-            weight = fields
-        else:
-            weight = ((fields * self._window) & self._degree_slots) - fields
-        return (weight << self.shift) | fields
-
-    def pack(self, m: Monomial) -> int:
-        fields = 0
-        for v, e in m.factors:
-            at = self.offset.get(v)
-            if at is None:
-                if not is_edge_var(v):
-                    raise ValueError(f"monomial contains non-edge variable {v!r}")
-                raise ValueError(f"variable {v!r} is out of range for n={self.n}")
-            fields += e << at
-        return self.join(fields)
-
-    def unpack(self, p: int) -> Monomial:
-        return Monomial((v, (p >> at) & self.limit) for v, at in self.offset.items())
-
-    def degree(self, p: int) -> int:
-        return ((p & self.fields_mask) * self.ones >> self._total_at) & self._digit
-
-    def polynomial(self, terms: dict) -> Polynomial:
-        return Polynomial((self.unpack(p), c) for p, c in terms.items())
 
 
 class _Divider:
@@ -323,7 +253,7 @@ def _with_packing(order: CircularTermOrder, degree: int, run):
     bits = max(degree, 1).bit_length()
     while True:
         try:
-            return run(_Packing(order, bits))
+            return run(order.packing(bits))
         except _Overflow:
             bits += 1
 
@@ -355,9 +285,8 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: CircularTermOrder) -> Poly
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(n, inner, bits, gens):
-    packing = _Packing(CircularTermOrder(n, inner), bits)
-    _WORKER_CTX["divider"] = _Divider(packing, gens)
+def _worker_init(order, bits, gens):
+    _WORKER_CTX["divider"] = _Divider(order.packing(bits), gens)
 
 
 def _worker_chunk(pairs):
@@ -377,7 +306,7 @@ def _sweep(divider: _Divider, gens, pairs, order: CircularTermOrder, threads: in
             with ctx.Pool(
                 processes=threads,
                 initializer=_worker_init,
-                initargs=(order.n, order.inner, divider.packing.bits, gens),
+                initargs=(order, divider.packing.bits, gens),
             ) as pool:
                 return pool.map(_worker_chunk, chunks)
         except (ImportError, OSError):
@@ -588,7 +517,7 @@ def delightful_check(
     if kind == SECANT:
         gens = secant_gb(n)
         bad = [
-            {"index": gi, "generator": format_polynomial(g, order.key)}
+            {"index": gi, "generator": format_polynomial(g, order.sort_key(g.degree))}
             for gi, g in enumerate(gens)
             if not in_secant_ideal(n, g)
         ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .poly import Monomial, Polynomial, substitute_rank
+from .poly import Monomial, Polynomial, canonical_key, substitute_rank
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -86,7 +86,7 @@ class MonomialIdeal:
         kept: list[Monomial] = []
         # Sorted by degree, only strictly smaller kept generators can strictly
         # divide a candidate; equal monomials were deduped.
-        for m in sorted(set(generators), key=lambda m: (m.degree, m.factors)):
+        for m in sorted(set(generators), key=canonical_key):
             if self._has_divisor(m, kept):
                 continue
             bit = 1 << len(kept)

@@ -88,9 +88,6 @@ class NoncrossingGraph:
                 out.append((e, self.vertices[low.bit_length() - 1]))
         return tuple(out)
 
-    def adjacency_mask(self, i: int) -> int:
-        return self._adj[i]
-
     def __repr__(self) -> str:
         return f"NoncrossingGraph(n={self.n}, vertices={len(self.vertices)})"
 
@@ -230,9 +227,6 @@ class AdmissibleSequence:
     def min_ambient(self) -> int:
         """Smallest n this sequence is valid for (any larger n works too)."""
         return max(self.i + self.j)
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.i, self.j))
 
     @classmethod
     def from_arrays(cls, i_vals: Iterable[int], j_vals: Iterable[int]) -> "AdmissibleSequence":

@@ -6,11 +6,14 @@ A circular term order compares monomials block by block, orbit 1 (boundary
 chords) first, with a selectable inner order inside each block.  Any such
 order makes variables in a smaller class beat variables in a larger one,
 which is the property all the leading-term results here rely on.
+
+The order is encoded once, as a packed integer weight (`_Packing`).  The
+same ints sort output terms and drive division in the S-pair engine.
 """
 
 from __future__ import annotations
 
-from .poly import Monomial, Polynomial, Variable, is_edge_var
+from .poly import Monomial, Polynomial, is_edge_var
 
 INNER_ORDERS = ("grevlex", "lex")
 
@@ -35,12 +38,12 @@ class CircularTermOrder:
     Inside each class block the variables are ranked ascending by (a, b) and
     compared with the selected inner order, graded reverse lex by default.
     Comparison proceeds block 1, block 2, ... so any monomial with more
-    weight in an earlier class wins.  Instances are immutable and the key
-    computation is memoized, so sharing across threads is safe after warmup
-    only if warmed sequentially; distinct instances are always safe.
+    weight in an earlier class wins.  `sort_key(degree)` ranks monomials of
+    total degree at most `degree`; its packing is built on first use and
+    kept, one per field width.
     """
 
-    __slots__ = ("n", "inner", "_blocks", "_key_cache")
+    __slots__ = ("n", "inner", "_blocks", "_packings")
 
     def __init__(self, n: int, inner: str = "grevlex"):
         if not isinstance(n, int) or n < 3:
@@ -49,67 +52,44 @@ class CircularTermOrder:
             raise ValueError(f"inner order must be one of {INNER_ORDERS}, got {inner!r}")
         self.n = n
         self.inner = inner
-        blocks = []
-        for c in range(1, n // 2 + 1):
-            vars_c = sorted(
-                ("x", a, b)
-                for a in range(1, n + 1)
-                for b in range(a + 1, n + 1)
-                if edge_class(n, (a, b)) == c
-            )
-            blocks.append(tuple(vars_c))
-        self._blocks = tuple(blocks)
-        self._key_cache: dict[Monomial, tuple] = {}
+        # Visiting the edges in (a, b) order leaves every block ascending.
+        blocks: list[list] = [[] for _ in range(n // 2)]
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                blocks[edge_class(n, (a, b)) - 1].append(("x", a, b))
+        self._blocks = tuple(map(tuple, blocks))
+        self._packings: dict[int, _Packing] = {}
 
     @property
     def block_count(self) -> int:
         return len(self._blocks)
 
-    @property
-    def blocks(self) -> tuple[tuple[Variable, ...], ...]:
-        """The variables of each class block, block 1 first, each ascending."""
-        return self._blocks
-
     def descriptor(self) -> dict:
         return {"blocks": "circular", "inner": self.inner}
 
-    def key(self, m: Monomial) -> tuple:
-        """Sort key: m1 precedes m2 in the order iff key(m1) < key(m2)."""
-        k = self._key_cache.get(m)
-        if k is not None:
-            return k
-        exps: dict[Variable, int] = {}
-        for v, e in m.factors:
-            if not is_edge_var(v):
-                raise ValueError(f"monomial contains non-edge variable {v!r}")
-            if v[2] > self.n:
-                raise ValueError(f"variable {v!r} is out of range for n={self.n}")
-            exps[v] = e
-        parts = []
-        for block in self._blocks:
-            vec = tuple(exps.get(v, 0) for v in block)
-            if self.inner == "grevlex":
-                parts.append((sum(vec), tuple(-x for x in reversed(vec))))
-            else:
-                parts.append(vec)
-        k = tuple(parts)
-        self._key_cache[m] = k
-        return k
+    def packing(self, bits: int) -> "_Packing":
+        """The packing with `bits`-bit exponent fields, built on first use."""
+        pk = self._packings.get(bits)
+        if pk is None:
+            pk = self._packings[bits] = _Packing(self, bits)
+        return pk
+
+    def sort_key(self, degree: int):
+        """Sort key for monomials of total degree at most `degree`:
+        m1 precedes m2 in the order iff key(m1) < key(m2)."""
+        return self.packing(max(degree, 1).bit_length()).pack
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 is below, equal to or above m2."""
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
+        key = self.sort_key(max(m1.degree, m2.degree))
+        k1, k2 = key(m1), key(m2)
+        return (k1 > k2) - (k1 < k2)
 
     def leading_term(self, p: Polynomial) -> tuple[Monomial, int]:
         """The maximal monomial of p with its coefficient; p must be nonzero."""
         if p.is_zero:
             raise ValueError("the zero polynomial has no leading term")
-        m = max(p.monomials(), key=self.key)
+        m = max(p.monomials(), key=self.sort_key(p.degree))
         return m, p.coefficient(m)
 
     def leading_monomial(self, p: Polynomial) -> Monomial:
@@ -117,6 +97,78 @@ class CircularTermOrder:
 
     def __repr__(self) -> str:
         return f"CircularTermOrder(n={self.n}, inner={self.inner!r})"
+
+
+class _Packing:
+    """Edge monomials under one circular order, packed as (weight << E) | fields.
+
+    After Monagan and Pearce (packed exponent vectors; CASC 2007, JSC 2011).
+    `fields` is a row of slots of bits + 1 bits; the top bit of a slot is a
+    guard, clear in every stored monomial.  Each block owns the same number of
+    slots: an empty one on top, its variables below it, then unused ones.
+    Read as digits in base 2**(bits + 1), the order weight is, block 1 first:
+      lex      the exponents, so the weight is the fields themselves;
+      grevlex  the block degree in the empty slot, then the exponents negated
+               in reverse variable order.
+    That is a balanced mixed-radix integer, so int comparison is the circular
+    order while no total degree exceeds `limit`.  Both parts are linear in
+    the exponents, so multiplying monomials is `+`.
+    """
+
+    def __init__(self, order: CircularTermOrder, bits: int):
+        blocks = order._blocks
+        self.n = order.n
+        self.bits = bits
+        self.limit = (1 << bits) - 1
+        self.lex = order.inner == "lex"
+        w = bits + 1
+        span = max(len(block) for block in blocks) + 1
+        slots = span * len(blocks)
+        self.offset: dict = {}
+        degree_slots = 0
+        for c, block in enumerate(blocks):
+            top = slots - 1 - c * span
+            degree_slots |= ((1 << w) - 1) << (w * top)
+            for k, v in enumerate(block):
+                self.offset[v] = w * (top - 1 - k if self.lex else top - len(block) + k)
+        self.ones = sum(1 << (w * s) for s in range(slots))
+        self.guard = self.ones << bits
+        self.shift = w * slots
+        self.fields_mask = (1 << self.shift) - 1
+        self._degree_slots = degree_slots
+        # Multiplying by the window sums each block's span - 1 slots into the
+        # slot above them; no window sum exceeds `limit`, so nothing carries.
+        self._window = sum(1 << (w * k) for k in range(1, span))
+        self._total_at = w * (slots - 1)
+        self._digit = (1 << w) - 1
+
+    def join(self, fields: int) -> int:
+        """The packed monomial with these exponent fields."""
+        if self.lex:
+            weight = fields
+        else:
+            weight = ((fields * self._window) & self._degree_slots) - fields
+        return (weight << self.shift) | fields
+
+    def pack(self, m: Monomial) -> int:
+        fields = 0
+        for v, e in m.factors:
+            at = self.offset.get(v)
+            if at is None:
+                if not is_edge_var(v):
+                    raise ValueError(f"monomial contains non-edge variable {v!r}")
+                raise ValueError(f"variable {v!r} is out of range for n={self.n}")
+            fields += e << at
+        return self.join(fields)
+
+    def unpack(self, p: int) -> Monomial:
+        return Monomial((v, (p >> at) & self.limit) for v, at in self.offset.items())
+
+    def degree(self, p: int) -> int:
+        return ((p & self.fields_mask) * self.ones >> self._total_at) & self._digit
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        return Polynomial((self.unpack(p), c) for p, c in terms.items())
 
 
 def both_inner_orders(n: int) -> tuple[CircularTermOrder, CircularTermOrder]:

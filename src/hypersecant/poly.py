@@ -141,10 +141,6 @@ class Monomial:
                 d[v] = e
         return Monomial(d)
 
-    def gcd_is_one(self, other: "Monomial") -> bool:
-        mine = {v for v, _ in self.factors}
-        return all(v not in mine for v, _ in other.factors)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.factors == other.factors
 
@@ -152,11 +148,15 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        # Order-agnostic canonical comparison, used only for stable output.
-        return (self.degree, self.factors) < (other.degree, other.factors)
+        return canonical_key(self) < canonical_key(other)
 
     def __repr__(self) -> str:
         return f"Monomial({format_monomial(self)})"
+
+
+def canonical_key(m: Monomial) -> tuple:
+    """Order-agnostic sort key, degree then factors, used only for stable output."""
+    return (m.degree, m.factors)
 
 
 class Polynomial:
@@ -413,12 +413,10 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def format_polynomial(p: Polynomial, key=None) -> str:
+def format_polynomial(p: Polynomial, key=canonical_key) -> str:
     """Signed-term text per the shared grammar, descending under `key`."""
     if p.is_zero:
         return "0"
-    if key is None:
-        key = lambda m: (m.degree, m.factors)
     pieces = []
     for m in sorted(p.monomials(), key=key, reverse=True):
         c = p.coefficient(m)

@@ -206,6 +206,32 @@ class TestBoundsAndExitCodes:
         assert res.stderr.startswith("warning: k=1 exceeds")
 
     @pytest.mark.parametrize("argv", [
+        ["master-poly", "--i", "1,3,5", "--j", "2,4,6", "--n", "9"],
+        ["master-poly", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10", "--n", "11"],
+        ["odd-cycles", "--n", "5", "--max-len", "7"],
+        ["initial-secant", "--n", "5", "--max-len", "7"],
+    ])
+    def test_size_inputs_past_their_bound_need_allow_large(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert "pass --allow-large" in capsys.readouterr().err
+        res = invoke(*argv, "--allow-large")
+        assert res.code == EXIT_OK
+        assert res.stderr.startswith("warning: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["master-poly", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
+        ["master-poly", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10", "--n", "10"],
+        ["master-poly", "--i", "1,3,5", "--j", "2,4,6", "--n", "8"],
+        ["odd-cycles", "--n", "5"],
+        ["odd-cycles", "--n", "5", "--max-len", "5"],
+        ["initial-secant", "--n", "5", "--max-len", "5"],
+    ])
+    def test_size_inputs_at_their_bound_need_no_flag(self, argv):
+        res = invoke(*argv)
+        assert res.code == EXIT_OK
+        assert res.stderr == ""
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "membership", "--n", "5", "--all"],
         ["toric-gb", "--n", "4", "--threads", "2"],
         ["reproduce", "--format", "algebra-script"],

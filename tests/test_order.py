@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,14 @@ from hypersecant import (
     Polynomial,
     both_inner_orders,
     edge_class,
+    edge_var,
     master_polynomial,
     param_t,
+    symbolic_square_gb,
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy
+from conftest import edges_for, monomial_strategy, reference_order_key
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
@@ -80,7 +83,7 @@ class TestCompare:
     def test_rejects_out_of_range_edges(self):
         order = CircularTermOrder(5)
         with pytest.raises(ValueError):
-            order.key(mono((1, 6)))
+            order.compare(mono((1, 6)), Monomial.one())
 
 
 class TestLeadingTerm:
@@ -147,3 +150,49 @@ class TestTermOrderAxioms:
                 found = True
                 break
         assert found
+
+
+class TestPackedWidths:
+    """The packed key is sized from a degree bound, so degrees 2**b - 1, 2**b
+    and 2**b + 1 straddle a field width."""
+
+    @staticmethod
+    def boundary_monomials(n, b, rng):
+        edges = edges_for(n)
+        out = []
+        for d in (2**b - 1, 2**b, 2**b + 1):
+            out += [mono(*[(1, 2)] * d), mono(*[(2, 3)] * d), mono(*[(1, 2)] * (d - 1), (1, 3))]
+            out.append(Monomial({edge_var(*rng.choice(edges)): d}))
+            for _ in range(3):
+                cuts = sorted(rng.randint(0, d) for _ in range(2))
+                exps = (cuts[0], cuts[1] - cuts[0], d - cuts[1])
+                out.append(Monomial({edge_var(*e): x for e, x in zip(rng.sample(edges, 3), exps)}))
+        return list(dict.fromkeys(out))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_mixed_degree_polynomial_agrees_with_reference(self, n):
+        rng = random.Random(n)
+        for b in range(1, 7):
+            monos = self.boundary_monomials(n, b, rng) + [Monomial.one()]
+            p = Polynomial((m, k + 1) for k, m in enumerate(monos))
+            assert p.degree == 2**b + 1 and not p.is_homogeneous
+            for order in both_inner_orders(n):
+                ref = {m: reference_order_key(order, m) for m in monos}
+                top = max(monos, key=ref.get)
+                assert order.leading_term(p) == (top, p.coefficient(top))
+                assert sorted(p.monomials(), key=order.sort_key(p.degree)) == sorted(monos, key=ref.get)
+                for m1, m2 in itertools.product(monos, repeat=2):
+                    assert order.compare(m1, m2) == (ref[m1] > ref[m2]) - (ref[m1] < ref[m2])
+
+    def test_one_packing_per_width(self):
+        gens = symbolic_square_gb(7)
+        widths = {max(g.degree, 1).bit_length() for g in gens}
+        for order in both_inner_orders(7):
+            for g in gens:
+                order.leading_term(g)
+            table = dict(order._packings)
+            assert set(table) == widths
+            assert all(pk.bits == bits for bits, pk in table.items())
+            for g in gens:
+                order.leading_term(g)
+            assert order._packings == table
