@@ -44,13 +44,9 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .master import (
-    ConjugationSubset,
-    LetterSet,
     PairingInvolution,
     base_involution,
-    conjugate,
     crossing_number,
-    involution_monomial,
     master_polynomial,
     verify_leading_term,
     verify_membership,

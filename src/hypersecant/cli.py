@@ -53,9 +53,11 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 # Desk-scale defaults; --allow-large lifts them with a warning.
 SWEEP_BOUND = 8
+# The certificate legs without S-pairs, and the odd cycles they enumerate.
+CERTIFY_BOUND = 10
 BUCHBERGER_BOUNDS = {"toric": 7, "secant": 7, "symbolic-square": 6}
-# A master of length 2k+1 sums 2^(2k+1) conjugates: about 0.5 s at k = 6,
-# four to five times that per further k.
+# A master of length 2k+1 sums 2^(2k+1) conjugates: about 0.3 s at k = 6,
+# about four times that per further k.
 MASTER_K_BOUND = 6
 
 
@@ -317,7 +319,7 @@ def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
 
 def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
     n = _need_n(args)
-    warn = _check_bound(args, n, SWEEP_BOUND, "odd-cycles")
+    warn = _check_bound(args, n, CERTIFY_BOUND, "odd-cycles")
     max_len, max_len_warn = _max_len(args, n)
     warn += max_len_warn
     cycles = induced_odd_cycles(build_graph(n), max_len)
@@ -392,7 +394,8 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
 
 def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
     n = _need_n(args)
-    warn = _check_bound(args, n, SWEEP_BOUND, f"verify {args.verify_what}")
+    bound = SWEEP_BOUND if args.verify_what == "prolongation" else CERTIFY_BOUND
+    warn = _check_bound(args, n, bound, f"verify {args.verify_what}")
     order = CircularTermOrder(n, args.inner)
     if args.i_vals is not None or args.j_vals is not None:
         seqs = [_sequence_from_args(args)]
@@ -455,7 +458,7 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
 def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
     kind = _kind(args)
     n = _need_n(args, 4)
-    bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else SWEEP_BOUND
+    bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
     warn = _check_bound(args, n, bound, f"delightful {kind}")
     order = CircularTermOrder(n, args.inner)
     cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)

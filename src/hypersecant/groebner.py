@@ -484,6 +484,14 @@ def symbolic_square_identity_holds(n: int) -> bool:
 # the certification pipeline
 # ---------------------------------------------------------------------------
 
+def _master_family(s) -> dict:
+    return {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
+
+
+def _minor_families(n: int) -> list[dict]:
+    return [{"family": "minor", "rows": list(rows), "cols": list(cols)} for rows, cols in _minor_splits(n)]
+
+
 def _normalize_kind(kind: str) -> str:
     if kind in (SECANT,):
         return SECANT
@@ -507,6 +515,10 @@ def delightful_check(
     reduces to zero.  Together with the cited containment of the initial
     ideal of a secant in the secant of the initial ideal, (a)+(b) force the
     initial ideals to agree, so the candidates form a Groebner basis.
+
+    Each membership failure names its generator by list index and family:
+    a master by its sequence (k, i, j), a minor by its split (rows, cols),
+    a product by the indices (a, b) of its toric factors.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -516,11 +528,14 @@ def delightful_check(
 
     if kind == SECANT:
         gens = secant_gb(n)
-        bad = [
-            {"index": gi, "generator": format_polynomial(g, order.sort_key(g.degree))}
-            for gi, g in enumerate(gens)
-            if not in_secant_ideal(n, g)
-        ]
+        bad = [gi for gi, g in enumerate(gens) if not in_secant_ideal(n, g)]
+        if bad:
+            families = [_master_family(s) for s in all_admissible_sequences(n)] + _minor_families(n)
+            bad = [
+                {"index": gi, **families[gi],
+                 "generator": format_polynomial(gens[gi], order.sort_key(gens[gi].degree))}
+                for gi in bad
+            ]
         checks.append(
             CheckResult("generators_vanish_on_rank_two_locus", "fail" if bad else "pass", bad or None)
         )
@@ -528,16 +543,21 @@ def delightful_check(
     else:
         minors, masters, toric, products = _symbolic_components(n)
         gens = minors + masters + [p for _, _, p in products]
-        bad = []
-        for gi, g in enumerate(minors + masters):
-            if not in_secant_ideal(n, g):
-                bad.append({"index": gi, "reason": "rank-2 oracle failed"})
+        bad = [(gi, "rank-2 oracle failed") for gi, g in enumerate(minors + masters) if not in_secant_ideal(n, g)]
         factor_ok = [in_toric_ideal(n, t) for t in toric]
-        for offset, (a, b, _) in enumerate(products):
-            if not (factor_ok[a] and factor_ok[b]):
-                bad.append(
-                    {"index": len(minors) + len(masters) + offset, "reason": "factor outside toric ideal"}
-                )
+        offset = len(minors) + len(masters)
+        bad += [
+            (offset + pi, "factor outside toric ideal")
+            for pi, (a, b, _) in enumerate(products)
+            if not (factor_ok[a] and factor_ok[b])
+        ]
+        if bad:
+            families = (
+                _minor_families(n)
+                + [_master_family(s) for s in admissible_sequences(n, 1)]
+                + [{"family": "product", "factors": [a, b]} for a, b, _ in products]
+            )
+            bad = [{"index": gi, **families[gi], "reason": reason} for gi, reason in bad]
         checks.append(
             CheckResult("generators_member_of_symbolic_square", "fail" if bad else "pass", bad or None)
         )

@@ -5,21 +5,25 @@ arranged on a circle.  A base pairing matches I_l with J_{l+k-1}; the group
 generated by the 2k+1 letter transpositions (I_l, J_{l-1}) acts on pairings
 by conjugation, and the master polynomial is the sign-weighted sum of the
 monomials of all 2^{2k+1} conjugates, specialized through the assignment
-I_l -> i_l, J_l -> j_l of an admissible sequence.  Degenerate assignments
-(i_l = j_l for some l) are handled by exactly this formal-letter sum with
-coefficient cancellation after specialization.
+I_l -> i_l, J_l -> j_l of an admissible sequence.  master_polynomial reads
+each conjugate's endpoints straight off the index arrays, so no pairing is
+built; degenerate assignments (i_l = j_l for some l) need no special case,
+their collisions cancel in the signed sum.  PairingInvolution,
+base_involution and crossing_number keep the formal pairings for the
+crossing-number ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .hypersimplex import in_secant_ideal, in_toric_ideal
 from .noncrossing import AdmissibleSequence, cycle_monomial
 from .order import CircularTermOrder
-from .poly import Monomial, Polynomial, partial_derivative
+from .poly import Monomial, Polynomial, edge_var, partial_derivative
 
 # A letter is ('I', l) or ('J', l) with l in 1..2k+1.
 Letter = tuple
@@ -62,54 +66,6 @@ class PairingInvolution:
         return PairingInvolution(k, norm)
 
 
-@dataclass(frozen=True)
-class ConjugationSubset:
-    """A subset of the 2k+1 conjugating transpositions (I_l, J_{l-1})."""
-
-    k: int
-    indices: frozenset
-
-    def __post_init__(self):
-        valid = range(1, 2 * self.k + 2)
-        if not set(self.indices) <= set(valid):
-            raise ValueError(f"indices must lie in 1..{2 * self.k + 1}")
-
-    @property
-    def sign(self) -> int:
-        return -1 if len(self.indices) % 2 else 1
-
-    def transpositions(self) -> tuple[tuple[Letter, Letter], ...]:
-        length = 2 * self.k + 1
-        return tuple(
-            (("I", l), ("J", (l - 2) % length + 1)) for l in sorted(self.indices)
-        )
-
-
-@dataclass(frozen=True)
-class LetterSet:
-    """Assignment of concrete indices to the formal letters.
-
-    The assignment may be non-injective: I_l and J_l can share an index for
-    a degenerate admissible sequence.
-    """
-
-    k: int
-    assignment: Mapping[Letter, int]
-
-    def __post_init__(self):
-        missing = set(_letters(self.k)) - set(self.assignment)
-        if missing:
-            raise ValueError(f"assignment misses letters {sorted(missing)}")
-
-    @classmethod
-    def from_sequence(cls, s: AdmissibleSequence) -> "LetterSet":
-        assign = {}
-        for l in range(1, s.length + 1):
-            assign[("I", l)] = s.i[l - 1]
-            assign[("J", l)] = s.j[l - 1]
-        return cls(s.k, assign)
-
-
 def base_involution(k: int) -> PairingInvolution:
     """Pairs I_l with J_{l+k-1}, indices modulo 2k+1 in 1..2k+1."""
     if not isinstance(k, int) or k < 1:
@@ -117,32 +73,6 @@ def base_involution(k: int) -> PairingInvolution:
     length = 2 * k + 1
     pairs = [(("I", l), ("J", (l + k - 2) % length + 1)) for l in range(1, length + 1)]
     return PairingInvolution.from_pairs(k, pairs)
-
-
-def conjugate(inv: PairingInvolution, subset: ConjugationSubset) -> PairingInvolution:
-    """Relabel every letter through the selected transpositions and re-pair."""
-    if subset.k != inv.k:
-        raise ValueError("subset and involution have different k")
-    sigma: dict[Letter, Letter] = {}
-    for p, q in subset.transpositions():
-        sigma[p] = q
-        sigma[q] = p
-    pairs = [(sigma.get(p, p), sigma.get(q, q)) for p, q in inv.pairs]
-    return PairingInvolution.from_pairs(inv.k, pairs)
-
-
-def involution_monomial(inv: PairingInvolution, letters: LetterSet) -> Monomial:
-    """Edge monomial of a pairing under an assignment; exponents accumulate."""
-    if letters.k != inv.k:
-        raise ValueError("letter set and involution have different k")
-    assign = letters.assignment
-    edges = []
-    for p, q in inv.pairs:
-        a, b = assign[p], assign[q]
-        if a == b:
-            raise ValueError(f"pair ({p}, {q}) is assigned the single index {a}")
-        edges.append((min(a, b), max(a, b)))
-    return Monomial.from_edges(edges)
 
 
 def crossing_number(inv: PairingInvolution) -> int:
@@ -158,29 +88,67 @@ def crossing_number(inv: PairingInvolution) -> int:
     return count
 
 
+@lru_cache(maxsize=2)
+def _conjugation_selectors(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per subset of the 2k+1 transpositions, each base pair's endpoint choice.
+
+    Base pair l joins I_l and J_{l+k-1}; the transposition (I_l, J_{l-1})
+    moves its first letter and (I_{l+k}, J_{l+k-1}) its second, and no other
+    transposition touches it.  Pair l's choice is 4l + (first moved) +
+    2 (second moved).  Subsets come in the order of increasing size, then
+    combinations, each with its sign (-1)^size.  Every master of one k
+    shares the table, and sweeps run shortest first, so two are kept.
+    """
+    length = 2 * k + 1
+    out = []
+    for r in range(length + 1):
+        sign = -1 if r % 2 else 1
+        for chosen in combinations(range(length), r):
+            mask = sum(1 << l for l in chosen)
+            out.append((
+                tuple(4 * l + (mask >> l & 1) + 2 * (mask >> (l + k) % length & 1) for l in range(length)),
+                sign,
+            ))
+    return tuple(out)
+
+
 def master_polynomial(s: AdmissibleSequence) -> Polynomial:
     """Sign-weighted conjugation sum attached to an admissible sequence.
 
-    Computed on formal letters, then specialized through the sequence's
-    assignment; opposite-signed collisions cancel.  The result is nonzero,
-    homogeneous of degree 2k+1, and its coefficients are small ints.
+    Each conjugate's monomial is read off the index arrays: a moved letter
+    I_l takes the index j_{l-1}, a moved J_m the index i_{m+1}.  An edge
+    monomial is packed as one int with a field per edge wide enough for the
+    degree, the signed counts are summed per packed monomial so
+    opposite-signed collisions cancel, and only the survivors become
+    Monomials.  The result is nonzero, homogeneous of degree 2k+1, and its
+    coefficients are small ints.  A conjugate pair that joins an index to
+    itself raises ValueError (edge_var rejects the loop).
     """
-    k = s.k
-    letters = LetterSet.from_sequence(s)
-    base = base_involution(k)
-    acc: dict[Monomial, int] = {}
-    indices = range(1, 2 * k + 2)
-    for r in range(2 * k + 2):
-        sign = -1 if r % 2 else 1
-        for chosen in combinations(indices, r):
-            inv = conjugate(base, ConjugationSubset(k, frozenset(chosen)))
-            m = involution_monomial(inv, letters)
-            nc = acc.get(m, 0) + sign
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-    return Polynomial(acc)
+    k, length, ii, jj = s.k, s.length, s.i, s.j
+    width = length.bit_length()
+    fields: dict[tuple[int, int], int] = {}
+    choices = []
+    for l in range(length):
+        m = (l + k - 1) % length
+        for b in (jj[m], ii[(m + 1) % length]):
+            for a in (ii[l], jj[l - 1]):
+                shift = fields.setdefault((min(a, b), max(a, b)), width * len(fields))
+                choices.append(1 << shift)
+    pick = choices.__getitem__
+    acc: dict[int, int] = {}
+    for selector, sign in _conjugation_selectors(k):
+        key = sum(map(pick, selector))
+        nc = acc.get(key, 0) + sign
+        if nc:
+            acc[key] = nc
+        else:
+            acc.pop(key, None)
+    mask = (1 << width) - 1
+    edges = [(edge_var(a, b), shift) for (a, b), shift in fields.items()]
+    return Polynomial(
+        (Monomial([(v, e) for v, shift in edges if (e := key >> shift & mask)]), c)
+        for key, c in acc.items()
+    )
 
 
 def verify_membership(n: int, s: AdmissibleSequence) -> bool:

@@ -20,7 +20,6 @@ lexicographically least of the 2k+1 rotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .hypersimplex import MonomialIdeal, crosses
@@ -30,8 +29,8 @@ from .poly import Monomial
 class NoncrossingGraph:
     """The graph of pairwise noncrossing chords of the n-gon.
 
-    Adjacency is kept both as neighbor sets and as per-vertex bitmasks; the
-    bitmasks feed the subset enumeration in induced_odd_cycles.
+    Adjacency is kept as per-vertex bitmasks; induced_odd_cycles grows its
+    paths on them.
     """
 
     __slots__ = ("n", "vertices", "_index", "_adj")
@@ -102,44 +101,48 @@ def odd_floor(n: int) -> int:
 
 
 def induced_odd_cycles(g: NoncrossingGraph, max_len: int) -> list[tuple[tuple[int, int], ...]]:
-    """All vertex subsets of odd size in [3, max_len] inducing a cycle.
+    """All induced cycles of odd length in [3, max_len], by size, then vertex index.
 
-    Plain subset enumeration: a subset induces a cycle iff every vertex has
-    induced degree 2 and the induced graph is connected.  This is the
-    independent oracle the parametric families are checked against, so it
-    stays deliberately brute force.
+    Each cycle is grown as an induced path from its smallest vertex, the
+    root.  A path may take a vertex above the root that is adjacent to its
+    end, off the path and not adjacent to any inner path vertex; a vertex
+    that is also adjacent to the root closes the cycle instead of extending
+    the path.  Each cycle is closed in both directions, so it is kept only
+    when its second vertex is smaller than its last.
     """
     if max_len % 2 == 0 or max_len < 3:
         raise ValueError(f"max_len must be an odd integer >= 3, got {max_len!r}")
     adj = g._adj
-    nv = len(adj)
-    out: list[tuple[tuple[int, int], ...]] = []
-    for size in range(3, max_len + 1, 2):
-        if size > nv:
-            break
-        for combo in combinations(range(nv), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            ok = True
-            for v in combo:
-                if (adj[v] & mask).bit_count() != 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            seen = 1 << combo[0]
-            stack = [combo[0]]
-            while stack:
-                rest = adj[stack.pop()] & mask & ~seen
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    seen |= low
-                    stack.append(low.bit_length() - 1)
-            if seen == mask:
-                out.append(tuple(g.vertices[v] for v in combo))
-    return out
+    found: list[tuple[int, ...]] = []
+
+    def grow(path: list[int], blocked: int, root_adj: int) -> None:
+        # blocked: the path and the neighbours of its inner vertices
+        end = path[-1]
+        size = len(path) + 1
+        rest = adj[end] & ~blocked
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            if low & root_adj:
+                if size % 2 and path[1] < w:
+                    found.append(tuple(sorted(path + [w])))
+            elif size < max_len:
+                path.append(w)
+                grow(path, blocked | low | adj[end], root_adj)
+                path.pop()
+
+    for root in range(len(adj)):
+        above = -1 << (root + 1)
+        root_adj = adj[root] & above
+        rest = root_adj
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            # Vertices at or below the root are never taken.
+            grow([root, low.bit_length() - 1], ~above | low, root_adj)
+    found.sort(key=lambda c: (len(c), c))
+    return [tuple(g.vertices[v] for v in c) for c in found]
 
 
 def secant_of_edge_ideal(g: NoncrossingGraph, max_len: int) -> MonomialIdeal:

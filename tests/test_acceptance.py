@@ -43,8 +43,10 @@ from hypersecant.fixtures import (
     REFERENCE_PENTAD_TERMS,
     reference_polynomial,
 )
-from hypersecant.master import base_involution, conjugate, crossing_number, ConjugationSubset
+from hypersecant.master import base_involution, crossing_number
 from hypersecant.noncrossing import AdmissibleSequence
+
+from conftest import ConjugationSubset, conjugate
 
 
 def _report(num: int, ok: bool, detail: str, budget_s: float, elapsed: float) -> None:

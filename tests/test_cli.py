@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hypersecant.cli as cli
-from hypersecant import Polynomial, parse_polynomial
+from hypersecant import GroebnerCertificate, Polynomial, parse_polynomial
 from hypersecant.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -210,6 +210,10 @@ class TestBoundsAndExitCodes:
         ["master-poly", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10", "--n", "11"],
         ["odd-cycles", "--n", "5", "--max-len", "7"],
         ["initial-secant", "--n", "5", "--max-len", "7"],
+        ["odd-cycles", "--n", "11"],
+        ["verify", "membership", "--n", "11", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
+        ["verify", "leading-term", "--n", "11", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
+        ["verify", "prolongation", "--n", "9", "--i", "1,3,5", "--j", "2,4,6"],
     ])
     def test_size_inputs_past_their_bound_need_allow_large(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -225,11 +229,29 @@ class TestBoundsAndExitCodes:
         ["odd-cycles", "--n", "5"],
         ["odd-cycles", "--n", "5", "--max-len", "5"],
         ["initial-secant", "--n", "5", "--max-len", "5"],
+        ["odd-cycles", "--n", "10"],
+        ["verify", "membership", "--n", "10", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
+        ["verify", "leading-term", "--n", "10", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
+        ["verify", "prolongation", "--n", "8", "--i", "1,3,5", "--j", "2,4,6"],
     ])
     def test_size_inputs_at_their_bound_need_no_flag(self, argv):
         res = invoke(*argv)
         assert res.code == EXIT_OK
         assert res.stderr == ""
+
+    def test_delightful_bound_is_certify_bound_without_buchberger(self, monkeypatch):
+        def certificate(n, kind, order, **kwargs):
+            return GroebnerCertificate(order.descriptor(), 0, (), n=n, kind=kind)
+
+        monkeypatch.setattr(cli, "delightful_check", certificate)
+        for kind in ("secant", "symbolic"):
+            res = invoke("verify", "delightful", "--n", "10", "--kind", kind)
+            assert (res.code, res.stderr) == (EXIT_OK, "")
+            assert main(["verify", "delightful", "--n", "11", "--kind", kind]) == EXIT_USAGE
+            res = invoke("verify", "delightful", "--n", "11", "--kind", kind, "--allow-large")
+            assert res.code == EXIT_OK
+            assert res.stderr.startswith("warning: n=11 exceeds the desk-scale bound 10")
+        assert main(["verify", "delightful", "--n", "8", "--kind", "secant", "--buchberger"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
         ["verify", "membership", "--n", "5", "--all"],

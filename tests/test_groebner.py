@@ -21,6 +21,7 @@ from hypersecant import (
     delightful_check,
     format_monomial,
     in_secant_ideal,
+    induced_odd_cycles,
     master_polynomial,
     off_diagonal_minor,
     off_diagonal_minor_3x3,
@@ -34,6 +35,7 @@ from hypersecant import (
 )
 
 from hypersecant import groebner
+from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing
 
 from conftest import monomial_strategy, polynomial_strategy, reference_order_key
@@ -403,6 +405,19 @@ class TestBases:
         assert cert.passed
 
 
+class TestSecantBasisIsOddCycleBijection:
+    """One candidate secant generator per induced odd cycle, led by its monomial."""
+
+    @pytest.mark.parametrize("n, count", [(5, 1), (6, 17), (7, 113), (8, 508), (9, 1843)])
+    def test_generators_and_cycles_correspond(self, n, count):
+        gens = secant_gb(n)
+        cycles = induced_odd_cycles(build_graph(n), odd_floor(n))
+        assert len(gens) == len(cycles) == count
+        want = {Monomial.from_edges(c) for c in cycles}
+        for order in both_inner_orders(n):
+            assert {order.leading_monomial(g) for g in gens} == want
+
+
 class TestDelightfulCheck:
     def test_secant_n5_with_buchberger(self):
         cert = delightful_check(5, "secant", CircularTermOrder(5, "grevlex"), with_buchberger=True)
@@ -426,6 +441,11 @@ class TestDelightfulCheck:
         statuses = {c.name: c.status for c in cert.checks}
         assert statuses["generators_member_of_symbolic_square"] == "pass"
         assert statuses["initial_ideal_matches_combinatorial_target"] == "pass"
+
+    def test_secant_n9_membership_and_initial_legs(self):
+        cert = delightful_check(9, "secant", CircularTermOrder(9), with_buchberger=False)
+        assert cert.passed
+        assert cert.generator_count == 1843
 
     def test_lt_ideals_match_targets_n6(self):
         g6 = build_graph(6)
@@ -461,7 +481,28 @@ class TestDelightfulNegativeControls:
         leg = _check(cert, "generators_vanish_on_rank_two_locus")
         assert leg.status == "fail"
         assert [w["index"] for w in leg.witness] == [k]
+        s = all_admissible_sequences(6)[k]
+        assert [(w["family"], w["k"], w["i"], w["j"]) for w in leg.witness] == [
+            ("master", s.k, list(s.i), list(s.j))
+        ]
         assert _check(cert, "initial_ideal_matches_combinatorial_target").status == "pass"
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_flipped_minor_coefficient_fails_membership(self, monkeypatch, inner):
+        order = CircularTermOrder(7, inner)
+        gens = secant_gb(7)
+        k = len(gens) - 2  # the middle split of the last 6-subset
+        lead = order.leading_monomial(gens[k])
+        m = min(x for x in gens[k].monomials() if x != lead)
+        gens[k] = gens[k] - Polynomial.from_monomial(m, 2 * gens[k].coefficient(m))
+        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        cert = delightful_check(7, "secant", order)
+        leg = _check(cert, "generators_vanish_on_rank_two_locus")
+        assert leg.status == "fail"
+        rows, cols = circular_minor_splits((2, 3, 4, 5, 6, 7))[1]
+        assert [(w["index"], w["family"], w["rows"], w["cols"]) for w in leg.witness] == [
+            (k, "minor", list(rows), list(cols))
+        ]
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_initial_ideal(self, monkeypatch, inner):
@@ -513,3 +554,24 @@ class TestDelightfulNegativeControls:
         expected = [offset + i for i, (a, b, _) in enumerate(products) if k in (a, b)]
         assert [w["index"] for w in leg.witness] == expected
         assert {w["reason"] for w in leg.witness} == {"factor outside toric ideal"}
+        assert {w["family"] for w in leg.witness} == {"product"}
+        assert [w["factors"] for w in leg.witness] == [[a, b] for a, b, _ in products if k in (a, b)]
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_flipped_symbolic_master_fails_membership(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        minors, masters, toric, products = groebner._symbolic_components(6)
+        lead = order.leading_monomial(masters[0])
+        m = min(x for x in masters[0].monomials() if x != lead)
+        masters = [masters[0] - Polynomial.from_monomial(m, 2 * masters[0].coefficient(m))] + masters[1:]
+        monkeypatch.setattr(
+            groebner, "_symbolic_components", lambda n: (minors, masters, toric, products)
+        )
+        cert = delightful_check(6, "symbolic-square", order)
+        leg = _check(cert, "generators_member_of_symbolic_square")
+        assert leg.status == "fail"
+        s = admissible_sequences(6, 1)[0]
+        assert leg.witness == [{
+            "index": len(minors), "family": "master", "k": 1, "i": list(s.i), "j": list(s.j),
+            "reason": "rank-2 oracle failed",
+        }]

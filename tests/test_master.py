@@ -5,18 +5,14 @@ import pytest
 
 from hypersecant import (
     AdmissibleSequence,
-    ConjugationSubset,
-    LetterSet,
     Monomial,
     Polynomial,
     all_admissible_sequences,
     base_involution,
     both_inner_orders,
     build_graph,
-    conjugate,
     crossing_number,
     cycle_monomial,
-    involution_monomial,
     master_polynomial,
     secant_of_edge_ideal,
     verify_leading_term,
@@ -27,6 +23,14 @@ from hypersecant.fixtures import (
     REFERENCE_CUBIC_TERMS,
     REFERENCE_PENTAD_TERMS,
     reference_polynomial,
+)
+
+from conftest import (
+    ConjugationSubset,
+    LetterSet,
+    conjugate,
+    involution_monomial,
+    reference_master_polynomial,
 )
 
 CUBIC_SEQ = AdmissibleSequence.from_arrays((1, 3, 5), (2, 4, 6))
@@ -164,6 +168,25 @@ class TestMasterPolynomial:
             for chosen in itertools.combinations(range(1, 6), r):
                 m = involution_monomial(conjugate(base, subset(2, *chosen)), letters)
                 assert f.coefficient(m) == (-1) ** r
+
+    def test_matches_formal_letter_reference(self):
+        # Every admissible sequence with indices up to 8, the degenerate
+        # (i_l = j_l) ones included.
+        seqs = all_admissible_sequences(8)
+        assert any(a == b for s in seqs for a, b in zip(s.i, s.j))
+        for s in seqs:
+            assert master_polynomial(s) == reference_master_polynomial(s)
+
+    def test_conjugate_with_a_loop_is_an_error(self):
+        # i_1 = j_1 pairs one index with itself in the base pairing for k = 1;
+        # the sequence is built past AdmissibleSequence's own loop check.
+        s = object.__new__(AdmissibleSequence)
+        for name, value in (("k", 1), ("i", (1, 3, 5)), ("j", (1, 4, 6))):
+            object.__setattr__(s, name, value)
+        with pytest.raises(ValueError):
+            reference_master_polynomial(s)
+        with pytest.raises(ValueError):
+            master_polynomial(s)
 
     def test_homogeneous_of_odd_degree(self):
         for n in (5, 6):

@@ -16,6 +16,9 @@ from hypersecant import (
     symbolic_square_identity_holds,
     symbolic_square_of_edge_ideal,
 )
+from hypersecant.noncrossing import odd_floor
+
+from conftest import reference_induced_odd_cycles
 
 
 def mono(*edges):
@@ -77,6 +80,15 @@ class TestInducedOddCycles:
     def test_rejects_even_max_len(self):
         with pytest.raises(ValueError):
             induced_odd_cycles(build_graph(5), 4)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_path_growth_matches_subset_enumeration(self, n):
+        # Same cycles in the same order: by size, then sorted vertex indices.
+        # The reference lists by size, so a smaller max_len keeps a prefix.
+        g = build_graph(n)
+        reference = reference_induced_odd_cycles(g, odd_floor(n))
+        for max_len in range(3, odd_floor(n) + 1, 2):
+            assert induced_odd_cycles(g, max_len) == [c for c in reference if len(c) <= max_len]
 
     def test_cycles_are_induced(self):
         g = build_graph(6)
