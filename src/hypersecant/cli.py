@@ -25,7 +25,7 @@ from .groebner import (
     secant_gb,
     symbolic_square_gb,
 )
-from .hypersimplex import MonomialIdeal, initial_edge_ideal, toric_gb, toric_gb_polynomials
+from .hypersimplex import BinomialGenerator, MonomialIdeal, initial_edge_ideal, toric_gb, toric_gb_polynomials
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
@@ -76,16 +76,6 @@ class RunResult:
 # serialization
 # ---------------------------------------------------------------------------
 
-def monomial_to_json(m: Monomial) -> list:
-    out = []
-    for v, e in m.factors:
-        if v[0] == "x":
-            out.append(["x", v[1], v[2], e])
-        else:
-            out.append([v[0], v[1], e])
-    return out
-
-
 def monomial_from_json(data) -> Monomial:
     factors = {}
     for entry in data:
@@ -100,6 +90,12 @@ def monomial_from_json(data) -> Monomial:
     return Monomial(factors)
 
 
+def polynomial_from_json(data) -> Polynomial:
+    return Polynomial(
+        (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
+    )
+
+
 def _term_key(p: Polynomial, order: CircularTermOrder | None):
     """Sort key for p's terms: the order's key if p is edge-only, else canonical."""
     if order is not None and p.uses_only_edge_vars():
@@ -107,18 +103,104 @@ def _term_key(p: Polynomial, order: CircularTermOrder | None):
     return canonical_key
 
 
-def polynomial_to_json(p: Polynomial, order: CircularTermOrder | None = None) -> dict:
-    terms = [
-        {"coeff": p.coefficient(m), "monomial": monomial_to_json(m)}
-        for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True)
-    ]
-    return {"terms": terms}
+def _json_list(items: list[str], depth: int) -> str:
+    """A list at nesting `depth` as json.dumps(indent=2) lays it out; the
+    items are already rendered at depth + 1."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    # The brackets ride on the first and last items, so the one join is the
+    # only copy of a long list's text.
+    edged = list(items)
+    edged[0] = "[" + inner + edged[0]
+    edged[-1] += "\n" + "  " * depth + "]"
+    return ("," + inner).join(edged)
 
 
-def polynomial_from_json(data) -> Polynomial:
-    return Polynomial(
-        (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
-    )
+def _json_object(pairs: list[tuple[str, str]], depth: int) -> str:
+    """A nonempty object at nesting `depth`; the values are already rendered
+    at depth + 1."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(f'"{key}": {value}' for key, value in pairs)
+    return "{" + inner + body + "\n" + "  " * depth + "}"
+
+
+class _FactorText(dict):
+    """Memo from a (variable, exponent) factor to its JSON text at one depth:
+    ["x", a, b, e] for an edge, [kind, i, e] for a parameter."""
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.depth = depth
+
+    def __missing__(self, factor) -> str:
+        v, e = factor
+        text = self[factor] = _json_list([json.dumps(x) for x in (*v, e)], self.depth)
+        return text
+
+
+class _JsonText:
+    """Generators as the exact text json.dumps(..., indent=2) gives them.
+
+    Monomials, polynomials and binomials go straight to text, with no
+    {"coeff", "monomial"} dicts or factor lists in between.  Each
+    (variable, exponent) factor is rendered once per depth and reused: a
+    basis at n <= 8 has only a few dozen distinct factors.  One instance
+    serves one command.
+    """
+
+    def __init__(self, order: CircularTermOrder):
+        self.order = order
+        self._monomial_at: dict = {}
+
+    def _monomial_renderer(self, depth: int):
+        render = self._monomial_at.get(depth)
+        if render is None:
+            factor = _FactorText(depth + 1).__getitem__
+            inner = "\n" + "  " * (depth + 1)
+            head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
+
+            # _json_list(list(map(factor, m.factors)), depth), without the copies.
+            def render(m: Monomial) -> str:
+                return head + sep.join(map(factor, m.factors)) + tail if m.factors else "[]"
+
+            self._monomial_at[depth] = render
+        return render
+
+    def monomial(self, m: Monomial, depth: int) -> str:
+        return self._monomial_renderer(depth)(m)
+
+    def binomial(self, g: BinomialGenerator, depth: int) -> str:
+        mono = self._monomial_renderer(depth + 1)
+        return _json_object([("lead", mono(g.lead)), ("trail", mono(g.trail))], depth)
+
+    def polynomial(self, p: Polynomial, depth: int) -> str:
+        """{"terms": [{"coeff": c, "monomial": [...]}, ...]}, terms descending
+        under _term_key."""
+        mono = self._monomial_renderer(depth + 3)
+        # Each term is _json_object([("coeff", ...), ("monomial", ...)], depth + 2),
+        # written out because it runs once per emitted term.
+        inner = "\n" + "  " * (depth + 3)
+        head, mid = "{" + inner + '"coeff": ', "," + inner + '"monomial": '
+        tail = "\n" + "  " * (depth + 2) + "}"
+        coeff = p.coefficient
+        terms = [
+            head + str(coeff(m)) + mid + mono(m) + tail
+            for m in sorted(p.monomials(), key=_term_key(p, self.order), reverse=True)
+        ]
+        return _json_object([("terms", _json_list(terms, depth + 1))], depth)
+
+    def array(self, items, render) -> str:
+        """A list of generators as the value of a top-level key, each item
+        rendered by render(item, depth)."""
+        return _json_list([render(g, 2) for g in items], 1)
+
+
+def _json_document(header: dict, key: str, value: str) -> str:
+    """json.dumps({**header, key: ...}, indent=2) and a newline, where value
+    is the last key's value already rendered at depth 1."""
+    head = json.dumps(header, indent=2)
+    return f'{head[:-2]},\n  "{key}": {value}\n}}\n'
 
 
 def _cas_monomial(m: Monomial) -> str:
@@ -255,14 +337,9 @@ def _kind(args: argparse.Namespace) -> str:
 def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int, meta: dict) -> str:
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
-        payload = {
-            **meta,
-            "order": order.descriptor(),
-            "count": len(ideal),
-            "degrees": list(ideal.degrees()),
-            "generators": [monomial_to_json(m) for m in ideal.generators],
-        }
-        return _json_dump(payload)
+        header = {**meta, "order": order.descriptor(), "count": len(ideal), "degrees": list(ideal.degrees())}
+        text = _JsonText(order)
+        return _json_document(header, "generators", text.array(ideal.generators, text.monomial))
     if args.format == "algebra-script":
         return algebra_script([Polynomial.from_monomial(m) for m in ideal.generators], n, order)
     return _text_lines([format_monomial(m) for m in ideal.generators])
@@ -271,13 +348,9 @@ def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int,
 def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> str:
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
-        payload = {
-            **meta,
-            "order": order.descriptor(),
-            "count": len(polys),
-            "generators": [polynomial_to_json(p, order) for p in polys],
-        }
-        return _json_dump(payload)
+        header = {**meta, "order": order.descriptor(), "count": len(polys)}
+        text = _JsonText(order)
+        return _json_document(header, "generators", text.array(polys, text.polynomial))
     if args.format == "algebra-script":
         return algebra_script(polys, n, order)
     return _text_lines([format_polynomial(p, _term_key(p, order)) for p in polys])
@@ -302,17 +375,10 @@ def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
     warn = _check_bound(args, n, SWEEP_BOUND, "toric-gb")
     gens = toric_gb(n)
     if args.format == "json":
-        payload = {
-            "command": "toric-gb",
-            "n": n,
-            "order": CircularTermOrder(n, args.inner).descriptor(),
-            "count": len(gens),
-            "generators": [
-                {"lead": monomial_to_json(g.lead), "trail": monomial_to_json(g.trail)}
-                for g in gens
-            ],
-        }
-        return RunResult(EXIT_OK, _json_dump(payload), warn)
+        order = CircularTermOrder(n, args.inner)
+        header = {"command": "toric-gb", "n": n, "order": order.descriptor(), "count": len(gens)}
+        text = _JsonText(order)
+        return RunResult(EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial)), warn)
     meta = {"command": "toric-gb", "n": n}
     return RunResult(EXIT_OK, _emit_polynomials(args, [g.polynomial() for g in gens], n, meta), warn)
 
@@ -378,7 +444,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     poly = master_polynomial(seq)
     if args.format == "json":
         order = CircularTermOrder(n, args.inner)
-        payload = {
+        header = {
             "command": "master-poly",
             "n": n,
             "order": order.descriptor(),
@@ -386,9 +452,9 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
             "i": list(seq.i),
             "j": list(seq.j),
             "term_count": poly.term_count,
-            "polynomial": polynomial_to_json(poly, order),
         }
-        return RunResult(EXIT_OK, _json_dump(payload), warn)
+        text = _json_document(header, "polynomial", _JsonText(order).polynomial(poly, 1))
+        return RunResult(EXIT_OK, text, warn)
     return RunResult(EXIT_OK, _emit_polynomials(args, [poly], n, {"command": "master-poly", "n": n}), warn)
 
 

@@ -146,7 +146,7 @@ def master_polynomial(s: AdmissibleSequence) -> Polynomial:
     mask = (1 << width) - 1
     edges = [(edge_var(a, b), shift) for (a, b), shift in fields.items()]
     return Polynomial(
-        (Monomial([(v, e) for v, shift in edges if (e := key >> shift & mask)]), c)
+        (Monomial._of({v: e for v, shift in edges if (e := key >> shift & mask)}), c)
         for key, c in acc.items()
     )
 

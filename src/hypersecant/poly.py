@@ -78,6 +78,15 @@ class Monomial:
         self._hash = hash(self.factors)
 
     @classmethod
+    def _of(cls, factors: dict) -> "Monomial":
+        """Trusted constructor: `factors` maps variables to positive int
+        exponents, so none of __init__'s checks is repeated."""
+        m = object.__new__(cls)
+        m.factors = tuple(sorted(factors.items()))
+        m._hash = hash(m.factors)
+        return m
+
+    @classmethod
     def one(cls) -> "Monomial":
         return cls(())
 
@@ -115,7 +124,7 @@ class Monomial:
         d = dict(self.factors)
         for v, e in other.factors:
             d[v] = d.get(v, 0) + e
-        return Monomial(d)
+        return Monomial._of(d)
 
     def divides(self, other: "Monomial") -> bool:
         d = dict(other.factors)
@@ -237,7 +246,7 @@ class Polynomial:
         return tuple(sorted(seen))
 
     def uses_only_edge_vars(self) -> bool:
-        return all(is_edge_var(v) for v in self.variables())
+        return all(v[0] == _EDGE for m in self._terms for v, _ in m.factors)
 
     @property
     def is_multilinear(self) -> bool:
@@ -325,7 +334,7 @@ def partial_derivative(p: Polynomial, edges: Sequence[tuple[int, int]]) -> Polyn
                 del d[v]
             else:
                 d[v] = e - 1
-            mm = Monomial(d)
+            mm = Monomial._of(d)
             nc = acc.get(mm, 0) + c * e
             if nc:
                 acc[mm] = nc

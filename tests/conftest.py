@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -199,3 +200,32 @@ def graph6():
     from hypersecant import build_graph
 
     return build_graph(6)
+
+
+# The generator arrays of JSON output as nested lists and dicts, laid out by
+# json.dumps(..., indent=2): the independent oracle for the CLI's text renderer.
+
+
+def monomial_to_json(m):
+    out = []
+    for v, e in m.factors:
+        if v[0] == "x":
+            out.append(["x", v[1], v[2], e])
+        else:
+            out.append([v[0], v[1], e])
+    return out
+
+
+def polynomial_to_json(p, order=None):
+    from hypersecant.cli import _term_key
+
+    terms = [
+        {"coeff": p.coefficient(m), "monomial": monomial_to_json(m)}
+        for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True)
+    ]
+    return {"terms": terms}
+
+
+def json_text(payload):
+    """A JSON document as the CLI prints it."""
+    return json.dumps(payload, indent=2) + "\n"

@@ -19,9 +19,9 @@ from hypersecant.cli import (
     build_parser,
     main,
     polynomial_from_json,
-    polynomial_to_json,
     run,
 )
+from conftest import polynomial_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")

@@ -334,6 +334,40 @@ class TestBuchbergerVerify:
                     serial, spair_stats=None
                 )
 
+    @staticmethod
+    def _family_member(family):
+        """(n, basis, index) of one generator of the family, checked to be one."""
+        if family == "product":
+            gens = symbolic_square_gb(5)
+            last = toric_gb_polynomials(5)[-1]
+            assert gens[-1] == last * last
+            return 5, gens, len(gens) - 1
+        gens = secant_gb(6)
+        if family == "master":
+            assert gens[0] == master_polynomial(all_admissible_sequences(6)[0])
+            return 6, gens, 0
+        minors = {off_diagonal_minor(rows, cols) for rows, cols in circular_minor_splits(range(1, 7))}
+        assert gens[-1] in minors
+        return 6, gens, len(gens) - 1
+
+    @pytest.mark.parametrize("family", ["master", "minor", "product"])
+    def test_flipped_coefficient_fails_spairs(self, family):
+        # Negating a non-leading coefficient keeps every leading term, so the
+        # pair criteria are unchanged and only the S-pair reductions can fail.
+        n, gens, index = self._family_member(family)
+        for order in both_inner_orders(n):
+            g = gens[index]
+            lead = order.leading_monomial(g)
+            m = min(x for x in g.monomials() if x != lead)
+            mutated = list(gens)
+            mutated[index] = g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
+            serial = buchberger_verify(mutated, order, threads=1)
+            (check,) = serial.checks
+            assert (check.name, check.status) == ("spairs_reduce_to_zero", "fail")
+            assert any(index in w["pair"] for w in check.witness)
+            parallel = buchberger_verify(mutated, order, threads=2)
+            assert parallel.checks[0].witness == check.witness
+
 
 class TestOffDiagonalMinor:
     def test_six_unit_terms(self):

@@ -76,6 +76,14 @@ class TestConstructors:
         assert Polynomial(MappingProxyType({m: 3})) == p
         assert Polynomial([(m, 1), (m, 2)]) == p
 
+    @given(m1=monomial_strategy(), m2=monomial_strategy())
+    def test_trusted_product_equals_checked_construction(self, m1, m2):
+        # mul builds its result through the unchecked Monomial._of.
+        product = m1.mul(m2)
+        checked = Monomial([*m1.factors, *m2.factors])
+        assert (product.factors, hash(product)) == (checked.factors, hash(checked))
+        assert product == checked
+
 
 class TestAdd:
     def test_identity(self):
