@@ -41,7 +41,6 @@ from .order import CircularTermOrder, INNER_ORDERS
 from .poly import (
     Monomial,
     Polynomial,
-    canonical_key,
     edge_var,
     format_monomial,
     format_polynomial,
@@ -94,13 +93,6 @@ def polynomial_from_json(data) -> Polynomial:
     return Polynomial(
         (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
     )
-
-
-def _term_key(p: Polynomial, order: CircularTermOrder | None):
-    """Sort key for p's terms: the order's key if p is edge-only, else canonical."""
-    if order is not None and p.uses_only_edge_vars():
-        return order.sort_key(p.degree)
-    return canonical_key
 
 
 def _json_list(items: list[str], depth: int) -> str:
@@ -176,7 +168,7 @@ class _JsonText:
 
     def polynomial(self, p: Polynomial, depth: int) -> str:
         """{"terms": [{"coeff": c, "monomial": [...]}, ...]}, terms descending
-        under _term_key."""
+        under the order."""
         mono = self._monomial_renderer(depth + 3)
         # Each term is _json_object([("coeff", ...), ("monomial", ...)], depth + 2),
         # written out because it runs once per emitted term.
@@ -186,7 +178,7 @@ class _JsonText:
         coeff = p.coefficient
         terms = [
             head + str(coeff(m)) + mid + mono(m) + tail
-            for m in sorted(p.monomials(), key=_term_key(p, self.order), reverse=True)
+            for m in sorted(p.monomials(), key=self.order.sort_key(p.degree), reverse=True)
         ]
         return _json_object([("terms", _json_list(terms, depth + 1))], depth)
 
@@ -213,11 +205,11 @@ def _cas_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _cas_polynomial(p: Polynomial, order: CircularTermOrder | None) -> str:
+def _cas_polynomial(p: Polynomial, order: CircularTermOrder) -> str:
     if p.is_zero:
         return "0"
     parts = []
-    for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True):
+    for m in sorted(p.monomials(), key=order.sort_key(p.degree), reverse=True):
         c = p.coefficient(m)
         if m.is_one:
             body = str(abs(c))
@@ -353,7 +345,7 @@ def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> st
         return _json_document(header, "generators", text.array(polys, text.polynomial))
     if args.format == "algebra-script":
         return algebra_script(polys, n, order)
-    return _text_lines([format_polynomial(p, _term_key(p, order)) for p in polys])
+    return _text_lines([format_polynomial(p, order.sort_key(p.degree)) for p in polys])
 
 
 def _cmd_build(args: argparse.Namespace) -> RunResult:

@@ -237,7 +237,7 @@ class _Divider:
                     {
                         "pair": [i, j],
                         "remainder_terms": len(rem),
-                        "remainder": format_polynomial(pk.polynomial(rem)),
+                        "remainder": format_polynomial(pk.polynomial(rem), pk.pack),
                     }
                 )
         return failures, skipped, reduced, max_terms
@@ -295,23 +295,22 @@ def _worker_chunk(pairs):
 
 def _sweep(divider: _Divider, gens, pairs, order: CircularTermOrder, threads: int):
     """Per-chunk (failures, skipped, reduced, max_terms), in pair order."""
-    if threads > 1 and len(pairs) > 64:
-        try:
-            import multiprocessing as mp
+    if threads <= 1 or len(pairs) <= 64:
+        return [divider.verify_pairs(pairs)]
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
 
-            chunk_count = max(threads * 4, 1)
-            step = max(1, -(-len(pairs) // chunk_count))
-            chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(
-                processes=threads,
-                initializer=_worker_init,
-                initargs=(order, divider.packing.bits, gens),
-            ) as pool:
-                return pool.map(_worker_chunk, chunks)
-        except (ImportError, OSError):
-            pass
-    return [divider.verify_pairs(pairs)]
+    step = -(-len(pairs) // (threads * 4))
+    chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
+    # Not multiprocessing.Pool: its map waits forever on a chunk whose worker
+    # died, where the executor raises BrokenProcessPool.
+    with ProcessPoolExecutor(
+        max_workers=threads,
+        mp_context=mp.get_context("fork"),
+        initializer=_worker_init,
+        initargs=(order, divider.packing.bits, gens),
+    ) as pool:
+        return list(pool.map(_worker_chunk, chunks))
 
 
 def buchberger_verify(
@@ -437,34 +436,42 @@ def nested_triple_monomials(n: int) -> list[Monomial]:
     return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
 
 
-def secant_gb(n: int) -> list[Polynomial]:
-    """Candidate basis for the rank-2 vanishing ideal: masters plus minors.
+def candidate_basis(n: int, kind: str) -> list[tuple[tuple, Polynomial]]:
+    """The candidate basis of `kind`, each generator with its family label.
 
-    Master polynomials come from every canonical admissible sequence; the
-    minors cover each 6-subset in all three circularly consecutive splits,
-    whose antidiagonal leading terms are the nested noncrossing triples.
+    A label is ("master", seq) for the master of an admissible sequence,
+    ("minor", rows, cols) for the 3x3 minor on a circularly consecutive
+    split, or ("product", a, b) for the product of binomials a <= b of
+    toric_gb_polynomials(n).  The secant basis is the masters of every odd
+    degree, then the minors, whose antidiagonal leading terms are the nested
+    noncrossing triples.  The symbolic-square basis is the minors, the
+    degree-3 masters, then the products.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
-    masters = [master_polynomial(s) for s in all_admissible_sequences(n)]
-    return masters + [off_diagonal_minor(rows, cols) for rows, cols in _minor_splits(n)]
-
-
-def _symbolic_components(n: int):
-    minors = [off_diagonal_minor(rows, cols) for rows, cols in _minor_splits(n)]
-    masters = [master_polynomial(s) for s in admissible_sequences(n, 1)] if n >= 5 else []
+    if kind not in (SECANT, SYMBOLIC_SQUARE):
+        raise ValueError(f"kind must be 'secant' or 'symbolic-square', got {kind!r}")
+    minors = [(("minor", rows, cols), off_diagonal_minor(rows, cols)) for rows, cols in _minor_splits(n)]
+    if kind == SECANT:
+        return [(("master", s), master_polynomial(s)) for s in all_admissible_sequences(n)] + minors
     toric = toric_gb_polynomials(n)
-    products = [(a, b, toric[a] * toric[b]) for a, b in combinations_with_replacement(range(len(toric)), 2)]
-    return minors, masters, toric, products
+    masters = [(("master", s), master_polynomial(s)) for s in admissible_sequences(n, 1)]
+    products = [
+        (("product", a, b), toric[a] * toric[b])
+        for a, b in combinations_with_replacement(range(len(toric)), 2)
+    ]
+    return minors + masters + products
+
+
+def secant_gb(n: int) -> list[Polynomial]:
+    """Candidate basis for the rank-2 vanishing ideal: masters plus minors."""
+    return [g for _, g in candidate_basis(n, SECANT)]
 
 
 def symbolic_square_gb(n: int) -> list[Polynomial]:
     """Candidate basis for the symbolic square: minors, degree-3 masters, and
     products of pairs of the quadratic toric binomials."""
-    if not isinstance(n, int) or n < 4:
-        raise ValueError(f"need n >= 4, got {n!r}")
-    minors, masters, _, products = _symbolic_components(n)
-    return minors + masters + [p for _, _, p in products]
+    return [g for _, g in candidate_basis(n, SYMBOLIC_SQUARE)]
 
 
 def symbolic_square_identity_holds(n: int) -> bool:
@@ -484,20 +491,14 @@ def symbolic_square_identity_holds(n: int) -> bool:
 # the certification pipeline
 # ---------------------------------------------------------------------------
 
-def _master_family(s) -> dict:
-    return {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
-
-
-def _minor_families(n: int) -> list[dict]:
-    return [{"family": "minor", "rows": list(rows), "cols": list(cols)} for rows, cols in _minor_splits(n)]
-
-
-def _normalize_kind(kind: str) -> str:
-    if kind in (SECANT,):
-        return SECANT
-    if kind in (SYMBOLIC_SQUARE, "symbolic", "symbolic_square"):
-        return SYMBOLIC_SQUARE
-    raise ValueError(f"kind must be 'secant' or 'symbolic-square', got {kind!r}")
+def _family(label: tuple) -> dict:
+    """The witness fields that name a generator by its candidate_basis label."""
+    if label[0] == "master":
+        s = label[1]
+        return {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
+    if label[0] == "minor":
+        return {"family": "minor", "rows": list(label[1]), "cols": list(label[2])}
+    return {"family": "product", "factors": [label[1], label[2]]}
 
 
 def delightful_check(
@@ -516,52 +517,39 @@ def delightful_check(
     ideal of a secant in the secant of the initial ideal, (a)+(b) force the
     initial ideals to agree, so the candidates form a Groebner basis.
 
-    Each membership failure names its generator by list index and family:
-    a master by its sequence (k, i, j), a minor by its split (rows, cols),
-    a product by the indices (a, b) of its toric factors.
+    Masters and minors go to the rank-2 oracle, a product to the toric
+    verdicts of its factors.  Each membership failure names its generator by
+    list index and family: a master by its sequence (k, i, j), a minor by its
+    split (rows, cols), a product by the indices (a, b) of its toric factors.
     """
-    if not isinstance(n, int) or n < 4:
-        raise ValueError(f"need n >= 4, got {n!r}")
-    kind = _normalize_kind(kind)
-    checks: list[CheckResult] = []
+    basis = candidate_basis(n, kind)
+    gens = [g for _, g in basis]
     graph = build_graph(n)
-
     if kind == SECANT:
-        gens = secant_gb(n)
-        bad = [gi for gi, g in enumerate(gens) if not in_secant_ideal(n, g)]
-        if bad:
-            families = [_master_family(s) for s in all_admissible_sequences(n)] + _minor_families(n)
-            bad = [
-                {"index": gi, **families[gi],
-                 "generator": format_polynomial(gens[gi], order.sort_key(gens[gi].degree))}
-                for gi in bad
-            ]
-        checks.append(
-            CheckResult("generators_vanish_on_rank_two_locus", "fail" if bad else "pass", bad or None)
-        )
+        leg = "generators_vanish_on_rank_two_locus"
         target = secant_of_edge_ideal(graph, odd_floor(n))
     else:
-        minors, masters, toric, products = _symbolic_components(n)
-        gens = minors + masters + [p for _, _, p in products]
-        bad = [(gi, "rank-2 oracle failed") for gi, g in enumerate(minors + masters) if not in_secant_ideal(n, g)]
-        factor_ok = [in_toric_ideal(n, t) for t in toric]
-        offset = len(minors) + len(masters)
-        bad += [
-            (offset + pi, "factor outside toric ideal")
-            for pi, (a, b, _) in enumerate(products)
-            if not (factor_ok[a] and factor_ok[b])
-        ]
-        if bad:
-            families = (
-                _minor_families(n)
-                + [_master_family(s) for s in admissible_sequences(n, 1)]
-                + [{"family": "product", "factors": [a, b]} for a, b, _ in products]
-            )
-            bad = [{"index": gi, **families[gi], "reason": reason} for gi, reason in bad]
-        checks.append(
-            CheckResult("generators_member_of_symbolic_square", "fail" if bad else "pass", bad or None)
-        )
+        leg = "generators_member_of_symbolic_square"
         target = symbolic_square_of_edge_ideal(graph)
+        factor_ok = [in_toric_ideal(n, t) for t in toric_gb_polynomials(n)]
+
+    bad = []
+    for gi, (label, g) in enumerate(basis):
+        if label[0] == "product":
+            if factor_ok[label[1]] and factor_ok[label[2]]:
+                continue
+            reason = "factor outside toric ideal"
+        elif in_secant_ideal(n, g):
+            continue
+        else:
+            reason = "rank-2 oracle failed"
+        witness = {"index": gi, **_family(label)}
+        if kind == SECANT:
+            witness["generator"] = format_polynomial(g, order.sort_key(g.degree))
+        else:
+            witness["reason"] = reason
+        bad.append(witness)
+    checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
     lt_ideal = MonomialIdeal(order.leading_monomial(g) for g in gens)
     if lt_ideal == target:

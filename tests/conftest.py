@@ -217,11 +217,14 @@ def monomial_to_json(m):
 
 
 def polynomial_to_json(p, order=None):
-    from hypersecant.cli import _term_key
+    """Terms descending under the order; without one, in canonical order, for
+    the reader's round trip of polynomials in the parameters."""
+    from hypersecant.poly import canonical_key
 
+    key = canonical_key if order is None else order.sort_key(p.degree)
     terms = [
         {"coeff": p.coefficient(m), "monomial": monomial_to_json(m)}
-        for m in sorted(p.monomials(), key=_term_key(p, order), reverse=True)
+        for m in sorted(p.monomials(), key=key, reverse=True)
     ]
     return {"terms": terms}
 

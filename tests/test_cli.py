@@ -460,6 +460,42 @@ def test_golden_output(command):
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command]
 
 
+# The emission commands past GOLDEN's n <= 6, against the benchmark's digests.
+REFERENCE_DIGESTS = json.loads((ROOT / "perfbench" / "reference.json").read_text())["digests"]
+
+
+@pytest.mark.parametrize("inner", ["grevlex", "lex"])
+@pytest.mark.parametrize("command", ["secant-gb", "symbolic-gb"])
+def test_n8_emission_matches_reference_digest(command, inner):
+    argv = [command, "--n", "8", "--format", "json", "--order", f"inner={inner}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REFERENCE_DIGESTS[" ".join(argv)]
+
+
+def test_dead_pool_worker_is_internal_error():
+    """A pool worker that dies makes the command exit 3, in bounded time."""
+    script = (
+        "import os, sys\n"
+        "from hypersecant import cli, groebner\n"
+        "def die(pairs):\n"
+        "    os._exit(1)\n"
+        "groebner._worker_chunk = die\n"
+        "sys.exit(cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert "BrokenProcessPool" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_tracer_targets_resolve():
     """Every function the benchmark tracer wraps still exists under src/."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -315,7 +318,10 @@ class TestBuchbergerVerify:
             assert stats_tuple(cert) == (66, 0, 66, 2)
             witness = cert.checks[0].witness
             assert len(witness) == 66
-            assert witness[0]["remainder"] == "-1*x[2,4]^18 +1*x[1,3]"
+            # Remainders print descending under the order: x24^18 leads under
+            # grevlex by its degree, x13 under lex by its variable.
+            first = {"grevlex": "-1*x[2,4]^18 +1*x[1,3]", "lex": "+1*x[1,3] -1*x[2,4]^18"}
+            assert witness[0]["remainder"] == first[order.inner]
             assert witness[-1]["remainder"] == "+1*x[4,5] -1*x[3,6]"
 
     def test_threads_match_serial(self):
@@ -367,6 +373,30 @@ class TestBuchbergerVerify:
             assert any(index in w["pair"] for w in check.witness)
             parallel = buchberger_verify(mutated, order, threads=2)
             assert parallel.checks[0].witness == check.witness
+
+    def test_dead_worker_raises_instead_of_hanging(self):
+        """A pool worker that dies raises BrokenProcessPool, in bounded time."""
+        script = (
+            "import os\n"
+            "from concurrent.futures.process import BrokenProcessPool\n"
+            "from hypersecant import CircularTermOrder, groebner\n"
+            "def die(pairs):\n"
+            "    os._exit(1)\n"
+            "groebner._worker_chunk = die\n"
+            "try:\n"
+            "    groebner.buchberger_verify(groebner.secant_gb(6), CircularTermOrder(6), threads=2)\n"
+            "except BrokenProcessPool:\n"
+            "    print('broken')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "broken\n")
 
 
 class TestOffDiagonalMinor:
@@ -498,18 +528,37 @@ def _check(cert, name):
     return next(c for c in cert.checks if c.name == name)
 
 
+def _flip_lowest_tail(g, order):
+    """g with the coefficient of its canonically smallest non-leading monomial negated."""
+    lead = order.leading_monomial(g)
+    m = min(x for x in g.monomials() if x != lead)
+    return g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
+
+
+def _families(basis):
+    """The minors, the masters and the (a, b, product) triples of a labelled basis."""
+    minors = [g for label, g in basis if label[0] == "minor"]
+    masters = [g for label, g in basis if label[0] == "master"]
+    products = [(*label[1:], g) for label, g in basis if label[0] == "product"]
+    return minors, masters, products
+
+
+def _certify(monkeypatch, basis):
+    """Make delightful_check certify `basis` in place of the candidate basis."""
+    monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind: list(basis))
+
+
 class TestDelightfulNegativeControls:
     """Each certification leg without S-pairs fails on a deliberately broken basis."""
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_master_coefficient_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        gens = secant_gb(6)
+        basis = groebner.candidate_basis(6, "secant")
         k = len(all_admissible_sequences(6)) - 1  # the last master
-        lead = order.leading_monomial(gens[k])
-        m = min(x for x in gens[k].monomials() if x != lead)
-        gens[k] = gens[k] - Polynomial.from_monomial(m, 2 * gens[k].coefficient(m))
-        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        label, g = basis[k]
+        basis[k] = (label, _flip_lowest_tail(g, order))
+        _certify(monkeypatch, basis)
         cert = delightful_check(6, "secant", order)
         assert not cert.passed
         leg = _check(cert, "generators_vanish_on_rank_two_locus")
@@ -524,12 +573,11 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_minor_coefficient_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(7, inner)
-        gens = secant_gb(7)
-        k = len(gens) - 2  # the middle split of the last 6-subset
-        lead = order.leading_monomial(gens[k])
-        m = min(x for x in gens[k].monomials() if x != lead)
-        gens[k] = gens[k] - Polynomial.from_monomial(m, 2 * gens[k].coefficient(m))
-        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        basis = groebner.candidate_basis(7, "secant")
+        k = len(basis) - 2  # the middle split of the last 6-subset
+        label, g = basis[k]
+        basis[k] = (label, _flip_lowest_tail(g, order))
+        _certify(monkeypatch, basis)
         cert = delightful_check(7, "secant", order)
         leg = _check(cert, "generators_vanish_on_rank_two_locus")
         assert leg.status == "fail"
@@ -541,9 +589,9 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        gens = secant_gb(6)
-        dropped = gens.pop()  # the last minor
-        monkeypatch.setattr(groebner, "secant_gb", lambda n: list(gens))
+        basis = groebner.candidate_basis(6, "secant")
+        _, dropped = basis.pop()  # the last minor
+        _certify(monkeypatch, basis)
         cert = delightful_check(6, "secant", order)
         assert _check(cert, "generators_vanish_on_rank_two_locus").status == "pass"
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
@@ -554,10 +602,10 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_symbolic_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        minors, masters, toric, products = groebner._symbolic_components(6)
-        monkeypatch.setattr(
-            groebner, "_symbolic_components", lambda n: (minors[:-1], masters, toric, products)
-        )
+        basis = groebner.candidate_basis(6, "symbolic-square")
+        minors, _, _ = _families(basis)
+        del basis[len(minors) - 1]  # the last minor
+        _certify(monkeypatch, basis)
         cert = delightful_check(6, "symbolic-square", order)
         assert _check(cert, "generators_member_of_symbolic_square").status == "pass"
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
@@ -567,7 +615,7 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_mutated_toric_factor_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        minors, masters, toric, _ = groebner._symbolic_components(6)
+        toric = toric_gb_polynomials(6)
         k = 7
         lead = order.leading_monomial(toric[k])
         trail = next(m for m in toric[k].monomials() if m != lead)
@@ -577,9 +625,9 @@ class TestDelightfulNegativeControls:
             (a, b, toric[a] * toric[b])
             for a, b in itertools.combinations_with_replacement(range(len(toric)), 2)
         ]
-        monkeypatch.setattr(
-            groebner, "_symbolic_components", lambda n: (minors, masters, toric, products)
-        )
+        monkeypatch.setattr(groebner, "toric_gb_polynomials", lambda n: list(toric))
+        minors, masters, built = _families(groebner.candidate_basis(6, "symbolic-square"))
+        assert built == products
         cert = delightful_check(6, "symbolic-square", order)
         assert not cert.passed
         leg = _check(cert, "generators_member_of_symbolic_square")
@@ -594,13 +642,11 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_symbolic_master_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        minors, masters, toric, products = groebner._symbolic_components(6)
-        lead = order.leading_monomial(masters[0])
-        m = min(x for x in masters[0].monomials() if x != lead)
-        masters = [masters[0] - Polynomial.from_monomial(m, 2 * masters[0].coefficient(m))] + masters[1:]
-        monkeypatch.setattr(
-            groebner, "_symbolic_components", lambda n: (minors, masters, toric, products)
-        )
+        basis = groebner.candidate_basis(6, "symbolic-square")
+        minors, _, _ = _families(basis)
+        label, g = basis[len(minors)]  # the first master
+        basis[len(minors)] = (label, _flip_lowest_tail(g, order))
+        _certify(monkeypatch, basis)
         cert = delightful_check(6, "symbolic-square", order)
         leg = _check(cert, "generators_member_of_symbolic_square")
         assert leg.status == "fail"
