@@ -452,8 +452,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
 
 def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
     n = _need_n(args)
-    bound = SWEEP_BOUND if args.verify_what == "prolongation" else CERTIFY_BOUND
-    warn = _check_bound(args, n, bound, f"verify {args.verify_what}")
+    warn = _check_bound(args, n, CERTIFY_BOUND, f"verify {args.verify_what}")
     order = CircularTermOrder(n, args.inner)
     if args.i_vals is not None or args.j_vals is not None:
         seqs = [_sequence_from_args(args)]
@@ -509,17 +508,19 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     else:
         gens = symbolic_square_gb(n)
     order = CircularTermOrder(n, args.inner)
-    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads)
+    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads or 1)
     return _certificate_result(args, cert, warn)
 
 
 def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
+    if args.threads is not None and not args.with_buchberger:
+        raise UsageError("--threads needs --buchberger: only the S-pair leg runs on worker processes")
     kind = _kind(args)
     n = _need_n(args, 4)
     bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
     warn = _check_bound(args, n, bound, f"delightful {kind}")
     order = CircularTermOrder(n, args.inner)
-    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
+    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads or 1)
     return _certificate_result(args, cert, warn)
 
 
@@ -601,9 +602,9 @@ def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--j", type=_parse_index_list, default=None, dest="j_vals")
 
 
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_parse_threads, default=1,
-                   help="worker processes for S-pair sweeps")
+def _add_threads_flag(p: argparse.ArgumentParser, help: str) -> None:
+    # Default None, so that a --threads the command will not read is seen.
+    p.add_argument("--threads", type=_parse_threads, default=None, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,11 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sequence_flags(_add_command(vsub, name, _cmd_verify_sequences))
     p = _add_command(vsub, "buchberger", _cmd_verify_buchberger)
     p.add_argument("--kind", choices=("toric", "secant", "symbolic"), default="toric")
-    _add_threads_flag(p)
+    _add_threads_flag(p, "worker processes for the S-pair sweep (default 1)")
     p = _add_command(vsub, "delightful", _cmd_verify_delightful)
     p.add_argument("--kind", choices=("secant", "symbolic"), default="secant")
     p.add_argument("--buchberger", action="store_true", dest="with_buchberger")
-    _add_threads_flag(p)
+    _add_threads_flag(p, "worker processes for the S-pair leg (default 1); needs --buchberger")
 
     _add_command(sub, "reproduce", _cmd_reproduce, n=False, order=False, bounded=False)
     return parser

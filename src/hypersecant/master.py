@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterable
 
-from .hypersimplex import in_secant_ideal, in_toric_ideal
+from .hypersimplex import _validate_ambient, in_secant_ideal
 from .noncrossing import AdmissibleSequence, cycle_monomial
 from .order import CircularTermOrder
-from .poly import Monomial, Polynomial, edge_var, partial_derivative
+from .poly import Monomial, Polynomial, edge_var
 
 # A letter is ('I', l) or ('J', l) with l in 1..2k+1.
 Letter = tuple
@@ -161,25 +161,46 @@ def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
     """All partial derivatives of order 1..bound lie in the toric ideal.
 
     Vanishing derivatives pass; f itself is not required to be a member.
-    When f is multilinear only squarefree derivative multisets are checked,
-    since repeated differentiation kills every term; otherwise repeated
-    edges are included up to the bound.
+    No derivative is built.  Write phi for the rank-1 image
+    x[a,b] -> t_a*t_b, and e_v, d_v for the exponent of v in a term m and in
+    a derivative multiset D.  Then
+
+        d^D f = sum over the terms c_m*m with D | m of c_m*w(m,D)*m/D,
+        w(m,D) = prod_v e_v!/(e_v - d_v)!,
+
+    and phi(m/D) = phi(m)/phi(D), where phi(D) is common to every term.  So
+    d^D f lies in the toric ideal iff, for every image K, the sum of
+    c_m*w(m,D) over the terms with D | m and phi(m) = K is zero.  Dividing
+    w(m,D) by prod_v d_v!, which depends on D alone, leaves
+    prod_v C(e_v, d_v): the number of combinations of m's factors, listed
+    with repeats, that make up D.  So each term adds c_m once per
+    combination.  phi(m) is packed with a field per vertex and D with a
+    field per edge of f; no vertex degree and no d_v exceeds deg f, so no
+    field carries.
     """
     if not f.is_homogeneous:
         raise ValueError("prolongation check requires a homogeneous polynomial")
     if not isinstance(bound, int) or bound < 0:
         raise ValueError(f"need bound >= 0, got {bound!r}")
-    if f.is_zero or bound == 0:
-        return True
-    edges = tuple((v[1], v[2]) for v in f.variables())
-    chooser = combinations if f.is_multilinear else combinations_with_replacement
-    for size in range(1, bound + 1):
-        for multiset in chooser(edges, size):
-            d = partial_derivative(f, multiset)
-            if d.is_zero:
-                continue
-            if not in_toric_ideal(n, d):
-                return False
+    _validate_ambient(n, f)
+    width = f.degree.bit_length()
+    fields = {v: i * width for i, v in enumerate(f.variables())}
+    groups: dict[int, list] = {}
+    for m, c in f.terms():
+        image = 0
+        units = []
+        for v, e in m.factors:
+            image += (e << v[1] * width) + (e << v[2] * width)
+            units += [1 << fields[v]] * e
+        groups.setdefault(image, []).append((units, c))
+    for terms in groups.values():
+        sums: dict[int, int] = {}
+        for units, c in terms:
+            for size in range(1, bound + 1):
+                for key in map(sum, combinations(units, size)):
+                    sums[key] = sums.get(key, 0) + c
+        if any(sums.values()):
+            return False
     return True
 
 

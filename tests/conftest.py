@@ -1,12 +1,12 @@
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
 import pytest
 from hypothesis import strategies as st
 
-from hypersecant import Monomial, Polynomial, edge_var
+from hypersecant import Monomial, Polynomial, edge_var, in_toric_ideal, partial_derivative
 from hypersecant.master import PairingInvolution, base_involution
 
 
@@ -176,6 +176,22 @@ def reference_master_polynomial(s):
             m = involution_monomial(conjugate(base, ConjugationSubset(k, frozenset(chosen))), letters)
             acc[m] = acc.get(m, 0) + (-1) ** r
     return Polynomial(acc)
+
+
+def reference_prolongation(n, f, bound):
+    """Every partial derivative of order 1..bound tested one by one, the
+    independent oracle: each derivative is built with partial_derivative and
+    handed to in_toric_ideal.  Vanishing derivatives pass.  A multilinear f
+    is differentiated by edge sets only, since a repeated edge kills every
+    term."""
+    edges = tuple((v[1], v[2]) for v in f.variables())
+    chooser = combinations if f.is_multilinear else combinations_with_replacement
+    for size in range(1, bound + 1):
+        for multiset in chooser(edges, size):
+            d = partial_derivative(f, multiset)
+            if not d.is_zero and not in_toric_ideal(n, d):
+                return False
+    return True
 
 
 def monomial_strategy(n=6, max_factors=3, max_exp=2):

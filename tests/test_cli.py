@@ -141,6 +141,16 @@ class TestVerify:
         assert res.stdout.endswith("PASS\n")
         assert "CITED" in res.stdout
 
+    @pytest.mark.parametrize("threads", ["1", "4"])
+    def test_delightful_threads_need_buchberger(self, threads, capsys):
+        assert main(["verify", "delightful", "--n", "5", "--threads", threads]) == EXIT_USAGE
+        assert "--buchberger" in capsys.readouterr().err
+
+    def test_delightful_buchberger_threads(self):
+        res = invoke("verify", "delightful", "--n", "5", "--buchberger", "--threads", "2")
+        assert res.code == EXIT_OK
+        assert res.stdout.endswith("PASS\n")
+
     def test_delightful_secant_n6_with_buchberger(self):
         res = invoke("verify", "delightful", "--n", "6", "--kind", "secant", "--buchberger")
         assert res.code == EXIT_OK
@@ -213,7 +223,7 @@ class TestBoundsAndExitCodes:
         ["odd-cycles", "--n", "11"],
         ["verify", "membership", "--n", "11", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
         ["verify", "leading-term", "--n", "11", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
-        ["verify", "prolongation", "--n", "9", "--i", "1,3,5", "--j", "2,4,6"],
+        ["verify", "prolongation", "--n", "11", "--i", "1,3,5", "--j", "2,4,6"],
     ])
     def test_size_inputs_past_their_bound_need_allow_large(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
@@ -232,7 +242,7 @@ class TestBoundsAndExitCodes:
         ["odd-cycles", "--n", "10"],
         ["verify", "membership", "--n", "10", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
         ["verify", "leading-term", "--n", "10", "--i", "1,3,5,7,9", "--j", "2,4,6,8,10"],
-        ["verify", "prolongation", "--n", "8", "--i", "1,3,5", "--j", "2,4,6"],
+        ["verify", "prolongation", "--n", "10", "--i", "1,3,5", "--j", "2,4,6"],
     ])
     def test_size_inputs_at_their_bound_need_no_flag(self, argv):
         res = invoke(*argv)
@@ -460,18 +470,28 @@ def test_golden_output(command):
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command]
 
 
-# The emission commands past GOLDEN's n <= 6, against the benchmark's digests.
+# Emission and the prolongation sweep past GOLDEN's n <= 6, against the benchmark's digests.
 REFERENCE_DIGESTS = json.loads((ROOT / "perfbench" / "reference.json").read_text())["digests"]
+
+
+def _stdout_digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("inner", ["grevlex", "lex"])
 @pytest.mark.parametrize("command", ["secant-gb", "symbolic-gb"])
 def test_n8_emission_matches_reference_digest(command, inner):
     argv = [command, "--n", "8", "--format", "json", "--order", f"inner={inner}"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == EXIT_OK
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REFERENCE_DIGESTS[" ".join(argv)]
+    assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("inner", ["grevlex", "lex"])
+def test_prolongation_sweep_matches_reference_digest(inner):
+    argv = ["verify", "prolongation", "--n", "7", "--order", f"inner={inner}"]
+    assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
 
 
 def test_dead_pool_worker_is_internal_error():

@@ -2,6 +2,8 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypersecant import (
     AdmissibleSequence,
@@ -14,7 +16,10 @@ from hypersecant import (
     crossing_number,
     cycle_monomial,
     master_polynomial,
+    param_t,
     secant_of_edge_ideal,
+    substitute_rank,
+    toric_gb_polynomials,
     verify_leading_term,
     verify_membership,
     verify_prolongation,
@@ -29,8 +34,10 @@ from conftest import (
     ConjugationSubset,
     LetterSet,
     conjugate,
+    edges_for,
     involution_monomial,
     reference_master_polynomial,
+    reference_prolongation,
 )
 
 CUBIC_SEQ = AdmissibleSequence.from_arrays((1, 3, 5), (2, 4, 6))
@@ -260,3 +267,91 @@ class TestVerifiers:
             for multiset in itertools.combinations(edges, size):
                 d = partial_derivative(f, multiset)
                 assert substitute_rank(d, 1).is_zero
+
+
+@st.composite
+def prolongation_cases(draw, n=6):
+    """b^p * m, plus up to two stray terms of its degree, and a bound in 0..4.
+
+    b is a toric binomial and p is 1..3, so every derivative of b^p * m of
+    order < p lies in the toric ideal; the bound is drawn near p, and the
+    stray terms, drawn a third of the time, usually break the verdict.  Edges
+    come from a pool of at most four, so exponents repeat; a stray term has
+    none above 3.
+    """
+    b = draw(st.sampled_from(toric_gb_polynomials(n)))
+    p = draw(st.integers(1, 3))
+    bound = draw(st.integers(max(p - 2, 0), p + 1))
+    pool = draw(st.lists(st.sampled_from(edges_for(n)), min_size=1, max_size=4, unique=True))
+    m = draw(st.lists(st.sampled_from(pool), max_size=3))
+    f = Polynomial.from_edge_terms([(draw(st.sampled_from((-2, -1, 1, 3))), m)])
+    for _ in range(p):
+        f = f * b
+    if draw(st.integers(0, 2)) == 0:
+        capped = st.lists(st.sampled_from(pool), min_size=f.degree, max_size=f.degree).filter(
+            lambda es: max(map(es.count, es)) <= 3
+        )
+        f = f + Polynomial.from_edge_terms(draw(st.lists(st.tuples(st.integers(-3, 3), capped), max_size=2)))
+    return f, bound
+
+
+class TestProlongationAgainstOracle:
+    """verify_prolongation against conftest.reference_prolongation, which
+    builds and tests every derivative."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_every_admissible_sequence(self, n):
+        masters = [(master_polynomial(s), s.k) for s in all_admissible_sequences(n)]
+        assert [verify_prolongation(n, f, k) for f, k in masters] == [True] * len(masters)
+        assert [reference_prolongation(n, f, k) for f, k in masters] == [True] * len(masters)
+        if n == 7:
+            assert sum(not f.is_multilinear for f, _ in masters) == 50
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_every_master_with_one_term_changed_or_dropped_fails(self, n):
+        for s in all_admissible_sequences(n):
+            f = master_polynomial(s)
+            # The lead, and a term with a repeated edge where there is one.
+            for m in {cycle_monomial(s), max(f.monomials(), key=lambda m: (not m.is_squarefree, m))}:
+                c = f.coefficient(m)
+                for g in (f + Polynomial.from_monomial(m, c), f - Polynomial.from_monomial(m, c)):
+                    assert not verify_prolongation(n, g, s.k), (s, m)
+                    assert not reference_prolongation(n, g, s.k), (s, m)
+
+    @given(prolongation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_homogeneous_polynomials(self, case):
+        f, bound = case
+        assert verify_prolongation(6, f, bound) == reference_prolongation(6, f, bound)
+
+    def test_repeated_edges_carry_falling_factorial_weights(self):
+        # d/dx[1,2] of (x[1,2]x[3,4] - x[1,3]x[2,4])^2 is 2 b x[3,4], a member,
+        # only because x[1,2]^2 contributes with weight 2.
+        b = Polynomial.from_edge_terms([(1, ((1, 2), (3, 4))), (-1, ((1, 3), (2, 4)))])
+        f = b * b
+        assert [verify_prolongation(4, f, k) for k in range(4)] == [True, True, False, False]
+        assert [reference_prolongation(4, f, k) for k in range(4)] == [True, True, False, False]
+
+    def test_squares_of_binomials_of_quadrics(self):
+        # (A - B)^2 has its first derivatives in the toric ideal iff A - B is
+        # in it.  Where A and B differ, A^2, AB and B^2 cancel per derivative
+        # only if their images are merged, e.g. by a too-narrow image field.
+        monomials = [Monomial.from_edges(es) for es in itertools.combinations_with_replacement(edges_for(5), 2)]
+        for a, b in itertools.combinations(monomials, 2):
+            g = Polynomial.from_monomial(a) - Polynomial.from_monomial(b)
+            f = g * g
+            member = substitute_rank(g, 1).is_zero
+            assert verify_prolongation(5, f, 1) == member == reference_prolongation(5, f, 1), (a, b)
+
+    # An inhomogeneous f: TestVerifiers.test_prolongation_rejects_inhomogeneous.
+    @pytest.mark.parametrize("n, f, bound", [
+        (4, Polynomial.from_edge_terms([(1, ((1, 2), (3, 4)))]), -1),
+        (4, Polynomial.from_edge_terms([(1, ((1, 2), (3, 4)))]), 1.0),
+        (4, Polynomial.variable(param_t(1)), 1),
+        (4, Polynomial.variable(param_t(1)), 0),
+        (4, Polynomial.from_edge_terms([(1, ((1, 5), (2, 3)))]), 1),
+        (4, Polynomial.from_edge_terms([(1, ((1, 5), (2, 3)))]), 0),
+    ])
+    def test_invalid_input_raises(self, n, f, bound):
+        with pytest.raises(ValueError):
+            verify_prolongation(n, f, bound)
