@@ -97,6 +97,11 @@ class GroebnerCertificate:
 # guard-bit test.  Monomial stays the type at the boundary.
 
 
+# Exact supports the front memo of one divider holds.  Past the cap, a miss
+# is resolved from the block tables on every lookup.
+_FRONT_MEMO_CAP = 1 << 15
+
+
 class _Overflow(Exception):
     """A term outgrew the degree limit of its packing; redo with wider fields."""
 
@@ -104,16 +109,26 @@ class _Overflow(Exception):
 class _Divider:
     """Packed reducers in list order, with full division and the S-pair sweep.
 
-    `gens` holds each reducer as a list of (packed monomial, coefficient).
-    A support is the set of guard bits of a monomial's nonzero slots.  `memo`
-    maps a term's support to the bitset of reducers whose leading-term support
-    fits inside it; a divider lives for one call, and so does its memo.
+    A term is keyed by its negated packed monomial, so a min-heap pops the
+    largest term first.  `lts` holds each reducer's leading monomial, packed,
+    and `tails` its other terms as (negated monomial, coefficient times -LC):
+    rewriting c*m by reducer i adds c times tails[i], shifted by lts[i] - m.
+
+    The first divisor of a term is found from its support, the set of guard
+    bits of its nonzero slots.  `blocks` holds one (guard mask, table) per
+    order block: a table maps the part of a support inside the block to the
+    bitset of the reducers whose leading term uses no other slot of the
+    block, so it never has more than 2**|block| keys.  The AND of the block
+    lookups holds every reducer whose leading-term support fits in the term's,
+    and the lowest of them whose leading term divides the term is its first
+    divisor.  In front of the tables, `memo` maps up to _FRONT_MEMO_CAP exact
+    supports to those candidates as a tuple of indices.  A divider lives for
+    one call, and so do its tables and memo.
     """
 
     def __init__(self, packing: _Packing, gens):
         self.packing = packing
-        self.memo: dict = {}
-        self.lts, self.ltcs, self.tails, self.grows, self.supports = [], [], [], [], []
+        self.lts, self.tails, self.grows, self.supports = [], [], [], []
         for terms in gens:
             if not terms:
                 raise ValueError("reducers must be nonzero")
@@ -121,8 +136,7 @@ class _Divider:
             if ltc not in (1, -1):
                 raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
             self.lts.append(lt)
-            self.ltcs.append(ltc)
-            self.tails.append([t for t in terms if t[0] != lt])
+            self.tails.append([(-p, -ltc * c) for p, c in terms if p != lt])
             # How far one rewrite by this reducer can raise a term's degree.
             top = max(packing.degree(p) for p, _ in terms)
             self.grows.append(top - packing.degree(lt))
@@ -135,67 +149,95 @@ class _Divider:
                 low = support & -support
                 self._users[low] = self._users.get(low, 0) | 1 << k
                 support ^= low
+        self.blocks = [(block, {}) for block in packing.block_guards]
+        self.memo: dict = {}
+        # Memo tuples share these ints rather than each holding its own.
+        self._indices = list(range(len(self.lts)))
 
-    def _fitting(self, support: int) -> int:
-        """Bitset of the reducers whose leading-term support lies in `support`."""
-        fit = (1 << len(self.lts)) - 1
-        for slot, users in self._users.items():
-            if not slot & support:
-                fit &= ~users
-        return fit
+    def _first_divisor(self, pg: int, support: int) -> int:
+        """First divisor of the term with guarded monomial `pg` and this
+        support, or -1, for a support missing from the memo.  The support's
+        candidates enter the memo while it is below its cap."""
+        fit = -1
+        for block, table in self.blocks:
+            part = support & block
+            users = table.get(part)
+            if users is None:
+                users = (1 << len(self.lts)) - 1
+                absent = block - part
+                while absent:
+                    low = absent & -absent
+                    users &= ~self._users.get(low, 0)
+                    absent ^= low
+                table[part] = users
+            fit &= users
+        if len(self.memo) < _FRONT_MEMO_CAP:
+            indices, cands = self._indices, []
+            rest = fit
+            while rest:
+                low = rest & -rest
+                cands.append(indices[low.bit_length() - 1])
+                rest ^= low
+            self.memo[support] = tuple(cands)
+        lts, guard = self.lts, self.packing.guard
+        while fit:
+            low = fit & -fit
+            i = low.bit_length() - 1
+            if (pg - lts[i]) & guard == guard:
+                return i
+            fit ^= low
+        return -1
 
     def normal_form(self, work: dict) -> tuple[dict, int]:
         """Full normal form of the term dict `work`, consumed; (remainder, max size).
 
-        The largest remaining term is rewritten by the first reducer in list
-        order whose leading term divides it.  A max-heap with lazy deletion
-        finds that term: every term pushed is below the one being rewritten,
-        so an entry whose term has left `work` is stale and skipped.  Of the
-        reducers in the memo's bitset for the term's support, the lowest one
-        whose leading term divides it is the first divisor.
+        Both dicts are keyed by negated packed monomials.  The largest
+        remaining term is rewritten by the first reducer in list order whose
+        leading term divides it.  A heap with lazy deletion finds that term:
+        every term pushed is below the one being rewritten, so an entry whose
+        term has left `work` is stale and skipped.
         """
         pk, memo = self.packing, self.memo
         guard, ones, limit = pk.guard, pk.ones, pk.limit
-        lts, ltcs, tails, grows = self.lts, self.ltcs, self.tails, self.grows
-        heap = [-p for p in work]
+        lts, tails, grows = self.lts, self.tails, self.grows
+        heap = list(work)
         heapify(heap)
         rem: dict = {}
         max_terms = len(work)
         while heap:
-            p = -heappop(heap)
-            c = work.pop(p, 0)
+            q = heappop(heap)
+            c = work.pop(q, 0)
             if not c:
                 continue
-            pg = p | guard
+            pg = -q | guard
             support = (pg - ones) & guard
             cands = memo.get(support)
             if cands is None:
-                cands = memo[support] = self._fitting(support)
-            while cands:
-                low = cands & -cands
-                i = low.bit_length() - 1
-                if (pg - lts[i]) & guard == guard:
-                    break
-                cands ^= low
+                i = self._first_divisor(pg, support)
             else:
-                rem[p] = c
-                continue
-            if grows[i] > 0 and pk.degree(p) + grows[i] > limit:
-                raise _Overflow
-            cof = p - lts[i]
-            scale = c * ltcs[i]
-            for gp, gc in tails[i]:
-                q = gp + cof
-                old = work.get(q)
-                if old is None:
-                    work[q] = -scale * gc
-                    heappush(heap, -q)
+                for i in cands:
+                    if (pg - lts[i]) & guard == guard:
+                        break
                 else:
-                    nc = old - scale * gc
+                    i = -1
+            if i < 0:
+                rem[q] = c
+                continue
+            if grows[i] > 0 and pk.degree(-q) + grows[i] > limit:
+                raise _Overflow
+            cof = lts[i] + q
+            for t, sc in tails[i]:
+                r = t + cof
+                old = work.get(r)
+                if old is None:
+                    work[r] = c * sc
+                    heappush(heap, r)
+                else:
+                    nc = old + c * sc
                     if nc:
-                        work[q] = nc
+                        work[r] = nc
                     else:
-                        del work[q]
+                        del work[r]
             size = len(work) + len(rem)
             if size > max_terms:
                 max_terms = size
@@ -205,7 +247,7 @@ class _Divider:
         """Reduce the S-polynomial of each listed pair; collect failures."""
         pk = self.packing
         guard, fields_mask, bits = pk.guard, pk.fields_mask, pk.bits
-        lts, ltcs, tails, supports = self.lts, self.ltcs, self.tails, self.supports
+        lts, tails, supports = self.lts, self.tails, self.supports
         failures = []
         skipped = reduced = max_terms = 0
         for i, j in pairs:
@@ -215,19 +257,20 @@ class _Divider:
             fi, fj = lts[i] & fields_mask, lts[j] & fields_mask
             ge = ((fi | guard) - fj) & guard  # guards of the slots where fi >= fj
             take = ge - (ge >> bits)
-            lcm = (fi & take) | (fj & ~take)
-            # The leading terms cancel at the lcm; every other term lies below it.
-            work: dict = {}
-            for k, f, sign in ((i, fi, 1), (j, fj, -1)):
-                cof = pk.join(lcm - f)
-                scale = sign * ltcs[k]
-                for gp, gc in tails[k]:
-                    q = gp + cof
-                    nc = work.get(q, 0) + scale * gc
-                    if nc:
-                        work[q] = nc
-                    else:
-                        work.pop(q, None)
+            lcm = pk.join((fi & take) | (fj & ~take))
+            # LC_i*(lcm/LT_i)*g_i - LC_j*(lcm/LT_j)*g_j, whose negated cofactor
+            # keys are lts[k] - lcm: the leading terms cancel at the lcm, and
+            # every other term lies below it.
+            shift = lts[i] - lcm
+            work = {t + shift: -sc for t, sc in tails[i]}
+            shift = lts[j] - lcm
+            for t, sc in tails[j]:
+                q = t + shift
+                nc = work.get(q, 0) + sc
+                if nc:
+                    work[q] = nc
+                else:
+                    del work[q]
             reduced += 1
             rem, mt = self.normal_form(work)
             if mt > max_terms:
@@ -237,7 +280,9 @@ class _Divider:
                     {
                         "pair": [i, j],
                         "remainder_terms": len(rem),
-                        "remainder": format_polynomial(pk.polynomial(rem), pk.pack),
+                        "remainder": format_polynomial(
+                            pk.polynomial({-q: c for q, c in rem.items()}), pk.pack
+                        ),
                     }
                 )
         return failures, skipped, reduced, max_terms
@@ -264,8 +309,8 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> 
 
     def run(packing):
         divider = _Divider(packing, [_packed_terms(g, packing) for g in G])
-        rem, _ = divider.normal_form(dict(_packed_terms(f, packing)))
-        return packing.polynomial(rem)
+        rem, _ = divider.normal_form({-p: c for p, c in _packed_terms(f, packing)})
+        return packing.polynomial({-q: c for q, c in rem.items()})
 
     return _with_packing(order, max([f.degree] + [g.degree for g in G]), run)
 
@@ -329,7 +374,7 @@ def buchberger_verify(
     fixed, so the certificate is identical to the serial one.
     """
     G = list(G)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
+    pairs = list(combinations(range(len(G)), 2))
 
     def run(packing):
         gens = [_packed_terms(g, packing) for g in G]

@@ -133,6 +133,10 @@ class _Packing:
                 self.offset[v] = w * (top - 1 - k if self.lex else top - len(block) + k)
         self.ones = sum(1 << (w * s) for s in range(slots))
         self.guard = self.ones << bits
+        # Per block, the guard bits of its variables' slots.
+        self.block_guards = tuple(
+            sum(1 << (self.offset[v] + bits) for v in block) for block in blocks
+        )
         self.shift = w * slots
         self.fields_mask = (1 << self.shift) - 1
         self._degree_slots = degree_slots

@@ -194,6 +194,12 @@ def reference_prolongation(n, f, bound):
     return True
 
 
+def reference_first_divisor(leads, m):
+    """Index of the first monomial in `leads` that divides m, or -1: the
+    brute-force scan the S-pair engine's divisor index must agree with."""
+    return next((k for k, lt in enumerate(leads) if lt.divides(m)), -1)
+
+
 def monomial_strategy(n=6, max_factors=3, max_exp=2):
     return st.lists(
         st.tuples(st.sampled_from(edges_for(n)), st.integers(1, max_exp)),

@@ -470,7 +470,8 @@ def test_golden_output(command):
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == GOLDEN[command]
 
 
-# Emission and the prolongation sweep past GOLDEN's n <= 6, against the benchmark's digests.
+# Emission, the prolongation sweep and the secant S-pair sweep past GOLDEN's
+# n <= 6, against the benchmark's digests.
 REFERENCE_DIGESTS = json.loads((ROOT / "perfbench" / "reference.json").read_text())["digests"]
 
 
@@ -491,6 +492,13 @@ def test_n8_emission_matches_reference_digest(command, inner):
 @pytest.mark.parametrize("inner", ["grevlex", "lex"])
 def test_prolongation_sweep_matches_reference_digest(inner):
     argv = ["verify", "prolongation", "--n", "7", "--order", f"inner={inner}"]
+    assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("inner", ["grevlex", "lex"])
+def test_secant_n7_spair_sweep_matches_reference_digest(inner):
+    argv = ["verify", "buchberger", "--n", "7", "--kind", "secant", "--allow-large"]
+    argv += ["--format", "json", "--order", f"inner={inner}"]
     assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
 
 

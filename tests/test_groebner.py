@@ -41,7 +41,12 @@ from hypersecant import groebner
 from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing
 
-from conftest import monomial_strategy, polynomial_strategy, reference_order_key
+from conftest import (
+    monomial_strategy,
+    polynomial_strategy,
+    reference_first_divisor,
+    reference_order_key,
+)
 
 
 def mono(*edges):
@@ -285,6 +290,12 @@ class TestBuchbergerVerify:
             assert cert.passed
             assert stats_tuple(cert) == self.PINNED[kind, n][order.inner]
 
+    @pytest.mark.parametrize("kind,n", [("secant", 6), ("symbolic", 5)])
+    def test_pinned_counters_without_front_memo(self, kind, n, monkeypatch):
+        # Every lookup goes to the block tables: the same reduction path.
+        monkeypatch.setattr(groebner, "_FRONT_MEMO_CAP", 0)
+        self.test_pinned_counters(kind, n)
+
     # (i, j, remainder_terms) of every failing pair of the mutated basis,
     # the same under both inner orders.
     MUTATED_FAILURES = [
@@ -397,6 +408,59 @@ class TestBuchbergerVerify:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, "broken\n")
+
+
+class TestDivisorIndex:
+    """The first-divisor index of the S-pair engine: per-block tables behind
+    a front memo of exact supports, capped at groebner._FRONT_MEMO_CAP."""
+
+    @pytest.mark.parametrize("cap", [groebner._FRONT_MEMO_CAP, 0])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_first_divisor_matches_brute_force(self, cap, data):
+        order = CircularTermOrder(7, data.draw(st.sampled_from(("grevlex", "lex"))))
+        # Leading terms of mixed degrees, exponents up to 3, and terms that
+        # repeat, so the second lookup of a support can hit the memo.
+        leads = data.draw(st.lists(monomial_strategy(n=7, max_factors=4, max_exp=3), max_size=12))
+        terms = data.draw(
+            st.lists(monomial_strategy(n=7, max_factors=6, max_exp=3), min_size=1, max_size=8)
+        )
+        packing = order.packing(max(1, *(m.degree for m in leads + terms)).bit_length())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
+            divider = groebner._Divider(packing, [[(packing.pack(lt), 1)] for lt in leads])
+            for m in terms + terms:
+                pg = packing.pack(m) | packing.guard
+                support = (pg - packing.ones) & packing.guard
+                want = reference_first_divisor(leads, m)
+                cands = divider.memo.get(support)
+                if cands is None:
+                    assert divider._first_divisor(pg, support) == want
+                else:
+                    # A memo hit scans the reducers whose leading term uses
+                    # no variable outside the term's, in list order.
+                    used = set(m.variables())
+                    assert cands == tuple(
+                        k for k, lt in enumerate(leads) if set(lt.variables()) <= used
+                    )
+                    assert next((k for k in cands if leads[k].divides(m)), -1) == want
+            assert len(divider.memo) <= cap
+
+    def test_index_stays_bounded_over_a_sweep(self):
+        # Secant n = 7 meets more distinct supports than the memo may hold.
+        gens = secant_gb(7)
+        order = CircularTermOrder(7)
+
+        def run(packing):
+            divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in gens])
+            divider.verify_pairs(list(itertools.combinations(range(len(gens)), 2)))
+            return divider
+
+        divider = groebner._with_packing(order, 2 * max(g.degree for g in gens), run)
+        assert len(divider.memo) == groebner._FRONT_MEMO_CAP
+        assert [block.bit_count() for block, _ in divider.blocks] == [7, 7, 7]
+        for block, table in divider.blocks:
+            assert 0 < len(table) <= 2 ** block.bit_count()
 
 
 class TestOffDiagonalMinor:
