@@ -62,9 +62,7 @@ from .groebner import (
     delightful_check,
     nested_triple_monomials,
     off_diagonal_minor,
-    off_diagonal_minor_3x3,
     reduce,
-    s_polynomial,
     secant_gb,
     symbolic_square_gb,
     symbolic_square_identity_holds,

@@ -315,18 +315,6 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> 
     return _with_packing(order, max([f.degree] + [g.degree for g in G]), run)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: CircularTermOrder) -> Polynomial:
-    """The lcm-cancellation combination with both leading terms eliminated."""
-    ltf, cf = order.leading_term(f)
-    ltg, cg = order.leading_term(g)
-    if cf not in (1, -1) or cg not in (1, -1):
-        raise ValueError("s_polynomial requires unit leading coefficients")
-    lcm = ltf.lcm(ltg)
-    left = f * Polynomial.from_monomial(lcm.divide_by(ltf), cf)
-    right = g * Polynomial.from_monomial(lcm.divide_by(ltg), cg)
-    return left - right
-
-
 _WORKER_CTX: dict = {}
 
 
@@ -442,14 +430,6 @@ def off_diagonal_minor(rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
 
 def antidiagonal_monomial(rows: Sequence[int], cols: Sequence[int]) -> Monomial:
     return Monomial.from_edges((r, c) for r, c in zip(rows, reversed(tuple(cols))))
-
-
-def off_diagonal_minor_3x3(indices: Sequence[int]) -> Polynomial:
-    """Minor on six increasing vertices split as rows 1..3, columns 4..6."""
-    idx = tuple(indices)
-    if len(idx) != 6 or any(idx[a] >= idx[a + 1] for a in range(5)):
-        raise ValueError("need six distinct strictly increasing vertex indices")
-    return off_diagonal_minor(idx[:3], idx[3:])
 
 
 def circular_minor_splits(subset: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -576,7 +556,9 @@ def delightful_check(
     else:
         leg = "generators_member_of_symbolic_square"
         target = symbolic_square_of_edge_ideal(graph)
-        factor_ok = [in_toric_ideal(n, t) for t in toric_gb_polynomials(n)]
+        toric = toric_gb_polynomials(n)
+        factor_ok = [in_toric_ideal(n, t) for t in toric]
+        toric_lts = [order.leading_monomial(t) for t in toric]
 
     bad = []
     for gi, (label, g) in enumerate(basis):
@@ -596,7 +578,15 @@ def delightful_check(
         bad.append(witness)
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
-    lt_ideal = MonomialIdeal(order.leading_monomial(g) for g in gens)
+    # LT(f*g) = LT(f)*LT(g) under any term order, so a product's leading
+    # monomial is read through its label, from the leading monomials of its
+    # toric factors.
+    lt_ideal = MonomialIdeal(
+        toric_lts[label[1]].mul(toric_lts[label[2]])
+        if label[0] == "product"
+        else order.leading_monomial(g)
+        for label, g in basis
+    )
     if lt_ideal == target:
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .poly import Monomial, Polynomial, canonical_key, substitute_rank
 
@@ -72,42 +72,56 @@ class MonomialIdeal:
     """A monomial ideal held by its inclusion-minimal generating set.
 
     Membership and equality queries reduce to divisibility against the
-    minimal generators, which are computed once at construction.  An index
-    maps each variable to the bitset of generators that use it; the
-    generators whose support lies inside a monomial's support are the full
-    set minus the users of every variable the monomial lacks, and only those
-    get the exponent test.
+    minimal generators, which are computed once at construction.  Each
+    variable of a generator owns one bit, and the index maps a support (the
+    bitmask of a generator's variables) to the exponents above 1 of every
+    generator with exactly that support.  A divisor of m has its support
+    inside m's, so only generators filed under submasks of m's support are
+    candidates, and a candidate divides m when each of those exponents is
+    met.  The submasks are enumerated while there are no more of them than
+    supports in the index (at most 16 for a degree-4 monomial); past that,
+    the supports are scanned.  A variable no generator uses has no bit and
+    plays no part in the lookup.
     """
 
-    __slots__ = ("generators", "_users")
+    __slots__ = ("generators", "_bits", "_by_support")
 
     def __init__(self, generators: Iterable[Monomial] = ()):
-        self._users: dict = {}
+        self._bits: dict = {}
+        self._by_support: dict[int, list[tuple]] = {}
         kept: list[Monomial] = []
         # Sorted by degree, only strictly smaller kept generators can strictly
         # divide a candidate; equal monomials were deduped.
         for m in sorted(set(generators), key=canonical_key):
-            if self._has_divisor(m, kept):
+            if self._has_divisor(m):
                 continue
-            bit = 1 << len(kept)
-            kept.append(m)
+            support = 0
             for v, _ in m.factors:
-                self._users[v] = self._users.get(v, 0) | bit
+                bit = self._bits.get(v)
+                if bit is None:
+                    bit = self._bits[v] = 1 << len(self._bits)
+                support |= bit
+            heavy = tuple((v, e) for v, e in m.factors if e > 1)
+            self._by_support.setdefault(support, []).append(heavy)
+            kept.append(m)
         self.generators = tuple(kept)
 
-    def _has_divisor(self, m: Monomial, gens: Sequence[Monomial]) -> bool:
-        """Whether one of `gens`, indexed by `_users`, divides m."""
-        fit = (1 << len(gens)) - 1
-        support = {v for v, _ in m.factors}
-        for v, users in self._users.items():
-            if v not in support:
-                fit &= ~users
-        while fit:
-            low = fit & -fit
-            if gens[low.bit_length() - 1].divides(m):
-                return True
-            fit ^= low
-        return False
+    def _has_divisor(self, m: Monomial) -> bool:
+        """Whether an indexed generator divides m."""
+        bits, index = self._bits, self._by_support
+        support = 0
+        for v, _ in m.factors:
+            support |= bits.get(v, 0)
+        if 1 << support.bit_count() <= len(index):
+            sub = support
+            while True:
+                heavies = index.get(sub)
+                if heavies is not None and _meets(m, heavies):
+                    return True
+                if not sub:
+                    return False
+                sub = (sub - 1) & support
+        return any(_meets(m, heavies) for s, heavies in index.items() if not s & ~support)
 
     @property
     def is_empty(self) -> bool:
@@ -118,7 +132,7 @@ class MonomialIdeal:
 
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides m."""
-        return self._has_divisor(m, self.generators)
+        return self._has_divisor(m)
 
     __contains__ = contains
 
@@ -133,6 +147,20 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({len(self.generators)} minimal generators)"
+
+
+def _meets(m: Monomial, heavies: list[tuple]) -> bool:
+    """Whether m meets every exponent of one of `heavies`, each the exponents
+    above 1 of a generator whose support lies inside m's."""
+    exps = None
+    for heavy in heavies:
+        if not heavy:
+            return True
+        if exps is None:
+            exps = dict(m.factors)
+        if all(exps[v] >= e for v, e in heavy):
+            return True
+    return False
 
 
 def initial_edge_ideal(n: int) -> MonomialIdeal:

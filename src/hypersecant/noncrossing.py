@@ -164,11 +164,9 @@ def symbolic_square_of_edge_ideal(g: NoncrossingGraph) -> MonomialIdeal:
     gens: list[Monomial] = []
     if g.vertex_count >= 3:
         gens.extend(Monomial.from_edges(c) for c in induced_odd_cycles(g, 3))
-    pairs = g.adjacency_pairs()
-    for a in range(len(pairs)):
-        ma = Monomial.from_edges(pairs[a])
-        for b in range(a, len(pairs)):
-            gens.append(ma.mul(Monomial.from_edges(pairs[b])))
+    pairs = [Monomial.from_edges(p) for p in g.adjacency_pairs()]
+    for a, ma in enumerate(pairs):
+        gens.extend(ma.mul(mb) for mb in pairs[a:])
     return MonomialIdeal(gens)
 
 

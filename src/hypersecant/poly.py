@@ -107,10 +107,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not self.factors
 
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
     def variables(self) -> tuple[Variable, ...]:
         return tuple(v for v, _ in self.factors)
 
@@ -190,6 +186,14 @@ class Polynomial:
     # ----- constructors -----
 
     @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """Trusted constructor: `terms` maps monomials to nonzero int
+        coefficients and becomes the polynomial's own dict, unchecked."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
 
@@ -248,10 +252,6 @@ class Polynomial:
     def uses_only_edge_vars(self) -> bool:
         return all(v[0] == _EDGE for m in self._terms for v, _ in m.factors)
 
-    @property
-    def is_multilinear(self) -> bool:
-        return all(m.is_squarefree for m in self._terms)
-
     # ----- arithmetic -----
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -264,14 +264,10 @@ class Polynomial:
                 acc[m] = nc
             else:
                 acc.pop(m, None)
-        out = Polynomial.zero()
-        out._terms = acc
-        return out
+        return Polynomial._of(acc)
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.zero()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return Polynomial._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -282,9 +278,7 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return Polynomial.zero()
-            out = Polynomial.zero()
-            out._terms = {m: c * other for m, c in self._terms.items()}
-            return out
+            return Polynomial._of({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         acc: dict[Monomial, int] = {}
@@ -296,9 +290,7 @@ class Polynomial:
                     acc[mm] = nc
                 else:
                     acc.pop(mm, None)
-        out = Polynomial.zero()
-        out._terms = acc
-        return out
+        return Polynomial._of(acc)
 
     __rmul__ = __mul__
 

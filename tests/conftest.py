@@ -178,6 +178,14 @@ def reference_master_polynomial(s):
     return Polynomial(acc)
 
 
+def is_squarefree(m):
+    return all(e == 1 for _, e in m.factors)
+
+
+def is_multilinear(p):
+    return all(is_squarefree(m) for m in p.monomials())
+
+
 def reference_prolongation(n, f, bound):
     """Every partial derivative of order 1..bound tested one by one, the
     independent oracle: each derivative is built with partial_derivative and
@@ -185,13 +193,48 @@ def reference_prolongation(n, f, bound):
     is differentiated by edge sets only, since a repeated edge kills every
     term."""
     edges = tuple((v[1], v[2]) for v in f.variables())
-    chooser = combinations if f.is_multilinear else combinations_with_replacement
+    chooser = combinations if is_multilinear(f) else combinations_with_replacement
     for size in range(1, bound + 1):
         for multiset in chooser(edges, size):
             d = partial_derivative(f, multiset)
             if not d.is_zero and not in_toric_ideal(n, d):
                 return False
     return True
+
+
+def s_polynomial(f, g, order):
+    """The lcm-cancellation combination with both leading terms eliminated,
+    in plain Polynomial arithmetic."""
+    ltf, cf = order.leading_term(f)
+    ltg, cg = order.leading_term(g)
+    if cf not in (1, -1) or cg not in (1, -1):
+        raise ValueError("s_polynomial requires unit leading coefficients")
+    lcm = ltf.lcm(ltg)
+    left = f * Polynomial.from_monomial(lcm.divide_by(ltf), cf)
+    right = g * Polynomial.from_monomial(lcm.divide_by(ltg), cg)
+    return left - right
+
+
+def off_diagonal_minor_3x3(indices):
+    """Minor on six increasing vertices split as rows 1..3, columns 4..6."""
+    from hypersecant import off_diagonal_minor
+
+    idx = tuple(indices)
+    if len(idx) != 6 or any(idx[a] >= idx[a + 1] for a in range(5)):
+        raise ValueError("need six distinct strictly increasing vertex indices")
+    return off_diagonal_minor(idx[:3], idx[3:])
+
+
+def reference_minimal_generators(gens):
+    """Inclusion-minimal generators by pairwise divisibility, in canonical
+    order: the brute-force oracle for MonomialIdeal's support index."""
+    from hypersecant.poly import canonical_key
+
+    distinct = set(gens)
+    return tuple(sorted(
+        (m for m in distinct if not any(d != m and d.divides(m) for d in distinct)),
+        key=canonical_key,
+    ))
 
 
 def reference_first_divisor(leads, m):

@@ -27,9 +27,7 @@ from hypersecant import (
     induced_odd_cycles,
     master_polynomial,
     off_diagonal_minor,
-    off_diagonal_minor_3x3,
     reduce,
-    s_polynomial,
     secant_gb,
     secant_of_edge_ideal,
     symbolic_square_gb,
@@ -42,10 +40,13 @@ from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing
 
 from conftest import (
+    edges_for,
     monomial_strategy,
+    off_diagonal_minor_3x3,
     polynomial_strategy,
     reference_first_divisor,
     reference_order_key,
+    s_polynomial,
 )
 
 
@@ -583,6 +584,18 @@ class TestDelightfulCheck:
             lt2 = MonomialIdeal(order.leading_monomial(p) for p in symbolic_square_gb(6))
             assert lt2 == symbolic_square_of_edge_ideal(g6)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_product_leads_read_through_labels(self, n):
+        # The initial-ideal leg takes LT(toric[a]) * LT(toric[b]) as the
+        # leading monomial of the product labelled ("product", a, b).
+        toric = toric_gb_polynomials(n)
+        _, _, products = _families(groebner.candidate_basis(n, "symbolic-square"))
+        assert len(products) == comb(len(toric) + 1, 2)
+        for order in both_inner_orders(n):
+            leads = [order.leading_monomial(t) for t in toric]
+            for a, b, g in products:
+                assert leads[a].mul(leads[b]) == order.leading_monomial(g), (a, b)
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             delightful_check(5, "cubic", CircularTermOrder(5))
@@ -702,6 +715,24 @@ class TestDelightfulNegativeControls:
         assert {w["reason"] for w in leg.witness} == {"factor outside toric ideal"}
         assert {w["family"] for w in leg.witness} == {"product"}
         assert [w["factors"] for w in leg.witness] == [[a, b] for a, b, _ in products if k in (a, b)]
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_toric_factor_with_term_above_its_lead_fails_initial_ideal(self, monkeypatch, inner):
+        order = CircularTermOrder(6, inner)
+        toric = list(toric_gb_polynomials(6))
+        k = 7
+        lead = order.leading_monomial(toric[k])
+        top = max(
+            (mono(e, f) for e, f in itertools.combinations_with_replacement(edges_for(6), 2)),
+            key=order.sort_key(2),
+        )
+        assert order.compare(top, lead) == 1
+        toric[k] = toric[k] + Polynomial.from_monomial(top)
+        monkeypatch.setattr(groebner, "toric_gb_polynomials", lambda n: list(toric))
+        cert = delightful_check(6, "symbolic-square", order)
+        leg = _check(cert, "initial_ideal_matches_combinatorial_target")
+        assert leg.status == "fail"
+        assert leg.witness["unexpected"] or leg.witness["missing"]
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_symbolic_master_fails_membership(self, monkeypatch, inner):

@@ -27,7 +27,7 @@ from hypersecant import (
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy
+from conftest import edges_for, monomial_strategy, reference_minimal_generators
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
@@ -198,11 +198,49 @@ class TestMonomialIdeal:
         gens = data.draw(st.lists(mixed_monomial, max_size=12))
         gens += data.draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
         ideal = MonomialIdeal(gens)
-        distinct = set(gens)
-        minimal = [m for m in distinct if not any(g != m and g.divides(m) for g in distinct)]
-        assert ideal.generators == tuple(sorted(minimal, key=lambda m: (m.degree, m.factors)))
+        assert ideal.generators == reference_minimal_generators(gens)
         for probe in data.draw(st.lists(mixed_monomial, max_size=8)) + gens:
             assert ideal.contains(probe) == any(g.divides(probe) for g in gens)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_support_index_matches_pairwise_oracle(self, data):
+        # Generators with exponents up to 3, some repeated and sometimes the
+        # constant monomial.  Many narrow ones on the pentagon's 10 chords
+        # give the index enough supports for a small support's submasks to
+        # be enumerated; wide ones use up to all 15 chords of the hexagon, so
+        # a lookup meets more submasks than supports and scans instead.
+        narrow = monomial_strategy(n=5, max_factors=2, max_exp=3)
+        wide = monomial_strategy(n=6, max_factors=15, max_exp=3)
+        gens = data.draw(st.lists(narrow, max_size=40)) + data.draw(st.lists(wide, max_size=4))
+        if gens:
+            gens += data.draw(st.lists(st.sampled_from(gens), max_size=5))
+        if data.draw(st.integers(0, 4)) == 0:
+            gens.append(Monomial.one())
+        ideal = MonomialIdeal(gens)
+        minimal = reference_minimal_generators(gens)
+        assert ideal.generators == minimal
+        # Products of generators have divisors on proper submasks; probes on
+        # the octagon's chords may use variables no generator uses, and
+        # membership must not grow the index.
+        index = (dict(ideal._bits), {s: list(h) for s, h in ideal._by_support.items()})
+        probes = data.draw(st.lists(monomial_strategy(n=8, max_factors=6, max_exp=3), max_size=10))
+        probes += gens + [a.mul(b) for a, b in zip(gens, gens[1:])]
+        for probe in probes:
+            assert ideal.contains(probe) == any(g.divides(probe) for g in minimal)
+        assert (ideal._bits, ideal._by_support) == index
+
+    def test_divisors_on_proper_submasks(self):
+        # Six supports, so a probe on two known variables enumerates its
+        # four submasks and a probe on three or more scans the supports.
+        squares = [mono(e, e) for e in ((1, 5), (1, 3), (2, 3))]
+        ideal = MonomialIdeal([mono((1, 2)), mono((3, 4)), mono((4, 5))] + squares)
+        assert mono((1, 2), (1, 5)) in ideal
+        assert mono((1, 5), (4, 5)) in ideal
+        assert mono((1, 5), (1, 5), (2, 6)) in ideal
+        assert mono((1, 5), (1, 3)) not in ideal
+        assert mono((1, 5), (1, 3), (2, 3), (2, 3)) in ideal
+        assert mono((1, 5), (1, 3), (2, 3), (2, 6)) not in ideal
 
     def test_n7_generators_pinned(self):
         # Count and digest of the generator tuple, recorded with the earlier
