@@ -461,7 +461,7 @@ def nested_triple_monomials(n: int) -> list[Monomial]:
     return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
 
 
-def candidate_basis(n: int, kind: str) -> list[tuple[tuple, Polynomial]]:
+def candidate_basis(n: int, kind: str, build_products: bool = True) -> list[tuple[tuple, Polynomial | None]]:
     """The candidate basis of `kind`, each generator with its family label.
 
     A label is ("master", seq) for the master of an admissible sequence,
@@ -470,7 +470,8 @@ def candidate_basis(n: int, kind: str) -> list[tuple[tuple, Polynomial]]:
     toric_gb_polynomials(n).  The secant basis is the masters of every odd
     degree, then the minors, whose antidiagonal leading terms are the nested
     noncrossing triples.  The symbolic-square basis is the minors, the
-    degree-3 masters, then the products.
+    degree-3 masters, then the products.  With build_products false every
+    product is listed by its label alone, with None for its polynomial.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -481,11 +482,40 @@ def candidate_basis(n: int, kind: str) -> list[tuple[tuple, Polynomial]]:
         return [(("master", s), master_polynomial(s)) for s in all_admissible_sequences(n)] + minors
     toric = toric_gb_polynomials(n)
     masters = [(("master", s), master_polynomial(s)) for s in admissible_sequences(n, 1)]
-    products = [
-        (("product", a, b), toric[a] * toric[b])
-        for a, b in combinations_with_replacement(range(len(toric)), 2)
-    ]
+    pairs = combinations_with_replacement(range(len(toric)), 2)
+    if build_products:
+        products = [(("product", a, b), g) for (a, b), g in zip(pairs, _products(toric))]
+    else:
+        products = [(("product", a, b), None) for a, b in pairs]
     return minors + masters + products
+
+
+def _products(toric: Sequence[Polynomial]):
+    """toric[a] * toric[b] for a <= b, in combinations_with_replacement order.
+
+    Each is the Polynomial that toric[a] * toric[b] gives, terms inserted in
+    the same order, but the product of two distinct monomials of the
+    binomials is built once and shared: monomials get small int ids, and a
+    product is memoized under its pair of ids.
+    """
+    ids: dict[Monomial, int] = {}
+    terms = [[(ids.setdefault(m, len(ids)), m, c) for m, c in t.terms()] for t in toric]
+    size = len(ids)
+    memo: dict[int, Monomial] = {}
+    for a, b in combinations_with_replacement(range(len(terms)), 2):
+        acc: dict[Monomial, int] = {}
+        for i, m1, c1 in terms[a]:
+            for j, m2, c2 in terms[b]:
+                key = i * size + j if i <= j else j * size + i
+                mm = memo.get(key)
+                if mm is None:
+                    mm = memo[key] = m1.mul(m2)
+                nc = acc.get(mm, 0) + c1 * c2
+                if nc:
+                    acc[mm] = nc
+                else:
+                    acc.pop(mm, None)
+        yield Polynomial._of(acc)
 
 
 def secant_gb(n: int) -> list[Polynomial]:
@@ -546,9 +576,10 @@ def delightful_check(
     verdicts of its factors.  Each membership failure names its generator by
     list index and family: a master by its sequence (k, i, j), a minor by its
     split (rows, cols), a product by the indices (a, b) of its toric factors.
+    Legs (a) and (b) read a product only through its label ("product", a, b),
+    so product polynomials are built only for leg (c).
     """
-    basis = candidate_basis(n, kind)
-    gens = [g for _, g in basis]
+    basis = candidate_basis(n, kind, build_products=with_buchberger)
     graph = build_graph(n)
     if kind == SECANT:
         leg = "generators_vanish_on_rank_two_locus"
@@ -604,13 +635,13 @@ def delightful_check(
 
     stats = None
     if with_buchberger:
-        sub = buchberger_verify(gens, order, n=n, kind=kind, threads=threads)
+        sub = buchberger_verify([g for _, g in basis], order, n=n, kind=kind, threads=threads)
         checks.extend(sub.checks)
         stats = sub.spair_stats
 
     return GroebnerCertificate(
         order_descriptor=order.descriptor(),
-        generator_count=len(gens),
+        generator_count=len(basis),
         checks=tuple(checks),
         n=n,
         kind=kind,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, canonical_key, substitute_rank
+from .poly import Monomial, Polynomial, _rank_image, canonical_key
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -188,12 +188,32 @@ def _validate_ambient(n: int, p: Polynomial) -> None:
 def in_toric_ideal(n: int, p: Polynomial) -> bool:
     """Exact membership in the kernel of x[a,b] -> t_a*t_b."""
     _validate_ambient(n, p)
-    return substitute_rank(p, 1).is_zero
+    return _rank_image(p, 1, None).is_zero
 
 
 def in_secant_ideal(n: int, p: Polynomial) -> bool:
-    """Exact membership in the rank-2 vanishing ideal, for homogeneous p."""
+    """Exact membership in the rank-2 vanishing ideal, for homogeneous p.
+
+    p vanishes on the rank-2 locus iff its image under x[a,b] ->
+    t_a*t_b + u_a*u_b is zero.  That image is invariant under O(2, C) acting
+    on every (t_v, u_v) at once, and a rotation takes any non-isotropic
+    (t_v, u_v) onto the t-axis, so it is zero iff it is zero with u_v = 0 for
+    one vertex v (see poly._rank_image).  The pinned vertex is the one met by
+    the most edge factors of p, counted with exponents over all its terms,
+    the smallest label on a tie: every such factor then takes only its
+    t choice in the expansion.
+    """
     _validate_ambient(n, p)
     if not p.is_homogeneous:
         raise ValueError("secant membership oracle requires a homogeneous polynomial")
-    return substitute_rank(p, 2).is_zero
+    return _rank_image(p, 2, _pinned_vertex(p)).is_zero
+
+
+def _pinned_vertex(p: Polynomial) -> int | None:
+    """The vertex in_secant_ideal pins for p, or None if p uses no edge."""
+    meets: dict[int, int] = {}
+    for m in p.monomials():
+        for (_, a, b), e in m.factors:
+            meets[a] = meets.get(a, 0) + e
+            meets[b] = meets.get(b, 0) + e
+    return min(meets, key=lambda v: (-meets[v], v), default=None)

@@ -342,12 +342,6 @@ def substitute_rank(p: Polynomial, r: int) -> Polynomial:
     This is the defining parameterization of the rank-r locus: the result is
     identically zero exactly when p vanishes on all rank-r points.  Only
     r = 1 and r = 2 are supported; there is no third parameter family.
-
-    The expansion runs on packed parameter monomials: each vertex of p owns
-    one field for t_v and one for u_v, so x[a,b] maps to the ints T_a+T_b and
-    U_a+U_b and multiplying by a factor is an add.  An edge raises any one
-    parameter by at most 1, so no exponent exceeds p.degree and fields of
-    its bit length never carry.  Only surviving terms become Monomials.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive int, got {r!r}")
@@ -355,23 +349,56 @@ def substitute_rank(p: Polynomial, r: int) -> Polynomial:
         raise ValueError("only ranks 1 and 2 are supported")
     if not p.uses_only_edge_vars():
         raise ValueError("substitute_rank requires a polynomial in edge variables only")
+    return _rank_image(p, r, None)
+
+
+def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
+    """substitute_rank's image of p, an edge polynomial, with u_pinned = 0.
+
+    Write v_a = (t_a, u_a).  Then x[a,b] -> t_a*t_b + u_a*u_b is the bilinear
+    form <v_a, v_b>, which O(2, C) preserves.  Any v_pinned with
+    <v_pinned, v_pinned> != 0 is rotated onto the t-axis by some element of
+    O(2, C), and such points are dense, so p vanishes on the rank-2 locus
+    iff its image with u_pinned = 0 is zero: an exact identity, not a
+    sampled test.  Pinning only drops the u choice of the edges at the pinned
+    vertex, and rank 1 drops it at every edge.  With pinned None this is the
+    full image.
+
+    The expansion runs on packed parameter monomials: each vertex of p owns
+    one field for t_v and one for u_v, so x[a,b] maps to the ints T_a+T_b and
+    U_a+U_b and multiplying by a factor is an add.  An edge raises any one
+    parameter by at most 1, so no exponent exceeds p.degree and fields of
+    its bit length never carry.  Only surviving terms become Monomials.
+    """
     w = max(p.degree, 1).bit_length()
     vertices = sorted({a for _, *ends in p.variables() for a in ends})
     at = {a: 2 * w * k for k, a in enumerate(vertices)}
     # Per edge power x[a,b]^e, the packed terms of (t_a t_b)^k (u_a u_b)^(e-k)
-    # with their binomial coefficients; rank 1 keeps only k = e.
+    # with their binomial coefficients; a power with only its t choice,
+    # k = e, is the bare int of that term, added to every term of the
+    # expansion at once.
     powers: dict = {}
     acc: dict[int, int] = {}
     for m, c in p.terms():
-        expansion = {0: c}
+        fixed = 0
+        free = []
         for power in m.factors:
             choices = powers.get(power)
             if choices is None:
                 (_, a, b), e = power
                 t = (1 << at[a]) + (1 << at[b])
-                u = t << w
-                ks = range(e + 1) if r == 2 else (e,)
-                choices = powers[power] = [(k * t + (e - k) * u, comb(e, k)) for k in ks]
+                if r == 1 or pinned == a or pinned == b:
+                    choices = e * t
+                else:
+                    u = t << w
+                    choices = [(k * t + (e - k) * u, comb(e, k)) for k in range(e + 1)]
+                powers[power] = choices
+            if isinstance(choices, int):
+                fixed += choices
+            else:
+                free.append(choices)
+        expansion = {fixed: c}
+        for choices in free:
             nxt: dict[int, int] = {}
             for q, qc in expansion.items():
                 for add, mult in choices:

@@ -596,9 +596,70 @@ class TestDelightfulCheck:
             for a, b, g in products:
                 assert leads[a].mul(leads[b]) == order.leading_monomial(g), (a, b)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_products_are_plain_products_term_for_term(self, n):
+        toric = toric_gb_polynomials(n)
+        _, _, products = _families(groebner.candidate_basis(n, "symbolic-square"))
+        for a, b, g in products:
+            assert list(g.terms()) == list((toric[a] * toric[b]).terms()), (a, b)
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    def test_unbuilt_products_keep_labels_and_order(self, kind):
+        built = groebner.candidate_basis(6, kind)
+        listed = groebner.candidate_basis(6, kind, build_products=False)
+        assert [label for label, _ in listed] == [label for label, _ in built]
+        for (label, g), (_, h) in zip(listed, built):
+            if label[0] == "product":
+                assert g is None
+            else:
+                assert g == h
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             delightful_check(5, "cubic", CircularTermOrder(5))
+
+
+def _count_products(monkeypatch):
+    """A one-item list counting polynomial-by-polynomial multiplications and
+    the product polynomials candidate_basis builds from now on."""
+    count = [0]
+    mul, build = Polynomial.__mul__, groebner._products
+
+    def counting_mul(self, other):
+        if isinstance(other, Polynomial):
+            count[0] += 1
+        return mul(self, other)
+
+    def counting_build(toric):
+        for g in build(toric):
+            count[0] += 1
+            yield g
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
+    monkeypatch.setattr(groebner, "_products", counting_build)
+    return count
+
+
+class TestDelightfulBuildsProductsOnlyForSPairs:
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_symbolic_without_spairs_multiplies_nothing(self, monkeypatch, n, inner):
+        order = CircularTermOrder(n, inner)
+        # The certificate of the basis with every product built.
+        with monkeypatch.context() as m:
+            _certify(m, groebner.candidate_basis(n, "symbolic-square"))
+            want = delightful_check(n, "symbolic-square", order)
+        count = _count_products(monkeypatch)
+        got = delightful_check(n, "symbolic-square", order)
+        assert count == [0]
+        assert got == want
+        assert got.passed
+
+    def test_spair_leg_builds_every_product(self, monkeypatch):
+        count = _count_products(monkeypatch)
+        cert = delightful_check(5, "symbolic-square", CircularTermOrder(5), with_buchberger=True)
+        assert cert.passed
+        assert count == [comb(len(toric_gb_polynomials(5)) + 1, 2)]
 
 
 def _check(cert, name):
@@ -622,7 +683,7 @@ def _families(basis):
 
 def _certify(monkeypatch, basis):
     """Make delightful_check certify `basis` in place of the candidate basis."""
-    monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind: list(basis))
+    monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind, **_: list(basis))
 
 
 class TestDelightfulNegativeControls:

@@ -19,12 +19,17 @@ from hypersecant import (
     in_toric_ideal,
     initial_edge_ideal,
     master_polynomial,
+    off_diagonal_minor,
     param_t,
     param_u,
+    secant_gb,
+    substitute_rank,
     symbolic_square_gb,
     symbolic_square_of_edge_ideal,
     toric_gb,
 )
+from hypersecant.hypersimplex import _pinned_vertex
+from hypersecant.poly import canonical_key
 from hypersecant.noncrossing import AdmissibleSequence
 
 from conftest import edges_for, monomial_strategy, reference_minimal_generators
@@ -160,6 +165,99 @@ class TestMembershipOracles:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             in_toric_ideal(4, Polynomial.variable(edge_var(1, 5)))
+
+
+# Masters and minors of the secant bases, the generators the rank-2 oracle
+# must accept, with degrees 3, 5 and 7.
+SECANT_GENERATORS = {n: secant_gb(n) for n in (5, 6, 7)}
+
+
+@st.composite
+def secant_sums(draw):
+    """(n, f): f = sum c*m*g over masters and minors g, homogeneous, n <= 7."""
+    n = draw(st.integers(5, 7))
+    gens = SECANT_GENERATORS[n]
+    degree = draw(st.integers(min(g.degree for g in gens), 7))
+    gens = [g for g in gens if g.degree <= degree]
+    edges = edges_for(n)
+    f = Polynomial.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.sampled_from(gens))
+        m = Monomial.from_edges(draw(st.lists(st.sampled_from(edges), min_size=degree - g.degree,
+                                              max_size=degree - g.degree)))
+        f = f + Polynomial.from_monomial(m, draw(st.integers(-3, 3).filter(bool))) * g
+    return n, f
+
+
+class TestPinnedRankTwoOracle:
+    """in_secant_ideal pins one vertex; the unpinned image is the reference."""
+
+    @given(secant_sums())
+    @settings(max_examples=150, deadline=None)
+    def test_members_agree_with_unpinned_image(self, case):
+        n, f = case
+        assert substitute_rank(f, 2).is_zero
+        assert in_secant_ideal(n, f)
+
+    @given(secant_sums(), st.sampled_from(["flip", "monomial", "binomial"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_broken_members_agree_with_unpinned_image(self, case, how, data):
+        n, f = case
+        degree = max(f.degree, 3)
+        draw_monomial = lambda d: Monomial.from_edges(
+            data.draw(st.lists(st.sampled_from(edges_for(n)), min_size=d, max_size=d))
+        )
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        if how == "flip" and not f.is_zero:
+            m = data.draw(st.sampled_from(sorted(f.monomials(), key=canonical_key)))
+            g = f - Polynomial.from_monomial(m, 2 * f.coefficient(m))
+        elif how == "binomial":
+            # A toric binomial vanishes on the rank-1 locus but not on the
+            # rank-2 one, so an oracle that dropped the u choices would accept g.
+            b = data.draw(st.sampled_from(toric_gb(n))).polynomial()
+            g = f + Polynomial.from_monomial(draw_monomial(degree - 2), c) * b
+        else:
+            g = f + Polynomial.from_monomial(draw_monomial(degree), c)
+        # The secant ideal is prime and holds no monomial and no toric
+        # binomial, so g lies outside it.
+        assert not substitute_rank(g, 2).is_zero
+        assert not in_secant_ideal(n, g)
+
+    def test_pinned_vertex_meets_every_term(self):
+        pentad = master_polynomial(PENTAD_SEQ)
+        f = Polynomial.variable(edge_var(3, 6)) * pentad
+        assert _pinned_vertex(f) == 3
+        assert all(any(3 in v[1:] for v in m.variables()) for m in f.monomials())
+        assert in_secant_ideal(6, f)
+        g = f + Polynomial.from_monomial(mono((3, 6), (3, 4), (1, 2), (1, 5), (2, 4), (5, 6)))
+        assert _pinned_vertex(g) == 3
+        assert not in_secant_ideal(6, g)
+        assert not substitute_rank(g, 2).is_zero
+
+    def test_tie_for_largest_degree_pins_smallest_label(self):
+        # Every vertex of a 3x3 minor meets each term once.
+        minor = off_diagonal_minor((2, 3, 5), (1, 6, 7))
+        assert _pinned_vertex(minor) == 1
+        assert in_secant_ideal(7, minor)
+        m = next(iter(minor.monomials()))
+        flipped = minor - Polynomial.from_monomial(m, 2 * minor.coefficient(m))
+        assert _pinned_vertex(flipped) == 1
+        assert not in_secant_ideal(7, flipped)
+        assert not substitute_rank(flipped, 2).is_zero
+
+    def test_zero_and_constant(self):
+        assert _pinned_vertex(Polynomial.zero()) is None
+        assert _pinned_vertex(Polynomial.constant(5)) is None
+        assert in_secant_ideal(5, Polynomial.zero()) == substitute_rank(Polynomial.zero(), 2).is_zero
+        c = Polynomial.constant(5)
+        assert not substitute_rank(c, 2).is_zero
+        assert not in_secant_ideal(5, c)
+
+    def test_toric_binomials_n6_are_toric_not_secant(self):
+        for g in toric_gb(6):
+            p = g.polynomial()
+            assert in_toric_ideal(6, p)
+            assert not in_secant_ideal(6, p)
 
 
 class TestMonomialIdeal:
