@@ -17,6 +17,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 
+from . import groebner
 from .fixtures import reproduce_reference_examples
 from .groebner import (
     GroebnerCertificate,
@@ -314,6 +315,14 @@ def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, na
     return f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n"
 
 
+def _check_threads(args: argparse.Namespace) -> str:
+    """Bound an explicit --threads by the usable CPUs: the fork pool starts
+    every worker up front."""
+    if args.threads is None:
+        return ""
+    return _check_bound(args, args.threads, groebner._usable_cpus(), "the usable CPUs", name="threads")
+
+
 def _max_len(args: argparse.Namespace, n: int) -> tuple[int, str]:
     """--max-len (default: the odd floor of n) and the warning for passing that floor."""
     max_len = args.max_len if args.max_len is not None else odd_floor(n)
@@ -501,6 +510,7 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     kind = _kind(args)
     n = _need_n(args, 3 if kind == "toric" else 4)
     warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
+    warn += _check_threads(args)
     if kind == "toric":
         gens = toric_gb_polynomials(n)
     elif kind == "secant":
@@ -508,7 +518,7 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     else:
         gens = symbolic_square_gb(n)
     order = CircularTermOrder(n, args.inner)
-    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads or 1)
+    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads)
     return _certificate_result(args, cert, warn)
 
 
@@ -519,8 +529,9 @@ def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
     n = _need_n(args, 4)
     bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
     warn = _check_bound(args, n, bound, f"delightful {kind}")
+    warn += _check_threads(args)
     order = CircularTermOrder(n, args.inner)
-    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads or 1)
+    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
     return _certificate_result(args, cert, warn)
 
 
@@ -602,9 +613,12 @@ def _add_sequence_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--j", type=_parse_index_list, default=None, dest="j_vals")
 
 
-def _add_threads_flag(p: argparse.ArgumentParser, help: str) -> None:
-    # Default None, so that a --threads the command will not read is seen.
-    p.add_argument("--threads", type=_parse_threads, default=None, help=help)
+def _add_threads_flag(p: argparse.ArgumentParser, what: str) -> None:
+    # Default None: the sweep derives the count, and a --threads the command
+    # will not read is seen.
+    p.add_argument("--threads", type=_parse_threads, default=None,
+                   help=f"worker processes for the {what}, at most the usable CPUs; by default one "
+                   f"per {groebner._PAIRS_PER_WORKER} S-pairs, up to the usable CPUs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,11 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sequence_flags(_add_command(vsub, name, _cmd_verify_sequences))
     p = _add_command(vsub, "buchberger", _cmd_verify_buchberger)
     p.add_argument("--kind", choices=("toric", "secant", "symbolic"), default="toric")
-    _add_threads_flag(p, "worker processes for the S-pair sweep (default 1)")
+    _add_threads_flag(p, "S-pair sweep")
     p = _add_command(vsub, "delightful", _cmd_verify_delightful)
     p.add_argument("--kind", choices=("secant", "symbolic"), default="secant")
     p.add_argument("--buchberger", action="store_true", dest="with_buchberger")
-    _add_threads_flag(p, "worker processes for the S-pair leg (default 1); needs --buchberger")
+    _add_threads_flag(p, "S-pair leg (needs --buchberger)")
 
     _add_command(sub, "reproduce", _cmd_reproduce, n=False, order=False, bounded=False)
     return parser

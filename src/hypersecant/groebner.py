@@ -10,6 +10,7 @@ asserted, not assumed.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -101,9 +102,26 @@ class GroebnerCertificate:
 # is resolved from the block tables on every lookup.
 _FRONT_MEMO_CAP = 1 << 15
 
+# A derived worker count gives each worker at least this many S-pairs.
+# Starting a pool costs 5-15 ms, more than a serial sweep of toric n = 7
+# (2,415 S-pairs, 6 ms), so toric n <= 7, secant n <= 6 and symbolic n <= 5
+# sweep serially, and secant n = 7 (6,328) and symbolic n = 6 use the pool.
+_PAIRS_PER_WORKER = 2048
+
 
 class _Overflow(Exception):
     """A term outgrew the degree limit of its packing; redo with wider fields."""
+
+
+def _unit_lead(terms) -> tuple[int, int]:
+    """The leading (packed monomial, coefficient) of a reducer's packed terms,
+    checked to be a unit."""
+    if not terms:
+        raise ValueError("reducers must be nonzero")
+    lt, ltc = max(terms)
+    if ltc not in (1, -1):
+        raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
+    return lt, ltc
 
 
 class _Divider:
@@ -130,11 +148,7 @@ class _Divider:
         self.packing = packing
         self.lts, self.tails, self.grows, self.supports = [], [], [], []
         for terms in gens:
-            if not terms:
-                raise ValueError("reducers must be nonzero")
-            lt, ltc = max(terms)
-            if ltc not in (1, -1):
-                raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
+            lt, ltc = _unit_lead(terms)
             self.lts.append(lt)
             self.tails.append([(-p, -ltc * c) for p, c in terms if p != lt])
             # How far one rewrite by this reducer can raise a term's degree.
@@ -326,22 +340,50 @@ def _worker_chunk(pairs):
     return _WORKER_CTX["divider"].verify_pairs(pairs)
 
 
-def _sweep(divider: _Divider, gens, pairs, order: CircularTermOrder, threads: int):
-    """Per-chunk (failures, skipped, reduced, max_terms), in pair order."""
-    if threads <= 1 or len(pairs) <= 64:
-        return [divider.verify_pairs(pairs)]
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, e.g. on macOS
+        return os.cpu_count() or 1
+
+
+def _workers(pairs: int, threads: int | None) -> int:
+    """Worker processes for a sweep of `pairs` S-pairs; 1 means serial.
+
+    threads=None derives the count: one worker per _PAIRS_PER_WORKER pairs,
+    at most one per usable CPU.  An explicit count is used as given once the
+    sweep has more than 64 pairs.
+    """
+    if threads is None:
+        return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER))
+    return threads if pairs > 64 else 1
+
+
+def _sweep(packing: _Packing, gens, pairs, order: CircularTermOrder, threads: int | None):
+    """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
+
+    Serially, one divider reduces every pair.  On a pool, each worker builds
+    its own divider, so the parent only checks the reducers: a ValueError
+    raised in a worker's initializer would surface as BrokenProcessPool.
+    """
+    workers = _workers(len(pairs), threads)
+    if workers <= 1:
+        return [_Divider(packing, gens).verify_pairs(pairs)]
+    for terms in gens:
+        _unit_lead(terms)
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    step = -(-len(pairs) // (threads * 4))
+    step = -(-len(pairs) // (workers * 4))
     chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
     # Not multiprocessing.Pool: its map waits forever on a chunk whose worker
     # died, where the executor raises BrokenProcessPool.
     with ProcessPoolExecutor(
-        max_workers=threads,
+        max_workers=workers,
         mp_context=mp.get_context("fork"),
         initializer=_worker_init,
-        initargs=(order, divider.packing.bits, gens),
+        initargs=(order, packing.bits, gens),
     ) as pool:
         return list(pool.map(_worker_chunk, chunks))
 
@@ -351,22 +393,24 @@ def buchberger_verify(
     order: CircularTermOrder,
     n: int | None = None,
     kind: str | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GroebnerCertificate:
     """Certify that every S-pair of G reduces to zero modulo G.
 
     Pairs with coprime leading terms are skipped (they reduce to zero by the
     product criterion) and counted in the statistics.  Failures carry the
-    offending pair and its nonzero remainder as a witness.  With threads > 1
-    the pair list is partitioned over a process pool; aggregation order is
-    fixed, so the certificate is identical to the serial one.
+    offending pair and its nonzero remainder as a witness.  The pair list may
+    be partitioned over a fork pool: by default (threads=None) with one
+    worker per _PAIRS_PER_WORKER pairs, up to the usable CPUs, so a small
+    sweep runs serially; with an explicit threads=T > 1 on T workers once
+    there are more than 64 pairs.  Aggregation order is fixed, so the
+    certificate is identical to the serial one.
     """
     G = list(G)
     pairs = list(combinations(range(len(G)), 2))
 
     def run(packing):
-        gens = [_packed_terms(g, packing) for g in G]
-        return _sweep(_Divider(packing, gens), gens, pairs, order, threads)
+        return _sweep(packing, [_packed_terms(g, packing) for g in G], pairs, order, threads)
 
     started = time.perf_counter()
     # An S-polynomial term has degree at most deg LT(g_j) + deg g_i.
@@ -561,7 +605,7 @@ def delightful_check(
     kind: str,
     order: CircularTermOrder,
     with_buchberger: bool = False,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> GroebnerCertificate:
     """Full certification that the candidate basis cuts out the right ideal.
 
@@ -577,7 +621,9 @@ def delightful_check(
     list index and family: a master by its sequence (k, i, j), a minor by its
     split (rows, cols), a product by the indices (a, b) of its toric factors.
     Legs (a) and (b) read a product only through its label ("product", a, b),
-    so product polynomials are built only for leg (c).
+    so product polynomials are built only for leg (c).  Leg (c) is
+    buchberger_verify, and `threads` means what it means there: None derives
+    the worker count from the usable CPUs and the number of S-pairs.
     """
     basis = candidate_basis(n, kind, build_products=with_buchberger)
     graph = build_graph(n)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hypersecant.cli as cli
-from hypersecant import GroebnerCertificate, Polynomial, parse_polynomial
+from hypersecant import GroebnerCertificate, Polynomial, groebner, parse_polynomial
 from hypersecant.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -29,6 +29,12 @@ SRC = str(ROOT / "src")
 
 def invoke(*argv):
     return run(build_parser().parse_args(list(argv)))
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so an explicit --threads 2 is within its bound on any host."""
+    monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
 
 
 class TestCommands:
@@ -131,7 +137,7 @@ class TestVerify:
         assert payload["spairs"]["count"] == 45
         assert "wall" not in json.dumps(payload)
 
-    def test_buchberger_threads(self):
+    def test_buchberger_threads(self, two_cpus):
         res = invoke("verify", "buchberger", "--n", "5", "--kind", "toric", "--threads", "2")
         assert res.code == EXIT_OK
 
@@ -142,11 +148,13 @@ class TestVerify:
         assert "CITED" in res.stdout
 
     @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_delightful_threads_need_buchberger(self, threads, capsys):
+    def test_delightful_threads_need_buchberger(self, threads, two_cpus, capsys):
+        # Checked before the CPU bound, which 4 also exceeds.
         assert main(["verify", "delightful", "--n", "5", "--threads", threads]) == EXIT_USAGE
-        assert "--buchberger" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--buchberger" in err and "threads=" not in err
 
-    def test_delightful_buchberger_threads(self):
+    def test_delightful_buchberger_threads(self, two_cpus):
         res = invoke("verify", "delightful", "--n", "5", "--buchberger", "--threads", "2")
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
@@ -264,6 +272,19 @@ class TestBoundsAndExitCodes:
         assert main(["verify", "delightful", "--n", "8", "--kind", "secant", "--buchberger"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "buchberger", "--n", "5", "--threads", "3"],
+        ["verify", "delightful", "--n", "5", "--buchberger", "--threads", "3"],
+    ])
+    def test_threads_bounded_by_usable_cpus(self, argv, two_cpus, capsys):
+        # At n = 5 both sweeps have at most 64 S-pairs, so nothing forks.
+        assert main(argv) == EXIT_USAGE
+        assert "threads=3 exceeds the desk-scale bound 2" in capsys.readouterr().err
+        res = invoke(*argv, "--allow-large")
+        assert res.code == EXIT_OK
+        assert res.stderr.startswith("warning: threads=3 exceeds the desk-scale bound 2")
+        assert res.stdout == invoke(*argv[:-2]).stdout
+
+    @pytest.mark.parametrize("argv", [
         ["verify", "membership", "--n", "5", "--all"],
         ["toric-gb", "--n", "4", "--threads", "2"],
         ["reproduce", "--format", "algebra-script"],
@@ -289,7 +310,7 @@ class TestDeterminism:
             assert a.stdout == b.stdout
             assert a.code == b.code
 
-    def test_threads_do_not_change_output(self):
+    def test_threads_do_not_change_output(self, two_cpus):
         base = invoke("verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json")
         threaded = invoke(
             "verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json",
@@ -510,6 +531,7 @@ def test_dead_pool_worker_is_internal_error():
         "def die(pairs):\n"
         "    os._exit(1)\n"
         "groebner._worker_chunk = die\n"
+        "groebner._usable_cpus = lambda: 2\n"
         "sys.exit(cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2']))\n"
     )
     proc = subprocess.run(

@@ -411,6 +411,90 @@ class TestBuchbergerVerify:
         assert (proc.returncode, proc.stdout) == (0, "broken\n")
 
 
+class TestWorkerCount:
+    """How many pool workers a sweep uses: derived from the usable CPUs and
+    the pair count when threads is None, as given otherwise."""
+
+    @pytest.mark.parametrize("cpus,pairs,workers", [
+        (1, 110215, 1),  # symbolic n = 6
+        (2, 136, 1),  # secant n = 6
+        (2, 1485, 1),  # symbolic n = 5
+        (2, 2415, 1),  # toric n = 7
+        (2, 6328, 2),  # secant n = 7
+        (2, 110215, 2),
+        (64, 6328, 6328 // groebner._PAIRS_PER_WORKER),
+        (64, 110215, 110215 // groebner._PAIRS_PER_WORKER),
+        (64, 10, 1),
+    ])
+    def test_derived_count(self, cpus, pairs, workers, monkeypatch):
+        monkeypatch.setattr(groebner, "_usable_cpus", lambda: cpus)
+        assert groebner._workers(pairs, None) == workers
+
+    @pytest.mark.parametrize("threads,pairs,workers", [
+        (2, 136, 2), (2, 65, 2), (2, 64, 1), (5, 6328, 5), (1, 110215, 1),
+    ])
+    def test_explicit_count_needs_more_than_64_pairs(self, threads, pairs, workers, monkeypatch):
+        monkeypatch.setattr(groebner, "_usable_cpus", lambda: 1)
+        assert groebner._workers(pairs, threads) == workers
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(groebner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(groebner.os, "cpu_count", lambda: None)
+        assert groebner._usable_cpus() == 1
+        monkeypatch.setattr(groebner.os, "cpu_count", lambda: 3)
+        assert groebner._usable_cpus() == 3
+
+    @staticmethod
+    def _forbid_pool(monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def test_small_sweeps_start_no_pool(self, monkeypatch):
+        # Serial however many CPUs there are: each has fewer pairs than two
+        # workers' worth.
+        monkeypatch.setattr(groebner, "_usable_cpus", lambda: 64)
+        self._forbid_pool(monkeypatch)
+        for gens, n in ((toric_gb_polynomials(7), 7), (secant_gb(6), 6), (symbolic_square_gb(5), 5)):
+            order = CircularTermOrder(n)
+            assert buchberger_verify(gens, order).passed
+        assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
+
+    def test_pool_rejects_non_unit_reducer_before_forking(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
+        order = CircularTermOrder(6)
+        gens = list(secant_gb(6))
+        gens[-1] = gens[-1] * 2
+        with pytest.raises(ValueError):
+            buchberger_verify(gens, order, threads=2)
+
+    def test_derived_pool_matches_serial_secant_n7(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
+        gens = secant_gb(7)
+        for order in both_inner_orders(7):
+            derived = buchberger_verify(gens, order, n=7, kind="secant")
+            serial = buchberger_verify(gens, order, n=7, kind="secant", threads=1)
+            assert derived.passed
+            assert stats_tuple(derived) == stats_tuple(serial)
+            assert dataclasses.replace(derived, spair_stats=None) == dataclasses.replace(
+                serial, spair_stats=None
+            )
+        assert started == [2, 2]
+
+
 class TestDivisorIndex:
     """The first-divisor index of the S-pair engine: per-block tables behind
     a front memo of exact supports, capped at groebner._FRONT_MEMO_CAP."""
