@@ -28,7 +28,6 @@ from .hypersimplex import (
     crosses,
     in_secant_ideal,
     in_toric_ideal,
-    initial_edge_ideal,
     toric_gb,
     toric_gb_polynomials,
 )
@@ -40,6 +39,7 @@ from .noncrossing import (
     build_graph,
     cycle_monomial,
     induced_odd_cycles,
+    initial_edge_ideal,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )

@@ -26,7 +26,7 @@ from .groebner import (
     secant_gb,
     symbolic_square_gb,
 )
-from .hypersimplex import BinomialGenerator, MonomialIdeal, initial_edge_ideal, toric_gb, toric_gb_polynomials
+from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb, toric_gb_polynomials
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
@@ -34,6 +34,7 @@ from .noncrossing import (
     all_admissible_sequences,
     build_graph,
     induced_odd_cycles,
+    initial_edge_ideal,
     odd_floor,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
@@ -315,14 +316,6 @@ def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, na
     return f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n"
 
 
-def _check_threads(args: argparse.Namespace) -> str:
-    """Bound an explicit --threads by the usable CPUs: the fork pool starts
-    every worker up front."""
-    if args.threads is None:
-        return ""
-    return _check_bound(args, args.threads, groebner._usable_cpus(), "the usable CPUs", name="threads")
-
-
 def _max_len(args: argparse.Namespace, n: int) -> tuple[int, str]:
     """--max-len (default: the odd floor of n) and the warning for passing that floor."""
     max_len = args.max_len if args.max_len is not None else odd_floor(n)
@@ -510,7 +503,6 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     kind = _kind(args)
     n = _need_n(args, 3 if kind == "toric" else 4)
     warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
-    warn += _check_threads(args)
     if kind == "toric":
         gens = toric_gb_polynomials(n)
     elif kind == "secant":
@@ -529,7 +521,6 @@ def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
     n = _need_n(args, 4)
     bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
     warn = _check_bound(args, n, bound, f"delightful {kind}")
-    warn += _check_threads(args)
     order = CircularTermOrder(n, args.inner)
     cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
     return _certificate_result(args, cert, warn)
@@ -617,7 +608,7 @@ def _add_threads_flag(p: argparse.ArgumentParser, what: str) -> None:
     # Default None: the sweep derives the count, and a --threads the command
     # will not read is seen.
     p.add_argument("--threads", type=_parse_threads, default=None,
-                   help=f"worker processes for the {what}, at most the usable CPUs; by default one "
+                   help=f"at most this many worker processes for the {what}, which runs one "
                    f"per {groebner._PAIRS_PER_WORKER} S-pairs, up to the usable CPUs")
 
 

@@ -21,13 +21,13 @@ from .hypersimplex import (
     MonomialIdeal,
     in_secant_ideal,
     in_toric_ideal,
-    initial_edge_ideal,
     toric_gb_polynomials,
 )
 from .noncrossing import (
     admissible_sequences,
     all_admissible_sequences,
     build_graph,
+    initial_edge_ideal,
     odd_floor,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
@@ -113,17 +113,6 @@ class _Overflow(Exception):
     """A term outgrew the degree limit of its packing; redo with wider fields."""
 
 
-def _unit_lead(terms) -> tuple[int, int]:
-    """The leading (packed monomial, coefficient) of a reducer's packed terms,
-    checked to be a unit."""
-    if not terms:
-        raise ValueError("reducers must be nonzero")
-    lt, ltc = max(terms)
-    if ltc not in (1, -1):
-        raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
-    return lt, ltc
-
-
 class _Divider:
     """Packed reducers in list order, with full division and the S-pair sweep.
 
@@ -148,7 +137,11 @@ class _Divider:
         self.packing = packing
         self.lts, self.tails, self.grows, self.supports = [], [], [], []
         for terms in gens:
-            lt, ltc = _unit_lead(terms)
+            if not terms:
+                raise ValueError("reducers must be nonzero")
+            lt, ltc = max(terms)
+            if ltc not in (1, -1):
+                raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
             self.lts.append(lt)
             self.tails.append([(-p, -ltc * c) for p, c in terms if p != lt])
             # How far one rewrite by this reducer can raise a term's degree.
@@ -332,8 +325,8 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> 
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(order, bits, gens):
-    _WORKER_CTX["divider"] = _Divider(order.packing(bits), gens)
+def _worker_init(divider):
+    _WORKER_CTX["divider"] = divider
 
 
 def _worker_chunk(pairs):
@@ -351,27 +344,23 @@ def _usable_cpus() -> int:
 def _workers(pairs: int, threads: int | None) -> int:
     """Worker processes for a sweep of `pairs` S-pairs; 1 means serial.
 
-    threads=None derives the count: one worker per _PAIRS_PER_WORKER pairs,
-    at most one per usable CPU.  An explicit count is used as given once the
-    sweep has more than 64 pairs.
+    One worker per _PAIRS_PER_WORKER pairs, at most one per usable CPU and at
+    most `threads`; threads=None sets no cap of its own.
     """
-    if threads is None:
-        return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER))
-    return threads if pairs > 64 else 1
+    return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER, threads or pairs))
 
 
-def _sweep(packing: _Packing, gens, pairs, order: CircularTermOrder, threads: int | None):
+def _sweep(packing: _Packing, gens, pairs, threads: int | None):
     """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
 
-    Serially, one divider reduces every pair.  On a pool, each worker builds
-    its own divider, so the parent only checks the reducers: a ValueError
-    raised in a worker's initializer would surface as BrokenProcessPool.
+    The parent builds the one divider, which checks every reducer, before it
+    starts any worker.  A serial sweep reduces every pair with it; forked
+    workers inherit it, unpickled, through the pool's initializer.
     """
+    divider = _Divider(packing, gens)
     workers = _workers(len(pairs), threads)
     if workers <= 1:
-        return [_Divider(packing, gens).verify_pairs(pairs)]
-    for terms in gens:
-        _unit_lead(terms)
+        return [divider.verify_pairs(pairs)]
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
@@ -383,7 +372,7 @@ def _sweep(packing: _Packing, gens, pairs, order: CircularTermOrder, threads: in
         max_workers=workers,
         mp_context=mp.get_context("fork"),
         initializer=_worker_init,
-        initargs=(order, packing.bits, gens),
+        initargs=(divider,),
     ) as pool:
         return list(pool.map(_worker_chunk, chunks))
 
@@ -400,17 +389,16 @@ def buchberger_verify(
     Pairs with coprime leading terms are skipped (they reduce to zero by the
     product criterion) and counted in the statistics.  Failures carry the
     offending pair and its nonzero remainder as a witness.  The pair list may
-    be partitioned over a fork pool: by default (threads=None) with one
-    worker per _PAIRS_PER_WORKER pairs, up to the usable CPUs, so a small
-    sweep runs serially; with an explicit threads=T > 1 on T workers once
-    there are more than 64 pairs.  Aggregation order is fixed, so the
+    be partitioned over a fork pool of one worker per _PAIRS_PER_WORKER
+    pairs, at most one per usable CPU and, given threads=T, at most T, so a
+    small sweep runs serially.  Aggregation order is fixed, so the
     certificate is identical to the serial one.
     """
     G = list(G)
     pairs = list(combinations(range(len(G)), 2))
 
     def run(packing):
-        return _sweep(packing, [_packed_terms(g, packing) for g in G], pairs, order, threads)
+        return _sweep(packing, [_packed_terms(g, packing) for g in G], pairs, threads)
 
     started = time.perf_counter()
     # An S-polynomial term has degree at most deg LT(g_j) + deg g_i.
@@ -622,8 +610,9 @@ def delightful_check(
     split (rows, cols), a product by the indices (a, b) of its toric factors.
     Legs (a) and (b) read a product only through its label ("product", a, b),
     so product polynomials are built only for leg (c).  Leg (c) is
-    buchberger_verify, and `threads` means what it means there: None derives
-    the worker count from the usable CPUs and the number of S-pairs.
+    buchberger_verify, and `threads` means what it means there: the most
+    worker processes the sweep may use, None for no cap beyond the usable
+    CPUs and the number of S-pairs.
     """
     basis = candidate_basis(n, kind, build_products=with_buchberger)
     graph = build_graph(n)

@@ -163,18 +163,6 @@ def _meets(m: Monomial, heavies: list[tuple]) -> bool:
     return False
 
 
-def initial_edge_ideal(n: int) -> MonomialIdeal:
-    """The ideal of all noncrossing chord pairs, i.e. the toric initial ideal."""
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"need n >= 3, got {n!r}")
-    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    gens = []
-    for e, f in combinations(edges, 2):
-        if not crosses(n, e, f):
-            gens.append(Monomial.from_edges([e, f]))
-    return MonomialIdeal(gens)
-
-
 def _validate_ambient(n: int, p: Polynomial) -> None:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"need n >= 3, got {n!r}")

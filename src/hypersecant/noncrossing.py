@@ -95,6 +95,12 @@ def build_graph(n: int) -> NoncrossingGraph:
     return NoncrossingGraph(n)
 
 
+def initial_edge_ideal(n: int) -> MonomialIdeal:
+    """The ideal of all noncrossing chord pairs, i.e. the toric initial ideal:
+    one generator per edge of the noncrossing graph.  Needs n >= 3."""
+    return MonomialIdeal(Monomial.from_edges(p) for p in NoncrossingGraph(n).adjacency_pairs())
+
+
 def odd_floor(n: int) -> int:
     """Length of the longest odd cycle on n vertices."""
     return n if n % 2 else n - 1

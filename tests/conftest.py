@@ -267,6 +267,31 @@ def graph6():
     return build_graph(6)
 
 
+@pytest.fixture
+def pool_of_two(monkeypatch):
+    """A sweep of two or more S-pairs runs on a fork pool of two workers: two
+    usable CPUs, one S-pair per worker.  Returns the max_workers of every pool
+    started, in order.  A pool of more than two workers is refused before it
+    starts a process."""
+    import concurrent.futures
+
+    from hypersecant import groebner
+
+    started = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            if max_workers is None or max_workers > 2:
+                raise AssertionError(f"a pool of {max_workers} workers was asked for")
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(groebner, "_PAIRS_PER_WORKER", 1)
+    return started
+
+
 # The generator arrays of JSON output as nested lists and dicts, laid out by
 # json.dumps(..., indent=2): the independent oracle for the CLI's text renderer.
 

@@ -33,7 +33,7 @@ def invoke(*argv):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two usable CPUs, so an explicit --threads 2 is within its bound on any host."""
+    """Two usable CPUs, whatever the host has."""
     monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
 
 
@@ -137,7 +137,7 @@ class TestVerify:
         assert payload["spairs"]["count"] == 45
         assert "wall" not in json.dumps(payload)
 
-    def test_buchberger_threads(self, two_cpus):
+    def test_buchberger_threads(self):
         res = invoke("verify", "buchberger", "--n", "5", "--kind", "toric", "--threads", "2")
         assert res.code == EXIT_OK
 
@@ -148,13 +148,11 @@ class TestVerify:
         assert "CITED" in res.stdout
 
     @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_delightful_threads_need_buchberger(self, threads, two_cpus, capsys):
-        # Checked before the CPU bound, which 4 also exceeds.
+    def test_delightful_threads_need_buchberger(self, threads, capsys):
         assert main(["verify", "delightful", "--n", "5", "--threads", threads]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "--buchberger" in err and "threads=" not in err
+        assert "--buchberger" in capsys.readouterr().err
 
-    def test_delightful_buchberger_threads(self, two_cpus):
+    def test_delightful_buchberger_threads(self):
         res = invoke("verify", "delightful", "--n", "5", "--buchberger", "--threads", "2")
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
@@ -275,14 +273,15 @@ class TestBoundsAndExitCodes:
         ["verify", "buchberger", "--n", "5", "--threads", "3"],
         ["verify", "delightful", "--n", "5", "--buchberger", "--threads", "3"],
     ])
-    def test_threads_bounded_by_usable_cpus(self, argv, two_cpus, capsys):
-        # At n = 5 both sweeps have at most 64 S-pairs, so nothing forks.
-        assert main(argv) == EXIT_USAGE
-        assert "threads=3 exceeds the desk-scale bound 2" in capsys.readouterr().err
-        res = invoke(*argv, "--allow-large")
-        assert res.code == EXIT_OK
-        assert res.stderr.startswith("warning: threads=3 exceeds the desk-scale bound 2")
-        assert res.stdout == invoke(*argv[:-2]).stdout
+    def test_threads_past_usable_cpus_only_cap(self, argv, two_cpus):
+        # --threads caps the derived count and has no bound of its own; at
+        # n = 5 each sweep has too few S-pairs for a second worker.
+        serial = invoke(*argv[:-2]).stdout
+        for extra in ((), ("--allow-large",)):
+            res = invoke(*argv, *extra)
+            assert res.code == EXIT_OK
+            assert "warning" not in res.stderr
+            assert res.stdout == serial
 
     @pytest.mark.parametrize("argv", [
         ["verify", "membership", "--n", "5", "--all"],
@@ -310,13 +309,12 @@ class TestDeterminism:
             assert a.stdout == b.stdout
             assert a.code == b.code
 
-    def test_threads_do_not_change_output(self, two_cpus):
-        base = invoke("verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json")
-        threaded = invoke(
-            "verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json",
-            "--threads", "2",
-        )
+    def test_threads_do_not_change_output(self, pool_of_two):
+        argv = ("verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json")
+        base = invoke(*argv, "--threads", "1")
+        threaded = invoke(*argv, "--threads", "2")
         assert base.stdout == threaded.stdout
+        assert pool_of_two == [2]
 
     def test_output_flag_writes_file(self, tmp_path):
         target = tmp_path / "out.json"
@@ -523,6 +521,13 @@ def test_secant_n7_spair_sweep_matches_reference_digest(inner):
     assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
 
 
+def test_threads_never_start_more_workers_than_usable_cpus(pool_of_two):
+    argv = ["verify", "buchberger", "--n", "7", "--kind", "secant", "--allow-large"]
+    argv += ["--format", "json", "--order", "inner=grevlex"]
+    assert _stdout_digest(argv + ["--threads", "100000"]) == REFERENCE_DIGESTS[" ".join(argv)]
+    assert pool_of_two == [2]
+
+
 def test_dead_pool_worker_is_internal_error():
     """A pool worker that dies makes the command exit 3, in bounded time."""
     script = (
@@ -532,6 +537,7 @@ def test_dead_pool_worker_is_internal_error():
         "    os._exit(1)\n"
         "groebner._worker_chunk = die\n"
         "groebner._usable_cpus = lambda: 2\n"
+        "groebner._PAIRS_PER_WORKER = 1\n"
         "sys.exit(cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2']))\n"
     )
     proc = subprocess.run(

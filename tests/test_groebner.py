@@ -336,8 +336,7 @@ class TestBuchbergerVerify:
             assert witness[0]["remainder"] == first[order.inner]
             assert witness[-1]["remainder"] == "+1*x[4,5] -1*x[3,6]"
 
-    def test_threads_match_serial(self):
-        # Every basis has more than 64 pairs, so threads=2 runs the pool.
+    def test_threads_match_serial(self, pool_of_two):
         for gens, n in (
             (secant_gb(6), 6),
             (symbolic_square_gb(5), 5),
@@ -351,6 +350,9 @@ class TestBuchbergerVerify:
                 assert dataclasses.replace(parallel, spair_stats=None) == dataclasses.replace(
                     serial, spair_stats=None
                 )
+        # One pool per parallel sweep, and one more per order for the
+        # degree-growing basis, whose first packing overflows in a worker.
+        assert pool_of_two == [2] * 10
 
     @staticmethod
     def _family_member(family):
@@ -369,7 +371,7 @@ class TestBuchbergerVerify:
         return 6, gens, len(gens) - 1
 
     @pytest.mark.parametrize("family", ["master", "minor", "product"])
-    def test_flipped_coefficient_fails_spairs(self, family):
+    def test_flipped_coefficient_fails_spairs(self, family, pool_of_two):
         # Negating a non-leading coefficient keeps every leading term, so the
         # pair criteria are unchanged and only the S-pair reductions can fail.
         n, gens, index = self._family_member(family)
@@ -385,6 +387,7 @@ class TestBuchbergerVerify:
             assert any(index in w["pair"] for w in check.witness)
             parallel = buchberger_verify(mutated, order, threads=2)
             assert parallel.checks[0].witness == check.witness
+        assert pool_of_two == [2, 2]
 
     def test_dead_worker_raises_instead_of_hanging(self):
         """A pool worker that dies raises BrokenProcessPool, in bounded time."""
@@ -395,6 +398,8 @@ class TestBuchbergerVerify:
             "def die(pairs):\n"
             "    os._exit(1)\n"
             "groebner._worker_chunk = die\n"
+            "groebner._usable_cpus = lambda: 2\n"
+            "groebner._PAIRS_PER_WORKER = 1\n"
             "try:\n"
             "    groebner.buchberger_verify(groebner.secant_gb(6), CircularTermOrder(6), threads=2)\n"
             "except BrokenProcessPool:\n"
@@ -413,7 +418,7 @@ class TestBuchbergerVerify:
 
 class TestWorkerCount:
     """How many pool workers a sweep uses: derived from the usable CPUs and
-    the pair count when threads is None, as given otherwise."""
+    the pair count, and capped by threads when it is given."""
 
     @pytest.mark.parametrize("cpus,pairs,workers", [
         (1, 110215, 1),  # symbolic n = 6
@@ -430,11 +435,16 @@ class TestWorkerCount:
         monkeypatch.setattr(groebner, "_usable_cpus", lambda: cpus)
         assert groebner._workers(pairs, None) == workers
 
-    @pytest.mark.parametrize("threads,pairs,workers", [
-        (2, 136, 2), (2, 65, 2), (2, 64, 1), (5, 6328, 5), (1, 110215, 1),
+    @pytest.mark.parametrize("cpus,pairs,threads,workers", [
+        (2, 110215, 1, 1),
+        (2, 110215, 8, 2),
+        (1, 110215, 2, 1),
+        (64, 110215, 100000, 110215 // groebner._PAIRS_PER_WORKER),
+        (64, 6328, 2, 2),
+        (2, 136, 2, 1),
     ])
-    def test_explicit_count_needs_more_than_64_pairs(self, threads, pairs, workers, monkeypatch):
-        monkeypatch.setattr(groebner, "_usable_cpus", lambda: 1)
+    def test_threads_cap_the_derived_count(self, cpus, pairs, threads, workers, monkeypatch):
+        monkeypatch.setattr(groebner, "_usable_cpus", lambda: cpus)
         assert groebner._workers(pairs, threads) == workers
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
@@ -463,7 +473,7 @@ class TestWorkerCount:
             assert buchberger_verify(gens, order).passed
         assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
 
-    def test_pool_rejects_non_unit_reducer_before_forking(self, monkeypatch):
+    def test_pool_rejects_non_unit_reducer_before_forking(self, pool_of_two, monkeypatch):
         self._forbid_pool(monkeypatch)
         order = CircularTermOrder(6)
         gens = list(secant_gb(6))
@@ -471,18 +481,7 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             buchberger_verify(gens, order, threads=2)
 
-    def test_derived_pool_matches_serial_secant_n7(self, monkeypatch):
-        import concurrent.futures
-
-        started = []
-
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
+    def test_derived_pool_matches_serial_secant_n7(self, pool_of_two):
         gens = secant_gb(7)
         for order in both_inner_orders(7):
             derived = buchberger_verify(gens, order, n=7, kind="secant")
@@ -492,7 +491,7 @@ class TestWorkerCount:
             assert dataclasses.replace(derived, spair_stats=None) == dataclasses.replace(
                 serial, spair_stats=None
             )
-        assert started == [2, 2]
+        assert pool_of_two == [2, 2]
 
 
 class TestDivisorIndex:

@@ -133,6 +133,17 @@ class TestInitialEdgeIdeal:
     def test_n3_empty(self):
         assert initial_edge_ideal(3).is_empty
 
+    def test_matches_crossing_enumeration(self):
+        # Oracle: every unordered chord pair that does not cross.
+        for n in range(3, 10):
+            pairs = itertools.combinations(edges_for(n), 2)
+            assert initial_edge_ideal(n) == MonomialIdeal(mono(e, f) for e, f in pairs if not crosses(n, e, f))
+
+    @pytest.mark.parametrize("n", [2, 0, "4"])
+    def test_rejects_n_below_3(self, n):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            initial_edge_ideal(n)
+
     def test_matches_toric_leads(self):
         for n in range(3, 10):
             leads = MonomialIdeal(g.lead for g in toric_gb(n))
