@@ -16,12 +16,14 @@ import sys
 import tempfile
 import traceback
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import groebner
 from .fixtures import reproduce_reference_examples
 from .groebner import (
     GroebnerCertificate,
     buchberger_verify,
+    candidate_basis,
     delightful_check,
     secant_gb,
     symbolic_square_gb,
@@ -68,9 +70,23 @@ class UsageError(Exception):
 
 @dataclass
 class RunResult:
+    """Exit code, stdout payload and stderr text of one command.
+
+    The payload is a str or an iterable of text chunks, one generator per
+    chunk for generator lists, that renders as it is read; main writes each
+    chunk as it comes, so the whole document is never held.
+    """
+
     code: int
-    stdout: str = ""
+    payload: Iterable[str] | str = ""
     stderr: str = ""
+
+    @property
+    def stdout(self) -> str:
+        """The whole payload as one string, rendered on first use and kept."""
+        if not isinstance(self.payload, str):
+            self.payload = "".join(self.payload)
+        return self.payload
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +200,24 @@ class _JsonText:
         ]
         return _json_object([("terms", _json_list(terms, depth + 1))], depth)
 
-    def array(self, items, render) -> str:
-        """A list of generators as the value of a top-level key, each item
-        rendered by render(item, depth)."""
-        return _json_list([render(g, 2) for g in items], 1)
+    def array(self, items, render) -> Iterator[str]:
+        """A list of generators as the value of a top-level key: one chunk
+        per item, render(item, 2) led by its separator, then the bracket."""
+        lead = "["
+        for g in items:
+            yield lead + "\n    " + render(g, 2)
+            lead = ","
+        yield "[]" if lead == "[" else "\n  ]"
 
 
-def _json_document(header: dict, key: str, value: str) -> str:
-    """json.dumps({**header, key: ...}, indent=2) and a newline, where value
-    is the last key's value already rendered at depth 1."""
+def _json_document(header: dict, key: str, chunks: Iterable[str]) -> Iterator[str]:
+    """json.dumps({**header, key: ...}, indent=2) and a newline, in chunks:
+    the header, then the given chunks of the last key's value rendered at
+    depth 1, then the closing brace."""
     head = json.dumps(header, indent=2)
-    return f'{head[:-2]},\n  "{key}": {value}\n}}\n'
+    yield f'{head[:-2]},\n  "{key}": '
+    yield from chunks
+    yield "\n}\n"
 
 
 def _cas_monomial(m: Monomial) -> str:
@@ -224,17 +247,21 @@ def _cas_polynomial(p: Polynomial, order: CircularTermOrder) -> str:
     return text[1:] if text.startswith("+") else text
 
 
-def algebra_script(polys, n: int, order: CircularTermOrder) -> str:
+def algebra_script(polys, n: int, order: CircularTermOrder) -> Iterator[str]:
+    """The script in chunks: the header, then one generator per chunk."""
     one_var = [Monomial(((("x", a, b), 1),)) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     one_var.sort(key=order.sort_key(1), reverse=True)
-    lines = [
-        "-- generated by hypersecant; variables listed from largest to smallest",
-        f"-- ambient n = {n}, circular block order, inner = {order.descriptor()['inner']}",
-        "variables: " + ", ".join(_cas_monomial(m) for m in one_var),
-        "generators:",
-    ]
-    body = ",\n".join(_cas_polynomial(p, order) for p in polys)
-    return "\n".join(lines) + "\n" + body + "\n"
+    yield (
+        "-- generated by hypersecant; variables listed from largest to smallest\n"
+        f"-- ambient n = {n}, circular block order, inner = {order.descriptor()['inner']}\n"
+        "variables: " + ", ".join(_cas_monomial(m) for m in one_var) + "\n"
+        "generators:\n"
+    )
+    sep = ""
+    for p in polys:
+        yield sep + _cas_polynomial(p, order)
+        sep = ",\n"
+    yield "\n"
 
 
 def certificate_to_json(cert: GroebnerCertificate) -> dict:
@@ -290,8 +317,10 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _text_lines(lines: list[str]) -> str:
-    return "\n".join(lines) + ("\n" if lines else "")
+def _text_lines(lines: Iterable[str]) -> Iterator[str]:
+    """One chunk per line, each with its newline."""
+    for line in lines:
+        yield line + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +357,18 @@ def _kind(args: argparse.Namespace) -> str:
     return "symbolic-square" if args.kind == "symbolic" else args.kind
 
 
-def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int, meta: dict) -> str:
+def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int, meta: dict) -> Iterator[str]:
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": len(ideal), "degrees": list(ideal.degrees())}
         text = _JsonText(order)
         return _json_document(header, "generators", text.array(ideal.generators, text.monomial))
     if args.format == "algebra-script":
-        return algebra_script([Polynomial.from_monomial(m) for m in ideal.generators], n, order)
-    return _text_lines([format_monomial(m) for m in ideal.generators])
+        return algebra_script(map(Polynomial.from_monomial, ideal.generators), n, order)
+    return _text_lines(map(format_monomial, ideal.generators))
 
 
-def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> str:
+def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> Iterator[str]:
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": len(polys)}
@@ -347,7 +376,7 @@ def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> st
         return _json_document(header, "generators", text.array(polys, text.polynomial))
     if args.format == "algebra-script":
         return algebra_script(polys, n, order)
-    return _text_lines([format_polynomial(p, order.sort_key(p.degree)) for p in polys])
+    return _text_lines(format_polynomial(p, order.sort_key(p.degree)) for p in polys)
 
 
 def _cmd_build(args: argparse.Namespace) -> RunResult:
@@ -447,8 +476,8 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
             "j": list(seq.j),
             "term_count": poly.term_count,
         }
-        text = _json_document(header, "polynomial", _JsonText(order).polynomial(poly, 1))
-        return RunResult(EXIT_OK, text, warn)
+        text = _JsonText(order).polynomial(poly, 1)
+        return RunResult(EXIT_OK, _json_document(header, "polynomial", (text,)), warn)
     return RunResult(EXIT_OK, _emit_polynomials(args, [poly], n, {"command": "master-poly", "n": n}), warn)
 
 
@@ -504,13 +533,11 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     n = _need_n(args, 3 if kind == "toric" else 4)
     warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
     if kind == "toric":
-        gens = toric_gb_polynomials(n)
-    elif kind == "secant":
-        gens = secant_gb(n)
+        gens, labels = toric_gb_polynomials(n), None
     else:
-        gens = symbolic_square_gb(n)
+        labels, gens = zip(*candidate_basis(n, kind))
     order = CircularTermOrder(n, args.inner)
-    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads)
+    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads, labels=labels)
     return _certificate_result(args, cert, warn)
 
 
@@ -655,50 +682,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path.
+class _OutputError(Exception):
+    """An OSError from the --output file, as opposed to a fault elsewhere."""
 
-    Readers see the old file or the whole new one; if anything fails, the old
-    file is left untouched and the temporary file is removed.
+
+def _write_atomically(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside path, then rename it over path.
+
+    Readers see the old file or the whole new one; if anything fails, the
+    rendering of a chunk included, the old file is left untouched and the
+    temporary file is removed.  An OSError is raised as _OutputError: the
+    chunks render in memory and do no I/O of their own.
     """
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would have.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            # mkstemp creates the file 0600; give it the mode open() would have.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _write(payload: Iterable[str] | str, path: str | None) -> None:
+    """Write a RunResult payload, chunk by chunk, to stdout or to path."""
+    chunks = (payload,) if isinstance(payload, str) else payload
+    if path:
+        _write_atomically(path, chunks)
+    else:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def main(argv=None) -> int:
+    """Parse argv, run the command, write its payload; return the exit code.
+
+    Every input check runs before the first chunk is written, so exit 2
+    leaves stdout empty.  On exit 3 stdout may hold a truncated document,
+    because the payload is rendered while it is written; --output stays
+    all-or-nothing: its file is replaced by the whole payload or not at all.
+    """
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         result = run(args)
+        if result.stderr:
+            sys.stderr.write(result.stderr)
+        _write(result.payload, args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _OutputError as exc:
+        print(f"error: cannot write --output {args.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         traceback.print_exc()
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if result.stderr:
-        sys.stderr.write(result.stderr)
-    if args.output:
-        try:
-            _write_atomically(args.output, result.stdout)
-        except OSError as exc:
-            print(f"error: cannot write --output {args.output}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(result.stdout)
     return result.code
 
 

@@ -383,12 +383,15 @@ def buchberger_verify(
     n: int | None = None,
     kind: str | None = None,
     threads: int | None = None,
+    labels: Sequence[tuple] | None = None,
 ) -> GroebnerCertificate:
     """Certify that every S-pair of G reduces to zero modulo G.
 
     Pairs with coprime leading terms are skipped (they reduce to zero by the
     product criterion) and counted in the statistics.  Failures carry the
-    offending pair and its nonzero remainder as a witness.  The pair list may
+    offending pair and its nonzero remainder as a witness; given the
+    candidate_basis label of each generator, the witness also names both
+    generators of the pair by family under "generators".  The pair list may
     be partitioned over a fork pool of one worker per _PAIRS_PER_WORKER
     pairs, at most one per usable CPU and, given threads=T, at most T, so a
     small sweep runs serially.  Aggregation order is fixed, so the
@@ -410,6 +413,11 @@ def buchberger_verify(
         skipped += sk
         reduced += rd
         max_terms = max(max_terms, mt)
+    if labels is not None:
+        failures = [
+            {"pair": f["pair"], "generators": [_family(labels[k]) for k in f["pair"]], **f}
+            for f in failures
+        ]
     stats = SPairStats(
         count=len(pairs),
         skipped_coprime=skipped,
@@ -670,7 +678,8 @@ def delightful_check(
 
     stats = None
     if with_buchberger:
-        sub = buchberger_verify([g for _, g in basis], order, n=n, kind=kind, threads=threads)
+        labels, gens = zip(*basis)
+        sub = buchberger_verify(gens, order, n=n, kind=kind, threads=threads, labels=labels)
         checks.extend(sub.checks)
         stats = sub.spair_stats
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, _rank_image, canonical_key
+from .poly import Monomial, Polynomial, _rank_image, canonical_sorted
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -92,7 +92,7 @@ class MonomialIdeal:
         kept: list[Monomial] = []
         # Sorted by degree, only strictly smaller kept generators can strictly
         # divide a candidate; equal monomials were deduped.
-        for m in sorted(set(generators), key=canonical_key):
+        for m in canonical_sorted(generators):
             if self._has_divisor(m):
                 continue
             support = 0

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import hypersecant.cli as cli
-from hypersecant import GroebnerCertificate, Polynomial, groebner, parse_polynomial
+from hypersecant import CircularTermOrder, GroebnerCertificate, Polynomial, groebner, parse_polynomial
 from hypersecant.cli import (
+    EXIT_FAIL,
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -29,6 +31,21 @@ SRC = str(ROOT / "src")
 
 def invoke(*argv):
     return run(build_parser().parse_args(list(argv)))
+
+
+def flip_last_generator(candidate_basis):
+    """candidate_basis with one non-leading coefficient of its last generator
+    negated: every leading term stays, and S-pairs with it fail."""
+
+    def flipped(n, kind, **kwargs):
+        basis = candidate_basis(n, kind, **kwargs)
+        label, g = basis[-1]
+        lead = CircularTermOrder(n).leading_monomial(g)
+        m = min(x for x in g.monomials() if x != lead)
+        basis[-1] = (label, g - Polynomial.from_monomial(m, 2 * g.coefficient(m)))
+        return basis
+
+    return flipped
 
 
 @pytest.fixture
@@ -161,6 +178,38 @@ class TestVerify:
         res = invoke("verify", "delightful", "--n", "6", "--kind", "secant", "--buchberger")
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
+
+    def test_buchberger_names_failing_pairs_by_generator(self, monkeypatch):
+        monkeypatch.setattr(cli, "candidate_basis", flip_last_generator(cli.candidate_basis))
+        argv = ["verify", "buchberger", "--n", "6", "--kind", "secant"]
+        res = invoke(*argv, "--format", "json")
+        assert res.code == EXIT_FAIL
+        (check,) = json.loads(res.stdout)["checks"]
+        last = len(groebner.secant_gb(6)) - 1
+        for w in check["witness"]:
+            assert list(w)[:2] == ["pair", "generators"]
+            if w["pair"][1] == last:
+                assert w["generators"][1]["family"] == "minor"
+        families = {tuple(f["family"] for f in w["generators"]) for w in check["witness"]}
+        assert ("master", "minor") in families
+        # The text witness keeps the first 400 characters, which now name
+        # the pair's generators before its remainder.
+        text = invoke(*argv).stdout
+        assert '"generators": [{"family": "master"' in text
+
+    def test_delightful_names_failing_pairs_by_generator(self, monkeypatch):
+        monkeypatch.setattr(groebner, "candidate_basis", flip_last_generator(groebner.candidate_basis))
+        argv = ["verify", "delightful", "--n", "5", "--kind", "symbolic", "--buchberger"]
+        res = invoke(*argv, "--format", "json")
+        assert res.code == EXIT_FAIL
+        checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
+        witness = checks["spairs_reduce_to_zero"]["witness"]
+        assert witness
+        last = len(groebner.toric_gb_polynomials(5)) - 1
+        for w in witness:
+            assert [f["family"] for f in w["generators"]] == ["product", "product"]
+        assert {"family": "product", "factors": [last, last]} in witness[-1]["generators"]
+        assert checks["generators_member_of_symbolic_square"]["status"] == "pass"
 
     def test_delightful_symbolic_n5_json(self):
         res = invoke("verify", "delightful", "--n", "5", "--kind", "symbolic", "--format", "json")
@@ -352,6 +401,90 @@ class TestDeterminism:
         assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_OK
         assert target.read_text() == invoke("toric-gb", "--n", "4").stdout
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _break_renderer_after_first(monkeypatch):
+    """Make the JSON polynomial renderer raise on its second generator."""
+    real = cli._JsonText.polynomial
+    calls = []
+
+    def polynomial(self, p, depth):
+        calls.append(p)
+        if len(calls) > 1:
+            raise RuntimeError("renderer broke")
+        return real(self, p, depth)
+
+    monkeypatch.setattr(cli._JsonText, "polynomial", polynomial)
+
+
+class TestStreamedOutput:
+    """The payload goes out one generator at a time, never as one document."""
+
+    @pytest.mark.parametrize("command", ["secant-gb", "symbolic-gb", "toric-gb", "initial-symbolic"])
+    def test_no_write_is_longer_than_one_generator(self, command):
+        argv = [command, "--n", "6", "--format", "json"]
+        writes = []
+        with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
+            assert main(argv) == EXIT_OK
+        whole = invoke(*argv).stdout
+        assert "".join(writes) == whole
+        # The header, then each generator's text at depth 2 led by its
+        # separator, then the array's closing bracket and the closing brace.
+        texts = [json.dumps(g, indent=2).replace("\n", "\n    ") for g in json.loads(whole)["generators"]]
+        assert writes[1:-2] == ["[\n    " + texts[0]] + [",\n    " + t for t in texts[1:]]
+        assert max(map(len, writes)) <= max(map(len, texts)) + len(",\n    ")
+
+    def test_fault_mid_emission_is_internal_error(self, monkeypatch, capsys):
+        _break_renderer_after_first(monkeypatch)
+        assert main(["secant-gb", "--n", "6", "--format", "json"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "error: internal: renderer broke" in captured.err
+        # stdout holds the header and the first generator: a truncated document.
+        assert captured.out.startswith('{\n  "command": "secant-gb",')
+        assert captured.out.count('"terms"') == 1
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(captured.out)
+
+    def test_fault_mid_emission_keeps_output_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "out.json"
+        target.write_text("old content\n")
+        _break_renderer_after_first(monkeypatch)
+        code = main(["secant-gb", "--n", "6", "--format", "json", "--output", str(target)])
+        assert code == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert "error: internal: renderer broke" in captured.err
+        assert "cannot write" not in captured.err
+        assert captured.out == ""
+        assert target.read_text() == "old content\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.posix_spawn")
+    def test_n8_emission_peak_rss(self):
+        # symbolic-gb --n 8 --format json writes 18.6 MB.  Holding the
+        # rendered items and the joined document besides the basis took this
+        # process to about 68 MB; streamed, it stays near the basis alone
+        # (about 32 MB).
+        # Linux keeps the peak of the address space a process replaces at
+        # exec, so a child of this pytest process would report pytest's own
+        # peak; a small launcher starts the command and reads its ru_maxrss.
+        launcher = (
+            "import os, sys\n"
+            "devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+            "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, file_actions=devnull)\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        argv = [sys.executable, "-m", "hypersecant", "symbolic-gb", "--n", "8", "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": "0"},
+            timeout=120,
+        )
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == EXIT_OK
+        assert peak_kib / 1024 < 55
 
 
 class TestJsonRoundTrip:

@@ -356,37 +356,56 @@ class TestBuchbergerVerify:
 
     @staticmethod
     def _family_member(family):
-        """(n, basis, index) of one generator of the family, checked to be one."""
+        """(n, basis, labels, index, name) of one generator of the family,
+        checked to be one, where name is the family a witness gives it."""
         if family == "product":
-            gens = symbolic_square_gb(5)
+            labels, gens = zip(*groebner.candidate_basis(5, "symbolic-square"))
             last = toric_gb_polynomials(5)[-1]
             assert gens[-1] == last * last
-            return 5, gens, len(gens) - 1
-        gens = secant_gb(6)
+            k = len(toric_gb_polynomials(5)) - 1
+            return 5, gens, labels, len(gens) - 1, {"family": "product", "factors": [k, k]}
+        labels, gens = zip(*groebner.candidate_basis(6, "secant"))
+        assert list(gens) == secant_gb(6)
         if family == "master":
-            assert gens[0] == master_polynomial(all_admissible_sequences(6)[0])
-            return 6, gens, 0
-        minors = {off_diagonal_minor(rows, cols) for rows, cols in circular_minor_splits(range(1, 7))}
-        assert gens[-1] in minors
-        return 6, gens, len(gens) - 1
+            s = all_admissible_sequences(6)[0]
+            assert gens[0] == master_polynomial(s)
+            return 6, gens, labels, 0, {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
+        rows, cols = circular_minor_splits(range(1, 7))[-1]
+        assert gens[-1] == off_diagonal_minor(rows, cols)
+        name = {"family": "minor", "rows": list(rows), "cols": list(cols)}
+        return 6, gens, labels, len(gens) - 1, name
 
     @pytest.mark.parametrize("family", ["master", "minor", "product"])
     def test_flipped_coefficient_fails_spairs(self, family, pool_of_two):
         # Negating a non-leading coefficient keeps every leading term, so the
         # pair criteria are unchanged and only the S-pair reductions can fail.
-        n, gens, index = self._family_member(family)
+        n, gens, labels, index, name = self._family_member(family)
         for order in both_inner_orders(n):
             g = gens[index]
             lead = order.leading_monomial(g)
             m = min(x for x in g.monomials() if x != lead)
             mutated = list(gens)
             mutated[index] = g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
-            serial = buchberger_verify(mutated, order, threads=1)
+            serial = buchberger_verify(mutated, order, threads=1, labels=labels)
             (check,) = serial.checks
             assert (check.name, check.status) == ("spairs_reduce_to_zero", "fail")
             assert any(index in w["pair"] for w in check.witness)
-            parallel = buchberger_verify(mutated, order, threads=2)
+            # Each witness names both generators of its pair, in pair order,
+            # right after the pair; the mutated one by its own family.
+            for w in check.witness:
+                assert list(w)[:2] == ["pair", "generators"]
+                assert w["generators"] == [groebner._family(labels[k]) for k in w["pair"]]
+                if index in w["pair"]:
+                    assert w["generators"][w["pair"].index(index)] == name
+            # A secant witness pairs a master with a minor, by both labels.
+            families = {tuple(f["family"] for f in w["generators"]) for w in check.witness}
+            assert ("master", "minor") in families if n == 6 else families == {("product", "product")}
+            parallel = buchberger_verify(mutated, order, threads=2, labels=labels)
             assert parallel.checks[0].witness == check.witness
+            unnamed = buchberger_verify(mutated, order, threads=1)
+            assert unnamed.checks[0].witness == [
+                {k: v for k, v in w.items() if k != "generators"} for w in check.witness
+            ]
         assert pool_of_two == [2, 2]
 
     def test_dead_worker_raises_instead_of_hanging(self):

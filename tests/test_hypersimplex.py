@@ -29,7 +29,7 @@ from hypersecant import (
     toric_gb,
 )
 from hypersecant.hypersimplex import _pinned_vertex
-from hypersecant.poly import canonical_key
+from hypersecant.poly import canonical_key, canonical_sorted
 from hypersecant.noncrossing import AdmissibleSequence
 
 from conftest import edges_for, monomial_strategy, reference_minimal_generators
@@ -338,6 +338,16 @@ class TestMonomialIdeal:
         for probe in probes:
             assert ideal.contains(probe) == any(g.divides(probe) for g in minimal)
         assert (ideal._bits, ideal._by_support) == index
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ranked_sort_matches_canonical_key(self, data):
+        # Prefixes of one another (x12 < x12*x13), equal degrees split by a
+        # later factor or an exponent, parameters after edges, duplicates.
+        gens = data.draw(st.lists(mixed_monomial, max_size=12))
+        gens += [a.mul(b) for a, b in zip(gens, gens[1:])]
+        gens += data.draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
+        assert canonical_sorted(gens) == sorted(set(gens), key=canonical_key)
 
     def test_divisors_on_proper_submasks(self):
         # Six supports, so a probe on two known variables enumerates its
