@@ -18,8 +18,6 @@ from .poly import (
     param_u,
     parse_monomial,
     parse_polynomial,
-    partial_derivative,
-    substitute_rank,
 )
 from .order import CircularTermOrder, both_inner_orders, edge_class
 from .hypersimplex import (

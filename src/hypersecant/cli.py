@@ -28,7 +28,7 @@ from .groebner import (
     secant_gb,
     symbolic_square_gb,
 )
-from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb, toric_gb_polynomials
+from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
@@ -533,7 +533,9 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     n = _need_n(args, 3 if kind == "toric" else 4)
     warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
     if kind == "toric":
-        gens, labels = toric_gb_polynomials(n), None
+        binomials = toric_gb(n)
+        labels = [("binomial", b.quadruple, b.family) for b in binomials]
+        gens = [b.polynomial() for b in binomials]
     else:
         labels, gens = zip(*candidate_basis(n, kind))
     order = CircularTermOrder(n, args.inner)

@@ -251,7 +251,8 @@ class _Divider:
         return rem, max_terms
 
     def verify_pairs(self, pairs):
-        """Reduce the S-polynomial of each listed pair; collect failures."""
+        """Reduce the S-polynomial of each pair (i, j) of the iterable; collect
+        failures."""
         pk = self.packing
         guard, fields_mask, bits = pk.guard, pk.fields_mask, pk.bits
         lts, tails, supports = self.lts, self.tails, self.supports
@@ -329,8 +330,34 @@ def _worker_init(divider):
     _WORKER_CTX["divider"] = divider
 
 
-def _worker_chunk(pairs):
-    return _WORKER_CTX["divider"].verify_pairs(pairs)
+def _row_pairs(rows: range, m: int):
+    """The S-pairs (i, j) with i in `rows` and i < j < m, in combinations order."""
+    return ((i, j) for i in rows for j in range(i + 1, m))
+
+
+def _row_chunks(m: int, workers: int) -> list[range]:
+    """Row ranges that split the m(m-1)/2 S-pairs of m generators into chunks.
+
+    A chunk ends after the row where the running pair count reaches the next
+    multiple of ceil(pairs / (workers * 4)), so no chunk is empty and, while
+    rows are shorter than that step, there are as many chunks as slices of
+    that length.  Row m - 1 has no pairs and is in no chunk.
+    """
+    step = -(-(m * (m - 1) // 2) // (workers * 4))
+    chunks, start, done, bound = [], 0, 0, step
+    for i in range(m - 1):
+        done += m - 1 - i
+        if done >= bound:
+            chunks.append(range(start, i + 1))
+            start, bound = i + 1, done - done % step + step
+    if start < m - 1:
+        chunks.append(range(start, m - 1))
+    return chunks
+
+
+def _worker_chunk(rows: range):
+    divider = _WORKER_CTX["divider"]
+    return divider.verify_pairs(_row_pairs(rows, len(divider.lts)))
 
 
 def _usable_cpus() -> int:
@@ -350,22 +377,24 @@ def _workers(pairs: int, threads: int | None) -> int:
     return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER, threads or pairs))
 
 
-def _sweep(packing: _Packing, gens, pairs, threads: int | None):
+def _sweep(packing: _Packing, gens, threads: int | None):
     """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
 
     The parent builds the one divider, which checks every reducer, before it
-    starts any worker.  A serial sweep reduces every pair with it; forked
-    workers inherit it, unpickled, through the pool's initializer.
+    starts any worker.  No list of pairs is built: a serial sweep reduces the
+    pairs of combinations(range(m), 2) as they are generated, and a pool
+    sends each worker a row range from _row_chunks, whose pairs the worker
+    generates itself.  Forked workers inherit the divider, unpickled, through
+    the pool's initializer.
     """
     divider = _Divider(packing, gens)
-    workers = _workers(len(pairs), threads)
+    m = len(divider.lts)
+    workers = _workers(m * (m - 1) // 2, threads)
     if workers <= 1:
-        return [divider.verify_pairs(pairs)]
+        return [divider.verify_pairs(combinations(range(m), 2))]
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
-    step = -(-len(pairs) // (workers * 4))
-    chunks = [pairs[a : a + step] for a in range(0, len(pairs), step)]
     # Not multiprocessing.Pool: its map waits forever on a chunk whose worker
     # died, where the executor raises BrokenProcessPool.
     with ProcessPoolExecutor(
@@ -374,7 +403,7 @@ def _sweep(packing: _Packing, gens, pairs, threads: int | None):
         initializer=_worker_init,
         initargs=(divider,),
     ) as pool:
-        return list(pool.map(_worker_chunk, chunks))
+        return list(pool.map(_worker_chunk, _row_chunks(m, workers)))
 
 
 def buchberger_verify(
@@ -389,19 +418,19 @@ def buchberger_verify(
 
     Pairs with coprime leading terms are skipped (they reduce to zero by the
     product criterion) and counted in the statistics.  Failures carry the
-    offending pair and its nonzero remainder as a witness; given the
-    candidate_basis label of each generator, the witness also names both
-    generators of the pair by family under "generators".  The pair list may
-    be partitioned over a fork pool of one worker per _PAIRS_PER_WORKER
-    pairs, at most one per usable CPU and, given threads=T, at most T, so a
-    small sweep runs serially.  Aggregation order is fixed, so the
-    certificate is identical to the serial one.
+    offending pair and its nonzero remainder as a witness; given the label
+    of each generator (see _family), the witness also names both
+    generators of the pair by family under "generators".  The m(m-1)/2
+    pairs are counted, never listed: they are generated as they are reduced.
+    A sweep may be partitioned by rows of pairs over a fork pool of one
+    worker per _PAIRS_PER_WORKER pairs, at most one per usable CPU and, given
+    threads=T, at most T, so a small sweep runs serially.  Aggregation order
+    is fixed, so the certificate is identical to the serial one.
     """
     G = list(G)
-    pairs = list(combinations(range(len(G)), 2))
 
     def run(packing):
-        return _sweep(packing, [_packed_terms(g, packing) for g in G], pairs, threads)
+        return _sweep(packing, [_packed_terms(g, packing) for g in G], threads)
 
     started = time.perf_counter()
     # An S-polynomial term has degree at most deg LT(g_j) + deg g_i.
@@ -419,7 +448,7 @@ def buchberger_verify(
             for f in failures
         ]
     stats = SPairStats(
-        count=len(pairs),
+        count=len(G) * (len(G) - 1) // 2,
         skipped_coprime=skipped,
         reduced=reduced,
         max_terms=max_terms,
@@ -587,12 +616,16 @@ def symbolic_square_identity_holds(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def _family(label: tuple) -> dict:
-    """The witness fields that name a generator by its candidate_basis label."""
+    """The witness fields that name a generator by its candidate_basis label,
+    or a toric binomial by its label ("binomial", quadruple, family) from
+    toric_gb, where family 1 or 2 says which pairing leads."""
     if label[0] == "master":
         s = label[1]
         return {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
     if label[0] == "minor":
         return {"family": "minor", "rows": list(label[1]), "cols": list(label[2])}
+    if label[0] == "binomial":
+        return {"family": "binomial", "quadruple": list(label[1]), "lead": label[2]}
     return {"family": "product", "factors": [label[1], label[2]]}
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 # A variable is a plain tuple: ('x', a, b) with a < b, ('t', i) or ('u', i).
 Variable = tuple
@@ -318,56 +318,9 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def partial_derivative(p: Polynomial, edges: Sequence[tuple[int, int]]) -> Polynomial:
-    """Iterated formal partial derivative of p by a multiset of edges.
-
-    Repeated edges differentiate repeatedly, so falling-factorial integer
-    multipliers appear.  The multiset must be nonempty; the result may be
-    the zero polynomial.
-    """
-    if not edges:
-        raise ValueError("derivative multiset must be nonempty")
-    out = p
-    for a, b in edges:
-        v = edge_var(a, b)
-        acc: dict[Monomial, int] = {}
-        for m, c in out.terms():
-            e = m.exponent(v)
-            if not e:
-                continue
-            d = dict(m.factors)
-            if e == 1:
-                del d[v]
-            else:
-                d[v] = e - 1
-            mm = Monomial._of(d)
-            nc = acc.get(mm, 0) + c * e
-            if nc:
-                acc[mm] = nc
-            else:
-                acc.pop(mm, None)
-        out = Polynomial(acc)
-    return out
-
-
-def substitute_rank(p: Polynomial, r: int) -> Polynomial:
-    """Image of p under x[a,b] -> t_a*t_b (r=1) or t_a*t_b + u_a*u_b (r=2).
-
-    This is the defining parameterization of the rank-r locus: the result is
-    identically zero exactly when p vanishes on all rank-r points.  Only
-    r = 1 and r = 2 are supported; there is no third parameter family.
-    """
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"rank must be a positive int, got {r!r}")
-    if r > 2:
-        raise ValueError("only ranks 1 and 2 are supported")
-    if not p.uses_only_edge_vars():
-        raise ValueError("substitute_rank requires a polynomial in edge variables only")
-    return _rank_image(p, r, None)
-
-
 def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
-    """substitute_rank's image of p, an edge polynomial, with u_pinned = 0.
+    """The image of the edge polynomial p under x[a,b] -> t_a*t_b (r = 1) or
+    t_a*t_b + u_a*u_b (r = 2), with u_pinned = 0.
 
     Write v_a = (t_a, u_a).  Then x[a,b] -> t_a*t_b + u_a*u_b is the bilinear
     form <v_a, v_b>, which O(2, C) preserves.  Any v_pinned with

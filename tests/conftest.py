@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping
@@ -6,8 +8,58 @@ from typing import Mapping
 import pytest
 from hypothesis import strategies as st
 
-from hypersecant import Monomial, Polynomial, edge_var, in_toric_ideal, partial_derivative
+from hypersecant import Monomial, Polynomial, edge_var, in_toric_ideal
 from hypersecant.master import PairingInvolution, base_involution
+from hypersecant.poly import _rank_image
+
+
+def partial_derivative(p, edges):
+    """Iterated formal partial derivative of p by a multiset of edges.
+
+    Repeated edges differentiate repeatedly, so falling-factorial integer
+    multipliers appear.  The multiset must be nonempty; the result may be
+    the zero polynomial.
+    """
+    if not edges:
+        raise ValueError("derivative multiset must be nonempty")
+    out = p
+    for a, b in edges:
+        v = edge_var(a, b)
+        acc = {}
+        for m, c in out.terms():
+            e = m.exponent(v)
+            if not e:
+                continue
+            d = dict(m.factors)
+            if e == 1:
+                del d[v]
+            else:
+                d[v] = e - 1
+            mm = Monomial(d)
+            nc = acc.get(mm, 0) + c * e
+            if nc:
+                acc[mm] = nc
+            else:
+                acc.pop(mm, None)
+        out = Polynomial(acc)
+    return out
+
+
+def substitute_rank(p, r):
+    """Image of p under x[a,b] -> t_a*t_b (r=1) or t_a*t_b + u_a*u_b (r=2).
+
+    This is the defining parameterization of the rank-r locus: the result is
+    identically zero exactly when p vanishes on all rank-r points.  The
+    expansion is the rank-2 oracle's, with no vertex pinned.  Only r = 1 and
+    r = 2 are supported; there is no third parameter family.
+    """
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"rank must be a positive int, got {r!r}")
+    if r > 2:
+        raise ValueError("only ranks 1 and 2 are supported")
+    if not p.uses_only_edge_vars():
+        raise ValueError("substitute_rank requires a polynomial in edge variables only")
+    return _rank_image(p, r, None)
 
 
 def edges_for(n):
@@ -290,6 +342,32 @@ def pool_of_two(monkeypatch):
     monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(groebner, "_PAIRS_PER_WORKER", 1)
     return started
+
+
+def child_peak_rss(argv, pythonpath):
+    """(exit code, peak RSS in MiB) of `python -m hypersecant argv` with stdout
+    to /dev/null, from the child's ru_maxrss (KiB on Linux).
+
+    Linux keeps the peak of the address space a process replaces at exec, so
+    a child of this pytest process would report pytest's own peak; a small
+    launcher starts the command and reads its ru_maxrss.
+    """
+    launcher = (
+        "import os, sys\n"
+        "devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+        "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, file_actions=devnull)\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "hypersecant", *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": "0"},
+        timeout=120,
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    return code, peak_kib / 1024
 
 
 # The generator arrays of JSON output as nested lists and dicts, laid out by

@@ -25,11 +25,9 @@ from hypersecant import (
     master_polynomial,
     nested_triple_monomials,
     off_diagonal_minor,
-    partial_derivative,
     reduce,
     secant_gb,
     secant_of_edge_ideal,
-    substitute_rank,
     symbolic_square_gb,
     symbolic_square_identity_holds,
     symbolic_square_of_edge_ideal,
@@ -46,7 +44,7 @@ from hypersecant.fixtures import (
 from hypersecant.master import base_involution, crossing_number
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import ConjugationSubset, conjugate
+from conftest import ConjugationSubset, conjugate, partial_derivative, substitute_rank
 
 
 def _report(num: int, ok: bool, detail: str, budget_s: float, elapsed: float) -> None:

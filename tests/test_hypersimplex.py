@@ -23,7 +23,6 @@ from hypersecant import (
     param_t,
     param_u,
     secant_gb,
-    substitute_rank,
     symbolic_square_gb,
     symbolic_square_of_edge_ideal,
     toric_gb,
@@ -32,7 +31,7 @@ from hypersecant.hypersimplex import _pinned_vertex
 from hypersecant.poly import canonical_key, canonical_sorted
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy, reference_minimal_generators
+from conftest import edges_for, monomial_strategy, reference_minimal_generators, substitute_rank
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 

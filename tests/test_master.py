@@ -18,7 +18,6 @@ from hypersecant import (
     master_polynomial,
     param_t,
     secant_of_edge_ideal,
-    substitute_rank,
     toric_gb_polynomials,
     verify_leading_term,
     verify_membership,
@@ -38,8 +37,10 @@ from conftest import (
     involution_monomial,
     is_multilinear,
     is_squarefree,
+    partial_derivative,
     reference_master_polynomial,
     reference_prolongation,
+    substitute_rank,
 )
 
 CUBIC_SEQ = AdmissibleSequence.from_arrays((1, 3, 5), (2, 4, 6))
@@ -260,8 +261,6 @@ class TestVerifiers:
         # Squarefree derivatives of a distinct-index master split into
         # binomials with equal index multisets, so the rank-1 image vanishes.
         import itertools
-
-        from hypersecant import partial_derivative, substitute_rank
 
         f = master_polynomial(GENERIC_SEQ)
         edges = [(v[1], v[2]) for v in f.variables()]

@@ -15,12 +15,16 @@ from hypersecant import (
     param_u,
     parse_monomial,
     parse_polynomial,
-    partial_derivative,
-    substitute_rank,
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy, polynomial_strategy
+from conftest import (
+    edges_for,
+    monomial_strategy,
+    partial_derivative,
+    polynomial_strategy,
+    substitute_rank,
+)
 
 X = lambda a, b: Polynomial.variable(edge_var(a, b))
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
