@@ -537,7 +537,8 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
         labels = [("binomial", b.quadruple, b.family) for b in binomials]
         gens = [b.polynomial() for b in binomials]
     else:
-        labels, gens = zip(*candidate_basis(n, kind))
+        basis = candidate_basis(n, kind)
+        labels, gens = [label for label, _ in basis], [g for _, g in basis]
     order = CircularTermOrder(n, args.inner)
     cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads, labels=labels)
     return _certificate_result(args, cert, warn)

@@ -3,9 +3,9 @@
 The engine verifies rather than completes: the candidate generating sets are
 assembled combinatorially (master polynomials, off-diagonal minors, products
 of the toric binomials) and Buchberger's criterion plus the combinatorial
-initial-ideal match certify them.  All reducers in play have leading
-coefficient +-1, so every division stays in integer arithmetic; this is
-asserted, not assumed.
+initial-ideal match certify them.  All reducers in play are homogeneous,
+with leading coefficient +-1, so every division stays in integer arithmetic
+and in one packing; this is asserted, not assumed.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ _FRONT_MEMO_CAP = 1 << 15
 _PAIRS_PER_WORKER = 2048
 
 
-class _Overflow(Exception):
-    """A term outgrew the degree limit of its packing; redo with wider fields."""
-
-
 class _Divider:
     """Packed reducers in list order, with full division and the S-pair sweep.
 
@@ -120,6 +116,8 @@ class _Divider:
     largest term first.  `lts` holds each reducer's leading monomial, packed,
     and `tails` its other terms as (negated monomial, coefficient times -LC):
     rewriting c*m by reducer i adds c times tails[i], shifted by lts[i] - m.
+    Reducers must be homogeneous, so a rewrite keeps the term's degree and
+    every term fits the packing.
 
     The first divisor of a term is found from its support, the set of guard
     bits of its nonzero slots.  `blocks` holds one (guard mask, table) per
@@ -135,7 +133,7 @@ class _Divider:
 
     def __init__(self, packing: _Packing, gens):
         self.packing = packing
-        self.lts, self.tails, self.grows, self.supports = [], [], [], []
+        self.lts, self.tails, self.supports = [], [], []
         for terms in gens:
             if not terms:
                 raise ValueError("reducers must be nonzero")
@@ -144,9 +142,8 @@ class _Divider:
                 raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
             self.lts.append(lt)
             self.tails.append([(-p, -ltc * c) for p, c in terms if p != lt])
-            # How far one rewrite by this reducer can raise a term's degree.
-            top = max(packing.degree(p) for p, _ in terms)
-            self.grows.append(top - packing.degree(lt))
+            if len({packing.degree(p) for p, _ in terms}) > 1:
+                raise ValueError("reducers must be homogeneous")
             self.supports.append(((lt | packing.guard) - packing.ones) & packing.guard)
         # Per slot (keyed by its guard bit), the bitset of reducers whose
         # leading term uses it.
@@ -178,21 +175,17 @@ class _Divider:
                     absent ^= low
                 table[part] = users
             fit &= users
-        if len(self.memo) < _FRONT_MEMO_CAP:
-            indices, cands = self._indices, []
-            rest = fit
-            while rest:
-                low = rest & -rest
-                cands.append(indices[low.bit_length() - 1])
-                rest ^= low
-            self.memo[support] = tuple(cands)
-        lts, guard = self.lts, self.packing.guard
+        indices, cands = self._indices, []
         while fit:
             low = fit & -fit
-            i = low.bit_length() - 1
+            cands.append(indices[(low - 1).bit_count()])
+            fit ^= low
+        if len(self.memo) < _FRONT_MEMO_CAP:
+            self.memo[support] = tuple(cands)
+        lts, guard = self.lts, self.packing.guard
+        for i in cands:
             if (pg - lts[i]) & guard == guard:
                 return i
-            fit ^= low
         return -1
 
     def normal_form(self, work: dict) -> tuple[dict, int]:
@@ -205,8 +198,8 @@ class _Divider:
         term has left `work` is stale and skipped.
         """
         pk, memo = self.packing, self.memo
-        guard, ones, limit = pk.guard, pk.ones, pk.limit
-        lts, tails, grows = self.lts, self.tails, self.grows
+        guard, ones = pk.guard, pk.ones
+        lts, tails = self.lts, self.tails
         heap = list(work)
         heapify(heap)
         rem: dict = {}
@@ -230,8 +223,6 @@ class _Divider:
             if i < 0:
                 rem[q] = c
                 continue
-            if grows[i] > 0 and pk.degree(-q) + grows[i] > limit:
-                raise _Overflow
             cof = lts[i] + q
             for t, sc in tails[i]:
                 r = t + cof
@@ -300,27 +291,18 @@ def _packed_terms(p: Polynomial, packing: _Packing) -> list[tuple[int, int]]:
     return [(packing.pack(m), c) for m, c in p.terms()]
 
 
-def _with_packing(order: CircularTermOrder, degree: int, run):
-    """run(packing) for a packing whose degree limit is at least `degree`,
-    redone with wider fields while a term outgrows them."""
-    bits = max(degree, 1).bit_length()
-    while True:
-        try:
-            return run(order.packing(bits))
-        except _Overflow:
-            bits += 1
-
-
 def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> Polynomial:
-    """Normal form of f modulo G: no remainder term divisible by any LT(g)."""
+    """Normal form of f modulo G: no remainder term divisible by any LT(g).
+
+    Every g in G must be homogeneous, f need not be: a rewrite then keeps the
+    degree of the term it replaces, so every term fits the packing sized
+    from the inputs.  A non-homogeneous reducer raises ValueError.
+    """
     G = list(G)
-
-    def run(packing):
-        divider = _Divider(packing, [_packed_terms(g, packing) for g in G])
-        rem, _ = divider.normal_form({-p: c for p, c in _packed_terms(f, packing)})
-        return packing.polynomial({-q: c for q, c in rem.items()})
-
-    return _with_packing(order, max([f.degree] + [g.degree for g in G]), run)
+    packing = order.packing(max([f.degree] + [g.degree for g in G]))
+    divider = _Divider(packing, [_packed_terms(g, packing) for g in G])
+    rem, _ = divider.normal_form({-p: c for p, c in _packed_terms(f, packing)})
+    return packing.polynomial({-q: c for q, c in rem.items()})
 
 
 _WORKER_CTX: dict = {}
@@ -425,16 +407,17 @@ def buchberger_verify(
     A sweep may be partitioned by rows of pairs over a fork pool of one
     worker per _PAIRS_PER_WORKER pairs, at most one per usable CPU and, given
     threads=T, at most T, so a small sweep runs serially.  Aggregation order
-    is fixed, so the certificate is identical to the serial one.
+    is fixed, so the certificate is identical to the serial one.  Every
+    generator must be homogeneous; a non-homogeneous one raises ValueError
+    before any worker starts.
     """
     G = list(G)
-
-    def run(packing):
-        return _sweep(packing, [_packed_terms(g, packing) for g in G], threads)
-
     started = time.perf_counter()
-    # An S-polynomial term has degree at most deg LT(g_j) + deg g_i.
-    results = _with_packing(order, 2 * max((g.degree for g in G), default=0), run)
+    # Rewrites by homogeneous reducers keep degrees, so every term of a
+    # reduction has at most the degree of its S-pair's lcm, which is at most
+    # twice the largest generator's.
+    packing = order.packing(2 * max((g.degree for g in G), default=0))
+    results = _sweep(packing, [_packed_terms(g, packing) for g in G], threads)
     failures: list = []
     skipped = reduced = max_terms = 0
     for fl, sk, rd, mt in results:
@@ -711,7 +694,7 @@ def delightful_check(
 
     stats = None
     if with_buchberger:
-        labels, gens = zip(*basis)
+        labels, gens = [label for label, _ in basis], [g for _, g in basis]
         sub = buchberger_verify(gens, order, n=n, kind=kind, threads=threads, labels=labels)
         checks.extend(sub.checks)
         stats = sub.spair_stats

@@ -67,8 +67,10 @@ class CircularTermOrder:
     def descriptor(self) -> dict:
         return {"blocks": "circular", "inner": self.inner}
 
-    def packing(self, bits: int) -> "_Packing":
-        """The packing with `bits`-bit exponent fields, built on first use."""
+    def packing(self, degree: int) -> "_Packing":
+        """The packing for monomials of total degree at most `degree`: the
+        fewest-bit fields that hold it, built on first use."""
+        bits = max(degree, 1).bit_length()
         pk = self._packings.get(bits)
         if pk is None:
             pk = self._packings[bits] = _Packing(self, bits)
@@ -77,7 +79,7 @@ class CircularTermOrder:
     def sort_key(self, degree: int):
         """Sort key for monomials of total degree at most `degree`:
         m1 precedes m2 in the order iff key(m1) < key(m2)."""
-        return self.packing(max(degree, 1).bit_length()).pack
+        return self.packing(degree).pack
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 is below, equal to or above m2."""

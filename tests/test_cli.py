@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -374,6 +375,80 @@ class TestBoundsAndExitCodes:
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv):
         assert main(argv) == EXIT_USAGE
+
+
+# Every command at its least --n, as the arguments after the command.
+# master-poly reads its n from the sequence, the pentad (n = 5) being the
+# smallest; reproduce takes no --n.
+FLOOR = {
+    ("toric-gb",): [["--n", "3"]],
+    ("initial-ideal",): [["--n", "3"]],
+    ("initial-symbolic",): [["--n", "3"]],
+    ("initial-secant",): [["--n", "3"]],
+    ("secant-gb",): [["--n", "4"]],
+    ("symbolic-gb",): [["--n", "4"]],
+    ("odd-cycles",): [["--n", "3"]],
+    ("admissible",): [["--n", "3"]],
+    ("master-poly",): [["--i", "1,2,3,4,5", "--j", "1,2,3,4,5", "--n", "5"]],
+    ("verify", "membership"): [["--n", "3"]],
+    ("verify", "prolongation"): [["--n", "3"]],
+    ("verify", "leading-term"): [["--n", "3"]],
+    ("verify", "buchberger"): [
+        ["--n", "3", "--kind", "toric"],
+        ["--n", "4", "--kind", "secant"],
+        ["--n", "4", "--kind", "symbolic"],
+    ],
+    ("verify", "delightful"): [
+        ["--n", "4", "--kind", kind, *leg] for kind in ("secant", "symbolic") for leg in ([], ["--buchberger"])
+    ],
+    ("reproduce",): [[]],
+}
+
+
+def _leaf_commands(parser, prefix=()):
+    """(command words, parser) of every command the CLI parser accepts."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, (*prefix, name))
+            return
+    yield prefix, parser
+
+
+def _floor_invocations():
+    for words, parser in _leaf_commands(build_parser()):
+        options = {o: a for a in parser._actions for o in a.option_strings}
+        orders = [["--order", f"inner={inner}"] for inner in ("grevlex", "lex")] if "--order" in options else [[]]
+        for args in FLOOR.get(words, []):
+            for order in orders:
+                for fmt in options["--format"].choices:
+                    yield [*words, *args, *order, "--format", fmt]
+
+
+class TestFloor:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "buchberger", "--kind", "secant"],
+        ["verify", "delightful", "--kind", "secant", "--buchberger"],
+    ])
+    def test_empty_secant_basis_passes(self, argv):
+        res = invoke(*argv, "--n", "4")
+        assert res.code == EXIT_OK
+        assert "s-pairs: 0 total" in "".join(res.stdout)
+
+    def test_every_command_has_a_floor(self):
+        assert {words for words, _ in _leaf_commands(build_parser())} == set(FLOOR)
+
+    @pytest.mark.parametrize("argv", list(_floor_invocations()), ids=" ".join)
+    def test_least_n_never_faults(self, argv):
+        assert main(argv) in (EXIT_OK, EXIT_FAIL)
+
+    def test_one_below_the_floor_is_usage_error(self):
+        for words, variants in FLOOR.items():
+            for args in variants:
+                if "--n" in args:
+                    at = args.index("--n") + 1
+                    below = [*args[:at], str(int(args[at]) - 1), *args[at + 1:]]
+                    assert main([*words, *below]) == EXIT_USAGE, below
 
 
 class TestDeterminism:

@@ -23,6 +23,7 @@ from hypersecant import (
     circular_minor_splits,
     delightful_check,
     format_monomial,
+    format_polynomial,
     in_secant_ideal,
     induced_odd_cycles,
     master_polynomial,
@@ -73,16 +74,6 @@ def mutated_secant_gb_6():
     return gens
 
 
-def degree_growing_basis():
-    """x12 - x24^3 and x12^6 - v for eleven other variables v (n = 6).
-
-    Rewriting by the first generator raises degrees: S-pairs reach x24^18,
-    past the fields sized from the generators' degrees.
-    """
-    edges = [e for e in itertools.combinations(range(1, 7), 2) if e not in ((1, 2), (2, 4))]
-    return [power(1, 2) - power(2, 4, 3)] + [power(1, 2, 6) - power(*e) for e in edges[:11]]
-
-
 def reference_normal_form(f, G, order):
     """Division on Monomial and Polynomial values, the rule spelled out: the
     largest remaining term is rewritten by the first reducer whose leading
@@ -103,9 +94,13 @@ def reference_normal_form(f, G, order):
 
 @st.composite
 def unit_reducers(draw, order, n):
-    """Up to three reducers with leading coefficient +-1, not homogeneous."""
+    """Up to three homogeneous reducers of up to three terms each, with
+    leading coefficient +-1."""
     out = []
-    for p in draw(st.lists(polynomial_strategy(n=n, max_terms=3, max_factors=2), max_size=3)):
+    for degree in draw(st.lists(st.integers(1, 4), max_size=3)):
+        monomial = st.lists(st.sampled_from(edges_for(n)), min_size=degree, max_size=degree)
+        terms = st.tuples(monomial.map(Monomial.from_edges), st.integers(-4, 4))
+        p = Polynomial(draw(st.lists(terms, min_size=1, max_size=3)))
         if p.is_zero:
             continue
         lm, lc = order.leading_term(p)
@@ -157,14 +152,19 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(Polynomial.from_monomial(mono((1, 2))), [Polynomial.zero()], order)
 
-    def test_degree_growth_is_exact(self):
-        # Under a block order x12 > x24^3, so each rewrite raises the degree
-        # and the result outgrows fields sized from the inputs' degrees.
+    def test_rejects_non_homogeneous_reducer(self):
+        # Whichever term leads, and even when no rewrite would use it; f
+        # itself may mix degrees.
+        mixed = (
+            power(1, 2) - power(2, 4, 3),
+            power(1, 2, 3) - power(2, 4),
+            power(1, 2) + Polynomial.constant(1),
+        )
         for order in both_inner_orders(6):
-            g = power(1, 2) - power(2, 4, 3)
-            assert reduce(power(1, 2, 5), [g], order) == power(2, 4, 15)
-            assert reduce(power(1, 2, 40), [g], order) == power(2, 4, 120)
-            assert reduce(power(1, 2, 2) + power(1, 3), [g], order) == power(2, 4, 6) + power(1, 3)
+            for g in mixed:
+                for f in (power(1, 2, 5), power(3, 5), power(1, 2, 2) + power(1, 3)):
+                    with pytest.raises(ValueError, match="reducers must be homogeneous"):
+                        reduce(f, [g], order)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -252,6 +252,35 @@ class TestBuchbergerVerify:
         cert = buchberger_verify(secant_gb(5), CircularTermOrder(5), n=5, kind="secant")
         assert cert.passed
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_spairs(self, data):
+        # Each failing pair against its S-polynomial divided in Polynomial
+        # arithmetic.  Coprime pairs are skipped, as the engine skips them.
+        order = CircularTermOrder(5, data.draw(st.sampled_from(("grevlex", "lex"))))
+        G = data.draw(unit_reducers(order, 5))
+        leads = [order.leading_monomial(g) for g in G]
+        want = []
+        for i, j in itertools.combinations(range(len(G)), 2):
+            if set(leads[i].variables()) & set(leads[j].variables()):
+                r = reference_normal_form(s_polynomial(G[i], G[j], order), G, order)
+                if not r.is_zero:
+                    want.append(([i, j], format_polynomial(r, order.sort_key(r.degree))))
+        witness = buchberger_verify(G, order).checks[0].witness or []
+        assert [(w["pair"], w["remainder"]) for w in witness] == want
+
+    def test_spair_exponent_past_generator_degree(self):
+        # The S-pair of these cubics leaves x23^5, an exponent past 3, the
+        # largest that fields sized from the generators' degree hold.
+        G = [
+            power(1, 2, 3) - power(2, 3, 3),
+            Polynomial.from_monomial(mono((1, 2), (2, 3), (2, 3))) - power(3, 4, 3),
+        ]
+        remainder = {"grevlex": "-1*x[2,3]^5 +1*x[1,2]^2*x[3,4]^3", "lex": "+1*x[1,2]^2*x[3,4]^3 -1*x[2,3]^5"}
+        for order in both_inner_orders(5):
+            witness = buchberger_verify(G, order).checks[0].witness
+            assert witness == [{"pair": [0, 1], "remainder_terms": 2, "remainder": remainder[order.inner]}]
+
     def test_negative_control_records_failure(self):
         # Two binomials sharing the same lex-inner leading term x12*x34; their
         # S-polynomial has an irreducible remainder, which must be witnessed.
@@ -325,24 +354,20 @@ class TestBuchbergerVerify:
             got = [(*w["pair"], w["remainder_terms"]) for w in check.witness]
             assert got == self.MUTATED_FAILURES
 
-    def test_degree_growing_sweep_is_exact(self):
+    def test_non_homogeneous_basis_is_rejected_before_forking(self, pool_of_two):
+        # 136 S-pairs would take a pool of two; the check comes first.
+        gens = secant_gb(6)
+        gens[-1] = gens[-1] + power(1, 2)
         for order in both_inner_orders(6):
-            cert = buchberger_verify(degree_growing_basis(), order)
-            assert stats_tuple(cert) == (66, 0, 66, 2)
-            witness = cert.checks[0].witness
-            assert len(witness) == 66
-            # Remainders print descending under the order: x24^18 leads under
-            # grevlex by its degree, x13 under lex by its variable.
-            first = {"grevlex": "-1*x[2,4]^18 +1*x[1,3]", "lex": "+1*x[1,3] -1*x[2,4]^18"}
-            assert witness[0]["remainder"] == first[order.inner]
-            assert witness[-1]["remainder"] == "+1*x[4,5] -1*x[3,6]"
+            with pytest.raises(ValueError, match="reducers must be homogeneous"):
+                buchberger_verify(gens, order, threads=2)
+        assert pool_of_two == []
 
     def test_threads_match_serial(self, pool_of_two):
         for gens, n in (
             (secant_gb(6), 6),
             (symbolic_square_gb(5), 5),
             (mutated_secant_gb_6(), 6),
-            (degree_growing_basis(), 6),
         ):
             for order in both_inner_orders(n):
                 serial = buchberger_verify(gens, order, threads=1)
@@ -351,9 +376,8 @@ class TestBuchbergerVerify:
                 assert dataclasses.replace(parallel, spair_stats=None) == dataclasses.replace(
                     serial, spair_stats=None
                 )
-        # One pool per parallel sweep, and one more per order for the
-        # degree-growing basis, whose first packing overflows in a worker.
-        assert pool_of_two == [2] * 10
+        # One pool per parallel sweep.
+        assert pool_of_two == [2] * 6
 
     @staticmethod
     def _family_member(family):
@@ -547,11 +571,11 @@ class TestPairStreaming:
             return verify_pairs(self, pairs)
 
         monkeypatch.setattr(groebner._Divider, "verify_pairs", spy)
-        for gens, n in ((secant_gb(6), 6), (degree_growing_basis(), 6)):
+        for gens, n in ((secant_gb(6), 6), (symbolic_square_gb(5), 5)):
             for order in both_inner_orders(n):
                 buchberger_verify(gens, order, threads=1)
-        # Two packings for the degree-growing basis, whose first overflows.
-        assert len(received) == 6
+        # One sweep of one divider per call.
+        assert len(received) == 4
         assert not any(issubclass(t, (list, tuple)) for t in received)
 
     def test_pool_chunks_are_small_row_ranges(self, pool_of_two, monkeypatch):
@@ -608,7 +632,7 @@ class TestDivisorIndex:
         terms = data.draw(
             st.lists(monomial_strategy(n=7, max_factors=6, max_exp=3), min_size=1, max_size=8)
         )
-        packing = order.packing(max(1, *(m.degree for m in leads + terms)).bit_length())
+        packing = order.packing(max(m.degree for m in leads + terms))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
             divider = groebner._Divider(packing, [[(packing.pack(lt), 1)] for lt in leads])
@@ -633,13 +657,9 @@ class TestDivisorIndex:
         # Secant n = 7 meets more distinct supports than the memo may hold.
         gens = secant_gb(7)
         order = CircularTermOrder(7)
-
-        def run(packing):
-            divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in gens])
-            divider.verify_pairs(list(itertools.combinations(range(len(gens)), 2)))
-            return divider
-
-        divider = groebner._with_packing(order, 2 * max(g.degree for g in gens), run)
+        packing = order.packing(2 * max(g.degree for g in gens))
+        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in gens])
+        divider.verify_pairs(itertools.combinations(range(len(gens)), 2))
         assert len(divider.memo) == groebner._FRONT_MEMO_CAP
         assert [block.bit_count() for block, _ in divider.blocks] == [7, 7, 7]
         for block, table in divider.blocks:

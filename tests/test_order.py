@@ -196,3 +196,12 @@ class TestPackedWidths:
             for g in gens:
                 order.leading_term(g)
             assert order._packings == table
+
+    def test_packing_holds_its_degree(self):
+        # The fewest-bit fields whose limit is at least the degree.
+        order = CircularTermOrder(5)
+        for degree in range(70):
+            pk = order.packing(degree)
+            assert pk.limit >= degree
+            assert pk.limit >> 1 < max(degree, 1)
+            assert order.packing(pk.limit) is pk
