@@ -98,8 +98,9 @@ class GroebnerCertificate:
 # guard-bit test.  Monomial stays the type at the boundary.
 
 
-# Exact supports the front memo of one divider holds.  Past the cap, a miss
-# is resolved from the block tables on every lookup.
+# Exact monomials the front memo of one divider holds, each with its first
+# divisor.  Past the cap, a miss is resolved from the block tables on every
+# lookup.
 _FRONT_MEMO_CAP = 1 << 15
 
 # A derived worker count gives each worker at least this many S-pairs.
@@ -126,8 +127,8 @@ class _Divider:
     block, so it never has more than 2**|block| keys.  The AND of the block
     lookups holds every reducer whose leading-term support fits in the term's,
     and the lowest of them whose leading term divides the term is its first
-    divisor.  In front of the tables, `memo` maps up to _FRONT_MEMO_CAP exact
-    supports to those candidates as a tuple of indices.  A divider lives for
+    divisor.  In front of the tables, `memo` maps up to _FRONT_MEMO_CAP
+    negated monomials to their first divisor, or -1.  A divider lives for
     one call, and so do its tables and memo.
     """
 
@@ -155,13 +156,15 @@ class _Divider:
                 support ^= low
         self.blocks = [(block, {}) for block in packing.block_guards]
         self.memo: dict = {}
-        # Memo tuples share these ints rather than each holding its own.
+        # Memo values share these ints rather than each holding its own.
         self._indices = list(range(len(self.lts)))
 
-    def _first_divisor(self, pg: int, support: int) -> int:
-        """First divisor of the term with guarded monomial `pg` and this
-        support, or -1, for a support missing from the memo.  The support's
-        candidates enter the memo while it is below its cap."""
+    def _first_divisor(self, q: int) -> int:
+        """First divisor of the term keyed by the negated monomial q, or -1,
+        for a term missing from the memo, which it enters below the cap."""
+        guard = self.packing.guard
+        pg = -q | guard
+        support = (pg - self.packing.ones) & guard
         fit = -1
         for block, table in self.blocks:
             part = support & block
@@ -175,54 +178,46 @@ class _Divider:
                     absent ^= low
                 table[part] = users
             fit &= users
-        indices, cands = self._indices, []
+        lts, i = self.lts, -1
         while fit:
             low = fit & -fit
-            cands.append(indices[(low - 1).bit_count()])
+            k = low.bit_length() - 1
+            if (pg - lts[k]) & guard == guard:
+                i = self._indices[k]
+                break
             fit ^= low
         if len(self.memo) < _FRONT_MEMO_CAP:
-            self.memo[support] = tuple(cands)
-        lts, guard = self.lts, self.packing.guard
-        for i in cands:
-            if (pg - lts[i]) & guard == guard:
-                return i
-        return -1
+            self.memo[q] = i
+        return i
 
     def normal_form(self, work: dict) -> tuple[dict, int]:
         """Full normal form of the term dict `work`, consumed; (remainder, max size).
 
         Both dicts are keyed by negated packed monomials.  The largest
         remaining term is rewritten by the first reducer in list order whose
-        leading term divides it.  A heap with lazy deletion finds that term:
-        every term pushed is below the one being rewritten, so an entry whose
-        term has left `work` is stale and skipped.
+        leading term divides it.  A heap finds that term: every term pushed
+        is below the one being rewritten, so each key of `work` has one heap
+        entry.  A cancelled term stays in `work` as 0 until its entry pops,
+        so a term re-created before then is not pushed again; `size` counts
+        the nonzero terms of `work` and `rem`.
         """
-        pk, memo = self.packing, self.memo
-        guard, ones = pk.guard, pk.ones
-        lts, tails = self.lts, self.tails
+        memo, lts, tails = self.memo, self.lts, self.tails
         heap = list(work)
         heapify(heap)
         rem: dict = {}
-        max_terms = len(work)
+        size = max_terms = len(work)
         while heap:
             q = heappop(heap)
-            c = work.pop(q, 0)
+            c = work.pop(q)
             if not c:
                 continue
-            pg = -q | guard
-            support = (pg - ones) & guard
-            cands = memo.get(support)
-            if cands is None:
-                i = self._first_divisor(pg, support)
-            else:
-                for i in cands:
-                    if (pg - lts[i]) & guard == guard:
-                        break
-                else:
-                    i = -1
+            i = memo.get(q)
+            if i is None:
+                i = self._first_divisor(q)
             if i < 0:
                 rem[q] = c
                 continue
+            size -= 1
             cof = lts[i] + q
             for t, sc in tails[i]:
                 r = t + cof
@@ -230,13 +225,13 @@ class _Divider:
                 if old is None:
                     work[r] = c * sc
                     heappush(heap, r)
+                    size += 1
                 else:
-                    nc = old + c * sc
-                    if nc:
-                        work[r] = nc
-                    else:
-                        del work[r]
-            size = len(work) + len(rem)
+                    nc = work[r] = old + c * sc
+                    if not nc:
+                        size -= 1
+                    elif not old:
+                        size += 1
             if size > max_terms:
                 max_terms = size
         return rem, max_terms

@@ -345,19 +345,20 @@ def pool_of_two(monkeypatch):
 
 
 def child_peak_rss(argv, pythonpath):
-    """(exit code, peak RSS in MiB) of `python -m hypersecant argv` with stdout
-    to /dev/null, from the child's ru_maxrss (KiB on Linux).
+    """(exit code, peak RSS in MiB, stdout) of `python -m hypersecant argv`,
+    from the child's ru_maxrss (KiB on Linux).
 
     Linux keeps the peak of the address space a process replaces at exec, so
     a child of this pytest process would report pytest's own peak; a small
-    launcher starts the command and reads its ru_maxrss.
+    launcher starts the command, which writes to the launcher's stdout and
+    stderr, and prints the command's exit code and ru_maxrss as the last line
+    of its stderr.
     """
     launcher = (
         "import os, sys\n"
-        "devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
-        "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ, file_actions=devnull)\n"
+        "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)\n"
         "_, status, usage = os.wait4(pid, 0)\n"
-        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", launcher, sys.executable, "-m", "hypersecant", *argv],
@@ -366,8 +367,8 @@ def child_peak_rss(argv, pythonpath):
         env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": "0"},
         timeout=120,
     )
-    code, peak_kib = map(int, proc.stdout.split())
-    return code, peak_kib / 1024
+    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
+    return code, peak_kib / 1024, proc.stdout
 
 
 # The generator arrays of JSON output as nested lists and dicts, laid out by

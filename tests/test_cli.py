@@ -570,7 +570,7 @@ class TestStreamedOutput:
         # rendered items and the joined document besides the basis took this
         # process to about 68 MB; streamed, it stays near the basis alone
         # (about 32 MB).
-        code, peak_mib = child_peak_rss(["symbolic-gb", "--n", "8", "--format", "json"], SRC)
+        code, peak_mib, _ = child_peak_rss(["symbolic-gb", "--n", "8", "--format", "json"], SRC)
         assert code == EXIT_OK
         assert peak_mib < 55
 

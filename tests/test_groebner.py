@@ -1,5 +1,7 @@
 import dataclasses
+import heapq
 import itertools
+import json
 import subprocess
 import sys
 from math import comb
@@ -77,19 +79,23 @@ def mutated_secant_gb_6():
 def reference_normal_form(f, G, order):
     """Division on Monomial and Polynomial values, the rule spelled out: the
     largest remaining term is rewritten by the first reducer whose leading
-    term divides it, or else moved to the remainder."""
+    term divides it, or else moved to the remainder.  Returns the remainder
+    and max_terms, the largest number of terms of f plus the remainder,
+    initially and after each rewrite."""
     leads = [order.leading_term(g) for g in G]
     rem = {}
+    max_terms = f.term_count
     while not f.is_zero:
         m, c = order.leading_term(f)
         for g, (lt, ltc) in zip(G, leads):
             if lt.divides(m):
                 f = f - g * Polynomial.from_monomial(m.divide_by(lt), c * ltc)
+                max_terms = max(max_terms, f.term_count + len(rem))
                 break
         else:
             rem[m] = c
             f = f - Polynomial.from_monomial(m, c)
-    return Polynomial(rem)
+    return Polynomial(rem), max_terms
 
 
 @st.composite
@@ -173,7 +179,7 @@ class TestReduce:
         order = CircularTermOrder(5, inner)
         G = data.draw(unit_reducers(order, 5))
         f = data.draw(polynomial_strategy(n=5, max_terms=4, max_exp=3))
-        assert reduce(f, G, order) == reference_normal_form(f, G, order)
+        assert reduce(f, G, order) == reference_normal_form(f, G, order)[0]
 
     def test_rejects_variables_outside_the_order(self):
         order = CircularTermOrder(4)
@@ -263,7 +269,7 @@ class TestBuchbergerVerify:
         want = []
         for i, j in itertools.combinations(range(len(G)), 2):
             if set(leads[i].variables()) & set(leads[j].variables()):
-                r = reference_normal_form(s_polynomial(G[i], G[j], order), G, order)
+                r, _ = reference_normal_form(s_polynomial(G[i], G[j], order), G, order)
                 if not r.is_zero:
                     want.append(([i, j], format_polynomial(r, order.sort_key(r.degree))))
         witness = buchberger_verify(G, order).checks[0].witness or []
@@ -610,24 +616,86 @@ class TestPairStreaming:
     def test_serial_symbolic_n6_peak_rss(self):
         # Building the 110,215 pairs as a list took this command to 27.6-29.0
         # MiB under Python 3.11 and 24.7-25.5 MiB under 3.10; streamed, it
-        # peaks at 20.0-21.4 and 17.0-18.0 MiB.
-        argv = ["verify", "buchberger", "--n", "6", "--kind", "symbolic", "--threads", "1"]
-        code, peak_mib = child_peak_rss(argv, str(Path(__file__).resolve().parent.parent / "src"))
+        # peaks at 20.0-21.4 and 17.0-18.0 MiB.  Its counters pin the
+        # serial sweep under grevlex.
+        argv = ["verify", "buchberger", "--n", "6", "--kind", "symbolic", "--threads", "1", "--format", "json"]
+        code, peak_mib, out = child_peak_rss(argv, str(Path(__file__).resolve().parent.parent / "src"))
         assert code == 0
         assert peak_mib < 24
+        spairs = json.loads(out)["spairs"]
+        assert spairs == {"count": 110215, "skipped_coprime": 32944, "reduced": 77271, "max_terms": 51}
+
+
+class TestNormalForm:
+    """_Divider.normal_form against reference_normal_form: the same remainder
+    and the same max_terms."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_remainder_and_max_terms_match_reference(self, data):
+        # Random inputs seldom cancel a pending term and then grow the work
+        # past its largest size so far; CANCELLING below pins that path.
+        order = CircularTermOrder(4, data.draw(st.sampled_from(("grevlex", "lex"))))
+        G = data.draw(unit_reducers(order, 4))
+        f = data.draw(polynomial_strategy(n=4, max_terms=6, max_exp=2))
+        packing = order.packing(max([f.degree] + [g.degree for g in G]))
+        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in G])
+        want = reference_normal_form(f, G, order)
+        # The second division finds every first divisor in the memo.
+        for _ in range(2):
+            rem, max_terms = divider.normal_form({-p: c for p, c in groebner._packed_terms(f, packing)})
+            assert (packing.polynomial({-q: c for q, c in rem.items()}), max_terms) == want
+
+    # Linear cases over v[0] > v[1] > ... > v[9], the ten variables of
+    # n = 5 in the order, as (f, reducers, max_terms, pushes); each reducer
+    # is (leading index, tail indices), v[lead] minus the sum of its tail.
+    # In the first, rewriting v[0] cancels v[6], which is still pending when
+    # v[1] grows the work to four terms.  In the second, v[8] is cancelled,
+    # re-created by the rewrite of v[2] while its heap entry is pending, and
+    # counted when v[3] grows the work to six terms.
+    CANCELLING = [
+        ({0: 1, 1: 1, 6: -1}, [(0, [6]), (1, [2, 3, 4, 5])], 4, 4),
+        ({0: 1, 1: 1, 8: -1}, [(0, [8]), (1, [2, 3, 4, 5]), (2, [8]), (3, [6, 7, 9])], 6, 7),
+    ]
+
+    @pytest.mark.parametrize("f,reducers,max_terms,pushes", CANCELLING)
+    def test_cancelled_terms_leave_the_count_and_are_not_pushed_again(
+        self, f, reducers, max_terms, pushes, monkeypatch
+    ):
+        order = CircularTermOrder(5)
+        variables = sorted((mono(e) for e in edges_for(5)), key=order.sort_key(1), reverse=True)
+        v = [Polynomial.from_monomial(m) for m in variables]
+        f = sum((c * v[k] for k, c in f.items()), Polynomial.zero())
+        G = [v[lead] - sum((v[k] for k in tail), Polynomial.zero()) for lead, tail in reducers]
+        rem, want = reference_normal_form(f, G, order)
+        assert want == max_terms
+        pushed = []
+
+        def counting_push(heap, q):
+            pushed.append(q)
+            heapq.heappush(heap, q)
+
+        monkeypatch.setattr(groebner, "heappush", counting_push)
+        packing = order.packing(1)
+        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in G])
+        got, got_max = divider.normal_form({-p: c for p, c in groebner._packed_terms(f, packing)})
+        assert (packing.polynomial({-q: c for q, c in got.items()}), got_max) == (rem, max_terms)
+        assert len(pushed) == pushes
 
 
 class TestDivisorIndex:
     """The first-divisor index of the S-pair engine: per-block tables behind
-    a front memo of exact supports, capped at groebner._FRONT_MEMO_CAP."""
+    a front memo from exact negated monomials to their first divisor, capped
+    at groebner._FRONT_MEMO_CAP."""
 
     @pytest.mark.parametrize("cap", [groebner._FRONT_MEMO_CAP, 0])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_first_divisor_matches_brute_force(self, cap, data):
         order = CircularTermOrder(7, data.draw(st.sampled_from(("grevlex", "lex"))))
-        # Leading terms of mixed degrees, exponents up to 3, and terms that
-        # repeat, so the second lookup of a support can hit the memo.
+        # Leading terms of mixed degrees and exponents up to 3.  Each term
+        # is looked up twice: below the cap the first lookup misses and the
+        # second hits the memo.
         leads = data.draw(st.lists(monomial_strategy(n=7, max_factors=4, max_exp=3), max_size=12))
         terms = data.draw(
             st.lists(monomial_strategy(n=7, max_factors=6, max_exp=3), min_size=1, max_size=8)
@@ -636,25 +704,20 @@ class TestDivisorIndex:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
             divider = groebner._Divider(packing, [[(packing.pack(lt), 1)] for lt in leads])
+            misses = 0
             for m in terms + terms:
-                pg = packing.pack(m) | packing.guard
-                support = (pg - packing.ones) & packing.guard
+                q = -packing.pack(m)
                 want = reference_first_divisor(leads, m)
-                cands = divider.memo.get(support)
-                if cands is None:
-                    assert divider._first_divisor(pg, support) == want
+                if q in divider.memo:
+                    assert divider.memo[q] == want
                 else:
-                    # A memo hit scans the reducers whose leading term uses
-                    # no variable outside the term's, in list order.
-                    used = set(m.variables())
-                    assert cands == tuple(
-                        k for k, lt in enumerate(leads) if set(lt.variables()) <= used
-                    )
-                    assert next((k for k in cands if leads[k].divides(m)), -1) == want
+                    misses += 1
+                    assert divider._first_divisor(q) == want
+            assert misses == (len(set(terms)) if cap else 2 * len(terms))
             assert len(divider.memo) <= cap
 
     def test_index_stays_bounded_over_a_sweep(self):
-        # Secant n = 7 meets more distinct supports than the memo may hold.
+        # Secant n = 7 meets more distinct monomials than the memo may hold.
         gens = secant_gb(7)
         order = CircularTermOrder(7)
         packing = order.packing(2 * max(g.degree for g in gens))
