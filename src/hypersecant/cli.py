@@ -26,7 +26,7 @@ from .groebner import (
     candidate_basis,
     delightful_check,
     secant_gb,
-    symbolic_square_gb,
+    symbolic_square_stream,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
@@ -369,9 +369,11 @@ def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int,
 
 
 def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> Iterator[str]:
+    """`polys` is a list, or (count, iterator) for a basis streamed as it is read."""
+    count, polys = polys if isinstance(polys, tuple) else (len(polys), polys)
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
-        header = {**meta, "order": order.descriptor(), "count": len(polys)}
+        header = {**meta, "order": order.descriptor(), "count": count}
         text = _JsonText(order)
         return _json_document(header, "generators", text.array(polys, text.polynomial))
     if args.format == "algebra-script":
@@ -655,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("initial-ideal", 3, initial_edge_ideal),
         ("initial-symbolic", 3, lambda n: symbolic_square_of_edge_ideal(build_graph(n))),
         ("secant-gb", 4, secant_gb),
-        ("symbolic-gb", 4, symbolic_square_gb),
+        ("symbolic-gb", 4, symbolic_square_stream),
     ):
         _add_command(sub, name, _cmd_build, script=True, build=build, least_n=least_n)
     p = _add_command(sub, "initial-secant", _cmd_build, script=True, least_n=3,

@@ -14,8 +14,8 @@ import os
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement, permutations
-from typing import Sequence
+from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
+from typing import Iterator, Sequence
 
 from .hypersimplex import (
     MonomialIdeal,
@@ -517,8 +517,9 @@ def candidate_basis(n: int, kind: str, build_products: bool = True) -> list[tupl
     toric_gb_polynomials(n).  The secant basis is the masters of every odd
     degree, then the minors, whose antidiagonal leading terms are the nested
     noncrossing triples.  The symbolic-square basis is the minors, the
-    degree-3 masters, then the products.  With build_products false every
-    product is listed by its label alone, with None for its polynomial.
+    degree-3 masters, then the products, in the order _products yields them.
+    With build_products false every product is listed by its label alone,
+    with None for its polynomial.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -530,33 +531,23 @@ def candidate_basis(n: int, kind: str, build_products: bool = True) -> list[tupl
     toric = toric_gb_polynomials(n)
     masters = [(("master", s), master_polynomial(s)) for s in admissible_sequences(n, 1)]
     pairs = combinations_with_replacement(range(len(toric)), 2)
-    if build_products:
-        products = [(("product", a, b), g) for (a, b), g in zip(pairs, _products(toric))]
-    else:
-        products = [(("product", a, b), None) for a, b in pairs]
-    return minors + masters + products
+    products = _products(toric) if build_products else repeat(None)
+    return minors + masters + [(("product", a, b), g) for (a, b), g in zip(pairs, products)]
 
 
-def _products(toric: Sequence[Polynomial]):
+def _products(toric: Sequence[Polynomial]) -> Iterator[Polynomial]:
     """toric[a] * toric[b] for a <= b, in combinations_with_replacement order.
 
     Each is the Polynomial that toric[a] * toric[b] gives, terms inserted in
-    the same order, but the product of two distinct monomials of the
-    binomials is built once and shared: monomials get small int ids, and a
-    product is memoized under its pair of ids.
+    the same order, built only when the next one is asked for: a consumer
+    that drops each product before asking again holds one at a time.
     """
-    ids: dict[Monomial, int] = {}
-    terms = [[(ids.setdefault(m, len(ids)), m, c) for m, c in t.terms()] for t in toric]
-    size = len(ids)
-    memo: dict[int, Monomial] = {}
-    for a, b in combinations_with_replacement(range(len(terms)), 2):
+    terms = [list(t.terms()) for t in toric]
+    for f, g in combinations_with_replacement(terms, 2):
         acc: dict[Monomial, int] = {}
-        for i, m1, c1 in terms[a]:
-            for j, m2, c2 in terms[b]:
-                key = i * size + j if i <= j else j * size + i
-                mm = memo.get(key)
-                if mm is None:
-                    mm = memo[key] = m1.mul(m2)
+        for m1, c1 in f:
+            for m2, c2 in g:
+                mm = m1.mul(m2)
                 nc = acc.get(mm, 0) + c1 * c2
                 if nc:
                     acc[mm] = nc
@@ -574,6 +565,13 @@ def symbolic_square_gb(n: int) -> list[Polynomial]:
     """Candidate basis for the symbolic square: minors, degree-3 masters, and
     products of pairs of the quadratic toric binomials."""
     return [g for _, g in candidate_basis(n, SYMBOLIC_SQUARE)]
+
+
+def symbolic_square_stream(n: int) -> tuple[int, Iterator[Polynomial]]:
+    """len(symbolic_square_gb(n)), counted from its labels, and its polynomials
+    in order, with each product built only as the stream reaches it."""
+    basis = candidate_basis(n, SYMBOLIC_SQUARE, build_products=False)
+    return len(basis), chain([g for _, g in basis if g is not None], _products(toric_gb_polynomials(n)))
 
 
 def symbolic_square_identity_holds(n: int) -> bool:

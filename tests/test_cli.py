@@ -20,6 +20,7 @@ from hypersecant import (
     Polynomial,
     groebner,
     parse_polynomial,
+    symbolic_square_gb,
 )
 from hypersecant.cli import (
     EXIT_FAIL,
@@ -564,15 +565,28 @@ class TestStreamedOutput:
         assert target.read_text() == "old content\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_symbolic_gb_count_matches_generators(self, n, inner):
+        # The header's count is computed before the streamed products are
+        # built, so it is checked against what each format then writes.
+        argv = ["symbolic-gb", "--n", str(n), "--order", f"inner={inner}", "--format"]
+        payload = json.loads(invoke(*argv, "json").stdout)
+        assert payload["count"] == len(payload["generators"]) == len(symbolic_square_gb(n))
+        assert len(invoke(*argv, "text").stdout.splitlines()) == payload["count"]
+        script = invoke(*argv, "algebra-script").stdout
+        assert len(script.split("generators:\n", 1)[1].splitlines()) == payload["count"]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.posix_spawn")
     def test_n8_emission_peak_rss(self):
-        # symbolic-gb --n 8 --format json writes 18.6 MB.  Holding the
-        # rendered items and the joined document besides the basis took this
-        # process to about 68 MB; streamed, it stays near the basis alone
-        # (about 32 MB).
-        code, peak_mib, _ = child_peak_rss(["symbolic-gb", "--n", "8", "--format", "json"], SRC)
-        assert code == EXIT_OK
-        assert peak_mib < 55
+        # symbolic-gb --n 8 --format json writes 18.6 MB, 9,870 of its 10,010
+        # generators products of two toric binomials.  Holding every product
+        # took this process to about 31 MiB; with each product built as it is
+        # rendered and dropped after, every format stays near 17 MiB.
+        for fmt in ("json", "text", "algebra-script"):
+            code, peak_mib, _ = child_peak_rss(["symbolic-gb", "--n", "8", "--format", fmt], SRC)
+            assert code == EXIT_OK
+            assert peak_mib < 26, fmt
 
 
 class TestJsonRoundTrip:

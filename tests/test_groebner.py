@@ -868,6 +868,18 @@ class TestDelightfulCheck:
         for a, b, g in products:
             assert list(g.terms()) == list((toric[a] * toric[b]).terms()), (a, b)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_product_stream_is_every_plain_product(self, n):
+        # The oracle is Polynomial.__mul__, over the pairs a <= b in order.
+        toric = toric_gb_polynomials(n)
+        pairs = itertools.combinations_with_replacement(range(len(toric)), 2)
+        assert list(groebner._products(toric)) == [toric[a] * toric[b] for a, b in pairs]
+        gens = symbolic_square_gb(n)
+        assert gens == [g for _, g in groebner.candidate_basis(n, "symbolic-square")]
+        count, polys = groebner.symbolic_square_stream(n)
+        assert count == len(gens)
+        assert list(polys) == gens
+
     @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
     def test_unbuilt_products_keep_labels_and_order(self, kind):
         built = groebner.candidate_basis(6, kind)
