@@ -25,8 +25,7 @@ from .groebner import (
     buchberger_verify,
     candidate_basis,
     delightful_check,
-    secant_gb,
-    symbolic_square_stream,
+    generators,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
@@ -368,9 +367,8 @@ def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int,
     return _text_lines(map(format_monomial, ideal.generators))
 
 
-def _emit_polynomials(args: argparse.Namespace, polys, n: int, meta: dict) -> Iterator[str]:
-    """`polys` is a list, or (count, iterator) for a basis streamed as it is read."""
-    count, polys = polys if isinstance(polys, tuple) else (len(polys), polys)
+def _emit_polynomials(args: argparse.Namespace, polys, count: int, n: int, meta: dict) -> Iterator[str]:
+    """`polys` is any iterable of `count` polynomials, read as it is written."""
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": count}
@@ -391,8 +389,10 @@ def _cmd_build(args: argparse.Namespace) -> RunResult:
         warn += max_len_warn
     built = args.build(n, **extra)
     meta = {"command": args.command, "n": n, **extra}
-    emit = _emit_monomial_ideal if isinstance(built, MonomialIdeal) else _emit_polynomials
-    return RunResult(EXIT_OK, emit(args, built, n, meta), warn)
+    if isinstance(built, MonomialIdeal):
+        return RunResult(EXIT_OK, _emit_monomial_ideal(args, built, n, meta), warn)
+    # The labels of a candidate basis, each built as it is written.
+    return RunResult(EXIT_OK, _emit_polynomials(args, generators(n, built), len(built), n, meta), warn)
 
 
 def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
@@ -405,7 +405,7 @@ def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
         text = _JsonText(order)
         return RunResult(EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial)), warn)
     meta = {"command": "toric-gb", "n": n}
-    return RunResult(EXIT_OK, _emit_polynomials(args, [g.polynomial() for g in gens], n, meta), warn)
+    return RunResult(EXIT_OK, _emit_polynomials(args, [g.polynomial() for g in gens], len(gens), n, meta), warn)
 
 
 def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
@@ -480,7 +480,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
         }
         text = _JsonText(order).polynomial(poly, 1)
         return RunResult(EXIT_OK, _json_document(header, "polynomial", (text,)), warn)
-    return RunResult(EXIT_OK, _emit_polynomials(args, [poly], n, {"command": "master-poly", "n": n}), warn)
+    return RunResult(EXIT_OK, _emit_polynomials(args, [poly], 1, n, {"command": "master-poly", "n": n}), warn)
 
 
 def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
@@ -539,8 +539,8 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
         labels = [("binomial", b.quadruple, b.family) for b in binomials]
         gens = [b.polynomial() for b in binomials]
     else:
-        basis = candidate_basis(n, kind)
-        labels, gens = [label for label, _ in basis], [g for _, g in basis]
+        labels = candidate_basis(n, kind)
+        gens = generators(n, labels)
     order = CircularTermOrder(n, args.inner)
     cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads, labels=labels)
     return _certificate_result(args, cert, warn)
@@ -656,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, least_n, build in (
         ("initial-ideal", 3, initial_edge_ideal),
         ("initial-symbolic", 3, lambda n: symbolic_square_of_edge_ideal(build_graph(n))),
-        ("secant-gb", 4, secant_gb),
-        ("symbolic-gb", 4, symbolic_square_stream),
+        ("secant-gb", 4, lambda n: candidate_basis(n, "secant")),
+        ("symbolic-gb", 4, lambda n: candidate_basis(n, "symbolic-square")),
     ):
         _add_command(sub, name, _cmd_build, script=True, build=build, least_n=least_n)
     p = _add_command(sub, "initial-secant", _cmd_build, script=True, least_n=3,
@@ -694,13 +694,19 @@ class _OutputError(Exception):
 def _write_atomically(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a temporary file beside path, then rename it over path.
 
-    Readers see the old file or the whole new one; if anything fails, the
-    rendering of a chunk included, the old file is left untouched and the
-    temporary file is removed.  An OSError is raised as _OutputError: the
-    chunks render in memory and do no I/O of their own.
+    A symbolic link is followed, so its target is replaced and the link
+    stays.  An existing target that is not a regular file, such as a FIFO or
+    a device, is refused before any temporary file is made.  Readers see the
+    old file or the whole new one; if anything fails, the rendering of a
+    chunk included, the old file is left untouched and the temporary file is
+    removed.  An OSError is raised as _OutputError: the chunks render in
+    memory and do no I/O of their own.
     """
+    path = os.path.realpath(path)
+    if os.path.lexists(path) and not os.path.isfile(path):
+        raise _OutputError(f"{path} is not a regular file")
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 for chunk in chunks:

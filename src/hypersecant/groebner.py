@@ -14,7 +14,7 @@ import os
 import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, combinations_with_replacement, permutations, repeat
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 from .hypersimplex import (
@@ -508,8 +508,8 @@ def nested_triple_monomials(n: int) -> list[Monomial]:
     return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
 
 
-def candidate_basis(n: int, kind: str, build_products: bool = True) -> list[tuple[tuple, Polynomial | None]]:
-    """The candidate basis of `kind`, each generator with its family label.
+def candidate_basis(n: int, kind: str) -> list[tuple]:
+    """The family label of each generator of the candidate basis of `kind`.
 
     A label is ("master", seq) for the master of an admissible sequence,
     ("minor", rows, cols) for the 3x3 minor on a circularly consecutive
@@ -517,61 +517,51 @@ def candidate_basis(n: int, kind: str, build_products: bool = True) -> list[tupl
     toric_gb_polynomials(n).  The secant basis is the masters of every odd
     degree, then the minors, whose antidiagonal leading terms are the nested
     noncrossing triples.  The symbolic-square basis is the minors, the
-    degree-3 masters, then the products, in the order _products yields them.
-    With build_products false every product is listed by its label alone,
-    with None for its polynomial.
+    degree-3 masters, then the products in combinations_with_replacement
+    order.  generators() builds the polynomials.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
     if kind not in (SECANT, SYMBOLIC_SQUARE):
         raise ValueError(f"kind must be 'secant' or 'symbolic-square', got {kind!r}")
-    minors = [(("minor", rows, cols), off_diagonal_minor(rows, cols)) for rows, cols in _minor_splits(n)]
+    minors = [("minor", rows, cols) for rows, cols in _minor_splits(n)]
     if kind == SECANT:
-        return [(("master", s), master_polynomial(s)) for s in all_admissible_sequences(n)] + minors
-    toric = toric_gb_polynomials(n)
-    masters = [(("master", s), master_polynomial(s)) for s in admissible_sequences(n, 1)]
-    pairs = combinations_with_replacement(range(len(toric)), 2)
-    products = _products(toric) if build_products else repeat(None)
-    return minors + masters + [(("product", a, b), g) for (a, b), g in zip(pairs, products)]
+        return [("master", s) for s in all_admissible_sequences(n)] + minors
+    masters = [("master", s) for s in admissible_sequences(n, 1)]
+    pairs = combinations_with_replacement(range(len(toric_gb_polynomials(n))), 2)
+    return minors + masters + [("product", a, b) for a, b in pairs]
 
 
-def _products(toric: Sequence[Polynomial]) -> Iterator[Polynomial]:
-    """toric[a] * toric[b] for a <= b, in combinations_with_replacement order.
+def _generator(label: tuple, toric: Sequence[Polynomial]) -> Polynomial:
+    """The polynomial of a candidate_basis label; `toric` is
+    toric_gb_polynomials(n), read by a product only."""
+    if label[0] == "master":
+        return master_polynomial(label[1])
+    if label[0] == "minor":
+        return off_diagonal_minor(label[1], label[2])
+    return toric[label[1]] * toric[label[2]]
 
-    Each is the Polynomial that toric[a] * toric[b] gives, terms inserted in
-    the same order, built only when the next one is asked for: a consumer
-    that drops each product before asking again holds one at a time.
+
+def generators(n: int, labels: Sequence[tuple]) -> Iterator[Polynomial]:
+    """The polynomials of candidate_basis labels at n, in label order.
+
+    Each is built only when the next one is asked for: a consumer that drops
+    each before asking again holds one at a time.
     """
-    terms = [list(t.terms()) for t in toric]
-    for f, g in combinations_with_replacement(terms, 2):
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in f:
-            for m2, c2 in g:
-                mm = m1.mul(m2)
-                nc = acc.get(mm, 0) + c1 * c2
-                if nc:
-                    acc[mm] = nc
-                else:
-                    acc.pop(mm, None)
-        yield Polynomial._of(acc)
+    toric = toric_gb_polynomials(n)
+    for label in labels:
+        yield _generator(label, toric)
 
 
 def secant_gb(n: int) -> list[Polynomial]:
     """Candidate basis for the rank-2 vanishing ideal: masters plus minors."""
-    return [g for _, g in candidate_basis(n, SECANT)]
+    return list(generators(n, candidate_basis(n, SECANT)))
 
 
 def symbolic_square_gb(n: int) -> list[Polynomial]:
     """Candidate basis for the symbolic square: minors, degree-3 masters, and
     products of pairs of the quadratic toric binomials."""
-    return [g for _, g in candidate_basis(n, SYMBOLIC_SQUARE)]
-
-
-def symbolic_square_stream(n: int) -> tuple[int, Iterator[Polynomial]]:
-    """len(symbolic_square_gb(n)), counted from its labels, and its polynomials
-    in order, with each product built only as the stream reaches it."""
-    basis = candidate_basis(n, SYMBOLIC_SQUARE, build_products=False)
-    return len(basis), chain([g for _, g in basis if g is not None], _products(toric_gb_polynomials(n)))
+    return list(generators(n, candidate_basis(n, SYMBOLIC_SQUARE)))
 
 
 def symbolic_square_identity_holds(n: int) -> bool:
@@ -625,33 +615,39 @@ def delightful_check(
     verdicts of its factors.  Each membership failure names its generator by
     list index and family: a master by its sequence (k, i, j), a minor by its
     split (rows, cols), a product by the indices (a, b) of its toric factors.
-    Legs (a) and (b) read a product only through its label ("product", a, b),
-    so product polynomials are built only for leg (c).  Leg (c) is
-    buchberger_verify, and `threads` means what it means there: the most
-    worker processes the sweep may use, None for no cap beyond the usable
-    CPUs and the number of S-pairs.
+    Legs (a) and (b) make one pass over the labels and read a product only
+    through its label ("product", a, b), so product polynomials are built
+    only for leg (c).  Leg (c) is buchberger_verify, and `threads` means what
+    it means there: the most worker processes the sweep may use, None for no
+    cap beyond the usable CPUs and the number of S-pairs.
     """
-    basis = candidate_basis(n, kind, build_products=with_buchberger)
+    labels = candidate_basis(n, kind)
     graph = build_graph(n)
+    toric = toric_gb_polynomials(n)
     if kind == SECANT:
         leg = "generators_vanish_on_rank_two_locus"
         target = secant_of_edge_ideal(graph, odd_floor(n))
     else:
         leg = "generators_member_of_symbolic_square"
         target = symbolic_square_of_edge_ideal(graph)
-        toric = toric_gb_polynomials(n)
         factor_ok = [in_toric_ideal(n, t) for t in toric]
         toric_lts = [order.leading_monomial(t) for t in toric]
 
-    bad = []
-    for gi, (label, g) in enumerate(basis):
+    # LT(f*g) = LT(f)*LT(g) under any term order, so a product's leading
+    # monomial is read from the leading monomials of its toric factors.  Any
+    # other generator is built once, for its verdict and its leading monomial.
+    bad, leads = [], []
+    for gi, label in enumerate(labels):
         if label[0] == "product":
+            leads.append(toric_lts[label[1]].mul(toric_lts[label[2]]))
             if factor_ok[label[1]] and factor_ok[label[2]]:
                 continue
             reason = "factor outside toric ideal"
-        elif in_secant_ideal(n, g):
-            continue
         else:
+            g = _generator(label, toric)
+            leads.append(order.leading_monomial(g))
+            if in_secant_ideal(n, g):
+                continue
             reason = "rank-2 oracle failed"
         witness = {"index": gi, **_family(label)}
         if kind == SECANT:
@@ -661,15 +657,7 @@ def delightful_check(
         bad.append(witness)
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
-    # LT(f*g) = LT(f)*LT(g) under any term order, so a product's leading
-    # monomial is read through its label, from the leading monomials of its
-    # toric factors.
-    lt_ideal = MonomialIdeal(
-        toric_lts[label[1]].mul(toric_lts[label[2]])
-        if label[0] == "product"
-        else order.leading_monomial(g)
-        for label, g in basis
-    )
+    lt_ideal = MonomialIdeal(leads)
     if lt_ideal == target:
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
@@ -687,14 +675,13 @@ def delightful_check(
 
     stats = None
     if with_buchberger:
-        labels, gens = [label for label, _ in basis], [g for _, g in basis]
-        sub = buchberger_verify(gens, order, n=n, kind=kind, threads=threads, labels=labels)
+        sub = buchberger_verify(generators(n, labels), order, n=n, kind=kind, threads=threads, labels=labels)
         checks.extend(sub.checks)
         stats = sub.spair_stats
 
     return GroebnerCertificate(
         order_descriptor=order.descriptor(),
-        generator_count=len(basis),
+        generator_count=len(labels),
         checks=tuple(checks),
         n=n,
         kind=kind,

@@ -295,6 +295,34 @@ def reference_first_divisor(leads, m):
     return next((k for k, lt in enumerate(leads) if lt.divides(m)), -1)
 
 
+def flip_lowest_tail(g, order):
+    """g with the coefficient of its canonically smallest non-leading monomial
+    negated: every leading term stays, and so does every pair criterion."""
+    lead = order.leading_monomial(g)
+    m = min(x for x in g.monomials() if x != lead)
+    return g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
+
+
+def substitute_generators(monkeypatch, polys, labels=None):
+    """Make every candidate basis build polys[label] for each label in `polys`.
+
+    The one builder from a label to its polynomial, groebner._generator, is
+    patched, so every consumer that builds a label sees its substitute; the
+    membership and initial-ideal legs read a product through its label alone,
+    so only the S-pair leg sees a substituted product.  Given `labels`,
+    candidate_basis returns them in place of a basis's own labels, for
+    example with one left out.
+    """
+    from hypersecant import groebner
+
+    build = groebner._generator
+    monkeypatch.setattr(
+        groebner, "_generator", lambda label, toric: polys[label] if label in polys else build(label, toric)
+    )
+    if labels is not None:
+        monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind: list(labels))
+
+
 def monomial_strategy(n=6, max_factors=3, max_exp=2):
     return st.lists(
         st.tuples(st.sampled_from(edges_for(n)), st.integers(1, max_exp)),

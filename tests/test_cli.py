@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import types
@@ -32,7 +33,13 @@ from hypersecant.cli import (
     polynomial_from_json,
     run,
 )
-from conftest import child_peak_rss, polynomial_to_json, substitute_rank
+from conftest import (
+    child_peak_rss,
+    flip_lowest_tail,
+    polynomial_to_json,
+    substitute_generators,
+    substitute_rank,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -40,21 +47,6 @@ SRC = str(ROOT / "src")
 
 def invoke(*argv):
     return run(build_parser().parse_args(list(argv)))
-
-
-def flip_last_generator(candidate_basis):
-    """candidate_basis with one non-leading coefficient of its last generator
-    negated: every leading term stays, and S-pairs with it fail."""
-
-    def flipped(n, kind, **kwargs):
-        basis = candidate_basis(n, kind, **kwargs)
-        label, g = basis[-1]
-        lead = CircularTermOrder(n).leading_monomial(g)
-        m = min(x for x in g.monomials() if x != lead)
-        basis[-1] = (label, g - Polynomial.from_monomial(m, 2 * g.coefficient(m)))
-        return basis
-
-    return flipped
 
 
 @pytest.fixture
@@ -189,12 +181,15 @@ class TestVerify:
         assert res.stdout.endswith("PASS\n")
 
     def test_buchberger_names_failing_pairs_by_generator(self, monkeypatch):
-        monkeypatch.setattr(cli, "candidate_basis", flip_last_generator(cli.candidate_basis))
+        # The last generator, a minor, with one non-leading coefficient negated.
+        labels = groebner.candidate_basis(6, "secant")
+        (g,) = groebner.generators(6, labels[-1:])
+        substitute_generators(monkeypatch, {labels[-1]: flip_lowest_tail(g, CircularTermOrder(6))})
         argv = ["verify", "buchberger", "--n", "6", "--kind", "secant"]
         res = invoke(*argv, "--format", "json")
         assert res.code == EXIT_FAIL
         (check,) = json.loads(res.stdout)["checks"]
-        last = len(groebner.secant_gb(6)) - 1
+        last = len(labels) - 1
         for w in check["witness"]:
             assert list(w)[:2] == ["pair", "generators"]
             if w["pair"][1] == last:
@@ -231,7 +226,10 @@ class TestVerify:
             ]
 
     def test_delightful_names_failing_pairs_by_generator(self, monkeypatch):
-        monkeypatch.setattr(groebner, "candidate_basis", flip_last_generator(groebner.candidate_basis))
+        # The last generator, a product, with one non-leading coefficient negated.
+        labels = groebner.candidate_basis(5, "symbolic-square")
+        (g,) = groebner.generators(5, labels[-1:])
+        substitute_generators(monkeypatch, {labels[-1]: flip_lowest_tail(g, CircularTermOrder(5))})
         argv = ["verify", "delightful", "--n", "5", "--kind", "symbolic", "--buchberger"]
         res = invoke(*argv, "--format", "json")
         assert res.code == EXIT_FAIL
@@ -509,6 +507,27 @@ class TestDeterminism:
         assert target.read_text() == invoke("toric-gb", "--n", "4").stdout
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_output_through_symlink_replaces_its_target(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old content\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real.name)
+        assert main(["toric-gb", "--n", "4", "--output", str(link)]) == EXIT_OK
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text() == invoke("toric-gb", "--n", "4").stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_output_to_fifo_is_usage_error(self, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert main(["toric-gb", "--n", "4", "--output", str(fifo)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: cannot write --output {fifo}:" in err
+        assert "not a regular file" in err
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
 
 def _break_renderer_after_first(monkeypatch):
     """Make the JSON polynomial renderer raise on its second generator."""
@@ -587,6 +606,16 @@ class TestStreamedOutput:
             code, peak_mib, _ = child_peak_rss(["symbolic-gb", "--n", "8", "--format", fmt], SRC)
             assert code == EXIT_OK
             assert peak_mib < 26, fmt
+        # The 508 secant generators, built one at a time from their labels:
+        # holding them all took secant-gb to 19.7-21.5 MiB and verify
+        # delightful to 20.4 MiB; streamed, they peak near 16 and 17 MiB.
+        for argv in (
+            *(["secant-gb", "--n", "8", "--format", fmt] for fmt in ("json", "text", "algebra-script")),
+            ["verify", "delightful", "--n", "8", "--kind", "secant"],
+        ):
+            code, peak_mib, _ = child_peak_rss(argv, SRC)
+            assert code == EXIT_OK
+            assert peak_mib < 18.5, argv
 
 
 class TestJsonRoundTrip:

@@ -45,12 +45,14 @@ from hypersecant.order import _Packing
 from conftest import (
     child_peak_rss,
     edges_for,
+    flip_lowest_tail,
     monomial_strategy,
     off_diagonal_minor_3x3,
     polynomial_strategy,
     reference_first_divisor,
     reference_order_key,
     s_polynomial,
+    substitute_generators,
 )
 
 
@@ -390,13 +392,15 @@ class TestBuchbergerVerify:
         """(n, basis, labels, index, name) of one generator of the family,
         checked to be one, where name is the family a witness gives it."""
         if family == "product":
-            labels, gens = zip(*groebner.candidate_basis(5, "symbolic-square"))
+            labels = groebner.candidate_basis(5, "symbolic-square")
+            gens = list(groebner.generators(5, labels))
             last = toric_gb_polynomials(5)[-1]
             assert gens[-1] == last * last
             k = len(toric_gb_polynomials(5)) - 1
             return 5, gens, labels, len(gens) - 1, {"family": "product", "factors": [k, k]}
-        labels, gens = zip(*groebner.candidate_basis(6, "secant"))
-        assert list(gens) == secant_gb(6)
+        labels = groebner.candidate_basis(6, "secant")
+        gens = list(groebner.generators(6, labels))
+        assert gens == secant_gb(6)
         if family == "master":
             s = all_admissible_sequences(6)[0]
             assert gens[0] == master_polynomial(s)
@@ -854,42 +858,35 @@ class TestDelightfulCheck:
         # The initial-ideal leg takes LT(toric[a]) * LT(toric[b]) as the
         # leading monomial of the product labelled ("product", a, b).
         toric = toric_gb_polynomials(n)
-        _, _, products = _families(groebner.candidate_basis(n, "symbolic-square"))
+        _, _, products = _families(n, "symbolic-square")
         assert len(products) == comb(len(toric) + 1, 2)
         for order in both_inner_orders(n):
             leads = [order.leading_monomial(t) for t in toric]
             for a, b, g in products:
                 assert leads[a].mul(leads[b]) == order.leading_monomial(g), (a, b)
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_products_are_plain_products_term_for_term(self, n):
-        toric = toric_gb_polynomials(n)
-        _, _, products = _families(groebner.candidate_basis(n, "symbolic-square"))
-        for a, b, g in products:
-            assert list(g.terms()) == list((toric[a] * toric[b]).terms()), (a, b)
-
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_product_stream_is_every_plain_product(self, n):
-        # The oracle is Polynomial.__mul__, over the pairs a <= b in order.
-        toric = toric_gb_polynomials(n)
-        pairs = itertools.combinations_with_replacement(range(len(toric)), 2)
-        assert list(groebner._products(toric)) == [toric[a] * toric[b] for a, b in pairs]
-        gens = symbolic_square_gb(n)
-        assert gens == [g for _, g in groebner.candidate_basis(n, "symbolic-square")]
-        count, polys = groebner.symbolic_square_stream(n)
-        assert count == len(gens)
-        assert list(polys) == gens
-
     @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
-    def test_unbuilt_products_keep_labels_and_order(self, kind):
-        built = groebner.candidate_basis(6, kind)
-        listed = groebner.candidate_basis(6, kind, build_products=False)
-        assert [label for label, _ in listed] == [label for label, _ in built]
-        for (label, g), (_, h) in zip(listed, built):
-            if label[0] == "product":
-                assert g is None
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_generators_build_their_labels(self, n, kind):
+        # The oracles are master_polynomial, off_diagonal_minor and
+        # Polynomial.__mul__, term for term, over the product labels a <= b
+        # in combinations_with_replacement order.
+        toric = toric_gb_polynomials(n)
+        labels = groebner.candidate_basis(n, kind)
+        gens = list(groebner.generators(n, labels))
+        assert len(gens) == len(labels)
+        for label, g in zip(labels, gens):
+            if label[0] == "master":
+                want = master_polynomial(label[1])
+            elif label[0] == "minor":
+                want = off_diagonal_minor(label[1], label[2])
             else:
-                assert g == h
+                want = toric[label[1]] * toric[label[2]]
+            assert list(g.terms()) == list(want.terms()), label
+        pairs = itertools.combinations_with_replacement(range(len(toric)), 2)
+        products = [label[1:] for label in labels if label[0] == "product"]
+        assert products == (list(pairs) if kind == "symbolic-square" else [])
+        assert gens == (secant_gb(n) if kind == "secant" else symbolic_square_gb(n))
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -897,23 +894,17 @@ class TestDelightfulCheck:
 
 
 def _count_products(monkeypatch):
-    """A one-item list counting polynomial-by-polynomial multiplications and
-    the product polynomials candidate_basis builds from now on."""
+    """A one-item list counting polynomial-by-polynomial multiplications from
+    now on."""
     count = [0]
-    mul, build = Polynomial.__mul__, groebner._products
+    mul = Polynomial.__mul__
 
     def counting_mul(self, other):
         if isinstance(other, Polynomial):
             count[0] += 1
         return mul(self, other)
 
-    def counting_build(toric):
-        for g in build(toric):
-            count[0] += 1
-            yield g
-
     monkeypatch.setattr(Polynomial, "__mul__", counting_mul)
-    monkeypatch.setattr(groebner, "_products", counting_build)
     return count
 
 
@@ -921,16 +912,11 @@ class TestDelightfulBuildsProductsOnlyForSPairs:
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_symbolic_without_spairs_multiplies_nothing(self, monkeypatch, n, inner):
-        order = CircularTermOrder(n, inner)
-        # The certificate of the basis with every product built.
-        with monkeypatch.context() as m:
-            _certify(m, groebner.candidate_basis(n, "symbolic-square"))
-            want = delightful_check(n, "symbolic-square", order)
         count = _count_products(monkeypatch)
-        got = delightful_check(n, "symbolic-square", order)
+        cert = delightful_check(n, "symbolic-square", CircularTermOrder(n, inner))
         assert count == [0]
-        assert got == want
-        assert got.passed
+        assert cert.passed
+        assert cert.generator_count == len(groebner.candidate_basis(n, "symbolic-square"))
 
     def test_spair_leg_builds_every_product(self, monkeypatch):
         count = _count_products(monkeypatch)
@@ -943,24 +929,22 @@ def _check(cert, name):
     return next(c for c in cert.checks if c.name == name)
 
 
-def _flip_lowest_tail(g, order):
-    """g with the coefficient of its canonically smallest non-leading monomial negated."""
-    lead = order.leading_monomial(g)
-    m = min(x for x in g.monomials() if x != lead)
-    return g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
-
-
-def _families(basis):
-    """The minors, the masters and the (a, b, product) triples of a labelled basis."""
+def _families(n, kind):
+    """The minors, the masters and the (a, b, product) triples of the
+    candidate basis of `kind` at n."""
+    labels = groebner.candidate_basis(n, kind)
+    basis = list(zip(labels, groebner.generators(n, labels)))
     minors = [g for label, g in basis if label[0] == "minor"]
     masters = [g for label, g in basis if label[0] == "master"]
     products = [(*label[1:], g) for label, g in basis if label[0] == "product"]
     return minors, masters, products
 
 
-def _certify(monkeypatch, basis):
-    """Make delightful_check certify `basis` in place of the candidate basis."""
-    monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind, **_: list(basis))
+def _flip(monkeypatch, n, kind, k, order):
+    """Certify the candidate basis with generator k's lowest tail flipped."""
+    labels = groebner.candidate_basis(n, kind)
+    (g,) = groebner.generators(n, labels[k : k + 1])
+    substitute_generators(monkeypatch, {labels[k]: flip_lowest_tail(g, order)})
 
 
 class TestDelightfulNegativeControls:
@@ -969,11 +953,8 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_master_coefficient_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        basis = groebner.candidate_basis(6, "secant")
         k = len(all_admissible_sequences(6)) - 1  # the last master
-        label, g = basis[k]
-        basis[k] = (label, _flip_lowest_tail(g, order))
-        _certify(monkeypatch, basis)
+        _flip(monkeypatch, 6, "secant", k, order)
         cert = delightful_check(6, "secant", order)
         assert not cert.passed
         leg = _check(cert, "generators_vanish_on_rank_two_locus")
@@ -988,11 +969,8 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_minor_coefficient_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(7, inner)
-        basis = groebner.candidate_basis(7, "secant")
-        k = len(basis) - 2  # the middle split of the last 6-subset
-        label, g = basis[k]
-        basis[k] = (label, _flip_lowest_tail(g, order))
-        _certify(monkeypatch, basis)
+        k = len(groebner.candidate_basis(7, "secant")) - 2  # the middle split of the last 6-subset
+        _flip(monkeypatch, 7, "secant", k, order)
         cert = delightful_check(7, "secant", order)
         leg = _check(cert, "generators_vanish_on_rank_two_locus")
         assert leg.status == "fail"
@@ -1004,9 +982,9 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        basis = groebner.candidate_basis(6, "secant")
-        _, dropped = basis.pop()  # the last minor
-        _certify(monkeypatch, basis)
+        labels = groebner.candidate_basis(6, "secant")
+        (dropped,) = groebner.generators(6, labels[-1:])  # the last minor
+        substitute_generators(monkeypatch, {}, labels=labels[:-1])
         cert = delightful_check(6, "secant", order)
         assert _check(cert, "generators_vanish_on_rank_two_locus").status == "pass"
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
@@ -1017,10 +995,10 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_symbolic_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        basis = groebner.candidate_basis(6, "symbolic-square")
-        minors, _, _ = _families(basis)
-        del basis[len(minors) - 1]  # the last minor
-        _certify(monkeypatch, basis)
+        labels = groebner.candidate_basis(6, "symbolic-square")
+        minors, _, _ = _families(6, "symbolic-square")
+        del labels[len(minors) - 1]  # the last minor
+        substitute_generators(monkeypatch, {}, labels=labels)
         cert = delightful_check(6, "symbolic-square", order)
         assert _check(cert, "generators_member_of_symbolic_square").status == "pass"
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
@@ -1041,7 +1019,7 @@ class TestDelightfulNegativeControls:
             for a, b in itertools.combinations_with_replacement(range(len(toric)), 2)
         ]
         monkeypatch.setattr(groebner, "toric_gb_polynomials", lambda n: list(toric))
-        minors, masters, built = _families(groebner.candidate_basis(6, "symbolic-square"))
+        minors, masters, built = _families(6, "symbolic-square")
         assert built == products
         cert = delightful_check(6, "symbolic-square", order)
         assert not cert.passed
@@ -1075,11 +1053,8 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_symbolic_master_fails_membership(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        basis = groebner.candidate_basis(6, "symbolic-square")
-        minors, _, _ = _families(basis)
-        label, g = basis[len(minors)]  # the first master
-        basis[len(minors)] = (label, _flip_lowest_tail(g, order))
-        _certify(monkeypatch, basis)
+        minors, _, _ = _families(6, "symbolic-square")
+        _flip(monkeypatch, 6, "symbolic-square", len(minors), order)  # the first master
         cert = delightful_check(6, "symbolic-square", order)
         leg = _check(cert, "generators_member_of_symbolic_square")
         assert leg.status == "fail"
