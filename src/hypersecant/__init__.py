@@ -16,10 +16,8 @@ from .poly import (
     format_polynomial,
     param_t,
     param_u,
-    parse_monomial,
-    parse_polynomial,
 )
-from .order import CircularTermOrder, both_inner_orders, edge_class
+from .order import CircularTermOrder, edge_class
 from .hypersimplex import (
     BinomialGenerator,
     MonomialIdeal,
@@ -34,7 +32,6 @@ from .noncrossing import (
     NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
-    build_graph,
     cycle_monomial,
     induced_odd_cycles,
     initial_edge_ideal,
@@ -42,9 +39,6 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .master import (
-    PairingInvolution,
-    base_involution,
-    crossing_number,
     master_polynomial,
     verify_leading_term,
     verify_membership,
@@ -58,12 +52,8 @@ from .groebner import (
     buchberger_verify,
     circular_minor_splits,
     delightful_check,
-    nested_triple_monomials,
     off_diagonal_minor,
     reduce,
-    secant_gb,
-    symbolic_square_gb,
-    symbolic_square_identity_holds,
 )
 from .fixtures import (
     GENERIC_QUINTIC_SEQUENCE,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 import traceback
@@ -31,9 +32,9 @@ from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
+    NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
-    build_graph,
     induced_odd_cycles,
     initial_edge_ideal,
     odd_floor,
@@ -41,15 +42,7 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .order import CircularTermOrder, INNER_ORDERS
-from .poly import (
-    Monomial,
-    Polynomial,
-    edge_var,
-    format_monomial,
-    format_polynomial,
-    param_t,
-    param_u,
-)
+from .poly import Monomial, Polynomial, format_monomial, format_polynomial
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -91,26 +84,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def monomial_from_json(data) -> Monomial:
-    factors = {}
-    for entry in data:
-        kind = entry[0]
-        if kind == "x":
-            _, a, b, e = entry
-            v = edge_var(a, b)
-        else:
-            _, i, e = entry
-            v = param_t(i) if kind == "t" else param_u(i)
-        factors[v] = factors.get(v, 0) + e
-    return Monomial(factors)
-
-
-def polynomial_from_json(data) -> Polynomial:
-    return Polynomial(
-        (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
-    )
-
 
 def _json_list(items: list[str], depth: int) -> str:
     """A list at nesting `depth` as json.dumps(indent=2) lays it out; the
@@ -413,7 +386,7 @@ def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
     warn = _check_bound(args, n, CERTIFY_BOUND, "odd-cycles")
     max_len, max_len_warn = _max_len(args, n)
     warn += max_len_warn
-    cycles = induced_odd_cycles(build_graph(n), max_len)
+    cycles = induced_odd_cycles(NoncrossingGraph(n), max_len)
     if args.format == "json":
         payload = {
             "command": "odd-cycles",
@@ -655,13 +628,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "toric-gb", _cmd_toric_gb, script=True)
     for name, least_n, build in (
         ("initial-ideal", 3, initial_edge_ideal),
-        ("initial-symbolic", 3, lambda n: symbolic_square_of_edge_ideal(build_graph(n))),
+        ("initial-symbolic", 3, lambda n: symbolic_square_of_edge_ideal(NoncrossingGraph(n))),
         ("secant-gb", 4, lambda n: candidate_basis(n, "secant")),
         ("symbolic-gb", 4, lambda n: candidate_basis(n, "symbolic-square")),
     ):
         _add_command(sub, name, _cmd_build, script=True, build=build, least_n=least_n)
     p = _add_command(sub, "initial-secant", _cmd_build, script=True, least_n=3,
-                     build=lambda n, max_len: secant_of_edge_ideal(build_graph(n), max_len))
+                     build=lambda n, max_len: secant_of_edge_ideal(NoncrossingGraph(n), max_len))
     p.add_argument("--max-len", type=int, default=None)
 
     p = _add_command(sub, "odd-cycles", _cmd_odd_cycles, order=False)
@@ -695,12 +668,12 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks to a temporary file beside path, then rename it over path.
 
     A symbolic link is followed, so its target is replaced and the link
-    stays.  An existing target that is not a regular file, such as a FIFO or
-    a device, is refused before any temporary file is made.  Readers see the
-    old file or the whole new one; if anything fails, the rendering of a
-    chunk included, the old file is left untouched and the temporary file is
-    removed.  An OSError is raised as _OutputError: the chunks render in
-    memory and do no I/O of their own.
+    stays, and a replaced file keeps its mode.  An existing target that is
+    not a regular file, such as a FIFO or a device, is refused before any
+    temporary file is made.  Readers see the old file or the whole new one;
+    if anything fails, the rendering of a chunk included, the old file is
+    left untouched and the temporary file is removed.  An OSError is raised
+    as _OutputError: the chunks render in memory and do no I/O of their own.
     """
     path = os.path.realpath(path)
     if os.path.lexists(path) and not os.path.isfile(path):
@@ -711,10 +684,15 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
             with os.fdopen(fd, "w") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
-            # mkstemp creates the file 0600; give it the mode open() would have.
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
+            # mkstemp creates the file 0600: keep the mode of the file being
+            # replaced, or give a new one the mode open() would have.
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.chmod(tmp, mode)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -24,10 +24,9 @@ from .hypersimplex import (
     toric_gb_polynomials,
 )
 from .noncrossing import (
+    NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
-    build_graph,
-    initial_edge_ideal,
     odd_floor,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
@@ -111,7 +110,7 @@ _PAIRS_PER_WORKER = 2048
 
 
 class _Divider:
-    """Packed reducers in list order, with full division and the S-pair sweep.
+    """Reducers packed in list order, with full division and the S-pair sweep.
 
     A term is keyed by its negated packed monomial, so a min-heap pops the
     largest term first.  `lts` holds each reducer's leading monomial, packed,
@@ -129,13 +128,15 @@ class _Divider:
     and the lowest of them whose leading term divides the term is its first
     divisor.  In front of the tables, `memo` maps up to _FRONT_MEMO_CAP
     negated monomials to their first divisor, or -1.  A divider lives for
-    one call, and so do its tables and memo.
+    one call, and so do its tables and memo.  Each Polynomial of `polys` is
+    packed as it is read, and only its leading term and tail are kept.
     """
 
-    def __init__(self, packing: _Packing, gens):
+    def __init__(self, packing: _Packing, polys):
         self.packing = packing
         self.lts, self.tails, self.supports = [], [], []
-        for terms in gens:
+        for g in polys:
+            terms = [(packing.pack(m), c) for m, c in g.terms()]
             if not terms:
                 raise ValueError("reducers must be nonzero")
             lt, ltc = max(terms)
@@ -282,10 +283,6 @@ class _Divider:
         return failures, skipped, reduced, max_terms
 
 
-def _packed_terms(p: Polynomial, packing: _Packing) -> list[tuple[int, int]]:
-    return [(packing.pack(m), c) for m, c in p.terms()]
-
-
 def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> Polynomial:
     """Normal form of f modulo G: no remainder term divisible by any LT(g).
 
@@ -295,8 +292,8 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> 
     """
     G = list(G)
     packing = order.packing(max([f.degree] + [g.degree for g in G]))
-    divider = _Divider(packing, [_packed_terms(g, packing) for g in G])
-    rem, _ = divider.normal_form({-p: c for p, c in _packed_terms(f, packing)})
+    divider = _Divider(packing, G)
+    rem, _ = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
     return packing.polynomial({-q: c for q, c in rem.items()})
 
 
@@ -354,7 +351,7 @@ def _workers(pairs: int, threads: int | None) -> int:
     return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER, threads or pairs))
 
 
-def _sweep(packing: _Packing, gens, threads: int | None):
+def _sweep(packing: _Packing, G: Sequence[Polynomial], threads: int | None):
     """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
 
     The parent builds the one divider, which checks every reducer, before it
@@ -364,7 +361,7 @@ def _sweep(packing: _Packing, gens, threads: int | None):
     generates itself.  Forked workers inherit the divider, unpickled, through
     the pool's initializer.
     """
-    divider = _Divider(packing, gens)
+    divider = _Divider(packing, G)
     m = len(divider.lts)
     workers = _workers(m * (m - 1) // 2, threads)
     if workers <= 1:
@@ -412,7 +409,7 @@ def buchberger_verify(
     # reduction has at most the degree of its S-pair's lcm, which is at most
     # twice the largest generator's.
     packing = order.packing(2 * max((g.degree for g in G), default=0))
-    results = _sweep(packing, [_packed_terms(g, packing) for g in G], threads)
+    results = _sweep(packing, G, threads)
     failures: list = []
     skipped = reduced = max_terms = 0
     for fl, sk, rd, mt in results:
@@ -503,11 +500,6 @@ def _minor_splits(n: int):
         yield from circular_minor_splits(sub)
 
 
-def nested_triple_monomials(n: int) -> list[Monomial]:
-    """The circularly nested noncrossing triples, one family per 6-subset split."""
-    return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
-
-
 def candidate_basis(n: int, kind: str) -> list[tuple]:
     """The family label of each generator of the candidate basis of `kind`.
 
@@ -551,30 +543,6 @@ def generators(n: int, labels: Sequence[tuple]) -> Iterator[Polynomial]:
     toric = toric_gb_polynomials(n)
     for label in labels:
         yield _generator(label, toric)
-
-
-def secant_gb(n: int) -> list[Polynomial]:
-    """Candidate basis for the rank-2 vanishing ideal: masters plus minors."""
-    return list(generators(n, candidate_basis(n, SECANT)))
-
-
-def symbolic_square_gb(n: int) -> list[Polynomial]:
-    """Candidate basis for the symbolic square: minors, degree-3 masters, and
-    products of pairs of the quadratic toric binomials."""
-    return list(generators(n, candidate_basis(n, SYMBOLIC_SQUARE)))
-
-
-def symbolic_square_identity_holds(n: int) -> bool:
-    """Monomial-ideal identity: the symbolic square of the initial ideal equals
-    its ordinary square plus the secant of the initial ideal."""
-    g = build_graph(n)
-    square_gens = [
-        a.mul(b)
-        for a, b in combinations_with_replacement(initial_edge_ideal(n).generators, 2)
-    ]
-    union = list(square_gens)
-    union.extend(secant_of_edge_ideal(g, odd_floor(n)).generators)
-    return MonomialIdeal(union) == symbolic_square_of_edge_ideal(g)
 
 
 # ---------------------------------------------------------------------------
@@ -622,14 +590,11 @@ def delightful_check(
     cap beyond the usable CPUs and the number of S-pairs.
     """
     labels = candidate_basis(n, kind)
-    graph = build_graph(n)
     toric = toric_gb_polynomials(n)
     if kind == SECANT:
         leg = "generators_vanish_on_rank_two_locus"
-        target = secant_of_edge_ideal(graph, odd_floor(n))
     else:
         leg = "generators_member_of_symbolic_square"
-        target = symbolic_square_of_edge_ideal(graph)
         factor_ok = [in_toric_ideal(n, t) for t in toric]
         toric_lts = [order.leading_monomial(t) for t in toric]
 
@@ -658,6 +623,13 @@ def delightful_check(
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
     lt_ideal = MonomialIdeal(leads)
+    # The target is built only once the leading monomials are dropped, so the
+    # two are never held together.
+    del leads
+    if kind == SECANT:
+        target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n))
+    else:
+        target = symbolic_square_of_edge_ideal(NoncrossingGraph(n))
     if lt_ideal == target:
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:

@@ -8,84 +8,18 @@ monomials of all 2^{2k+1} conjugates, specialized through the assignment
 I_l -> i_l, J_l -> j_l of an admissible sequence.  master_polynomial reads
 each conjugate's endpoints straight off the index arrays, so no pairing is
 built; degenerate assignments (i_l = j_l for some l) need no special case,
-their collisions cancel in the signed sum.  PairingInvolution,
-base_involution and crossing_number keep the formal pairings for the
-crossing-number ladder.
+their collisions cancel in the signed sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from .hypersimplex import _validate_ambient, in_secant_ideal
 from .noncrossing import AdmissibleSequence, cycle_monomial
 from .order import CircularTermOrder
 from .poly import Monomial, Polynomial, edge_var
-
-# A letter is ('I', l) or ('J', l) with l in 1..2k+1.
-Letter = tuple
-
-
-def _letters(k: int) -> tuple[Letter, ...]:
-    return tuple(("I", l) for l in range(1, 2 * k + 2)) + tuple(
-        ("J", l) for l in range(1, 2 * k + 2)
-    )
-
-
-def _position(letter: Letter) -> int:
-    # Circular arrangement I_1, J_1, I_2, J_2, ...
-    kind, l = letter
-    return 2 * (l - 1) + (0 if kind == "I" else 1)
-
-
-@dataclass(frozen=True)
-class PairingInvolution:
-    """A fixed-point-free perfect matching on the 4k+2 formal letters."""
-
-    k: int
-    pairs: tuple[tuple[Letter, Letter], ...]
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k!r}")
-        expected = set(_letters(self.k))
-        seen: set[Letter] = set()
-        for p, q in self.pairs:
-            if p == q:
-                raise ValueError(f"fixed point at {p}")
-            seen.update((p, q))
-        if seen != expected or 2 * len(self.pairs) != len(expected):
-            raise ValueError("pairs must form a perfect matching on all letters")
-
-    @staticmethod
-    def from_pairs(k: int, pairs: Iterable[tuple[Letter, Letter]]) -> "PairingInvolution":
-        norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        return PairingInvolution(k, norm)
-
-
-def base_involution(k: int) -> PairingInvolution:
-    """Pairs I_l with J_{l+k-1}, indices modulo 2k+1 in 1..2k+1."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"need k >= 1, got {k!r}")
-    length = 2 * k + 1
-    pairs = [(("I", l), ("J", (l + k - 2) % length + 1)) for l in range(1, length + 1)]
-    return PairingInvolution.from_pairs(k, pairs)
-
-
-def crossing_number(inv: PairingInvolution) -> int:
-    """Number of interleaving chord pairs on the circle of 4k+2 letters."""
-    chords = [tuple(sorted((_position(p), _position(q)))) for p, q in inv.pairs]
-    count = 0
-    for x in range(len(chords)):
-        a, b = chords[x]
-        for y in range(x + 1, len(chords)):
-            c, d = chords[y]
-            if (a < c < b) != (a < d < b):
-                count += 1
-    return count
 
 
 @lru_cache(maxsize=2)

@@ -91,10 +91,6 @@ class NoncrossingGraph:
         return f"NoncrossingGraph(n={self.n}, vertices={len(self.vertices)})"
 
 
-def build_graph(n: int) -> NoncrossingGraph:
-    return NoncrossingGraph(n)
-
-
 def initial_edge_ideal(n: int) -> MonomialIdeal:
     """The ideal of all noncrossing chord pairs, i.e. the toric initial ideal:
     one generator per edge of the noncrossing graph.  Needs n >= 3."""

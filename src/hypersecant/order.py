@@ -175,9 +175,3 @@ class _Packing:
 
     def polynomial(self, terms: dict) -> Polynomial:
         return Polynomial((self.unpack(p), c) for p, c in terms.items())
-
-
-def both_inner_orders(n: int) -> tuple[CircularTermOrder, CircularTermOrder]:
-    """The two shipped instantiations; results quantified over circular orders
-    are exercised against both."""
-    return CircularTermOrder(n, "grevlex"), CircularTermOrder(n, "lex")

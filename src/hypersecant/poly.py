@@ -12,7 +12,6 @@ everything here is safe to share across threads or processes.
 
 from __future__ import annotations
 
-import re
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -391,8 +390,6 @@ def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
 # Emission lists terms in descending order under the supplied key (canonical
 # degree-then-factors order when no key is given); factors are sorted.
 
-_FACTOR_RE = re.compile(r"^(?:x\[(\d+),(\d+)\]|([tu])\[(\d+)\])(?:\^(\d+))?$")
-
 
 def format_monomial(m: Monomial) -> str:
     """Bare monomial text, e.g. x[1,2]*x[2,3]; the empty monomial is '1'."""
@@ -421,40 +418,3 @@ def format_polynomial(p: Polynomial, key=canonical_key) -> str:
             pieces.append(f"{c:+d}*{format_monomial(m)}")
     return " ".join(pieces)
 
-
-def parse_monomial(text: str) -> Monomial:
-    """Parse bare monomial text as emitted by format_monomial."""
-    text = text.strip()
-    if text == "1":
-        return Monomial.one()
-    factors: dict[Variable, int] = {}
-    for tok in text.split("*"):
-        m = _FACTOR_RE.match(tok.strip())
-        if not m:
-            raise ValueError(f"bad monomial factor {tok!r}")
-        xa, xb, kind, pi, exp = m.groups()
-        v = edge_var(int(xa), int(xb)) if xa is not None else (
-            param_t(int(pi)) if kind == "t" else param_u(int(pi)))
-        factors[v] = factors.get(v, 0) + (int(exp) if exp else 1)
-    return Monomial(factors)
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse signed-term polynomial text as emitted by format_polynomial."""
-    text = text.strip()
-    if text == "0" or not text:
-        return Polynomial.zero()
-    acc: dict[Monomial, int] = {}
-    for tok in text.split():
-        head, _, rest = tok.partition("*")
-        try:
-            coeff = int(head)
-        except ValueError as exc:
-            raise ValueError(f"bad term {tok!r}: expected a signed coefficient") from exc
-        mono = parse_monomial(rest) if rest else Monomial.one()
-        nc = acc.get(mono, 0) + coeff
-        if nc:
-            acc[mono] = nc
-        else:
-            acc.pop(mono, None)
-    return Polynomial(acc)

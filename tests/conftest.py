@@ -1,16 +1,65 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import pytest
 from hypothesis import strategies as st
 
-from hypersecant import Monomial, Polynomial, edge_var, in_toric_ideal
-from hypersecant.master import PairingInvolution, base_involution
+from hypersecant import (
+    CircularTermOrder,
+    Monomial,
+    MonomialIdeal,
+    NoncrossingGraph,
+    Polynomial,
+    antidiagonal_monomial,
+    edge_var,
+    in_toric_ideal,
+    initial_edge_ideal,
+    param_t,
+    param_u,
+    secant_of_edge_ideal,
+    symbolic_square_of_edge_ideal,
+)
+from hypersecant.groebner import _minor_splits, candidate_basis, generators
+from hypersecant.noncrossing import odd_floor
 from hypersecant.poly import _rank_image
+
+
+def both_inner_orders(n):
+    """The two shipped instantiations; results quantified over circular orders
+    are exercised against both."""
+    return CircularTermOrder(n, "grevlex"), CircularTermOrder(n, "lex")
+
+
+def candidate_polynomials(n, kind):
+    """The candidate basis of `kind` ("secant" or "symbolic-square") at n as a
+    list, built from its labels."""
+    return list(generators(n, candidate_basis(n, kind)))
+
+
+# Paper-level facts about the candidate bases and the initial ideals.
+
+
+def nested_triple_monomials(n):
+    """The circularly nested noncrossing triples, one family per 6-subset split."""
+    return [antidiagonal_monomial(rows, cols) for rows, cols in _minor_splits(n)]
+
+
+def symbolic_square_identity_holds(n):
+    """Monomial-ideal identity: the symbolic square of the initial ideal equals
+    its ordinary square plus the secant of the initial ideal."""
+    g = NoncrossingGraph(n)
+    square_gens = [
+        a.mul(b)
+        for a, b in combinations_with_replacement(initial_edge_ideal(n).generators, 2)
+    ]
+    union = list(square_gens)
+    union.extend(secant_of_edge_ideal(g, odd_floor(n)).generators)
+    return MonomialIdeal(union) == symbolic_square_of_edge_ideal(g)
 
 
 def partial_derivative(p, edges):
@@ -133,14 +182,68 @@ def reference_induced_odd_cycles(g, max_len):
 
 
 # The master polynomial on formal letters, written out independently of the
-# library's index-array computation.  A letter is ('I', l) or ('J', l) with l
-# in 1..2k+1.
+# library's index-array computation, and the crossing-number ladder of its
+# pairings.  A letter is ('I', l) or ('J', l) with l in 1..2k+1.
+Letter = tuple
 
 
-def _letters(k):
+def _letters(k: int) -> tuple[Letter, ...]:
     return tuple(("I", l) for l in range(1, 2 * k + 2)) + tuple(
         ("J", l) for l in range(1, 2 * k + 2)
     )
+
+
+def _position(letter: Letter) -> int:
+    # Circular arrangement I_1, J_1, I_2, J_2, ...
+    kind, l = letter
+    return 2 * (l - 1) + (0 if kind == "I" else 1)
+
+
+@dataclass(frozen=True)
+class PairingInvolution:
+    """A fixed-point-free perfect matching on the 4k+2 formal letters."""
+
+    k: int
+    pairs: tuple[tuple[Letter, Letter], ...]
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"need k >= 1, got {self.k!r}")
+        expected = set(_letters(self.k))
+        seen: set[Letter] = set()
+        for p, q in self.pairs:
+            if p == q:
+                raise ValueError(f"fixed point at {p}")
+            seen.update((p, q))
+        if seen != expected or 2 * len(self.pairs) != len(expected):
+            raise ValueError("pairs must form a perfect matching on all letters")
+
+    @staticmethod
+    def from_pairs(k: int, pairs: Iterable[tuple[Letter, Letter]]) -> "PairingInvolution":
+        norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
+        return PairingInvolution(k, norm)
+
+
+def base_involution(k: int) -> PairingInvolution:
+    """Pairs I_l with J_{l+k-1}, indices modulo 2k+1 in 1..2k+1."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"need k >= 1, got {k!r}")
+    length = 2 * k + 1
+    pairs = [(("I", l), ("J", (l + k - 2) % length + 1)) for l in range(1, length + 1)]
+    return PairingInvolution.from_pairs(k, pairs)
+
+
+def crossing_number(inv: PairingInvolution) -> int:
+    """Number of interleaving chord pairs on the circle of 4k+2 letters."""
+    chords = [tuple(sorted((_position(p), _position(q)))) for p, q in inv.pairs]
+    count = 0
+    for x in range(len(chords)):
+        a, b = chords[x]
+        for y in range(x + 1, len(chords)):
+            c, d = chords[y]
+            if (a < c < b) != (a < d < b):
+                count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -342,9 +445,7 @@ def polynomial_strategy(n=6, max_terms=4, max_factors=3, max_exp=2, max_coeff=4)
 
 @pytest.fixture(scope="session")
 def graph6():
-    from hypersecant import build_graph
-
-    return build_graph(6)
+    return NoncrossingGraph(6)
 
 
 @pytest.fixture
@@ -399,8 +500,53 @@ def child_peak_rss(argv, pythonpath):
     return code, peak_kib / 1024, proc.stdout
 
 
+# The signed-term text grammar of format_polynomial, read back: the round-trip
+# oracle for the text emitters.
+
+_FACTOR_RE = re.compile(r"^(?:x\[(\d+),(\d+)\]|([tu])\[(\d+)\])(?:\^(\d+))?$")
+
+
+def parse_monomial(text: str) -> Monomial:
+    """Parse bare monomial text as emitted by format_monomial."""
+    text = text.strip()
+    if text == "1":
+        return Monomial.one()
+    factors: dict = {}
+    for tok in text.split("*"):
+        m = _FACTOR_RE.match(tok.strip())
+        if not m:
+            raise ValueError(f"bad monomial factor {tok!r}")
+        xa, xb, kind, pi, exp = m.groups()
+        v = edge_var(int(xa), int(xb)) if xa is not None else (
+            param_t(int(pi)) if kind == "t" else param_u(int(pi)))
+        factors[v] = factors.get(v, 0) + (int(exp) if exp else 1)
+    return Monomial(factors)
+
+
+def parse_polynomial(text: str) -> Polynomial:
+    """Parse signed-term polynomial text as emitted by format_polynomial."""
+    text = text.strip()
+    if text == "0" or not text:
+        return Polynomial.zero()
+    acc: dict[Monomial, int] = {}
+    for tok in text.split():
+        head, _, rest = tok.partition("*")
+        try:
+            coeff = int(head)
+        except ValueError as exc:
+            raise ValueError(f"bad term {tok!r}: expected a signed coefficient") from exc
+        mono = parse_monomial(rest) if rest else Monomial.one()
+        nc = acc.get(mono, 0) + coeff
+        if nc:
+            acc[mono] = nc
+        else:
+            acc.pop(mono, None)
+    return Polynomial(acc)
+
+
 # The generator arrays of JSON output as nested lists and dicts, laid out by
-# json.dumps(..., indent=2): the independent oracle for the CLI's text renderer.
+# json.dumps(..., indent=2): the independent oracle for the CLI's text renderer,
+# and the reader of those arrays back into polynomials.
 
 
 def monomial_to_json(m):
@@ -429,3 +575,23 @@ def polynomial_to_json(p, order=None):
 def json_text(payload):
     """A JSON document as the CLI prints it."""
     return json.dumps(payload, indent=2) + "\n"
+
+
+def monomial_from_json(data) -> Monomial:
+    factors = {}
+    for entry in data:
+        kind = entry[0]
+        if kind == "x":
+            _, a, b, e = entry
+            v = edge_var(a, b)
+        else:
+            _, i, e = entry
+            v = param_t(i) if kind == "t" else param_u(i)
+        factors[v] = factors.get(v, 0) + e
+    return Monomial(factors)
+
+
+def polynomial_from_json(data) -> Polynomial:
+    return Polynomial(
+        (monomial_from_json(t["monomial"]), t["coeff"]) for t in data["terms"]
+    )

@@ -13,23 +13,18 @@ from hypersecant import (
     CircularTermOrder,
     Monomial,
     MonomialIdeal,
+    NoncrossingGraph,
     Polynomial,
     all_admissible_sequences,
     antidiagonal_monomial,
-    both_inner_orders,
     buchberger_verify,
-    build_graph,
     circular_minor_splits,
     cycle_monomial,
     edge_var,
     master_polynomial,
-    nested_triple_monomials,
     off_diagonal_minor,
     reduce,
-    secant_gb,
     secant_of_edge_ideal,
-    symbolic_square_gb,
-    symbolic_square_identity_holds,
     symbolic_square_of_edge_ideal,
     toric_gb_polynomials,
     verify_prolongation,
@@ -41,10 +36,20 @@ from hypersecant.fixtures import (
     REFERENCE_PENTAD_TERMS,
     reference_polynomial,
 )
-from hypersecant.master import base_involution, crossing_number
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import ConjugationSubset, conjugate, partial_derivative, substitute_rank
+from conftest import (
+    ConjugationSubset,
+    base_involution,
+    both_inner_orders,
+    candidate_polynomials,
+    conjugate,
+    crossing_number,
+    nested_triple_monomials,
+    partial_derivative,
+    substitute_rank,
+    symbolic_square_identity_holds,
+)
 
 
 def _report(num: int, ok: bool, detail: str, budget_s: float, elapsed: float) -> None:
@@ -84,7 +89,7 @@ def test_criterion_04_initial_secant_n5():
     t0 = time.perf_counter()
     res = run(build_parser().parse_args(["initial-secant", "--n", "5"]))
     expected = Monomial.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    ideal = secant_of_edge_ideal(build_graph(5), 5)
+    ideal = secant_of_edge_ideal(NoncrossingGraph(5), 5)
     ok = (
         res.code == 0
         and res.stdout == "x[1,2]*x[1,5]*x[2,3]*x[3,4]*x[4,5]\n"
@@ -99,7 +104,7 @@ def test_criterion_05_family_completeness():
     ok = True
     details = []
     for n in (6, 7, 8):
-        brute = secant_of_edge_ideal(build_graph(n), _odd_floor(n))
+        brute = secant_of_edge_ideal(NoncrossingGraph(n), _odd_floor(n))
         family = [cycle_monomial(s) for s in all_admissible_sequences(n)]
         family.extend(nested_triple_monomials(n))
         family_ideal = MonomialIdeal(family)
@@ -115,7 +120,7 @@ def test_criterion_06_membership_sweep():
     t0 = time.perf_counter()
     ok = True
     for n in range(4, 9):
-        for g in secant_gb(n):
+        for g in candidate_polynomials(n, "secant"):
             if not substitute_rank(g, 2).is_zero:
                 ok = False
     for n in range(3, 9):
@@ -183,12 +188,12 @@ def test_criterion_10_buchberger_certification():
                 ok = False
     for n in range(4, 8):
         for order in both_inner_orders(n):
-            if not buchberger_verify(secant_gb(n), order, n=n, kind="secant").passed:
+            if not buchberger_verify(candidate_polynomials(n, "secant"), order, n=n, kind="secant").passed:
                 ok = False
     for n in range(4, 7):
         for order in both_inner_orders(n):
             if not buchberger_verify(
-                symbolic_square_gb(n), order, n=n, kind="symbolic-square"
+                candidate_polynomials(n, "symbolic-square"), order, n=n, kind="symbolic-square"
             ).passed:
                 ok = False
     _report(10, ok, "all S-pairs reduce to zero: toric and secant n<=7, symbolic n<=6, both orders",
@@ -199,11 +204,11 @@ def test_criterion_11_delightfulness_equality():
     t0 = time.perf_counter()
     ok = True
     for n in range(4, 8):
-        graph = build_graph(n)
+        graph = NoncrossingGraph(n)
         secant_target = secant_of_edge_ideal(graph, _odd_floor(n))
         symbolic_target = symbolic_square_of_edge_ideal(graph)
-        secant_basis = secant_gb(n)
-        symbolic_basis = symbolic_square_gb(n)
+        secant_basis = candidate_polynomials(n, "secant")
+        symbolic_basis = candidate_polynomials(n, "symbolic-square")
         for order in both_inner_orders(n):
             lt_secant = MonomialIdeal(order.leading_monomial(g) for g in secant_basis)
             lt_symbolic = MonomialIdeal(order.leading_monomial(g) for g in symbolic_basis)

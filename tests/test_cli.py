@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import hypersecant
 import hypersecant.cli as cli
 from hypersecant import (
     BinomialGenerator,
@@ -20,8 +21,6 @@ from hypersecant import (
     GroebnerCertificate,
     Polynomial,
     groebner,
-    parse_polynomial,
-    symbolic_square_gb,
 )
 from hypersecant.cli import (
     EXIT_FAIL,
@@ -30,12 +29,14 @@ from hypersecant.cli import (
     EXIT_USAGE,
     build_parser,
     main,
-    polynomial_from_json,
     run,
 )
 from conftest import (
+    candidate_polynomials,
     child_peak_rss,
     flip_lowest_tail,
+    parse_polynomial,
+    polynomial_from_json,
     polynomial_to_json,
     substitute_generators,
     substitute_rank,
@@ -507,6 +508,24 @@ class TestDeterminism:
         assert target.read_text() == invoke("toric-gb", "--n", "4").stdout
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_output_keeps_the_replaced_file_mode(self, tmp_path, mode):
+        target = tmp_path / "priv.txt"
+        target.write_text("old content\n")
+        target.chmod(mode)
+        assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_OK
+        assert target.read_text() == invoke("toric-gb", "--n", "4").stdout
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
+    def test_output_new_file_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "new.txt"
+        umask = os.umask(0o022)
+        try:
+            assert main(["toric-gb", "--n", "4", "--output", str(target)]) == EXIT_OK
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
     def test_output_through_symlink_replaces_its_target(self, tmp_path):
         real = tmp_path / "real.txt"
         real.write_text("old content\n")
@@ -591,7 +610,8 @@ class TestStreamedOutput:
         # built, so it is checked against what each format then writes.
         argv = ["symbolic-gb", "--n", str(n), "--order", f"inner={inner}", "--format"]
         payload = json.loads(invoke(*argv, "json").stdout)
-        assert payload["count"] == len(payload["generators"]) == len(symbolic_square_gb(n))
+        count = len(candidate_polynomials(n, "symbolic-square"))
+        assert payload["count"] == len(payload["generators"]) == count
         assert len(invoke(*argv, "text").stdout.splitlines()) == payload["count"]
         script = invoke(*argv, "algebra-script").stdout
         assert len(script.split("generators:\n", 1)[1].splitlines()) == payload["count"]
@@ -620,10 +640,10 @@ class TestStreamedOutput:
 
 class TestJsonRoundTrip:
     def test_polynomial_json_round_trip(self):
-        from hypersecant import CircularTermOrder, secant_gb
+        from hypersecant import CircularTermOrder
 
         order = CircularTermOrder(6)
-        for p in secant_gb(6):
+        for p in candidate_polynomials(6, "secant"):
             assert polynomial_from_json(polynomial_to_json(p, order)) == p
 
     def test_parameter_polynomial_round_trip(self):
@@ -816,9 +836,16 @@ def test_dead_pool_worker_is_internal_error():
     assert proc.stdout == ""
 
 
-# Tracer targets that left src/ on purpose: both are test oracles in
-# tests/conftest.py now, and their metrics read 0 until the benchmark drops them.
-RETIRED_TRACER_TARGETS = ["hypersecant.poly.substitute_rank", "hypersecant.poly.partial_derivative"]
+# Tracer targets that left src/ on purpose: the two basis-list wrappers are
+# deleted, since every consumer streams groebner.generators, and the two poly
+# functions are test oracles in tests/conftest.py.  Their metrics read 0 until
+# the benchmark drops or retargets them.
+RETIRED_TRACER_TARGETS = [
+    "hypersecant.groebner.secant_gb",
+    "hypersecant.groebner.symbolic_square_gb",
+    "hypersecant.poly.substitute_rank",
+    "hypersecant.poly.partial_derivative",
+]
 
 
 def test_tracer_targets_resolve():
@@ -833,3 +860,29 @@ def test_tracer_targets_resolve():
         assert tracer.missing == RETIRED_TRACER_TARGETS
     finally:
         tracer.uninstall()
+
+
+# Names that left src/, each under the module it left: deleted wrappers and
+# helpers, and test-only API that lives in tests/conftest.py now.
+REMOVED_NAMES = {
+    "cli": ["monomial_from_json", "polynomial_from_json"],
+    "groebner": [
+        "_packed_terms",
+        "nested_triple_monomials",
+        "secant_gb",
+        "symbolic_square_gb",
+        "symbolic_square_identity_holds",
+    ],
+    "master": ["Letter", "PairingInvolution", "_letters", "_position", "base_involution", "crossing_number"],
+    "noncrossing": ["build_graph"],
+    "order": ["both_inner_orders"],
+    "poly": ["_FACTOR_RE", "parse_monomial", "parse_polynomial"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED_NAMES))
+def test_removed_names_stay_out_of_the_package(module):
+    owner = importlib.import_module(f"hypersecant.{module}")
+    for name in REMOVED_NAMES[module]:
+        assert not hasattr(hypersecant, name), name
+        assert not hasattr(owner, name), f"hypersecant.{module}.{name}"

@@ -15,13 +15,12 @@ from hypersecant import (
     CircularTermOrder,
     Monomial,
     MonomialIdeal,
+    NoncrossingGraph,
     Polynomial,
     admissible_sequences,
     all_admissible_sequences,
     antidiagonal_monomial,
-    both_inner_orders,
     buchberger_verify,
-    build_graph,
     circular_minor_splits,
     delightful_check,
     format_monomial,
@@ -31,9 +30,7 @@ from hypersecant import (
     master_polynomial,
     off_diagonal_minor,
     reduce,
-    secant_gb,
     secant_of_edge_ideal,
-    symbolic_square_gb,
     symbolic_square_of_edge_ideal,
     toric_gb_polynomials,
 )
@@ -43,6 +40,8 @@ from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing
 
 from conftest import (
+    both_inner_orders,
+    candidate_polynomials,
     child_peak_rss,
     edges_for,
     flip_lowest_tail,
@@ -68,9 +67,10 @@ def power(a, b, e=1):
     return Polynomial.from_monomial(Monomial({("x", a, b): e}))
 
 
-def mutated_secant_gb_6():
-    """secant_gb(6) with one non-leading coefficient of its last minor tripled."""
-    gens = secant_gb(6)
+def mutated_secant_basis_6():
+    """The secant basis at n = 6 with one non-leading coefficient of its last
+    minor tripled."""
+    gens = candidate_polynomials(6, "secant")
     minor = gens[-1]
     lead = CircularTermOrder(6).leading_monomial(minor)
     m = min(x for x in minor.monomials() if x != lead)
@@ -257,7 +257,7 @@ class TestBuchbergerVerify:
             assert cert.spair_stats.count == comb(10, 2)
 
     def test_secant_n5_passes(self):
-        cert = buchberger_verify(secant_gb(5), CircularTermOrder(5), n=5, kind="secant")
+        cert = buchberger_verify(candidate_polynomials(5, "secant"), CircularTermOrder(5), n=5, kind="secant")
         assert cert.passed
 
     @given(st.data())
@@ -323,7 +323,7 @@ class TestBuchbergerVerify:
 
     @pytest.mark.parametrize("kind,n", sorted(PINNED))
     def test_pinned_counters(self, kind, n):
-        gens = secant_gb(n) if kind == "secant" else symbolic_square_gb(n)
+        gens = candidate_polynomials(n, "secant" if kind == "secant" else "symbolic-square")
         for order in both_inner_orders(n):
             cert = buchberger_verify(gens, order, n=n)
             assert cert.passed
@@ -352,7 +352,7 @@ class TestBuchbergerVerify:
     ]
 
     def test_mutated_minor_fails_with_pinned_witnesses(self):
-        gens = mutated_secant_gb_6()
+        gens = mutated_secant_basis_6()
         for order in both_inner_orders(6):
             cert = buchberger_verify(gens, order, n=6)
             assert not cert.passed
@@ -364,7 +364,7 @@ class TestBuchbergerVerify:
 
     def test_non_homogeneous_basis_is_rejected_before_forking(self, pool_of_two):
         # 136 S-pairs would take a pool of two; the check comes first.
-        gens = secant_gb(6)
+        gens = candidate_polynomials(6, "secant")
         gens[-1] = gens[-1] + power(1, 2)
         for order in both_inner_orders(6):
             with pytest.raises(ValueError, match="reducers must be homogeneous"):
@@ -373,9 +373,9 @@ class TestBuchbergerVerify:
 
     def test_threads_match_serial(self, pool_of_two):
         for gens, n in (
-            (secant_gb(6), 6),
-            (symbolic_square_gb(5), 5),
-            (mutated_secant_gb_6(), 6),
+            (candidate_polynomials(6, "secant"), 6),
+            (candidate_polynomials(5, "symbolic-square"), 5),
+            (mutated_secant_basis_6(), 6),
         ):
             for order in both_inner_orders(n):
                 serial = buchberger_verify(gens, order, threads=1)
@@ -400,7 +400,7 @@ class TestBuchbergerVerify:
             return 5, gens, labels, len(gens) - 1, {"family": "product", "factors": [k, k]}
         labels = groebner.candidate_basis(6, "secant")
         gens = list(groebner.generators(6, labels))
-        assert gens == secant_gb(6)
+        assert gens == candidate_polynomials(6, "secant")
         if family == "master":
             s = all_admissible_sequences(6)[0]
             assert gens[0] == master_polynomial(s)
@@ -455,7 +455,11 @@ class TestBuchbergerVerify:
             "groebner._usable_cpus = lambda: 2\n"
             "groebner._PAIRS_PER_WORKER = 1\n"
             "try:\n"
-            "    groebner.buchberger_verify(groebner.secant_gb(6), CircularTermOrder(6), threads=2)\n"
+            "    groebner.buchberger_verify(\n"
+            "        groebner.generators(6, groebner.candidate_basis(6, 'secant')),\n"
+            "        CircularTermOrder(6),\n"
+            "        threads=2,\n"
+            "    )\n"
             "except BrokenProcessPool:\n"
             "    print('broken')\n"
         )
@@ -522,7 +526,11 @@ class TestWorkerCount:
         # workers' worth.
         monkeypatch.setattr(groebner, "_usable_cpus", lambda: 64)
         self._forbid_pool(monkeypatch)
-        for gens, n in ((toric_gb_polynomials(7), 7), (secant_gb(6), 6), (symbolic_square_gb(5), 5)):
+        for gens, n in (
+            (toric_gb_polynomials(7), 7),
+            (candidate_polynomials(6, "secant"), 6),
+            (candidate_polynomials(5, "symbolic-square"), 5),
+        ):
             order = CircularTermOrder(n)
             assert buchberger_verify(gens, order).passed
         assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
@@ -530,13 +538,13 @@ class TestWorkerCount:
     def test_pool_rejects_non_unit_reducer_before_forking(self, pool_of_two, monkeypatch):
         self._forbid_pool(monkeypatch)
         order = CircularTermOrder(6)
-        gens = list(secant_gb(6))
+        gens = candidate_polynomials(6, "secant")
         gens[-1] = gens[-1] * 2
         with pytest.raises(ValueError):
             buchberger_verify(gens, order, threads=2)
 
     def test_derived_pool_matches_serial_secant_n7(self, pool_of_two):
-        gens = secant_gb(7)
+        gens = candidate_polynomials(7, "secant")
         for order in both_inner_orders(7):
             derived = buchberger_verify(gens, order, n=7, kind="secant")
             serial = buchberger_verify(gens, order, n=7, kind="secant", threads=1)
@@ -581,7 +589,7 @@ class TestPairStreaming:
             return verify_pairs(self, pairs)
 
         monkeypatch.setattr(groebner._Divider, "verify_pairs", spy)
-        for gens, n in ((secant_gb(6), 6), (symbolic_square_gb(5), 5)):
+        for gens, n in ((candidate_polynomials(6, "secant"), 6), (candidate_polynomials(5, "symbolic-square"), 5)):
             for order in both_inner_orders(n):
                 buchberger_verify(gens, order, threads=1)
         # One sweep of one divider per call.
@@ -602,7 +610,7 @@ class TestPairStreaming:
             return pool_map(self, fn, chunks, **kwargs)
 
         monkeypatch.setattr(pool_class, "map", spy)
-        gens = symbolic_square_gb(5)
+        gens = candidate_polynomials(5, "symbolic-square")
         for order in both_inner_orders(5):
             parallel = buchberger_verify(gens, order, threads=2)
             serial = buchberger_verify(gens, order, threads=1)
@@ -643,11 +651,11 @@ class TestNormalForm:
         G = data.draw(unit_reducers(order, 4))
         f = data.draw(polynomial_strategy(n=4, max_terms=6, max_exp=2))
         packing = order.packing(max([f.degree] + [g.degree for g in G]))
-        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in G])
+        divider = groebner._Divider(packing, G)
         want = reference_normal_form(f, G, order)
         # The second division finds every first divisor in the memo.
         for _ in range(2):
-            rem, max_terms = divider.normal_form({-p: c for p, c in groebner._packed_terms(f, packing)})
+            rem, max_terms = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
             assert (packing.polynomial({-q: c for q, c in rem.items()}), max_terms) == want
 
     # Linear cases over v[0] > v[1] > ... > v[9], the ten variables of
@@ -681,8 +689,8 @@ class TestNormalForm:
 
         monkeypatch.setattr(groebner, "heappush", counting_push)
         packing = order.packing(1)
-        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in G])
-        got, got_max = divider.normal_form({-p: c for p, c in groebner._packed_terms(f, packing)})
+        divider = groebner._Divider(packing, G)
+        got, got_max = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
         assert (packing.polynomial({-q: c for q, c in got.items()}), got_max) == (rem, max_terms)
         assert len(pushed) == pushes
 
@@ -707,7 +715,7 @@ class TestDivisorIndex:
         packing = order.packing(max(m.degree for m in leads + terms))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
-            divider = groebner._Divider(packing, [[(packing.pack(lt), 1)] for lt in leads])
+            divider = groebner._Divider(packing, [Polynomial.from_monomial(lt) for lt in leads])
             misses = 0
             for m in terms + terms:
                 q = -packing.pack(m)
@@ -722,10 +730,10 @@ class TestDivisorIndex:
 
     def test_index_stays_bounded_over_a_sweep(self):
         # Secant n = 7 meets more distinct monomials than the memo may hold.
-        gens = secant_gb(7)
+        gens = candidate_polynomials(7, "secant")
         order = CircularTermOrder(7)
         packing = order.packing(2 * max(g.degree for g in gens))
-        divider = groebner._Divider(packing, [groebner._packed_terms(g, packing) for g in gens])
+        divider = groebner._Divider(packing, gens)
         divider.verify_pairs(itertools.combinations(range(len(gens)), 2))
         assert len(divider.memo) == groebner._FRONT_MEMO_CAP
         assert [block.bit_count() for block, _ in divider.blocks] == [7, 7, 7]
@@ -771,23 +779,23 @@ class TestOffDiagonalMinor:
 
 
 class TestBases:
-    def test_secant_gb_5_is_single_pentad(self):
-        (pentad,) = secant_gb(5)
+    def test_secant_basis_5_is_single_pentad(self):
+        (pentad,) = candidate_polynomials(5, "secant")
         assert pentad == master_polynomial(admissible_sequences(5, 2)[0])
 
-    def test_secant_gb_4_empty(self):
-        assert secant_gb(4) == []
-        assert secant_of_edge_ideal(build_graph(4), 3).is_empty
+    def test_secant_basis_4_empty(self):
+        assert candidate_polynomials(4, "secant") == []
+        assert secant_of_edge_ideal(NoncrossingGraph(4), 3).is_empty
 
-    def test_secant_gb_6_composition(self):
-        gens = secant_gb(6)
+    def test_secant_basis_6_composition(self):
+        gens = candidate_polynomials(6, "secant")
         # 2 cubic masters, 12 quintic masters, 3 minors on the single 6-subset.
         assert len(gens) == 17
         degrees = sorted(g.degree for g in gens)
         assert degrees.count(3) == 5 and degrees.count(5) == 12
 
     def test_symbolic_gb_4_is_three_products(self):
-        gens = symbolic_square_gb(4)
+        gens = candidate_polynomials(4, "symbolic-square")
         assert len(gens) == 3
         assert all(g.degree == 4 for g in gens)
 
@@ -799,7 +807,7 @@ class TestBases:
             assert order.leading_monomial(f * g) == lt_f.mul(lt_g)
 
     def test_symbolic_gb_5_buchberger_passes(self):
-        cert = buchberger_verify(symbolic_square_gb(5), CircularTermOrder(5))
+        cert = buchberger_verify(candidate_polynomials(5, "symbolic-square"), CircularTermOrder(5))
         assert cert.passed
 
 
@@ -808,8 +816,8 @@ class TestSecantBasisIsOddCycleBijection:
 
     @pytest.mark.parametrize("n, count", [(5, 1), (6, 17), (7, 113), (8, 508), (9, 1843)])
     def test_generators_and_cycles_correspond(self, n, count):
-        gens = secant_gb(n)
-        cycles = induced_odd_cycles(build_graph(n), odd_floor(n))
+        gens = candidate_polynomials(n, "secant")
+        cycles = induced_odd_cycles(NoncrossingGraph(n), odd_floor(n))
         assert len(gens) == len(cycles) == count
         want = {Monomial.from_edges(c) for c in cycles}
         for order in both_inner_orders(n):
@@ -846,11 +854,11 @@ class TestDelightfulCheck:
         assert cert.generator_count == 1843
 
     def test_lt_ideals_match_targets_n6(self):
-        g6 = build_graph(6)
+        g6 = NoncrossingGraph(6)
         for order in both_inner_orders(6):
-            lt = MonomialIdeal(order.leading_monomial(p) for p in secant_gb(6))
+            lt = MonomialIdeal(order.leading_monomial(p) for p in candidate_polynomials(6, "secant"))
             assert lt == secant_of_edge_ideal(g6, 5)
-            lt2 = MonomialIdeal(order.leading_monomial(p) for p in symbolic_square_gb(6))
+            lt2 = MonomialIdeal(order.leading_monomial(p) for p in candidate_polynomials(6, "symbolic-square"))
             assert lt2 == symbolic_square_of_edge_ideal(g6)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
@@ -886,11 +894,33 @@ class TestDelightfulCheck:
         pairs = itertools.combinations_with_replacement(range(len(toric)), 2)
         products = [label[1:] for label in labels if label[0] == "product"]
         assert products == (list(pairs) if kind == "symbolic-square" else [])
-        assert gens == (secant_gb(n) if kind == "secant" else symbolic_square_gb(n))
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             delightful_check(5, "cubic", CircularTermOrder(5))
+
+    @pytest.mark.parametrize(
+        "kind,target", [("secant", "secant_of_edge_ideal"), ("symbolic-square", "symbolic_square_of_edge_ideal")]
+    )
+    def test_target_is_built_after_the_leading_term_ideal(self, monkeypatch, kind, target):
+        # The leading monomials and the target are never held together: the
+        # target is built once the leading-term ideal is minimalized and the
+        # list of leading monomials is dropped.
+        calls = []
+        ideal, build = groebner.MonomialIdeal, getattr(groebner, target)
+
+        def recording_ideal(gens):
+            calls.append("leading-term ideal")
+            return ideal(gens)
+
+        def recording_build(*args):
+            calls.append(("target", "leads" in sys._getframe(1).f_locals))
+            return build(*args)
+
+        monkeypatch.setattr(groebner, "MonomialIdeal", recording_ideal)
+        monkeypatch.setattr(groebner, target, recording_build)
+        assert delightful_check(6, kind, CircularTermOrder(6)).passed
+        assert calls == ["leading-term ideal", ("target", False)]
 
 
 def _count_products(monkeypatch):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from hypersecant import (
     Monomial,
     MonomialIdeal,
+    NoncrossingGraph,
     Polynomial,
-    both_inner_orders,
-    build_graph,
     crosses,
     edge_var,
     format_monomial,
@@ -22,8 +21,6 @@ from hypersecant import (
     off_diagonal_minor,
     param_t,
     param_u,
-    secant_gb,
-    symbolic_square_gb,
     symbolic_square_of_edge_ideal,
     toric_gb,
 )
@@ -31,7 +28,14 @@ from hypersecant.hypersimplex import _pinned_vertex
 from hypersecant.poly import canonical_key, canonical_sorted
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy, reference_minimal_generators, substitute_rank
+from conftest import (
+    both_inner_orders,
+    candidate_polynomials,
+    edges_for,
+    monomial_strategy,
+    reference_minimal_generators,
+    substitute_rank,
+)
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
@@ -179,7 +183,7 @@ class TestMembershipOracles:
 
 # Masters and minors of the secant bases, the generators the rank-2 oracle
 # must accept, with degrees 3, 5 and 7.
-SECANT_GENERATORS = {n: secant_gb(n) for n in (5, 6, 7)}
+SECANT_GENERATORS = {n: candidate_polynomials(n, "secant") for n in (5, 6, 7)}
 
 
 @st.composite
@@ -364,8 +368,8 @@ class TestMonomialIdeal:
         # Count and digest of the generator tuple, recorded with the earlier
         # linear-scan minimalization.
         digest = "b42141ca26ca85d8065d34d0f0f7ef7083734d75c3c58ef81e0af0907b1000bc"
-        ideals = [symbolic_square_of_edge_ideal(build_graph(7))] + [
-            MonomialIdeal(order.leading_monomial(p) for p in symbolic_square_gb(7))
+        ideals = [symbolic_square_of_edge_ideal(NoncrossingGraph(7))] + [
+            MonomialIdeal(order.leading_monomial(p) for p in candidate_polynomials(7, "symbolic-square"))
             for order in both_inner_orders(7)
         ]
         for ideal in ideals:

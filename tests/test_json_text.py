@@ -9,24 +9,28 @@ from hypersecant import (
     BinomialGenerator,
     CircularTermOrder,
     Monomial,
+    NoncrossingGraph,
     Polynomial,
     all_admissible_sequences,
-    build_graph,
     edge_var,
     initial_edge_ideal,
     master_polynomial,
     param_t,
     param_u,
-    secant_gb,
     secant_of_edge_ideal,
-    symbolic_square_gb,
     symbolic_square_of_edge_ideal,
     toric_gb,
 )
 from hypersecant.cli import EXIT_OK, _JsonText, _json_document, main
 from hypersecant.noncrossing import odd_floor
 
-from conftest import edges_for, json_text, monomial_to_json, polynomial_to_json
+from conftest import (
+    candidate_polynomials,
+    edges_for,
+    json_text,
+    monomial_to_json,
+    polynomial_to_json,
+)
 
 EDGE_VARS = [edge_var(a, b) for a, b in edges_for(6)]
 ALL_VARS = EDGE_VARS + [f(i) for f in (param_t, param_u) for i in range(1, 5)]
@@ -143,14 +147,14 @@ def oracle(command, n, inner):
         return argv, _ideal_payload(command, n, order, initial_edge_ideal(n))
     if command == "initial-secant":
         max_len = odd_floor(n)
-        ideal = secant_of_edge_ideal(build_graph(n), max_len)
+        ideal = secant_of_edge_ideal(NoncrossingGraph(n), max_len)
         return argv, _ideal_payload(command, n, order, ideal, {"max_len": max_len})
     if command == "initial-symbolic":
-        return argv, _ideal_payload(command, n, order, symbolic_square_of_edge_ideal(build_graph(n)))
+        return argv, _ideal_payload(command, n, order, symbolic_square_of_edge_ideal(NoncrossingGraph(n)))
     if command == "secant-gb":
-        return argv, _basis_payload(command, n, order, secant_gb(n))
+        return argv, _basis_payload(command, n, order, candidate_polynomials(n, "secant"))
     if command == "symbolic-gb":
-        return argv, _basis_payload(command, n, order, symbolic_square_gb(n))
+        return argv, _basis_payload(command, n, order, candidate_polynomials(n, "symbolic-square"))
     if command == "toric-gb":
         gens = [{"lead": monomial_to_json(g.lead), "trail": monomial_to_json(g.trail)} for g in toric_gb(n)]
         head = {"command": command, "n": n, "order": order.descriptor(), "count": len(gens)}

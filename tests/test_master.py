@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from hypersecant import (
     AdmissibleSequence,
     Monomial,
+    NoncrossingGraph,
     Polynomial,
     all_admissible_sequences,
-    base_involution,
-    both_inner_orders,
-    build_graph,
-    crossing_number,
     cycle_monomial,
     master_polynomial,
     param_t,
@@ -32,7 +29,10 @@ from hypersecant.fixtures import (
 from conftest import (
     ConjugationSubset,
     LetterSet,
+    base_involution,
+    both_inner_orders,
     conjugate,
+    crossing_number,
     edges_for,
     involution_monomial,
     is_multilinear,
@@ -217,7 +217,7 @@ class TestMasterPolynomial:
         # an odd-cycle generator of the secant of the initial ideal.
         for n in (5, 6, 7):
             max_len = n if n % 2 else n - 1
-            ideal = secant_of_edge_ideal(build_graph(n), max_len)
+            ideal = secant_of_edge_ideal(NoncrossingGraph(n), max_len)
             for s in all_admissible_sequences(n):
                 f = master_polynomial(s)
                 survivors = [m for m in f.monomials() if ideal.contains(m)]

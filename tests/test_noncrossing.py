@@ -6,19 +6,21 @@ from hypersecant import (
     AdmissibleSequence,
     Monomial,
     MonomialIdeal,
+    NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
-    build_graph,
     cycle_monomial,
     induced_odd_cycles,
-    nested_triple_monomials,
     secant_of_edge_ideal,
-    symbolic_square_identity_holds,
     symbolic_square_of_edge_ideal,
 )
 from hypersecant.noncrossing import odd_floor
 
-from conftest import reference_induced_odd_cycles
+from conftest import (
+    nested_triple_monomials,
+    reference_induced_odd_cycles,
+    symbolic_square_identity_holds,
+)
 
 
 def mono(*edges):
@@ -27,7 +29,7 @@ def mono(*edges):
 
 class TestBuildGraph:
     def test_n4_adjacency(self):
-        g = build_graph(4)
+        g = NoncrossingGraph(4)
         assert g.vertex_count == 6
         assert set(g.adjacency_pairs()) == {
             ((1, 2), (3, 4)),
@@ -35,38 +37,38 @@ class TestBuildGraph:
         }
 
     def test_n3_no_adjacency(self):
-        g = build_graph(3)
+        g = NoncrossingGraph(3)
         assert g.vertex_count == 3
         assert g.adjacency_pairs() == ()
 
     def test_degree_of_boundary_edge_n5(self):
-        g = build_graph(5)
+        g = NoncrossingGraph(5)
         assert g.degree((1, 2)) == 3
         assert set(g.neighbors((1, 2))) == {(3, 4), (3, 5), (4, 5)}
 
     def test_vertex_count(self):
         for n in range(3, 9):
-            g = build_graph(n)
+            g = NoncrossingGraph(n)
             assert g.vertex_count == n * (n - 1) // 2
 
     def test_adjacency_symmetric(self):
-        g = build_graph(6)
+        g = NoncrossingGraph(6)
         for e, f in itertools.combinations(g.vertices, 2):
             assert g.adjacent(e, f) == g.adjacent(f, e)
 
 
 class TestInducedOddCycles:
     def test_n5_single_pentagon(self):
-        cycles = induced_odd_cycles(build_graph(5), 5)
+        cycles = induced_odd_cycles(NoncrossingGraph(5), 5)
         assert cycles == [((1, 2), (1, 5), (2, 3), (3, 4), (4, 5))]
 
     def test_n5_no_triangles(self):
-        assert induced_odd_cycles(build_graph(5), 3) == []
+        assert induced_odd_cycles(NoncrossingGraph(5), 3) == []
 
     def test_n6_triangles(self):
         # Five noncrossing triples: two short-chord patterns and the three
         # circular rotations of the nested pattern.
-        tris = {frozenset(c) for c in induced_odd_cycles(build_graph(6), 3)}
+        tris = {frozenset(c) for c in induced_odd_cycles(NoncrossingGraph(6), 3)}
         assert frozenset({(1, 2), (3, 4), (5, 6)}) in tris
         assert frozenset({(1, 6), (2, 5), (3, 4)}) in tris
         assert tris == {
@@ -79,19 +81,19 @@ class TestInducedOddCycles:
 
     def test_rejects_even_max_len(self):
         with pytest.raises(ValueError):
-            induced_odd_cycles(build_graph(5), 4)
+            induced_odd_cycles(NoncrossingGraph(5), 4)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_path_growth_matches_subset_enumeration(self, n):
         # Same cycles in the same order: by size, then sorted vertex indices.
         # The reference lists by size, so a smaller max_len keeps a prefix.
-        g = build_graph(n)
+        g = NoncrossingGraph(n)
         reference = reference_induced_odd_cycles(g, odd_floor(n))
         for max_len in range(3, odd_floor(n) + 1, 2):
             assert induced_odd_cycles(g, max_len) == [c for c in reference if len(c) <= max_len]
 
     def test_cycles_are_induced(self):
-        g = build_graph(6)
+        g = NoncrossingGraph(6)
         for cyc in induced_odd_cycles(g, 5):
             for v in cyc:
                 assert sum(1 for w in cyc if w != v and g.adjacent(v, w)) == 2
@@ -99,14 +101,14 @@ class TestInducedOddCycles:
 
 class TestSecantOfEdgeIdeal:
     def test_n5(self):
-        ideal = secant_of_edge_ideal(build_graph(5), 5)
+        ideal = secant_of_edge_ideal(NoncrossingGraph(5), 5)
         assert ideal.generators == (mono((1, 2), (1, 5), (2, 3), (3, 4), (4, 5)),)
 
     def test_n4_empty(self):
-        assert secant_of_edge_ideal(build_graph(4), 3).is_empty
+        assert secant_of_edge_ideal(NoncrossingGraph(4), 3).is_empty
 
     def test_n6_counts(self):
-        ideal = secant_of_edge_ideal(build_graph(6), 5)
+        ideal = secant_of_edge_ideal(NoncrossingGraph(6), 5)
         assert len(ideal) == 17
         assert ideal.degrees() == (3, 5)
         assert sum(1 for m in ideal.generators if m.degree == 3) == 5
@@ -114,7 +116,7 @@ class TestSecantOfEdgeIdeal:
 
     def test_minimalization_is_noop(self):
         for n in (5, 6, 7):
-            g = build_graph(n)
+            g = NoncrossingGraph(n)
             max_len = n if n % 2 else n - 1
             cycles = induced_odd_cycles(g, max_len)
             ideal = secant_of_edge_ideal(g, max_len)
@@ -123,17 +125,17 @@ class TestSecantOfEdgeIdeal:
 
 class TestSymbolicSquareOfEdgeIdeal:
     def test_n4_exact(self):
-        ideal = symbolic_square_of_edge_ideal(build_graph(4))
+        ideal = symbolic_square_of_edge_ideal(NoncrossingGraph(4))
         a = mono((1, 2), (3, 4))
         b = mono((1, 4), (2, 3))
         assert set(ideal.generators) == {a.mul(a), b.mul(b), a.mul(b)}
 
     def test_n5_no_degree_three(self):
-        ideal = symbolic_square_of_edge_ideal(build_graph(5))
+        ideal = symbolic_square_of_edge_ideal(NoncrossingGraph(5))
         assert ideal.degrees() == (4,)
 
     def test_n3_empty(self):
-        assert symbolic_square_of_edge_ideal(build_graph(3)).is_empty
+        assert symbolic_square_of_edge_ideal(NoncrossingGraph(3)).is_empty
 
     def test_identity_square_plus_secant(self):
         for n in range(4, 7):
@@ -223,7 +225,7 @@ class TestFamilyCompleteness:
         # Cycle monomials of admissible sequences plus nested triples equal
         # the brute-force induced odd cycle generators (n=8 in acceptance).
         for n in (5, 6, 7):
-            g = build_graph(n)
+            g = NoncrossingGraph(n)
             max_len = n if n % 2 else n - 1
             brute = secant_of_edge_ideal(g, max_len)
             family = [cycle_monomial(s) for s in all_admissible_sequences(n)]

@@ -9,16 +9,20 @@ from hypersecant import (
     CircularTermOrder,
     Monomial,
     Polynomial,
-    both_inner_orders,
     edge_class,
     edge_var,
     master_polynomial,
     param_t,
-    symbolic_square_gb,
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
-from conftest import edges_for, monomial_strategy, reference_order_key
+from conftest import (
+    both_inner_orders,
+    candidate_polynomials,
+    edges_for,
+    monomial_strategy,
+    reference_order_key,
+)
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
@@ -185,7 +189,7 @@ class TestPackedWidths:
                     assert order.compare(m1, m2) == (ref[m1] > ref[m2]) - (ref[m1] < ref[m2])
 
     def test_one_packing_per_width(self):
-        gens = symbolic_square_gb(7)
+        gens = candidate_polynomials(7, "symbolic-square")
         widths = {max(g.degree, 1).bit_length() for g in gens}
         for order in both_inner_orders(7):
             for g in gens:

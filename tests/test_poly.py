@@ -13,14 +13,14 @@ from hypersecant import (
     master_polynomial,
     param_t,
     param_u,
-    parse_monomial,
-    parse_polynomial,
 )
 from hypersecant.noncrossing import AdmissibleSequence
 
 from conftest import (
     edges_for,
     monomial_strategy,
+    parse_monomial,
+    parse_polynomial,
     partial_derivative,
     polynomial_strategy,
     substitute_rank,
