@@ -585,34 +585,57 @@ def delightful_check(
     split (rows, cols), a product by the indices (a, b) of its toric factors.
     Legs (a) and (b) make one pass over the labels and read a product only
     through its label ("product", a, b), so product polynomials are built
-    only for leg (c).  Leg (c) is buchberger_verify, and `threads` means what
-    it means there: the most worker processes the sweep may use, None for no
-    cap beyond the usable CPUs and the number of S-pairs.
+    only for leg (c).
+
+    Leg (b) holds one ideal, the target T, built before the pass, and no
+    list of leading monomials L.  It passes iff every lead lies in <T> and
+    every minimal generator of T is itself a lead, which holds iff
+    <L> = <T>.  One way: then <T> <= <L> <= <T>.  The other: a minimal
+    generator mu of T lies in <L>, so some lead l divides it; l lies in <T>,
+    so some minimal generator mu' divides l, and mu' | mu forces
+    mu' = l = mu.  Only a failing leg makes a second pass, which minimalizes
+    the leads and names the minimal generators missing from each side.
+
+    Leg (c) is buchberger_verify, and `threads` means what it means there:
+    the most worker processes the sweep may use, None for no cap beyond the
+    usable CPUs and the number of S-pairs.
     """
     labels = candidate_basis(n, kind)
     toric = toric_gb_polynomials(n)
     if kind == SECANT:
         leg = "generators_vanish_on_rank_two_locus"
+        target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n))
     else:
         leg = "generators_member_of_symbolic_square"
+        target = symbolic_square_of_edge_ideal(NoncrossingGraph(n))
         factor_ok = [in_toric_ideal(n, t) for t in toric]
         toric_lts = [order.leading_monomial(t) for t in toric]
 
-    # LT(f*g) = LT(f)*LT(g) under any term order, so a product's leading
-    # monomial is read from the leading monomials of its toric factors.  Any
-    # other generator is built once, for its verdict and its leading monomial.
-    bad, leads = [], []
-    for gi, label in enumerate(labels):
+    def built(label: tuple) -> tuple[Polynomial | None, Monomial]:
+        """The polynomial of a label, None for a product, and its leading
+        monomial.  LT(f*g) = LT(f)*LT(g) under any term order, so a
+        product's is read from the leading monomials of its toric factors."""
         if label[0] == "product":
-            leads.append(toric_lts[label[1]].mul(toric_lts[label[2]]))
+            return None, toric_lts[label[1]].mul(toric_lts[label[2]])
+        g = _generator(label, toric)
+        return g, order.leading_monomial(g)
+
+    # Leg (b) as the leads stream past: each must lie in the target, and
+    # each minimal generator of the target must turn up among them.
+    bad, unhit, inside = [], set(target.generators), True
+    for gi, label in enumerate(labels):
+        g, lead = built(label)
+        if lead in target:
+            unhit.discard(lead)
+        else:
+            inside = False
+        if g is None:
             if factor_ok[label[1]] and factor_ok[label[2]]:
                 continue
             reason = "factor outside toric ideal"
+        elif in_secant_ideal(n, g):
+            continue
         else:
-            g = _generator(label, toric)
-            leads.append(order.leading_monomial(g))
-            if in_secant_ideal(n, g):
-                continue
             reason = "rank-2 oracle failed"
         witness = {"index": gi, **_family(label)}
         if kind == SECANT:
@@ -622,18 +645,11 @@ def delightful_check(
         bad.append(witness)
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
-    lt_ideal = MonomialIdeal(leads)
-    # The target is built only once the leading monomials are dropped, so the
-    # two are never held together.
-    del leads
-    if kind == SECANT:
-        target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n))
-    else:
-        target = symbolic_square_of_edge_ideal(NoncrossingGraph(n))
-    if lt_ideal == target:
+    if inside and not unhit:
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
-        got = set(lt_ideal.generators)
+        # Only a failing leg builds the leading-term ideal, for its witness.
+        got = set(MonomialIdeal(built(label)[1] for label in labels).generators)
         want = set(target.generators)
         witness = {
             "missing": sorted(format_monomial(m) for m in want - got),

@@ -53,11 +53,26 @@ def is_edge_var(v: Variable) -> bool:
     return v[0] == _EDGE
 
 
+# Every Monomial's (variable, exponent) pairs are interned here, so equal
+# pairs are one tuple however many monomials hold them.  It holds one entry
+# per distinct pair ever used: at most the variables times the largest
+# exponent, not one per monomial.
+_FACTORS: dict[tuple, tuple] = {}
+
+
+def _interned(factors: dict) -> tuple:
+    """The sorted (variable, exponent) pairs of `factors`, each the shared
+    tuple from _FACTORS."""
+    items = sorted(factors.items())
+    return tuple(map(_FACTORS.setdefault, items, items))
+
+
 class Monomial:
     """A sparse monomial: a product of variables with positive exponents.
 
     Stored as a sorted tuple of (variable, exponent) pairs; no exponent is
-    ever zero.  The empty monomial is the constant 1.
+    ever zero.  The empty monomial is the constant 1.  Each pair is interned
+    (see _FACTORS), so monomials share their pairs rather than copy them.
     """
 
     __slots__ = ("factors", "_hash")
@@ -74,7 +89,7 @@ class Monomial:
                 raise ValueError(f"negative exponent {e} for {v}")
             if e:
                 acc[v] = acc.get(v, 0) + e
-        self.factors = tuple(sorted(acc.items()))
+        self.factors = _interned(acc)
         self._hash = hash(self.factors)
 
     @classmethod
@@ -82,7 +97,7 @@ class Monomial:
         """Trusted constructor: `factors` maps variables to positive int
         exponents, so none of __init__'s checks is repeated."""
         m = object.__new__(cls)
-        m.factors = tuple(sorted(factors.items()))
+        m.factors = _interned(factors)
         m._hash = hash(m.factors)
         return m
 

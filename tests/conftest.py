@@ -3,7 +3,7 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterable, Mapping
 
 import pytest
@@ -179,6 +179,78 @@ def reference_induced_odd_cycles(g, max_len):
             if seen == mask:
                 out.append(tuple(g.vertices[v] for v in combo))
     return out
+
+
+# Definition-level oracles for the two combinatorial targets, independent of
+# odd cycles.  I is the edge ideal of the noncrossing graph G, and a monomial
+# x^u is its exponent vector u over G's vertices (the chords).  Both oracles
+# follow Sturmfels-Sullivant 2006, "Combinatorial secant varieties".
+
+
+def _in_edge_ideal(adj, u):
+    """Whether x^u lies in I: its support holds an edge of G."""
+    support = sum(1 << i for i, e in enumerate(u) if e)
+    return any(adj[i] & support for i, e in enumerate(u) if e)
+
+
+def in_secant_by_splits(adj, u):
+    """x^u lies in the join I*I iff every split u = v + w has x^v or x^w in I."""
+    for v in product(*(range(e + 1) for e in u)):
+        w = tuple(e - d for e, d in zip(u, v))
+        if not (_in_edge_ideal(adj, v) or _in_edge_ideal(adj, w)):
+            return False
+    return True
+
+
+def minimal_vertex_covers(adj):
+    """The minimal vertex covers of G as bitmasks: the complements of its
+    maximal independent sets, found by scanning every vertex subset."""
+    nv = len(adj)
+    full = (1 << nv) - 1
+    covers = []
+    for mask in range(1 << nv):
+        if any(mask >> i & 1 and adj[i] & mask for i in range(nv)):
+            continue
+        if all(mask >> i & 1 or adj[i] & mask for i in range(nv)):
+            covers.append(full & ~mask)
+    return covers
+
+
+def in_symbolic_square_by_covers(covers, u):
+    """I is squarefree, so I^(2) is the intersection of P_C^2 over its minimal
+    vertex covers C: x^u lies in I^(2) iff sum of u over C is >= 2 for each."""
+    return all(sum(e for i, e in enumerate(u) if c >> i & 1) >= 2 for c in covers)
+
+
+def target_by_definition(n, kind, degree):
+    """The minimal generators through `degree` of the target of `kind`
+    ("secant" or "symbolic-square") at n, as a set of Monomials.
+
+    Every monomial through `degree` is tested; a member is minimal when no
+    monomial one variable lower is a member.
+    """
+    g = NoncrossingGraph(n)
+    adj = g._adj
+    if kind == "secant":
+        member = lambda u: in_secant_by_splits(adj, u)
+    else:
+        covers = minimal_vertex_covers(adj)
+        member = lambda u: in_symbolic_square_by_covers(covers, u)
+    nv = g.vertex_count
+    members: set = set()
+    minimal = set()
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(nv), d):
+            u = [0] * nv
+            for i in combo:
+                u[i] += 1
+            u = tuple(u)
+            if not member(u):
+                continue
+            members.add(u)
+            if not any(u[:i] + (e - 1,) + u[i + 1 :] in members for i, e in enumerate(u) if e):
+                minimal.add(Monomial((edge_var(*g.vertices[i]), e) for i, e in enumerate(u) if e))
+    return minimal
 
 
 # The master polynomial on formal letters, written out independently of the

@@ -636,6 +636,13 @@ class TestStreamedOutput:
             code, peak_mib, _ = child_peak_rss(argv, SRC)
             assert code == EXIT_OK
             assert peak_mib < 18.5, argv
+        # The symbolic certification checks each of its 10,010 leading
+        # monomials against the target as it is computed, and every monomial
+        # shares its factor pairs: about 21 MiB, against 26.5 MiB when it
+        # held the leads, their minimalized ideal and the target together.
+        code, peak_mib, _ = child_peak_rss(["verify", "delightful", "--n", "8", "--kind", "symbolic"], SRC)
+        assert code == EXIT_OK
+        assert peak_mib < 24
 
 
 class TestJsonRoundTrip:

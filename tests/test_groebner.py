@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 from math import comb
 from pathlib import Path
 
@@ -902,25 +903,46 @@ class TestDelightfulCheck:
     @pytest.mark.parametrize(
         "kind,target", [("secant", "secant_of_edge_ideal"), ("symbolic-square", "symbolic_square_of_edge_ideal")]
     )
-    def test_target_is_built_after_the_leading_term_ideal(self, monkeypatch, kind, target):
-        # The leading monomials and the target are never held together: the
-        # target is built once the leading-term ideal is minimalized and the
-        # list of leading monomials is dropped.
-        calls = []
-        ideal, build = groebner.MonomialIdeal, getattr(groebner, target)
+    def test_monomial_ideal_is_built_once_for_the_target(self, monkeypatch, kind, target):
+        # A passing initial-ideal leg holds one ideal, the target: the leading
+        # monomials are checked against it as they are computed, and no
+        # leading-term ideal is built.
+        built = []
+        init = MonomialIdeal.__init__
 
-        def recording_ideal(gens):
-            calls.append("leading-term ideal")
-            return ideal(gens)
+        def recording_init(self, gens=()):
+            built.append(sys._getframe(1).f_code.co_name)
+            init(self, gens)
 
-        def recording_build(*args):
-            calls.append(("target", "leads" in sys._getframe(1).f_locals))
-            return build(*args)
-
-        monkeypatch.setattr(groebner, "MonomialIdeal", recording_ideal)
-        monkeypatch.setattr(groebner, target, recording_build)
+        monkeypatch.setattr(MonomialIdeal, "__init__", recording_init)
         assert delightful_check(6, kind, CircularTermOrder(6)).passed
-        assert calls == ["leading-term ideal", ("target", False)]
+        assert built == [target]
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_streamed_verdict_is_leading_term_ideal_equality(self, monkeypatch, n, kind, inner):
+        # The streamed leg passes iff MonomialIdeal(leads) == target: on the
+        # full basis, without its first generator, and, where the basis is
+        # not LT-minimal (symbolic n >= 6), without the last generator whose
+        # leading monomial another generator shares or strictly divides.
+        order = CircularTermOrder(n, inner)
+        labels = groebner.candidate_basis(n, kind)
+        variants = [labels, labels[1:]]
+        leads, _ = _leads_and_target(n, kind, order)
+        shared, minimal = Counter(leads), set(MonomialIdeal(leads).generators)
+        spare = [k for k, m in enumerate(leads) if shared[m] > 1 or m not in minimal]
+        assert bool(spare) == (kind == "symbolic-square" and n >= 6)
+        if spare:
+            variants.append(labels[: spare[-1]] + labels[spare[-1] + 1 :])
+        verdicts = []
+        for kept in variants:
+            substitute_generators(monkeypatch, {}, labels=kept)
+            leg = _check(delightful_check(n, kind, order), "initial_ideal_matches_combinatorial_target")
+            leads, target = _leads_and_target(n, kind, order)
+            verdicts.append(MonomialIdeal(leads) == target)
+            assert leg.status == ("pass" if verdicts[-1] else "fail"), len(kept)
+        assert verdicts == [True, False, True][: len(variants)]
 
 
 def _count_products(monkeypatch):
@@ -957,6 +979,28 @@ class TestDelightfulBuildsProductsOnlyForSPairs:
 
 def _check(cert, name):
     return next(c for c in cert.checks if c.name == name)
+
+
+def _leads_and_target(n, kind, order):
+    """The leading monomial of every generator of the candidate basis, each
+    product built in full, and the combinatorial target."""
+    labels = groebner.candidate_basis(n, kind)
+    leads = [order.leading_monomial(g) for g in groebner.generators(n, labels)]
+    g = NoncrossingGraph(n)
+    target = secant_of_edge_ideal(g, odd_floor(n)) if kind == "secant" else symbolic_square_of_edge_ideal(g)
+    return leads, target
+
+
+def _reference_witness(n, kind, order):
+    """The initial-ideal leg's failure witness by its definition: the minimal
+    generators of the leading-term ideal and of the target, each side's
+    missing from the other."""
+    leads, target = _leads_and_target(n, kind, order)
+    got, want = set(MonomialIdeal(leads).generators), set(target.generators)
+    return {
+        "missing": sorted(format_monomial(m) for m in want - got),
+        "unexpected": sorted(format_monomial(m) for m in got - want),
+    }
 
 
 def _families(n, kind):
@@ -1021,6 +1065,7 @@ class TestDelightfulNegativeControls:
         assert leg.status == "fail"
         assert leg.witness["missing"] == [format_monomial(order.leading_monomial(dropped))]
         assert leg.witness["unexpected"] == []
+        assert leg.witness == _reference_witness(6, "secant", order)
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_symbolic_initial_ideal(self, monkeypatch, inner):
@@ -1034,6 +1079,7 @@ class TestDelightfulNegativeControls:
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
         assert leg.status == "fail"
         assert leg.witness["missing"]
+        assert leg.witness == _reference_witness(6, "symbolic-square", order)
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_mutated_toric_factor_fails_membership(self, monkeypatch, inner):
@@ -1079,6 +1125,27 @@ class TestDelightfulNegativeControls:
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
         assert leg.status == "fail"
         assert leg.witness["unexpected"] or leg.witness["missing"]
+        assert leg.witness == _reference_witness(6, "symbolic-square", order)
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_extra_lead_outside_target_fails_initial_ideal(self, monkeypatch, inner):
+        # A degree-2 toric binomial among the symbolic candidates: every
+        # minimal generator of the target is still a lead, but the
+        # binomial's noncrossing pair lies outside the target.  It is filed
+        # under a minor label that no split produces.
+        order = CircularTermOrder(6, inner)
+        labels = groebner.candidate_basis(6, "symbolic-square")
+        binomial = toric_gb_polynomials(6)[0]
+        extra = ("minor", (1, 2), (3, 4))
+        substitute_generators(monkeypatch, {extra: binomial}, labels=labels + [extra])
+        cert = delightful_check(6, "symbolic-square", order)
+        leg = _check(cert, "initial_ideal_matches_combinatorial_target")
+        assert leg.status == "fail"
+        lead = format_monomial(order.leading_monomial(binomial))
+        assert leg.witness["unexpected"] == [lead]
+        assert leg.witness == _reference_witness(6, "symbolic-square", order)
+        membership = _check(cert, "generators_member_of_symbolic_square")
+        assert [w["index"] for w in membership.witness] == [len(labels)]
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_flipped_symbolic_master_fails_membership(self, monkeypatch, inner):

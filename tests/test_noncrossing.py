@@ -20,6 +20,7 @@ from conftest import (
     nested_triple_monomials,
     reference_induced_odd_cycles,
     symbolic_square_identity_holds,
+    target_by_definition,
 )
 
 
@@ -140,6 +141,41 @@ class TestSymbolicSquareOfEdgeIdeal:
     def test_identity_square_plus_secant(self):
         for n in range(4, 7):
             assert symbolic_square_identity_holds(n)
+
+
+def _target(n, kind):
+    g = NoncrossingGraph(n)
+    return secant_of_edge_ideal(g, odd_floor(n)) if kind == "secant" else symbolic_square_of_edge_ideal(g)
+
+
+def _through(ideal, degree):
+    return {m for m in ideal.generators if m.degree <= degree}
+
+
+class TestTargetsMatchTheirDefinitions:
+    """The initial-ideal leg compares leading monomials with these targets
+    alone, so each is checked against its definition, not against odd cycles:
+    the split criterion for the secant, vertex covers for the symbolic square."""
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n,degree", [(5, 5), (6, 4)])
+    def test_minimal_generators_through_degree(self, n, degree, kind):
+        want = target_by_definition(n, kind, degree)
+        assert want
+        assert _through(_target(n, kind), degree) == want
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    def test_target_with_a_generator_dropped_or_added_disagrees(self, kind):
+        # Added: a noncrossing pair, which lies in the edge ideal but in
+        # neither target, and divides some of the target's generators.
+        want = target_by_definition(6, kind, 4)
+        gens = _target(6, kind).generators
+        dropped = MonomialIdeal(gens[1:])
+        added = MonomialIdeal(gens + (mono((1, 2), (3, 4)),))
+        assert gens[0] in want
+        assert _through(dropped, 4) != want
+        assert _through(added, 4) != want
+        assert mono((1, 2), (3, 4)) in _through(added, 4)
 
 
 class TestAdmissibleSequences:

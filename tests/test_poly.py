@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersecant import (
+    CircularTermOrder,
     Monomial,
     Polynomial,
+    delightful_check,
     edge_var,
     format_monomial,
     format_polynomial,
@@ -14,7 +16,9 @@ from hypersecant import (
     param_t,
     param_u,
 )
+from hypersecant import poly
 from hypersecant.noncrossing import AdmissibleSequence
+from hypersecant.poly import canonical_key
 
 from conftest import (
     edges_for,
@@ -87,6 +91,59 @@ class TestConstructors:
         checked = Monomial([*m1.factors, *m2.factors])
         assert (product.factors, hash(product)) == (checked.factors, hash(checked))
         assert product == checked
+
+
+_factor_lists = st.lists(
+    st.tuples(st.sampled_from([edge_var(a, b) for a, b in edges_for(5)]), st.integers(0, 3)), max_size=4
+)
+
+
+class TestInternedFactors:
+    """Every Monomial holds its (variable, exponent) pairs as the one shared
+    tuple per pair from poly._FACTORS."""
+
+    def test_pairs_are_shared_across_constructors(self):
+        order = CircularTermOrder(6)
+        packing = order.packing(4)
+        edges = Monomial.from_edges([(1, 2), (3, 4), (3, 4)])
+        product = Monomial.from_edges([(1, 2)]).mul(Monomial.from_edges([(3, 4), (3, 4)]))
+        trusted = Monomial._of({edge_var(3, 4): 2, edge_var(1, 2): 1})
+        unpacked = packing.unpack(packing.pack(edges))
+        for m in (product, trusted, unpacked):
+            assert m == edges
+            assert all(a is b for a, b in zip(m.factors, edges.factors)), m
+
+    def test_table_stays_bounded_by_a_symbolic_n8_certification(self, monkeypatch):
+        # The 10,010 generators at n = 8 share their pairs from a table of at
+        # most one entry per edge variable (28) and exponent (at most the top
+        # degree, 4), however many monomials are built.
+        monkeypatch.setattr(poly, "_FACTORS", {})
+        assert delightful_check(8, "symbolic-square", CircularTermOrder(8)).passed
+        pairs = poly._FACTORS
+        assert all(k is v for k, v in pairs.items())
+        assert all(poly.is_edge_var(v) and e <= 4 for v, e in pairs)
+        assert len(pairs) <= 28 * 4
+
+    @given(st.lists(_factor_lists, min_size=2, max_size=2), st.randoms())
+    def test_equality_hash_and_order_match_plain_tuples(self, factor_lists, rng):
+        # Interning changes no value: each monomial's factors, hash,
+        # equality and canonical_key order are those of a plain sorted tuple
+        # built afresh, whatever order its pairs arrive in.
+        ms, plains = [], []
+        for fs in factor_lists:
+            acc = {}
+            for v, e in fs:
+                acc[v] = acc.get(v, 0) + e
+            plain = tuple(sorted((v, e) for v, e in acc.items() if e))
+            shuffled = list(fs)
+            rng.shuffle(shuffled)
+            m = Monomial(shuffled)
+            assert m.factors == plain and hash(m) == hash(plain)
+            assert canonical_key(m) == (sum(e for _, e in plain), plain)
+            ms.append(m)
+            plains.append((sum(e for _, e in plain), plain))
+        assert (ms[0] == ms[1]) == (plains[0] == plains[1])
+        assert (ms[0] < ms[1]) == (plains[0] < plains[1])
 
 
 class TestAdd:
