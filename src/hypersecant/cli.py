@@ -26,6 +26,7 @@ from .groebner import (
     buchberger_verify,
     candidate_basis,
     delightful_check,
+    generator_rows,
     generators,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
@@ -42,7 +43,7 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .order import CircularTermOrder, INNER_ORDERS
-from .poly import Monomial, Polynomial, format_monomial, format_polynomial
+from .poly import Monomial, format_monomial, format_rows
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -124,52 +125,47 @@ class _FactorText(dict):
 class _JsonText:
     """Generators as the exact text json.dumps(..., indent=2) gives them.
 
-    Monomials, polynomials and binomials go straight to text, with no
-    {"coeff", "monomial"} dicts or factor lists in between.  Each
-    (variable, exponent) factor is rendered once per depth and reused: a
-    basis at n <= 8 has only a few dozen distinct factors.  One instance
-    serves one command.
+    Monomials, polynomial rows (see CircularTermOrder.rows) and binomials go
+    straight to text, with no {"coeff", "monomial"} dicts or factor lists in
+    between.  Each (variable, exponent) factor is rendered once per depth
+    and reused: a basis at n <= 8 has only a few dozen distinct factors.
+    One instance serves one command.
     """
 
-    def __init__(self, order: CircularTermOrder):
-        self.order = order
-        self._monomial_at: dict = {}
+    def __init__(self):
+        self._factors_at: dict = {}
 
-    def _monomial_renderer(self, depth: int):
-        render = self._monomial_at.get(depth)
+    def _factors_renderer(self, depth: int):
+        """The renderer of a monomial's factors at `depth`."""
+        render = self._factors_at.get(depth)
         if render is None:
             factor = _FactorText(depth + 1).__getitem__
             inner = "\n" + "  " * (depth + 1)
             head, sep, tail = "[" + inner, "," + inner, "\n" + "  " * depth + "]"
 
-            # _json_list(list(map(factor, m.factors)), depth), without the copies.
-            def render(m: Monomial) -> str:
-                return head + sep.join(map(factor, m.factors)) + tail if m.factors else "[]"
+            # _json_list(list(map(factor, factors)), depth), without the copies.
+            def render(factors: tuple) -> str:
+                return head + sep.join(map(factor, factors)) + tail if factors else "[]"
 
-            self._monomial_at[depth] = render
+            self._factors_at[depth] = render
         return render
 
     def monomial(self, m: Monomial, depth: int) -> str:
-        return self._monomial_renderer(depth)(m)
+        return self._factors_renderer(depth)(m.factors)
 
     def binomial(self, g: BinomialGenerator, depth: int) -> str:
-        mono = self._monomial_renderer(depth + 1)
-        return _json_object([("lead", mono(g.lead)), ("trail", mono(g.trail))], depth)
+        mono = self._factors_renderer(depth + 1)
+        return _json_object([("lead", mono(g.lead.factors)), ("trail", mono(g.trail.factors))], depth)
 
-    def polynomial(self, p: Polynomial, depth: int) -> str:
-        """{"terms": [{"coeff": c, "monomial": [...]}, ...]}, terms descending
-        under the order."""
-        mono = self._monomial_renderer(depth + 3)
+    def polynomial(self, rows: list, depth: int) -> str:
+        """{"terms": [{"coeff": c, "monomial": [...]}, ...]}, one term per row."""
+        mono = self._factors_renderer(depth + 3)
         # Each term is _json_object([("coeff", ...), ("monomial", ...)], depth + 2),
         # written out because it runs once per emitted term.
         inner = "\n" + "  " * (depth + 3)
         head, mid = "{" + inner + '"coeff": ', "," + inner + '"monomial": '
         tail = "\n" + "  " * (depth + 2) + "}"
-        coeff = p.coefficient
-        terms = [
-            head + str(coeff(m)) + mid + mono(m) + tail
-            for m in sorted(p.monomials(), key=self.order.sort_key(p.degree), reverse=True)
-        ]
+        terms = [head + str(c) + mid + mono(f) + tail for c, f in rows]
         return _json_object([("terms", _json_list(terms, depth + 1))], depth)
 
     def array(self, items, render) -> Iterator[str]:
@@ -192,46 +188,47 @@ def _json_document(header: dict, key: str, chunks: Iterable[str]) -> Iterator[st
     yield "\n}\n"
 
 
-def _cas_monomial(m: Monomial) -> str:
-    if m.is_one:
+def _cas_monomial(factors: tuple) -> str:
+    if not factors:
         return "1"
     parts = []
-    for v, e in m.factors:
+    for v, e in factors:
         name = f"x_{v[1]}_{v[2]}" if v[0] == "x" else f"{v[0]}_{v[1]}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
 
-def _cas_polynomial(p: Polynomial, order: CircularTermOrder) -> str:
-    if p.is_zero:
+def _cas_polynomial(rows: list) -> str:
+    if not rows:
         return "0"
     parts = []
-    for m in sorted(p.monomials(), key=order.sort_key(p.degree), reverse=True):
-        c = p.coefficient(m)
-        if m.is_one:
+    for c, f in rows:
+        if not f:
             body = str(abs(c))
         elif abs(c) == 1:
-            body = _cas_monomial(m)
+            body = _cas_monomial(f)
         else:
-            body = f"{abs(c)}*{_cas_monomial(m)}"
+            body = f"{abs(c)}*{_cas_monomial(f)}"
         parts.append(("-" if c < 0 else "+") + body)
     text = " ".join(parts)
     return text[1:] if text.startswith("+") else text
 
 
-def algebra_script(polys, n: int, order: CircularTermOrder) -> Iterator[str]:
-    """The script in chunks: the header, then one generator per chunk."""
+def algebra_script(rows, order: CircularTermOrder) -> Iterator[str]:
+    """The script of an iterable of polynomial rows in chunks: the header,
+    then one generator per chunk."""
+    n = order.n
     one_var = [Monomial(((("x", a, b), 1),)) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     one_var.sort(key=order.sort_key(1), reverse=True)
     yield (
         "-- generated by hypersecant; variables listed from largest to smallest\n"
         f"-- ambient n = {n}, circular block order, inner = {order.descriptor()['inner']}\n"
-        "variables: " + ", ".join(_cas_monomial(m) for m in one_var) + "\n"
+        "variables: " + ", ".join(_cas_monomial(m.factors) for m in one_var) + "\n"
         "generators:\n"
     )
     sep = ""
-    for p in polys:
-        yield sep + _cas_polynomial(p, order)
+    for r in rows:
+        yield sep + _cas_polynomial(r)
         sep = ",\n"
     yield "\n"
 
@@ -329,27 +326,28 @@ def _kind(args: argparse.Namespace) -> str:
     return "symbolic-square" if args.kind == "symbolic" else args.kind
 
 
-def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, n: int, meta: dict) -> Iterator[str]:
-    order = CircularTermOrder(n, args.inner)
+def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, order: CircularTermOrder,
+                         meta: dict) -> Iterator[str]:
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": len(ideal), "degrees": list(ideal.degrees())}
-        text = _JsonText(order)
+        text = _JsonText()
         return _json_document(header, "generators", text.array(ideal.generators, text.monomial))
     if args.format == "algebra-script":
-        return algebra_script(map(Polynomial.from_monomial, ideal.generators), n, order)
+        return algebra_script(([(1, m.factors)] for m in ideal.generators), order)
     return _text_lines(map(format_monomial, ideal.generators))
 
 
-def _emit_polynomials(args: argparse.Namespace, polys, count: int, n: int, meta: dict) -> Iterator[str]:
-    """`polys` is any iterable of `count` polynomials, read as it is written."""
-    order = CircularTermOrder(n, args.inner)
+def _emit_polynomials(args: argparse.Namespace, rows, count: int, order: CircularTermOrder,
+                      meta: dict) -> Iterator[str]:
+    """`rows` is any iterable of the rows of `count` polynomials (see
+    CircularTermOrder.rows), read as it is written."""
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": count}
-        text = _JsonText(order)
-        return _json_document(header, "generators", text.array(polys, text.polynomial))
+        text = _JsonText()
+        return _json_document(header, "generators", text.array(rows, text.polynomial))
     if args.format == "algebra-script":
-        return algebra_script(polys, n, order)
-    return _text_lines(format_polynomial(p, order.sort_key(p.degree)) for p in polys)
+        return algebra_script(rows, order)
+    return _text_lines(map(format_rows, rows))
 
 
 def _cmd_build(args: argparse.Namespace) -> RunResult:
@@ -362,23 +360,26 @@ def _cmd_build(args: argparse.Namespace) -> RunResult:
         warn += max_len_warn
     built = args.build(n, **extra)
     meta = {"command": args.command, "n": n, **extra}
+    order = CircularTermOrder(n, args.inner)
     if isinstance(built, MonomialIdeal):
-        return RunResult(EXIT_OK, _emit_monomial_ideal(args, built, n, meta), warn)
+        return RunResult(EXIT_OK, _emit_monomial_ideal(args, built, order, meta), warn)
     # The labels of a candidate basis, each built as it is written.
-    return RunResult(EXIT_OK, _emit_polynomials(args, generators(n, built), len(built), n, meta), warn)
+    rows = generator_rows(n, built, order)
+    return RunResult(EXIT_OK, _emit_polynomials(args, rows, len(built), order, meta), warn)
 
 
 def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
     n = _need_n(args)
     warn = _check_bound(args, n, SWEEP_BOUND, "toric-gb")
     gens = toric_gb(n)
+    order = CircularTermOrder(n, args.inner)
     if args.format == "json":
-        order = CircularTermOrder(n, args.inner)
         header = {"command": "toric-gb", "n": n, "order": order.descriptor(), "count": len(gens)}
-        text = _JsonText(order)
+        text = _JsonText()
         return RunResult(EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial)), warn)
+    rows = (order.rows(g.polynomial()) for g in gens)
     meta = {"command": "toric-gb", "n": n}
-    return RunResult(EXIT_OK, _emit_polynomials(args, [g.polynomial() for g in gens], len(gens), n, meta), warn)
+    return RunResult(EXIT_OK, _emit_polynomials(args, rows, len(gens), order, meta), warn)
 
 
 def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
@@ -440,8 +441,9 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
     warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     poly = master_polynomial(seq)
+    order = CircularTermOrder(n, args.inner)
+    rows = order.rows(poly)
     if args.format == "json":
-        order = CircularTermOrder(n, args.inner)
         header = {
             "command": "master-poly",
             "n": n,
@@ -451,9 +453,10 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
             "j": list(seq.j),
             "term_count": poly.term_count,
         }
-        text = _JsonText(order).polynomial(poly, 1)
+        text = _JsonText().polynomial(rows, 1)
         return RunResult(EXIT_OK, _json_document(header, "polynomial", (text,)), warn)
-    return RunResult(EXIT_OK, _emit_polynomials(args, [poly], 1, n, {"command": "master-poly", "n": n}), warn)
+    meta = {"command": "master-poly", "n": n}
+    return RunResult(EXIT_OK, _emit_polynomials(args, [rows], 1, order, meta), warn)
 
 
 def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:

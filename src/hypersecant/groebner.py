@@ -33,7 +33,7 @@ from .noncrossing import (
 )
 from .master import master_polynomial
 from .order import CircularTermOrder, _Packing
-from .poly import Monomial, Polynomial, format_monomial, format_polynomial
+from .poly import Monomial, Polynomial, format_monomial, format_rows
 
 SECANT = "secant"
 SYMBOLIC_SQUARE = "symbolic-square"
@@ -275,8 +275,9 @@ class _Divider:
                     {
                         "pair": [i, j],
                         "remainder_terms": len(rem),
-                        "remainder": format_polynomial(
-                            pk.polynomial({-q: c for q, c in rem.items()}), pk.pack
+                        # Ascending negated keys: descending in the order.
+                        "remainder": format_rows(
+                            [(c, pk.unpack(-q).factors) for q, c in sorted(rem.items())]
                         ),
                     }
                 )
@@ -545,6 +546,25 @@ def generators(n: int, labels: Sequence[tuple]) -> Iterator[Polynomial]:
         yield _generator(label, toric)
 
 
+def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
+    """The rows (see CircularTermOrder.rows) of the polynomials of
+    candidate_basis labels at n, in label order, each built when asked for.
+
+    A product's rows come from the packed terms of its two toric binomials
+    under the degree-4 packing (_Packing.product_rows): no Monomial or
+    Polynomial is built for it.  A master's or a minor's are the rows of its
+    polynomial.
+    """
+    toric = toric_gb_polynomials(n)
+    packing = order.packing(4)
+    packed = [packing.terms(t) for t in toric]
+    for label in labels:
+        if label[0] == "product":
+            yield packing.product_rows(packed[label[1]], packed[label[2]])
+        else:
+            yield order.rows(_generator(label, toric))
+
+
 # ---------------------------------------------------------------------------
 # the certification pipeline
 # ---------------------------------------------------------------------------
@@ -639,7 +659,7 @@ def delightful_check(
             reason = "rank-2 oracle failed"
         witness = {"index": gi, **_family(label)}
         if kind == SECANT:
-            witness["generator"] = format_polynomial(g, order.sort_key(g.degree))
+            witness["generator"] = format_rows(order.rows(g))
         else:
             witness["reason"] = reason
         bad.append(witness)

@@ -9,11 +9,17 @@ which is the property all the leading-term results here rely on.
 
 The order is encoded once, as a packed integer weight (`_Packing`).  The
 same ints sort output terms and drive division in the S-pair engine.
+
+Every polynomial a command writes is first put in one form, its rows: the
+(coefficient, factors) pairs of its terms, descending in the order.
+`CircularTermOrder.rows` gives the rows of a Polynomial;
+`_Packing.product_rows` gives those of a product straight from its factors'
+packed terms.
 """
 
 from __future__ import annotations
 
-from .poly import Monomial, Polynomial, is_edge_var
+from .poly import Monomial, Polynomial, is_edge_var, product_factors
 
 INNER_ORDERS = ("grevlex", "lex")
 
@@ -80,6 +86,10 @@ class CircularTermOrder:
         """Sort key for monomials of total degree at most `degree`:
         m1 precedes m2 in the order iff key(m1) < key(m2)."""
         return self.packing(degree).pack
+
+    def rows(self, p: Polynomial) -> list[tuple[int, tuple]]:
+        """The terms of p as (coefficient, factors) rows, descending in the order."""
+        return [(c, f) for _, c, f in sorted(self.packing(p.degree).terms(p), reverse=True)]
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 is below, equal to or above m2."""
@@ -166,6 +176,38 @@ class _Packing:
                 raise ValueError(f"variable {v!r} is out of range for n={self.n}")
             fields += e << at
         return self.join(fields)
+
+    def terms(self, p: Polynomial) -> list[tuple[int, int, tuple]]:
+        """The terms of p as (packed monomial, coefficient, factors)."""
+        pack = self.pack
+        return [(pack(m), c, m.factors) for m, c in p.terms()]
+
+    def product_rows(self, a: list, b: list) -> list[tuple[int, tuple]]:
+        """The rows of the product of two polynomials given by their terms()
+        in this packing, which must hold the product's degree.
+
+        Each pair of terms gives one packed monomial, the sum of theirs; equal
+        ones merge, and a zero coefficient drops out, as in Polynomial.  The
+        factors of a surviving term are merged from one pair that gives it, so
+        no Monomial is built.
+        """
+        acc: dict = {}
+        for k1, c1, f1 in a:
+            for k2, c2, f2 in b:
+                k = k1 + k2
+                t = acc.get(k)
+                acc[k] = (c1 * c2, f1, f2) if t is None else (t[0] + c1 * c2, f1, f2)
+        guard, ones = self.guard, self.ones
+        rows = []
+        for k, (c, f1, f2) in sorted(acc.items(), reverse=True):
+            if c:
+                # With as many variables as both factors have, none is shared:
+                # the pairs of both, sorted, are the product's.
+                if (((k | guard) - ones) & guard).bit_count() == len(f1) + len(f2):
+                    rows.append((c, tuple(sorted(f1 + f2))))
+                else:
+                    rows.append((c, product_factors(f1, f2)))
+        return rows
 
     def unpack(self, p: int) -> Monomial:
         return Monomial((v, (p >> at) & self.limit) for v, at in self.offset.items())

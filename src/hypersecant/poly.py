@@ -67,6 +67,15 @@ def _interned(factors: dict) -> tuple:
     return tuple(map(_FACTORS.setdefault, items, items))
 
 
+def product_factors(f1: tuple, f2: tuple) -> tuple:
+    """The factors of the product of the monomials with factors f1 and f2:
+    exponents of a shared variable add."""
+    d = dict(f1)
+    for v, e in f2:
+        d[v] = d.get(v, 0) + e
+    return _interned(d)
+
+
 class Monomial:
     """A sparse monomial: a product of variables with positive exponents.
 
@@ -96,9 +105,14 @@ class Monomial:
     def _of(cls, factors: dict) -> "Monomial":
         """Trusted constructor: `factors` maps variables to positive int
         exponents, so none of __init__'s checks is repeated."""
+        return cls._with(_interned(factors))
+
+    @classmethod
+    def _with(cls, factors: tuple) -> "Monomial":
+        """Trusted constructor from factors as _interned returns them."""
         m = object.__new__(cls)
-        m.factors = _interned(factors)
-        m._hash = hash(m.factors)
+        m.factors = factors
+        m._hash = hash(factors)
         return m
 
     @classmethod
@@ -132,10 +146,7 @@ class Monomial:
         return 0
 
     def mul(self, other: "Monomial") -> "Monomial":
-        d = dict(self.factors)
-        for v, e in other.factors:
-            d[v] = d.get(v, 0) + e
-        return Monomial._of(d)
+        return Monomial._with(product_factors(self.factors, other.factors))
 
     def divides(self, other: "Monomial") -> bool:
         d = dict(other.factors)
@@ -402,16 +413,19 @@ def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
 # term      := sign magnitude ('*' factor)*          e.g.  -1*x[1,2]*x[3,4]^2
 # factor    := x[a,b] | t[i] | u[i], optional ^e for e > 1
 # polynomial:= term (' ' term)*  or  "0"
-# Emission lists terms in descending order under the supplied key (canonical
-# degree-then-factors order when no key is given); factors are sorted.
+# A polynomial is written from its rows, (coefficient, factors) pairs in the
+# order its terms are listed: descending under the term order for every
+# polynomial a command writes (CircularTermOrder.rows), descending under a
+# given key, canonical degree-then-factors by default, in format_polynomial.
+# Factors are sorted.
 
 
-def format_monomial(m: Monomial) -> str:
-    """Bare monomial text, e.g. x[1,2]*x[2,3]; the empty monomial is '1'."""
-    if m.is_one:
+def format_factors(factors: tuple) -> str:
+    """Bare text of a monomial's factors, e.g. x[1,2]*x[2,3]; no factors is '1'."""
+    if not factors:
         return "1"
     parts = []
-    for v, e in m.factors:
+    for v, e in factors:
         if v[0] == _EDGE:
             s = f"x[{v[1]},{v[2]}]"
         else:
@@ -420,16 +434,18 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
+def format_monomial(m: Monomial) -> str:
+    """Bare monomial text, e.g. x[1,2]*x[2,3]; the empty monomial is '1'."""
+    return format_factors(m.factors)
+
+
+def format_rows(rows) -> str:
+    """Signed-term text of (coefficient, factors) rows, in their order."""
+    if not rows:
+        return "0"
+    return " ".join(f"{c:+d}*{format_factors(f)}" if f else f"{c:+d}" for c, f in rows)
+
+
 def format_polynomial(p: Polynomial, key=canonical_key) -> str:
     """Signed-term text per the shared grammar, descending under `key`."""
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for m in sorted(p.monomials(), key=key, reverse=True):
-        c = p.coefficient(m)
-        if m.is_one:
-            pieces.append(f"{c:+d}")
-        else:
-            pieces.append(f"{c:+d}*{format_monomial(m)}")
-    return " ".join(pieces)
-
+    return format_rows([(c, m.factors) for m, c in sorted(p.terms(), key=lambda t: key(t[0]), reverse=True)])

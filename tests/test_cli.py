@@ -710,6 +710,16 @@ GOLDEN = {
     "symbolic-gb --n 5 --format json --order inner=lex": (0, "e9b370d93ce20c71b2cfc393f2fed17b43ca12e4fc8ea1df9cd20a486a01f9b5"),
     "symbolic-gb --n 5 --format algebra-script --order inner=grevlex": (0, "9a7ad9a689ac756f9fe104ce55df248f920dfd8f21a1ee1db2aff25bfe668d0c"),
     "symbolic-gb --n 5 --format algebra-script --order inner=lex": (0, "e98cfd0525b4d268aa5ffa3d58bfb8ac83507a550a9e917d97a8daa8a92aeb71"),
+    # n = 7 mixes binomials that share variables, so squares and merged terms
+    # show up in the text and algebra-script renderers too.
+    "symbolic-gb --n 7 --format text --order inner=grevlex": (0, "cd5c751d9e937b82c02abc11c2a08d20adad3881d4d49062d4f49ecc7f6e22f3"),
+    "symbolic-gb --n 7 --format text --order inner=lex": (0, "244fb6984a9c66ac50b18a600f7028527f069e2884202cb001dd9c411da55c73"),
+    "symbolic-gb --n 7 --format algebra-script --order inner=grevlex": (0, "ec5fc47a77babb7ce3b65279bd37fb6968e025b1768784f248107b6574d65742"),
+    "symbolic-gb --n 7 --format algebra-script --order inner=lex": (0, "86382d3839dabb243e1eca88b920dbc18eca0bcdc5090513e9e5385ae074a5bd"),
+    "secant-gb --n 7 --format text --order inner=grevlex": (0, "978dfffc1fbd5295d404946f7659d16a7ee91b1a60fc712fb1d4fa8fadecb2ab"),
+    "secant-gb --n 7 --format text --order inner=lex": (0, "1e661ac19f017f8a4a67bb67a67509eac501f5a2f7252289f3a144bc2fb4bb83"),
+    "secant-gb --n 7 --format algebra-script --order inner=grevlex": (0, "06c1fcef139b3e04c76b67c0dbf6d5a2c8bbb2139c3d2054a39a11e7c59df1d5"),
+    "secant-gb --n 7 --format algebra-script --order inner=lex": (0, "37877e7fbeca9b30abb97d4c83311885b2e7dcfe2656b367be7d020b2eecbe81"),
     "master-poly --i 1,3,5 --j 2,4,6 --format text --order inner=grevlex": (0, "ed852890b8b153e3e1f2c185fa66db661bb8d040493f937a50527afbb65a7c83"),
     "master-poly --i 1,3,5 --j 2,4,6 --format text --order inner=lex": (0, "78aed070211e12e84caba6d300fe8e890ea89a9e9893d37dc3cdecec4b743e06"),
     "master-poly --i 1,3,5 --j 2,4,6 --format json --order inner=grevlex": (0, "6be31ca2211ed05c1ec95167ba9755fd1176950eb75347673c0a4f8802a5aecc"),

@@ -812,6 +812,36 @@ class TestBases:
         assert cert.passed
 
 
+class TestGeneratorRows:
+    """Commands write a basis from generator_rows, the S-pair leg reads it
+    from generators; the two forms must agree term for term."""
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_product_rows_equal_polynomial_product(self, n, inner):
+        order = CircularTermOrder(n, inner)
+        key = order.sort_key(4)
+        toric = toric_gb_polynomials(n)
+        labels = [label for label in groebner.candidate_basis(n, "symbolic-square") if label[0] == "product"]
+        coefficients, exponents = set(), set()
+        for (_, a, b), rows in zip(labels, groebner.generator_rows(n, labels, order), strict=True):
+            p = toric[a] * toric[b]
+            assert rows == [(p.coefficient(m), m.factors) for m in sorted(p.monomials(), key=key, reverse=True)]
+            coefficients.update(c for c, _ in rows)
+            exponents.update(e for _, f in rows for _, e in f)
+        # A square merges its two cross terms into -2 and raises exponents to
+        # 2; no row has coefficient 0.
+        assert coefficients == {-2, -1, 1}
+        assert exponents == {1, 2}
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    def test_rows_of_every_label_are_rows_of_its_polynomial(self, kind):
+        labels = groebner.candidate_basis(6, kind)
+        for order in both_inner_orders(6):
+            got = list(groebner.generator_rows(6, labels, order))
+            assert got == [order.rows(g) for g in groebner.generators(6, labels)]
+
+
 class TestSecantBasisIsOddCycleBijection:
     """One candidate secant generator per induced odd cycle, led by its monomial."""
 

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypersecant import (
@@ -21,6 +21,7 @@ from conftest import (
     candidate_polynomials,
     edges_for,
     monomial_strategy,
+    polynomial_strategy,
     reference_order_key,
 )
 
@@ -209,3 +210,39 @@ class TestPackedWidths:
             assert pk.limit >= degree
             assert pk.limit >> 1 < max(degree, 1)
             assert order.packing(pk.limit) is pk
+
+
+class TestRows:
+    """Every polynomial a command writes goes through rows; a product of two
+    polynomials can be given its rows from their packed terms."""
+
+    @staticmethod
+    def expected_rows(p, order):
+        return [(p.coefficient(m), m.factors) for m in sorted(p.monomials(), key=order.sort_key(p.degree), reverse=True)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=polynomial_strategy(max_coeff=2),
+        q=polynomial_strategy(max_coeff=2),
+        inner=st.sampled_from(["grevlex", "lex"]),
+    )
+    @example(  # (x12 + x34)(x12 - x34): the cross terms cancel
+        p=Polynomial.from_edge_terms([(1, [(1, 2)]), (1, [(3, 4)])]),
+        q=Polynomial.from_edge_terms([(1, [(1, 2)]), (-1, [(3, 4)])]),
+        inner="grevlex",
+    )
+    def test_product_rows_are_rows_of_the_product(self, p, q, inner):
+        order = CircularTermOrder(6, inner)
+        assert order.rows(p) == self.expected_rows(p, order)
+        pk = order.packing(max(p.degree, 0) + max(q.degree, 0))
+        rows = pk.product_rows(pk.terms(p), pk.terms(q))
+        assert rows == order.rows(p * q) == self.expected_rows(p * q, order)
+        assert all(c for c, _ in rows)
+
+    def test_cancelled_terms_leave_no_row(self):
+        order = CircularTermOrder(6)
+        p = Polynomial.from_edge_terms([(1, [(1, 2)]), (1, [(3, 4)])])
+        q = Polynomial.from_edge_terms([(1, [(1, 2)]), (-1, [(3, 4)])])
+        pk = order.packing(2)
+        x12, x34 = edge_var(1, 2), edge_var(3, 4)
+        assert pk.product_rows(pk.terms(p), pk.terms(q)) == [(1, ((x12, 2),)), (-1, ((x34, 2),))]
