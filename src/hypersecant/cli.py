@@ -3,8 +3,8 @@
 Every behavior is flag-driven; there are no config files or environment
 variables, and equal invocations produce byte-identical output (timings
 are reported on stderr only).  Exit codes: 0 success, 1 a requested
-verification failed, 2 invalid input or out-of-range parameters, 3 an
-internal fault.
+verification failed, 2 invalid input, out-of-range parameters or output
+that cannot be written (--output, or a closed stdout), 3 an internal fault.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .groebner import (
     candidate_basis,
     delightful_check,
     generator_rows,
-    generators,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
@@ -510,15 +509,15 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     kind = _kind(args)
     n = _need_n(args, 3 if kind == "toric" else 4)
     warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
+    order = CircularTermOrder(n, args.inner)
     if kind == "toric":
         binomials = toric_gb(n)
         labels = [("binomial", b.quadruple, b.family) for b in binomials]
-        gens = [b.polynomial() for b in binomials]
+        rows = (order.rows(b.polynomial()) for b in binomials)
     else:
         labels = candidate_basis(n, kind)
-        gens = generators(n, labels)
-    order = CircularTermOrder(n, args.inner)
-    cert = buchberger_verify(gens, order, n=n, kind=kind, threads=args.threads, labels=labels)
+        rows = generator_rows(n, labels, order)
+    cert = buchberger_verify(rows, order, n=n, kind=kind, threads=args.threads, labels=labels)
     return _certificate_result(args, cert, warn)
 
 
@@ -664,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _OutputError(Exception):
-    """An OSError from the --output file, as opposed to a fault elsewhere."""
+    """An OSError writing to --output or a closed stdout, not a fault elsewhere."""
 
 
 def _write_atomically(path: str, chunks: Iterable[str]) -> None:
@@ -709,18 +708,26 @@ def _write(payload: Iterable[str] | str, path: str | None) -> None:
     chunks = (payload,) if isinstance(payload, str) else payload
     if path:
         _write_atomically(path, chunks)
-    else:
+        return
+    try:
         for chunk in chunks:
             sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader left, as `| head` does: the flush at exit goes to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _OutputError(exc) from exc
 
 
 def main(argv=None) -> int:
     """Parse argv, run the command, write its payload; return the exit code.
 
-    Every input check runs before the first chunk is written, so exit 2
-    leaves stdout empty.  On exit 3 stdout may hold a truncated document,
-    because the payload is rendered while it is written; --output stays
-    all-or-nothing: its file is replaced by the whole payload or not at all.
+    Every input check runs before the first chunk is written, so exit 2 on
+    bad input leaves stdout empty.  On exit 3 stdout may hold a truncated
+    document, because the payload is rendered while it is written; --output
+    stays all-or-nothing: its file is replaced by the whole payload or not.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -735,7 +742,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _OutputError as exc:
-        print(f"error: cannot write --output {args.output}: {exc}", file=sys.stderr)
+        where = f"--output {args.output}" if args.output else "stdout"
+        print(f"error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         traceback.print_exc()

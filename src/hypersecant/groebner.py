@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hypersimplex import (
     MonomialIdeal,
@@ -94,7 +94,7 @@ class GroebnerCertificate:
 # packed monomials, after Monagan and Pearce (sparse division with a heap over
 # packed exponent vectors; CASC 2007, JSC 2011): an edge monomial is one int,
 # so a product is a sum, the order is int comparison and divisibility is one
-# guard-bit test.  Monomial stays the type at the boundary.
+# guard-bit test.  Generators come in as (coefficient, factors) rows.
 
 
 # Exact monomials the front memo of one divider holds, each with its first
@@ -128,15 +128,16 @@ class _Divider:
     and the lowest of them whose leading term divides the term is its first
     divisor.  In front of the tables, `memo` maps up to _FRONT_MEMO_CAP
     negated monomials to their first divisor, or -1.  A divider lives for
-    one call, and so do its tables and memo.  Each Polynomial of `polys` is
-    packed as it is read, and only its leading term and tail are kept.
+    one call, and so do its tables and memo.  Each reducer of `rows`, its
+    (coefficient, factors) rows in any order, is packed as it is read, and
+    only its leading term and tail are kept.
     """
 
-    def __init__(self, packing: _Packing, polys):
+    def __init__(self, packing: _Packing, rows):
         self.packing = packing
         self.lts, self.tails, self.supports = [], [], []
-        for g in polys:
-            terms = [(packing.pack(m), c) for m, c in g.terms()]
+        for g in rows:
+            terms = [(packing.pack(f), c) for c, f in g]
             if not terms:
                 raise ValueError("reducers must be nonzero")
             lt, ltc = max(terms)
@@ -293,8 +294,8 @@ def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> 
     """
     G = list(G)
     packing = order.packing(max([f.degree] + [g.degree for g in G]))
-    divider = _Divider(packing, G)
-    rem, _ = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
+    divider = _Divider(packing, ([(c, m.factors) for m, c in g.terms()] for g in G))
+    rem, _ = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
     return packing.polynomial({-q: c for q, c in rem.items()})
 
 
@@ -352,17 +353,15 @@ def _workers(pairs: int, threads: int | None) -> int:
     return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER, threads or pairs))
 
 
-def _sweep(packing: _Packing, G: Sequence[Polynomial], threads: int | None):
+def _sweep(divider: _Divider, threads: int | None):
     """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
 
-    The parent builds the one divider, which checks every reducer, before it
-    starts any worker.  No list of pairs is built: a serial sweep reduces the
-    pairs of combinations(range(m), 2) as they are generated, and a pool
-    sends each worker a row range from _row_chunks, whose pairs the worker
-    generates itself.  Forked workers inherit the divider, unpickled, through
-    the pool's initializer.
+    No list of pairs is built: a serial sweep reduces the pairs of
+    combinations(range(m), 2) as they are generated, and a pool sends each
+    worker a row range from _row_chunks, whose pairs the worker generates
+    itself.  Forked workers inherit the divider, unpickled, through the
+    pool's initializer.
     """
-    divider = _Divider(packing, G)
     m = len(divider.lts)
     workers = _workers(m * (m - 1) // 2, threads)
     if workers <= 1:
@@ -382,7 +381,7 @@ def _sweep(packing: _Packing, G: Sequence[Polynomial], threads: int | None):
 
 
 def buchberger_verify(
-    G: Sequence[Polynomial],
+    G: Iterable[list],
     order: CircularTermOrder,
     n: int | None = None,
     kind: str | None = None,
@@ -391,6 +390,7 @@ def buchberger_verify(
 ) -> GroebnerCertificate:
     """Certify that every S-pair of G reduces to zero modulo G.
 
+    Each generator of G is its (coefficient, factors) rows, in any order.
     Pairs with coprime leading terms are skipped (they reduce to zero by the
     product criterion) and counted in the statistics.  Failures carry the
     offending pair and its nonzero remainder as a witness; given the label
@@ -402,15 +402,18 @@ def buchberger_verify(
     threads=T, at most T, so a small sweep runs serially.  Aggregation order
     is fixed, so the certificate is identical to the serial one.  Every
     generator must be homogeneous; a non-homogeneous one raises ValueError
-    before any worker starts.
+    before any worker starts.  Forked workers inherit the divider alone.
     """
     G = list(G)
     started = time.perf_counter()
     # Rewrites by homogeneous reducers keep degrees, so every term of a
     # reduction has at most the degree of its S-pair's lcm, which is at most
     # twice the largest generator's.
-    packing = order.packing(2 * max((g.degree for g in G), default=0))
-    results = _sweep(packing, G, threads)
+    degree = max((sum(e for _, e in f) for g in G for _, f in g), default=0)
+    divider = _Divider(order.packing(2 * degree), G)
+    m = len(G)
+    del G
+    results = _sweep(divider, threads)
     failures: list = []
     skipped = reduced = max_terms = 0
     for fl, sk, rd, mt in results:
@@ -424,7 +427,7 @@ def buchberger_verify(
             for f in failures
         ]
     stats = SPairStats(
-        count=len(G) * (len(G) - 1) // 2,
+        count=m * (m - 1) // 2,
         skipped_coprime=skipped,
         reduced=reduced,
         max_terms=max_terms,
@@ -437,7 +440,7 @@ def buchberger_verify(
     )
     return GroebnerCertificate(
         order_descriptor=order.descriptor(),
-        generator_count=len(G),
+        generator_count=m,
         checks=(check,),
         n=n,
         kind=kind,
@@ -511,7 +514,7 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     degree, then the minors, whose antidiagonal leading terms are the nested
     noncrossing triples.  The symbolic-square basis is the minors, the
     degree-3 masters, then the products in combinations_with_replacement
-    order.  generators() builds the polynomials.
+    order.  generator_rows() builds their rows.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -525,25 +528,11 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     return minors + masters + [("product", a, b) for a, b in pairs]
 
 
-def _generator(label: tuple, toric: Sequence[Polynomial]) -> Polynomial:
-    """The polynomial of a candidate_basis label; `toric` is
-    toric_gb_polynomials(n), read by a product only."""
+def _generator(label: tuple) -> Polynomial:
+    """The polynomial of a master or minor label of candidate_basis."""
     if label[0] == "master":
         return master_polynomial(label[1])
-    if label[0] == "minor":
-        return off_diagonal_minor(label[1], label[2])
-    return toric[label[1]] * toric[label[2]]
-
-
-def generators(n: int, labels: Sequence[tuple]) -> Iterator[Polynomial]:
-    """The polynomials of candidate_basis labels at n, in label order.
-
-    Each is built only when the next one is asked for: a consumer that drops
-    each before asking again holds one at a time.
-    """
-    toric = toric_gb_polynomials(n)
-    for label in labels:
-        yield _generator(label, toric)
+    return off_diagonal_minor(label[1], label[2])
 
 
 def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
@@ -562,7 +551,7 @@ def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) ->
         if label[0] == "product":
             yield packing.product_rows(packed[label[1]], packed[label[2]])
         else:
-            yield order.rows(_generator(label, toric))
+            yield order.rows(_generator(label))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +593,8 @@ def delightful_check(
     list index and family: a master by its sequence (k, i, j), a minor by its
     split (rows, cols), a product by the indices (a, b) of its toric factors.
     Legs (a) and (b) make one pass over the labels and read a product only
-    through its label ("product", a, b), so product polynomials are built
-    only for leg (c).
+    through its label ("product", a, b); leg (c) reads its rows from
+    generator_rows, so no product polynomial is built.
 
     Leg (b) holds one ideal, the target T, built before the pass, and no
     list of leading monomials L.  It passes iff every lead lies in <T> and
@@ -637,7 +626,7 @@ def delightful_check(
         product's is read from the leading monomials of its toric factors."""
         if label[0] == "product":
             return None, toric_lts[label[1]].mul(toric_lts[label[2]])
-        g = _generator(label, toric)
+        g = _generator(label)
         return g, order.leading_monomial(g)
 
     # Leg (b) as the leads stream past: each must lie in the target, and
@@ -683,7 +672,8 @@ def delightful_check(
 
     stats = None
     if with_buchberger:
-        sub = buchberger_verify(generators(n, labels), order, n=n, kind=kind, threads=threads, labels=labels)
+        rows = generator_rows(n, labels, order)
+        sub = buchberger_verify(rows, order, n=n, kind=kind, threads=threads, labels=labels)
         checks.extend(sub.checks)
         stats = sub.spair_stats
 

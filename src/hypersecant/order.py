@@ -85,7 +85,8 @@ class CircularTermOrder:
     def sort_key(self, degree: int):
         """Sort key for monomials of total degree at most `degree`:
         m1 precedes m2 in the order iff key(m1) < key(m2)."""
-        return self.packing(degree).pack
+        pack = self.packing(degree).pack
+        return lambda m: pack(m.factors)
 
     def rows(self, p: Polynomial) -> list[tuple[int, tuple]]:
         """The terms of p as (coefficient, factors) rows, descending in the order."""
@@ -166,9 +167,9 @@ class _Packing:
             weight = ((fields * self._window) & self._degree_slots) - fields
         return (weight << self.shift) | fields
 
-    def pack(self, m: Monomial) -> int:
+    def pack(self, factors: tuple) -> int:
         fields = 0
-        for v, e in m.factors:
+        for v, e in factors:
             at = self.offset.get(v)
             if at is None:
                 if not is_edge_var(v):
@@ -180,7 +181,7 @@ class _Packing:
     def terms(self, p: Polynomial) -> list[tuple[int, int, tuple]]:
         """The terms of p as (packed monomial, coefficient, factors)."""
         pack = self.pack
-        return [(pack(m), c, m.factors) for m, c in p.terms()]
+        return [(pack(m.factors), c, m.factors) for m, c in p.terms()]
 
     def product_rows(self, a: list, b: list) -> list[tuple[int, tuple]]:
         """The rows of the product of two polynomials given by their terms()

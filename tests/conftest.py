@@ -24,7 +24,8 @@ from hypersecant import (
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
-from hypersecant.groebner import _minor_splits, candidate_basis, generators
+from hypersecant import groebner
+from hypersecant.groebner import _minor_splits, candidate_basis
 from hypersecant.noncrossing import odd_floor
 from hypersecant.poly import _rank_image
 
@@ -35,10 +36,28 @@ def both_inner_orders(n):
     return CircularTermOrder(n, "grevlex"), CircularTermOrder(n, "lex")
 
 
+def label_polynomials(n, labels):
+    """The Polynomial of each candidate_basis label at n, in label order: a
+    reference builder that forms the product ("product", a, b) as
+    toric[a] * toric[b], and a master or minor by groebner._generator.  The
+    rows of groebner.generator_rows are checked against it."""
+    toric = groebner.toric_gb_polynomials(n)
+    return [
+        toric[label[1]] * toric[label[2]] if label[0] == "product" else groebner._generator(label)
+        for label in labels
+    ]
+
+
 def candidate_polynomials(n, kind):
     """The candidate basis of `kind` ("secant" or "symbolic-square") at n as a
-    list, built from its labels."""
-    return list(generators(n, candidate_basis(n, kind)))
+    list of Polynomials, from label_polynomials."""
+    return label_polynomials(n, candidate_basis(n, kind))
+
+
+def term_rows(polys):
+    """The (coefficient, factors) rows of each polynomial, in its term order:
+    the generator form buchberger_verify and the divider read."""
+    return [[(c, m.factors) for m, c in p.terms()] for p in polys]
 
 
 # Paper-level facts about the candidate bases and the initial ideals.
@@ -481,19 +500,25 @@ def flip_lowest_tail(g, order):
 def substitute_generators(monkeypatch, polys, labels=None):
     """Make every candidate basis build polys[label] for each label in `polys`.
 
-    The one builder from a label to its polynomial, groebner._generator, is
-    patched, so every consumer that builds a label sees its substitute; the
-    membership and initial-ideal legs read a product through its label alone,
-    so only the S-pair leg sees a substituted product.  Given `labels`,
-    candidate_basis returns them in place of a basis's own labels, for
-    example with one left out.
+    The one builder of the rows a command writes and the S-pair leg reads,
+    groebner.generator_rows, is patched where groebner and cli read it, so
+    both see every substitute, a product's included.  The builder of a master or minor,
+    groebner._generator, is patched too, so the membership and initial-ideal
+    legs see a substituted master or minor; they read a product through its
+    label alone.  Given `labels`, candidate_basis returns them in place of a
+    basis's own labels, for example with one left out.
     """
-    from hypersecant import groebner
+    from hypersecant import cli
 
-    build = groebner._generator
-    monkeypatch.setattr(
-        groebner, "_generator", lambda label, toric: polys[label] if label in polys else build(label, toric)
-    )
+    build, rows = groebner._generator, groebner.generator_rows
+
+    def substituted_rows(n, labels, order):
+        for label, built in zip(labels, rows(n, labels, order)):
+            yield order.rows(polys[label]) if label in polys else built
+
+    monkeypatch.setattr(groebner, "_generator", lambda label: polys[label] if label in polys else build(label))
+    for module in (groebner, cli):
+        monkeypatch.setattr(module, "generator_rows", substituted_rows)
     if labels is not None:
         monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind: list(labels))
 

@@ -36,6 +36,7 @@ from hypersecant.fixtures import (
     REFERENCE_PENTAD_TERMS,
     reference_polynomial,
 )
+from hypersecant.groebner import candidate_basis, generator_rows
 from hypersecant.noncrossing import AdmissibleSequence
 
 from conftest import (
@@ -184,18 +185,15 @@ def test_criterion_10_buchberger_certification():
     ok = True
     for n in range(4, 8):
         for order in both_inner_orders(n):
-            if not buchberger_verify(toric_gb_polynomials(n), order, n=n, kind="toric").passed:
+            toric = [order.rows(g) for g in toric_gb_polynomials(n)]
+            if not buchberger_verify(toric, order, n=n, kind="toric").passed:
                 ok = False
-    for n in range(4, 8):
-        for order in both_inner_orders(n):
-            if not buchberger_verify(candidate_polynomials(n, "secant"), order, n=n, kind="secant").passed:
-                ok = False
-    for n in range(4, 7):
-        for order in both_inner_orders(n):
-            if not buchberger_verify(
-                candidate_polynomials(n, "symbolic-square"), order, n=n, kind="symbolic-square"
-            ).passed:
-                ok = False
+    for kind, top in (("secant", 7), ("symbolic-square", 6)):
+        for n in range(4, top + 1):
+            for order in both_inner_orders(n):
+                rows = generator_rows(n, candidate_basis(n, kind), order)
+                if not buchberger_verify(rows, order, n=n, kind=kind).passed:
+                    ok = False
     _report(10, ok, "all S-pairs reduce to zero: toric and secant n<=7, symbolic n<=6, both orders",
             1800.0, time.perf_counter() - t0)
 

@@ -35,6 +35,7 @@ from conftest import (
     candidate_polynomials,
     child_peak_rss,
     flip_lowest_tail,
+    label_polynomials,
     parse_polynomial,
     polynomial_from_json,
     polynomial_to_json,
@@ -184,7 +185,7 @@ class TestVerify:
     def test_buchberger_names_failing_pairs_by_generator(self, monkeypatch):
         # The last generator, a minor, with one non-leading coefficient negated.
         labels = groebner.candidate_basis(6, "secant")
-        (g,) = groebner.generators(6, labels[-1:])
+        (g,) = label_polynomials(6, labels[-1:])
         substitute_generators(monkeypatch, {labels[-1]: flip_lowest_tail(g, CircularTermOrder(6))})
         argv = ["verify", "buchberger", "--n", "6", "--kind", "secant"]
         res = invoke(*argv, "--format", "json")
@@ -229,7 +230,7 @@ class TestVerify:
     def test_delightful_names_failing_pairs_by_generator(self, monkeypatch):
         # The last generator, a product, with one non-leading coefficient negated.
         labels = groebner.candidate_basis(5, "symbolic-square")
-        (g,) = groebner.generators(5, labels[-1:])
+        (g,) = label_polynomials(5, labels[-1:])
         substitute_generators(monkeypatch, {labels[-1]: flip_lowest_tail(g, CircularTermOrder(5))})
         argv = ["verify", "delightful", "--n", "5", "--kind", "symbolic", "--buchberger"]
         res = invoke(*argv, "--format", "json")
@@ -547,6 +548,23 @@ class TestDeterminism:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
+    def test_closed_stdout_is_usage_error(self):
+        # The reader takes one line and closes the pipe, as `| head -1` does;
+        # the 301 kB of text is far more than the pipe buffers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hypersecant", "symbolic-gb", "--n", "7", "--format", "text"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        err = err.decode()
+        assert proc.returncode == EXIT_USAGE
+        assert first.startswith(b"+1*x[")
+        assert err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
 
 def _break_renderer_after_first(monkeypatch):
     """Make the JSON polynomial renderer raise on its second generator."""
@@ -569,7 +587,8 @@ class TestStreamedOutput:
     def test_no_write_is_longer_than_one_generator(self, command):
         argv = [command, "--n", "6", "--format", "json"]
         writes = []
-        with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append)):
+        # A stdout with write and the flush that ends the payload.
+        with contextlib.redirect_stdout(types.SimpleNamespace(write=writes.append, flush=lambda: None)):
             assert main(argv) == EXIT_OK
         whole = invoke(*argv).stdout
         assert "".join(writes) == whole
@@ -822,6 +841,53 @@ def test_secant_n7_spair_sweep_matches_reference_digest(inner):
     assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
 
 
+def _written_rows(generators):
+    """The rows of each generator of a JSON document's "generators" list, as
+    (coefficient, factors) pairs in the order written."""
+    return [
+        [(t["coeff"], tuple(((v, a, b), e) for v, a, b, e in t["monomial"])) for t in g["terms"]]
+        for g in generators
+    ]
+
+
+@pytest.mark.parametrize("inner", ["grevlex", "lex"])
+def test_spair_leg_reads_the_rows_symbolic_gb_writes(monkeypatch, inner):
+    # One builder: the divider reads each generator as the very rows the
+    # writer writes, in the same order.
+    read = []
+    init = groebner._Divider.__init__
+
+    def spy(self, packing, rows):
+        rows = list(rows)
+        read.append(rows)
+        init(self, packing, rows)
+
+    monkeypatch.setattr(groebner._Divider, "__init__", spy)
+    order = ["--order", f"inner={inner}"]
+    assert invoke("verify", "buchberger", "--n", "6", "--kind", "symbolic", *order).code == EXIT_OK
+    written = json.loads(invoke("symbolic-gb", "--n", "6", "--format", "json", *order).stdout)
+    assert read == [_written_rows(written["generators"])]
+
+
+def test_certification_builds_no_product_polynomial(monkeypatch):
+    # Under a Polynomial.__mul__ that refuses two polynomials, the symbolic
+    # certifications, S-pair leg included, still pass with the same stdout.
+    delightful = ["verify", "delightful", "--n", "6", "--kind", "symbolic", "--buchberger"]
+    want = invoke(*delightful).stdout
+    mul = Polynomial.__mul__
+
+    def no_product(self, other):
+        if isinstance(other, Polynomial):
+            raise AssertionError("a product polynomial was built")
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", no_product)
+    argv = ["verify", "buchberger", "--n", "6", "--kind", "symbolic", "--format", "json", "--order", "inner=grevlex"]
+    assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
+    res = invoke(*delightful)
+    assert (res.code, res.stdout) == (EXIT_OK, want)
+
+
 def test_threads_never_start_more_workers_than_usable_cpus(pool_of_two):
     argv = ["verify", "buchberger", "--n", "7", "--kind", "secant", "--allow-large"]
     argv += ["--format", "json", "--order", "inner=grevlex"]
@@ -885,6 +951,7 @@ REMOVED_NAMES = {
     "cli": ["monomial_from_json", "polynomial_from_json"],
     "groebner": [
         "_packed_terms",
+        "generators",
         "nested_triple_monomials",
         "secant_gb",
         "symbolic_square_gb",

@@ -28,6 +28,7 @@ from hypersecant import (
     format_polynomial,
     in_secant_ideal,
     induced_odd_cycles,
+    initial_edge_ideal,
     master_polynomial,
     off_diagonal_minor,
     reduce,
@@ -38,7 +39,7 @@ from hypersecant import (
 
 from hypersecant import groebner
 from hypersecant.noncrossing import odd_floor
-from hypersecant.order import _Packing
+from hypersecant.order import _Packing, edge_class
 
 from conftest import (
     both_inner_orders,
@@ -46,6 +47,7 @@ from conftest import (
     child_peak_rss,
     edges_for,
     flip_lowest_tail,
+    label_polynomials,
     monomial_strategy,
     off_diagonal_minor_3x3,
     polynomial_strategy,
@@ -53,6 +55,7 @@ from conftest import (
     reference_order_key,
     s_polynomial,
     substitute_generators,
+    term_rows,
 )
 
 
@@ -213,10 +216,10 @@ class TestPacking:
         m2 = data.draw(monomial_strategy(n=n, max_factors=5, max_exp=3))
         for order in both_inner_orders(n):
             pk = _Packing(order, 5)
-            p1, p2 = pk.pack(m1), pk.pack(m2)
+            p1, p2 = pk.pack(m1.factors), pk.pack(m2.factors)
             assert (p1 < p2) == (reference_order_key(order, m1) < reference_order_key(order, m2))
             assert (p1 == p2) == (m1 == m2)
-            assert p1 + p2 == pk.pack(m1.mul(m2))
+            assert p1 + p2 == pk.pack(m1.mul(m2).factors)
             assert pk.unpack(p1) == m1
             assert pk.degree(p1 + p2) == m1.degree + m2.degree
 
@@ -253,12 +256,13 @@ class TestSPolynomial:
 class TestBuchbergerVerify:
     def test_toric_n5_passes(self):
         for order in both_inner_orders(5):
-            cert = buchberger_verify(toric_gb_polynomials(5), order, n=5, kind="toric")
+            cert = buchberger_verify(term_rows(toric_gb_polynomials(5)), order, n=5, kind="toric")
             assert cert.passed
             assert cert.spair_stats.count == comb(10, 2)
 
     def test_secant_n5_passes(self):
-        cert = buchberger_verify(candidate_polynomials(5, "secant"), CircularTermOrder(5), n=5, kind="secant")
+        gens = term_rows(candidate_polynomials(5, "secant"))
+        cert = buchberger_verify(gens, CircularTermOrder(5), n=5, kind="secant")
         assert cert.passed
 
     @given(st.data())
@@ -275,7 +279,7 @@ class TestBuchbergerVerify:
                 r, _ = reference_normal_form(s_polynomial(G[i], G[j], order), G, order)
                 if not r.is_zero:
                     want.append(([i, j], format_polynomial(r, order.sort_key(r.degree))))
-        witness = buchberger_verify(G, order).checks[0].witness or []
+        witness = buchberger_verify(term_rows(G), order).checks[0].witness or []
         assert [(w["pair"], w["remainder"]) for w in witness] == want
 
     def test_spair_exponent_past_generator_degree(self):
@@ -287,7 +291,7 @@ class TestBuchbergerVerify:
         ]
         remainder = {"grevlex": "-1*x[2,3]^5 +1*x[1,2]^2*x[3,4]^3", "lex": "+1*x[1,2]^2*x[3,4]^3 -1*x[2,3]^5"}
         for order in both_inner_orders(5):
-            witness = buchberger_verify(G, order).checks[0].witness
+            witness = buchberger_verify(term_rows(G), order).checks[0].witness
             assert witness == [{"pair": [0, 1], "remainder_terms": 2, "remainder": remainder[order.inner]}]
 
     def test_negative_control_records_failure(self):
@@ -296,7 +300,7 @@ class TestBuchbergerVerify:
         order = CircularTermOrder(4, "lex")
         g1 = binom(((1, 2), (3, 4)), ((1, 3), (2, 4)))
         g2 = binom(((1, 2), (3, 4)), ((1, 4), (2, 3)))
-        cert = buchberger_verify([g1, g2], order)
+        cert = buchberger_verify(term_rows([g1, g2]), order)
         assert not cert.passed
         (check,) = cert.checks
         assert check.status == "fail"
@@ -309,7 +313,7 @@ class TestBuchbergerVerify:
         order = CircularTermOrder(4, "grevlex")
         g1 = binom(((1, 2), (3, 4)), ((1, 3), (2, 4)))
         g2 = binom(((1, 2), (3, 4)), ((1, 4), (2, 3)))
-        cert = buchberger_verify([g1, g2], order)
+        cert = buchberger_verify(term_rows([g1, g2]), order)
         assert cert.passed
         assert cert.spair_stats.skipped_coprime == 1
 
@@ -324,7 +328,7 @@ class TestBuchbergerVerify:
 
     @pytest.mark.parametrize("kind,n", sorted(PINNED))
     def test_pinned_counters(self, kind, n):
-        gens = candidate_polynomials(n, "secant" if kind == "secant" else "symbolic-square")
+        gens = term_rows(candidate_polynomials(n, "secant" if kind == "secant" else "symbolic-square"))
         for order in both_inner_orders(n):
             cert = buchberger_verify(gens, order, n=n)
             assert cert.passed
@@ -353,7 +357,7 @@ class TestBuchbergerVerify:
     ]
 
     def test_mutated_minor_fails_with_pinned_witnesses(self):
-        gens = mutated_secant_basis_6()
+        gens = term_rows(mutated_secant_basis_6())
         for order in both_inner_orders(6):
             cert = buchberger_verify(gens, order, n=6)
             assert not cert.passed
@@ -369,7 +373,7 @@ class TestBuchbergerVerify:
         gens[-1] = gens[-1] + power(1, 2)
         for order in both_inner_orders(6):
             with pytest.raises(ValueError, match="reducers must be homogeneous"):
-                buchberger_verify(gens, order, threads=2)
+                buchberger_verify(term_rows(gens), order, threads=2)
         assert pool_of_two == []
 
     def test_threads_match_serial(self, pool_of_two):
@@ -378,6 +382,7 @@ class TestBuchbergerVerify:
             (candidate_polynomials(5, "symbolic-square"), 5),
             (mutated_secant_basis_6(), 6),
         ):
+            gens = term_rows(gens)
             for order in both_inner_orders(n):
                 serial = buchberger_verify(gens, order, threads=1)
                 parallel = buchberger_verify(gens, order, threads=2)
@@ -394,14 +399,13 @@ class TestBuchbergerVerify:
         checked to be one, where name is the family a witness gives it."""
         if family == "product":
             labels = groebner.candidate_basis(5, "symbolic-square")
-            gens = list(groebner.generators(5, labels))
+            gens = label_polynomials(5, labels)
             last = toric_gb_polynomials(5)[-1]
             assert gens[-1] == last * last
             k = len(toric_gb_polynomials(5)) - 1
             return 5, gens, labels, len(gens) - 1, {"family": "product", "factors": [k, k]}
         labels = groebner.candidate_basis(6, "secant")
-        gens = list(groebner.generators(6, labels))
-        assert gens == candidate_polynomials(6, "secant")
+        gens = label_polynomials(6, labels)
         if family == "master":
             s = all_admissible_sequences(6)[0]
             assert gens[0] == master_polynomial(s)
@@ -422,6 +426,7 @@ class TestBuchbergerVerify:
             m = min(x for x in g.monomials() if x != lead)
             mutated = list(gens)
             mutated[index] = g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
+            mutated = term_rows(mutated)
             serial = buchberger_verify(mutated, order, threads=1, labels=labels)
             (check,) = serial.checks
             assert (check.name, check.status) == ("spairs_reduce_to_zero", "fail")
@@ -456,9 +461,10 @@ class TestBuchbergerVerify:
             "groebner._usable_cpus = lambda: 2\n"
             "groebner._PAIRS_PER_WORKER = 1\n"
             "try:\n"
+            "    order = CircularTermOrder(6)\n"
             "    groebner.buchberger_verify(\n"
-            "        groebner.generators(6, groebner.candidate_basis(6, 'secant')),\n"
-            "        CircularTermOrder(6),\n"
+            "        groebner.generator_rows(6, groebner.candidate_basis(6, 'secant'), order),\n"
+            "        order,\n"
             "        threads=2,\n"
             "    )\n"
             "except BrokenProcessPool:\n"
@@ -533,7 +539,7 @@ class TestWorkerCount:
             (candidate_polynomials(5, "symbolic-square"), 5),
         ):
             order = CircularTermOrder(n)
-            assert buchberger_verify(gens, order).passed
+            assert buchberger_verify(term_rows(gens), order).passed
         assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
 
     def test_pool_rejects_non_unit_reducer_before_forking(self, pool_of_two, monkeypatch):
@@ -542,10 +548,10 @@ class TestWorkerCount:
         gens = candidate_polynomials(6, "secant")
         gens[-1] = gens[-1] * 2
         with pytest.raises(ValueError):
-            buchberger_verify(gens, order, threads=2)
+            buchberger_verify(term_rows(gens), order, threads=2)
 
     def test_derived_pool_matches_serial_secant_n7(self, pool_of_two):
-        gens = candidate_polynomials(7, "secant")
+        gens = term_rows(candidate_polynomials(7, "secant"))
         for order in both_inner_orders(7):
             derived = buchberger_verify(gens, order, n=7, kind="secant")
             serial = buchberger_verify(gens, order, n=7, kind="secant", threads=1)
@@ -592,10 +598,30 @@ class TestPairStreaming:
         monkeypatch.setattr(groebner._Divider, "verify_pairs", spy)
         for gens, n in ((candidate_polynomials(6, "secant"), 6), (candidate_polynomials(5, "symbolic-square"), 5)):
             for order in both_inner_orders(n):
-                buchberger_verify(gens, order, threads=1)
+                buchberger_verify(term_rows(gens), order, threads=1)
         # One sweep of one divider per call.
         assert len(received) == 4
         assert not any(issubclass(t, (list, tuple)) for t in received)
+
+    def test_sweep_runs_with_no_basis_in_the_frame(self, pool_of_two, monkeypatch):
+        # buchberger_verify drops its list of generators once the divider is
+        # built, so neither a serial sweep nor a forked worker holds it.
+        held = []
+        sweep = groebner._sweep
+
+        def spy(divider, threads):
+            frame = sys._getframe(1)
+            held.append((frame.f_code.co_name, sorted(k for k, v in frame.f_locals.items() if isinstance(v, list))))
+            return sweep(divider, threads)
+
+        monkeypatch.setattr(groebner, "_sweep", spy)
+        labels = groebner.candidate_basis(5, "symbolic-square")
+        for threads in (1, 2):
+            for order in both_inner_orders(5):
+                rows = groebner.generator_rows(5, labels, order)
+                assert buchberger_verify(rows, order, threads=threads, labels=labels).passed
+        assert held == [("buchberger_verify", ["labels"])] * 4
+        assert pool_of_two == [2, 2]
 
     def test_pool_chunks_are_small_row_ranges(self, pool_of_two, monkeypatch):
         import concurrent.futures
@@ -611,7 +637,7 @@ class TestPairStreaming:
             return pool_map(self, fn, chunks, **kwargs)
 
         monkeypatch.setattr(pool_class, "map", spy)
-        gens = candidate_polynomials(5, "symbolic-square")
+        gens = term_rows(candidate_polynomials(5, "symbolic-square"))
         for order in both_inner_orders(5):
             parallel = buchberger_verify(gens, order, threads=2)
             serial = buchberger_verify(gens, order, threads=1)
@@ -652,11 +678,11 @@ class TestNormalForm:
         G = data.draw(unit_reducers(order, 4))
         f = data.draw(polynomial_strategy(n=4, max_terms=6, max_exp=2))
         packing = order.packing(max([f.degree] + [g.degree for g in G]))
-        divider = groebner._Divider(packing, G)
+        divider = groebner._Divider(packing, term_rows(G))
         want = reference_normal_form(f, G, order)
         # The second division finds every first divisor in the memo.
         for _ in range(2):
-            rem, max_terms = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
+            rem, max_terms = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
             assert (packing.polynomial({-q: c for q, c in rem.items()}), max_terms) == want
 
     # Linear cases over v[0] > v[1] > ... > v[9], the ten variables of
@@ -690,8 +716,8 @@ class TestNormalForm:
 
         monkeypatch.setattr(groebner, "heappush", counting_push)
         packing = order.packing(1)
-        divider = groebner._Divider(packing, G)
-        got, got_max = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
+        divider = groebner._Divider(packing, term_rows(G))
+        got, got_max = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
         assert (packing.polynomial({-q: c for q, c in got.items()}), got_max) == (rem, max_terms)
         assert len(pushed) == pushes
 
@@ -716,10 +742,10 @@ class TestDivisorIndex:
         packing = order.packing(max(m.degree for m in leads + terms))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
-            divider = groebner._Divider(packing, [Polynomial.from_monomial(lt) for lt in leads])
+            divider = groebner._Divider(packing, [[(1, lt.factors)] for lt in leads])
             misses = 0
             for m in terms + terms:
-                q = -packing.pack(m)
+                q = -packing.pack(m.factors)
                 want = reference_first_divisor(leads, m)
                 if q in divider.memo:
                     assert divider.memo[q] == want
@@ -734,7 +760,7 @@ class TestDivisorIndex:
         gens = candidate_polynomials(7, "secant")
         order = CircularTermOrder(7)
         packing = order.packing(2 * max(g.degree for g in gens))
-        divider = groebner._Divider(packing, gens)
+        divider = groebner._Divider(packing, term_rows(gens))
         divider.verify_pairs(itertools.combinations(range(len(gens)), 2))
         assert len(divider.memo) == groebner._FRONT_MEMO_CAP
         assert [block.bit_count() for block, _ in divider.blocks] == [7, 7, 7]
@@ -808,13 +834,14 @@ class TestBases:
             assert order.leading_monomial(f * g) == lt_f.mul(lt_g)
 
     def test_symbolic_gb_5_buchberger_passes(self):
-        cert = buchberger_verify(candidate_polynomials(5, "symbolic-square"), CircularTermOrder(5))
+        cert = buchberger_verify(term_rows(candidate_polynomials(5, "symbolic-square")), CircularTermOrder(5))
         assert cert.passed
 
 
 class TestGeneratorRows:
-    """Commands write a basis from generator_rows, the S-pair leg reads it
-    from generators; the two forms must agree term for term."""
+    """Commands write a basis and the S-pair leg certifies it from
+    generator_rows; its rows must be those of the reference Polynomials of
+    label_polynomials, term for term."""
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -839,7 +866,7 @@ class TestGeneratorRows:
         labels = groebner.candidate_basis(6, kind)
         for order in both_inner_orders(6):
             got = list(groebner.generator_rows(6, labels, order))
-            assert got == [order.rows(g) for g in groebner.generators(6, labels)]
+            assert got == [order.rows(g) for g in label_polynomials(6, labels)]
 
 
 class TestSecantBasisIsOddCycleBijection:
@@ -908,20 +935,21 @@ class TestDelightfulCheck:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_generators_build_their_labels(self, n, kind):
         # The oracles are master_polynomial, off_diagonal_minor and
-        # Polynomial.__mul__, term for term, over the product labels a <= b
+        # Polynomial.__mul__, row for row, over the product labels a <= b
         # in combinations_with_replacement order.
         toric = toric_gb_polynomials(n)
         labels = groebner.candidate_basis(n, kind)
-        gens = list(groebner.generators(n, labels))
-        assert len(gens) == len(labels)
-        for label, g in zip(labels, gens):
+        order = CircularTermOrder(n)
+        rows = list(groebner.generator_rows(n, labels, order))
+        assert len(rows) == len(labels)
+        for label, got in zip(labels, rows):
             if label[0] == "master":
                 want = master_polynomial(label[1])
             elif label[0] == "minor":
                 want = off_diagonal_minor(label[1], label[2])
             else:
                 want = toric[label[1]] * toric[label[2]]
-            assert list(g.terms()) == list(want.terms()), label
+            assert got == order.rows(want), label
         pairs = itertools.combinations_with_replacement(range(len(toric)), 2)
         products = [label[1:] for label in labels if label[0] == "product"]
         assert products == (list(pairs) if kind == "symbolic-square" else [])
@@ -990,7 +1018,10 @@ def _count_products(monkeypatch):
     return count
 
 
-class TestDelightfulBuildsProductsOnlyForSPairs:
+class TestDelightfulBuildsNoProduct:
+    """Every leg reads a product through its label or its rows: none
+    multiplies two polynomials."""
+
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_symbolic_without_spairs_multiplies_nothing(self, monkeypatch, n, inner):
@@ -1000,11 +1031,11 @@ class TestDelightfulBuildsProductsOnlyForSPairs:
         assert cert.passed
         assert cert.generator_count == len(groebner.candidate_basis(n, "symbolic-square"))
 
-    def test_spair_leg_builds_every_product(self, monkeypatch):
+    def test_spair_leg_multiplies_nothing(self, monkeypatch):
         count = _count_products(monkeypatch)
         cert = delightful_check(5, "symbolic-square", CircularTermOrder(5), with_buchberger=True)
         assert cert.passed
-        assert count == [comb(len(toric_gb_polynomials(5)) + 1, 2)]
+        assert count == [0]
 
 
 def _check(cert, name):
@@ -1015,7 +1046,7 @@ def _leads_and_target(n, kind, order):
     """The leading monomial of every generator of the candidate basis, each
     product built in full, and the combinatorial target."""
     labels = groebner.candidate_basis(n, kind)
-    leads = [order.leading_monomial(g) for g in groebner.generators(n, labels)]
+    leads = [order.leading_monomial(g) for g in label_polynomials(n, labels)]
     g = NoncrossingGraph(n)
     target = secant_of_edge_ideal(g, odd_floor(n)) if kind == "secant" else symbolic_square_of_edge_ideal(g)
     return leads, target
@@ -1037,7 +1068,7 @@ def _families(n, kind):
     """The minors, the masters and the (a, b, product) triples of the
     candidate basis of `kind` at n."""
     labels = groebner.candidate_basis(n, kind)
-    basis = list(zip(labels, groebner.generators(n, labels)))
+    basis = list(zip(labels, label_polynomials(n, labels)))
     minors = [g for label, g in basis if label[0] == "minor"]
     masters = [g for label, g in basis if label[0] == "master"]
     products = [(*label[1:], g) for label, g in basis if label[0] == "product"]
@@ -1047,7 +1078,7 @@ def _families(n, kind):
 def _flip(monkeypatch, n, kind, k, order):
     """Certify the candidate basis with generator k's lowest tail flipped."""
     labels = groebner.candidate_basis(n, kind)
-    (g,) = groebner.generators(n, labels[k : k + 1])
+    (g,) = label_polynomials(n, labels[k : k + 1])
     substitute_generators(monkeypatch, {labels[k]: flip_lowest_tail(g, order)})
 
 
@@ -1087,7 +1118,7 @@ class TestDelightfulNegativeControls:
     def test_dropped_minor_fails_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
         labels = groebner.candidate_basis(6, "secant")
-        (dropped,) = groebner.generators(6, labels[-1:])  # the last minor
+        (dropped,) = label_polynomials(6, labels[-1:])  # the last minor
         substitute_generators(monkeypatch, {}, labels=labels[:-1])
         cert = delightful_check(6, "secant", order)
         assert _check(cert, "generators_vanish_on_rank_two_locus").status == "pass"
@@ -1190,3 +1221,56 @@ class TestDelightfulNegativeControls:
             "index": len(minors), "family": "master", "k": 1, "i": list(s.i), "j": list(s.j),
             "reason": "rank-2 oracle failed",
         }]
+
+
+def _sympy_initial_ideal(polys, order):
+    """The ideal of the leading monomials of sympy.groebner(polys) under
+    `order`, written as a sympy ProductOrder: one (grevlex or lex, slice)
+    per circular block, in class order, each block's variables listed by
+    decreasing order.packing(1) key."""
+    sympy = pytest.importorskip("sympy")
+    from operator import itemgetter
+
+    from sympy.polys.orderings import ProductOrder, grevlex, lex
+
+    key = order.packing(1).pack
+    blocks = [[] for _ in range(order.block_count)]
+    for a, b in edges_for(order.n):
+        blocks[edge_class(order.n, (a, b)) - 1].append(("x", a, b))
+    inner = grevlex if order.inner == "grevlex" else lex
+    variables, slices = [], []
+    for block in blocks:
+        block.sort(key=lambda v: key(((v, 1),)), reverse=True)
+        slices.append((inner, itemgetter(slice(len(variables), len(variables) + len(block)))))
+        variables += block
+    sym = [sympy.Symbol(f"x_{a}_{b}") for _, a, b in variables]
+    at = dict(zip(variables, sym))
+    exprs = [sum(c * sympy.Mul(*(at[v] ** e for v, e in m.factors)) for m, c in p.terms()) for p in polys]
+    product_order = ProductOrder(*slices)
+    basis = sympy.groebner(exprs, *sym, order=product_order)
+    return MonomialIdeal(
+        Monomial((v, e) for v, e in zip(variables, g.monoms(order=product_order)[0]) if e) for g in basis.polys
+    )
+
+
+class TestSympyOracle:
+    """An independent Groebner engine, where installed (a dev dependency):
+    the minimal leading terms of sympy's reduced basis are the targets."""
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_toric_initial_ideal(self, n, inner):
+        order = CircularTermOrder(n, inner)
+        assert _sympy_initial_ideal(toric_gb_polynomials(n), order) == initial_edge_ideal(n)
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_secant_initial_ideal(self, n, inner):
+        order = CircularTermOrder(n, inner)
+        target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n))
+        assert _sympy_initial_ideal(candidate_polynomials(n, "secant"), order) == target
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_toric_without_its_first_binomial_mismatches(self, inner):
+        order = CircularTermOrder(6, inner)
+        assert _sympy_initial_ideal(toric_gb_polynomials(6)[1:], order) != initial_edge_ideal(6)

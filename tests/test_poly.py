@@ -108,7 +108,7 @@ class TestInternedFactors:
         edges = Monomial.from_edges([(1, 2), (3, 4), (3, 4)])
         product = Monomial.from_edges([(1, 2)]).mul(Monomial.from_edges([(3, 4), (3, 4)]))
         trusted = Monomial._of({edge_var(3, 4): 2, edge_var(1, 2): 1})
-        unpacked = packing.unpack(packing.pack(edges))
+        unpacked = packing.unpack(packing.pack(edges.factors))
         for m in (product, trusted, unpacked):
             assert m == edges
             assert all(a is b for a, b in zip(m.factors, edges.factors)), m
