@@ -28,7 +28,7 @@ from .groebner import (
     delightful_check,
     generator_rows,
 )
-from .hypersimplex import BinomialGenerator, MonomialIdeal, toric_gb
+from .hypersimplex import BinomialGenerator, MonomialIdeal, SecantClasses, toric_gb
 from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
@@ -467,11 +467,13 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
     else:
         seqs = all_admissible_sequences(n)
     results = []
+    # One rank-2 oracle call per relabelling class of the masters.
+    member = SecantClasses(n)
     for s in seqs:
         if s.min_ambient() > n:
             raise UsageError(f"sequence uses indices above n={n}")
         if args.verify_what == "membership":
-            passed = verify_membership(n, s)
+            passed = verify_membership(n, s, member)
         elif args.verify_what == "prolongation":
             passed = verify_prolongation(n, master_polynomial(s), s.k)
         else:

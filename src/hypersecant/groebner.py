@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .hypersimplex import (
     MonomialIdeal,
-    in_secant_ideal,
+    SecantClasses,
     in_toric_ideal,
     toric_gb_polynomials,
 )
@@ -31,7 +31,7 @@ from .noncrossing import (
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
-from .master import master_polynomial
+from .master import master_terms
 from .order import CircularTermOrder, _Packing
 from .poly import Monomial, Polynomial, format_monomial, format_rows
 
@@ -130,23 +130,30 @@ class _Divider:
     negated monomials to their first divisor, or -1.  A divider lives for
     one call, and so do its tables and memo.  Each reducer of `rows`, its
     (coefficient, factors) rows in any order, is packed as it is read, and
-    only its leading term and tail are kept.
+    only its leading term and tail are kept.  A reducer must be homogeneous
+    of degree at most `degree`, by default the packing's limit, else
+    ValueError: no field overflows unnoticed.
     """
 
-    def __init__(self, packing: _Packing, rows):
+    def __init__(self, packing: _Packing, rows, degree: int | None = None):
+        if degree is None:
+            degree = packing.limit
         self.packing = packing
         self.lts, self.tails, self.supports = [], [], []
         for g in rows:
-            terms = [(packing.pack(f), c) for c, f in g]
-            if not terms:
+            if not g:
                 raise ValueError("reducers must be nonzero")
+            degrees = {sum(e for _, e in f) for _, f in g}
+            if len(degrees) > 1:
+                raise ValueError("reducers must be homogeneous")
+            if max(degrees) > degree:
+                raise ValueError(f"a reducer of degree {max(degrees)} exceeds the declared degree {degree}")
+            terms = [(packing.pack(f), c) for c, f in g]
             lt, ltc = max(terms)
             if ltc not in (1, -1):
                 raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
             self.lts.append(lt)
             self.tails.append([(-p, -ltc * c) for p, c in terms if p != lt])
-            if len({packing.degree(p) for p, _ in terms}) > 1:
-                raise ValueError("reducers must be homogeneous")
             self.supports.append(((lt | packing.guard) - packing.ones) & packing.guard)
         # Per slot (keyed by its guard bit), the bitset of reducers whose
         # leading term uses it.
@@ -278,7 +285,7 @@ class _Divider:
                         "remainder_terms": len(rem),
                         # Ascending negated keys: descending in the order.
                         "remainder": format_rows(
-                            [(c, pk.unpack(-q).factors) for q, c in sorted(rem.items())]
+                            [(c, pk.factors(-q)) for q, c in sorted(rem.items())]
                         ),
                     }
                 )
@@ -403,15 +410,23 @@ def buchberger_verify(
     is fixed, so the certificate is identical to the serial one.  Every
     generator must be homogeneous; a non-homogeneous one raises ValueError
     before any worker starts.  Forked workers inherit the divider alone.
+
+    Given labels, G is read as it is packed, and the packing is sized from
+    the labels' degrees (_label_degree); a generator above its declared
+    degree raises ValueError before any worker starts.  Without labels, G
+    is read once to find its largest degree.
     """
-    G = list(G)
     started = time.perf_counter()
+    if labels is None:
+        G = list(G)
+        degree = max((sum(e for _, e in f) for g in G for _, f in g), default=0)
+    else:
+        degree = max(map(_label_degree, labels), default=0)
     # Rewrites by homogeneous reducers keep degrees, so every term of a
     # reduction has at most the degree of its S-pair's lcm, which is at most
     # twice the largest generator's.
-    degree = max((sum(e for _, e in f) for g in G for _, f in g), default=0)
-    divider = _Divider(order.packing(2 * degree), G)
-    m = len(G)
+    divider = _Divider(order.packing(2 * degree), G, degree)
+    m = len(divider.lts)
     del G
     results = _sweep(divider, threads)
     failures: list = []
@@ -528,11 +543,21 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     return minors + masters + [("product", a, b) for a, b in pairs]
 
 
-def _generator(label: tuple) -> Polynomial:
-    """The polynomial of a master or minor label of candidate_basis."""
+def _label_degree(label: tuple) -> int:
+    """The degree of the generator of a candidate_basis label, or of a toric
+    binomial labelled ("binomial", quadruple, family)."""
     if label[0] == "master":
-        return master_polynomial(label[1])
-    return off_diagonal_minor(label[1], label[2])
+        return label[1].length
+    return {"minor": 3, "product": 4, "binomial": 2}[label[0]]
+
+
+def _generator(label: tuple, packing: _Packing) -> list[tuple[int, int, tuple]]:
+    """The terms of a master or minor label of candidate_basis as (packed
+    monomial, coefficient, factors), descending in `packing`, which must hold
+    its degree."""
+    if label[0] == "master":
+        return master_terms(label[1], packing)
+    return sorted(packing.terms(off_diagonal_minor(label[1], label[2])), reverse=True)
 
 
 def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
@@ -540,9 +565,9 @@ def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) ->
     candidate_basis labels at n, in label order, each built when asked for.
 
     A product's rows come from the packed terms of its two toric binomials
-    under the degree-4 packing (_Packing.product_rows): no Monomial or
-    Polynomial is built for it.  A master's or a minor's are the rows of its
-    polynomial.
+    under the degree-4 packing (_Packing.product_rows), a master's or a
+    minor's from _generator: no Monomial or Polynomial is built for a master
+    or a product.
     """
     toric = toric_gb_polynomials(n)
     packing = order.packing(4)
@@ -551,7 +576,7 @@ def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) ->
         if label[0] == "product":
             yield packing.product_rows(packed[label[1]], packed[label[2]])
         else:
-            yield order.rows(_generator(label))
+            yield [(c, f) for _, c, f in _generator(label, order.packing(_label_degree(label)))]
 
 
 # ---------------------------------------------------------------------------
@@ -588,67 +613,71 @@ def delightful_check(
     ideal of a secant in the secant of the initial ideal, (a)+(b) force the
     initial ideals to agree, so the candidates form a Groebner basis.
 
-    Masters and minors go to the rank-2 oracle, a product to the toric
-    verdicts of its factors.  Each membership failure names its generator by
-    list index and family: a master by its sequence (k, i, j), a minor by its
-    split (rows, cols), a product by the indices (a, b) of its toric factors.
-    Legs (a) and (b) make one pass over the labels and read a product only
-    through its label ("product", a, b); leg (c) reads its rows from
-    generator_rows, so no product polynomial is built.
+    Masters and minors go to the rank-2 oracle, one call per relabelling
+    class (SecantClasses), a product to the toric verdicts of its factors.
+    Each membership failure names its generator by list index and family: a
+    master by its sequence (k, i, j), a minor by its split (rows, cols), a
+    product by the indices (a, b) of its toric factors.  Legs (a) and (b)
+    make one pass over the labels and read a product only through its label
+    ("product", a, b); leg (c) reads its rows from generator_rows, so no
+    product polynomial is built.
 
-    Leg (b) holds one ideal, the target T, built before the pass, and no
-    list of leading monomials L.  It passes iff every lead lies in <T> and
-    every minimal generator of T is itself a lead, which holds iff
-    <L> = <T>.  One way: then <T> <= <L> <= <T>.  The other: a minimal
-    generator mu of T lies in <L>, so some lead l divides it; l lies in <T>,
-    so some minimal generator mu' divides l, and mu' | mu forces
-    mu' = l = mu.  Only a failing leg makes a second pass, which minimalizes
-    the leads and names the minimal generators missing from each side.
+    Leg (b) runs on the packed monomials of the target's packing: a master's
+    or minor's lead is its first term's, and a product's is the sum of its
+    toric factors' (LT(f*g) = LT(f)*LT(g) under any term order).  It holds
+    one ideal, the target T, built before the pass, and no list of leading
+    monomials L.  It passes iff every lead lies in <T> and every minimal
+    generator of T is itself a lead, which holds iff <L> = <T>.  One way:
+    then <T> <= <L> <= <T>.  The other: a minimal generator mu of T lies in
+    <L>, so some lead l divides it; l lies in <T>, so some minimal generator
+    mu' divides l, and mu' | mu forces mu' = l = mu.  Only a failing leg
+    makes a second pass, which minimalizes the leads and names the minimal
+    generators missing from each side.
 
     Leg (c) is buchberger_verify, and `threads` means what it means there:
     the most worker processes the sweep may use, None for no cap beyond the
     usable CPUs and the number of S-pairs.
     """
     labels = candidate_basis(n, kind)
-    toric = toric_gb_polynomials(n)
+    graph = NoncrossingGraph(n)
     if kind == SECANT:
         leg = "generators_vanish_on_rank_two_locus"
-        target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n))
+        target = secant_of_edge_ideal(graph, odd_floor(n), order)
     else:
         leg = "generators_member_of_symbolic_square"
-        target = symbolic_square_of_edge_ideal(NoncrossingGraph(n))
+        target = symbolic_square_of_edge_ideal(graph, order)
+        toric = toric_gb_polynomials(n)
         factor_ok = [in_toric_ideal(n, t) for t in toric]
-        toric_lts = [order.leading_monomial(t) for t in toric]
+        toric_leads = [max(target.packing.terms(t))[0] for t in toric]
+    member = SecantClasses(n)
 
-    def built(label: tuple) -> tuple[Polynomial | None, Monomial]:
-        """The polynomial of a label, None for a product, and its leading
-        monomial.  LT(f*g) = LT(f)*LT(g) under any term order, so a
-        product's is read from the leading monomials of its toric factors."""
+    def built(label: tuple) -> tuple[list | None, int]:
+        """The rows of a label, None for a product, and its packed lead."""
         if label[0] == "product":
-            return None, toric_lts[label[1]].mul(toric_lts[label[2]])
-        g = _generator(label)
-        return g, order.leading_monomial(g)
+            return None, toric_leads[label[1]] + toric_leads[label[2]]
+        terms = _generator(label, target.packing)
+        return [(c, f) for _, c, f in terms], terms[0][0]
 
     # Leg (b) as the leads stream past: each must lie in the target, and
     # each minimal generator of the target must turn up among them.
-    bad, unhit, inside = [], set(target.generators), True
+    bad, unhit, inside = [], set(target.keys), True
     for gi, label in enumerate(labels):
-        g, lead = built(label)
-        if lead in target:
+        rows, lead = built(label)
+        if target.contains_key(lead):
             unhit.discard(lead)
         else:
             inside = False
-        if g is None:
+        if rows is None:
             if factor_ok[label[1]] and factor_ok[label[2]]:
                 continue
             reason = "factor outside toric ideal"
-        elif in_secant_ideal(n, g):
+        elif member(rows):
             continue
         else:
             reason = "rank-2 oracle failed"
         witness = {"index": gi, **_family(label)}
         if kind == SECANT:
-            witness["generator"] = format_rows(order.rows(g))
+            witness["generator"] = format_rows(rows)
         else:
             witness["reason"] = reason
         bad.append(witness)
@@ -658,7 +687,7 @@ def delightful_check(
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
         # Only a failing leg builds the leading-term ideal, for its witness.
-        got = set(MonomialIdeal(built(label)[1] for label in labels).generators)
+        got = set(MonomialIdeal([built(label)[1] for label in labels], target.packing).generators)
         want = set(target.generators)
         witness = {
             "missing": sorted(format_monomial(m) for m in want - got),

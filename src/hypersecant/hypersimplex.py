@@ -11,10 +11,10 @@ Groebner machinery they certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, _rank_image, canonical_sorted
+from .poly import Monomial, Polynomial, _rank_image, canonical_sorted, is_edge_var
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -72,69 +72,115 @@ class MonomialIdeal:
     """A monomial ideal held by its inclusion-minimal generating set.
 
     Membership and equality queries reduce to divisibility against the
-    minimal generators, which are computed once at construction.  Each
-    variable of a generator owns one bit, and the index maps a support (the
-    bitmask of a generator's variables) to the exponents above 1 of every
-    generator with exactly that support.  A divisor of m has its support
-    inside m's, so only generators filed under submasks of m's support are
-    candidates, and a candidate divides m when each of those exponents is
-    met.  The submasks are enumerated while there are no more of them than
-    supports in the index (at most 16 for a degree-4 monomial); past that,
-    the supports are scanned.  A variable no generator uses has no bit and
-    plays no part in the lookup.
+    minimal generators, which are computed once at construction and held
+    packed, as in order._Packing: each variable owns a field with a guard bit
+    above it, so g divides m iff subtracting g's fields from m's, every guard
+    set, clears no guard.  The support of a monomial is the set of guard bits
+    of its nonzero fields, and the index maps a support to the fields of
+    every generator with exactly that support.  A divisor of m has its
+    support inside m's, so only generators filed under submasks of m's
+    support are candidates.  The submasks are enumerated while there are no
+    more of them than supports in the index (at most 16 for a degree-4
+    monomial); past that, the supports are scanned.
+
+    Given Monomials, the ideal lays out a field for each variable its
+    generators use, wide enough for their largest exponent; a queried
+    monomial's exponents are capped at that width, which keeps every
+    divisibility, and a variable no generator uses plays no part.  Given a
+    CircularTermOrder `packing`, the generators are packed monomials of it:
+    `keys` holds the minimal ones, `contains_key` looks up another, and the
+    Monomials of `generators` are unpacked when first asked for.  Either
+    way a divisor is smaller in some term order, so generators sorted by
+    degree, or by packed monomial, are minimal once none before them divides
+    them.
     """
 
-    __slots__ = ("generators", "_bits", "_by_support")
+    __slots__ = ("packing", "keys", "_offset", "_limit", "_guard", "_ones", "_by_support", "_generators")
 
-    def __init__(self, generators: Iterable[Monomial] = ()):
-        self._bits: dict = {}
-        self._by_support: dict[int, list[tuple]] = {}
-        kept: list[Monomial] = []
-        # Sorted by degree, only strictly smaller kept generators can strictly
-        # divide a candidate; equal monomials were deduped.
-        for m in canonical_sorted(generators):
-            if self._has_divisor(m):
-                continue
-            support = 0
-            for v, _ in m.factors:
-                bit = self._bits.get(v)
-                if bit is None:
-                    bit = self._bits[v] = 1 << len(self._bits)
-                support |= bit
-            heavy = tuple((v, e) for v, e in m.factors if e > 1)
-            self._by_support.setdefault(support, []).append(heavy)
-            kept.append(m)
-        self.generators = tuple(kept)
+    def __init__(self, generators: Iterable = (), packing=None):
+        self.packing = packing
+        self._by_support: dict[int, list[int]] = {}
+        if packing is None:
+            gens = canonical_sorted(generators)
+            variables = sorted({v for m in gens for v, _ in m.factors})
+            bits = max([1] + [e for m in gens for _, e in m.factors]).bit_length()
+            self._offset = {v: (bits + 1) * k for k, v in enumerate(variables)}
+            self._limit = (1 << bits) - 1
+            self._ones = sum(1 << at for at in self._offset.values())
+            self._guard = self._ones << bits
+            kept, keys = [], []
+            for m in gens:
+                fields = self._fields(m)
+                if self._keep(fields):
+                    kept.append(m)
+                    keys.append(fields)
+            self._generators, self.keys = tuple(kept), tuple(keys)
+        else:
+            self._offset, self._limit = packing.offset, packing.limit
+            self._ones, self._guard = packing.ones, packing.guard
+            self._generators = None
+            self.keys = tuple(p for p in sorted(set(generators)) if self._keep(p & packing.fields_mask))
 
-    def _has_divisor(self, m: Monomial) -> bool:
-        """Whether an indexed generator divides m."""
-        bits, index = self._bits, self._by_support
-        support = 0
-        for v, _ in m.factors:
-            support |= bits.get(v, 0)
+    def _fields(self, m: Monomial) -> int:
+        """m's exponents, capped at the field width, in the fields of the
+        variables the ideal lays out."""
+        offset, limit = self._offset, self._limit
+        return sum(min(e, limit) << offset[v] for v, e in m.factors if v in offset)
+
+    def _keep(self, fields: int) -> bool:
+        """Index a generator unless an indexed one divides it."""
+        if self._has_divisor(fields):
+            return False
+        self._by_support.setdefault(((fields | self._guard) - self._ones) & self._guard, []).append(fields)
+        return True
+
+    def _has_divisor(self, fields: int) -> bool:
+        """Whether an indexed generator divides the monomial with these fields."""
+        guard, index = self._guard, self._by_support
+        pg = fields | guard
+        support = (pg - self._ones) & guard
         if 1 << support.bit_count() <= len(index):
             sub = support
             while True:
-                heavies = index.get(sub)
-                if heavies is not None and _meets(m, heavies):
-                    return True
+                gens = index.get(sub)
+                if gens is not None:
+                    for g in gens:
+                        if (pg - g) & guard == guard:
+                            return True
                 if not sub:
                     return False
                 sub = (sub - 1) & support
-        return any(_meets(m, heavies) for s, heavies in index.items() if not s & ~support)
+        for s, gens in index.items():
+            if not s & ~support:
+                for g in gens:
+                    if (pg - g) & guard == guard:
+                        return True
+        return False
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        """The minimal generators, in canonical order."""
+        if self._generators is None:
+            self._generators = tuple(canonical_sorted(map(self.packing.unpack, self.keys)))
+        return self._generators
 
     @property
     def is_empty(self) -> bool:
-        return not self.generators
+        return not self.keys
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.keys)
 
     def contains(self, m: Monomial) -> bool:
         """True iff some minimal generator divides m."""
-        return self._has_divisor(m)
+        return self._has_divisor(self._fields(m))
 
     __contains__ = contains
+
+    def contains_key(self, p: int) -> bool:
+        """True iff some minimal generator divides the monomial packed as p
+        in the ideal's packing."""
+        return self._has_divisor(p & self.packing.fields_mask)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({m.degree for m in self.generators}))
@@ -146,41 +192,41 @@ class MonomialIdeal:
         return hash(self.generators)
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal({len(self.generators)} minimal generators)"
+        return f"MonomialIdeal({len(self)} minimal generators)"
 
 
-def _meets(m: Monomial, heavies: list[tuple]) -> bool:
-    """Whether m meets every exponent of one of `heavies`, each the exponents
-    above 1 of a generator whose support lies inside m's."""
-    exps = None
-    for heavy in heavies:
-        if not heavy:
-            return True
-        if exps is None:
-            exps = dict(m.factors)
-        if all(exps[v] >= e for v, e in heavy):
-            return True
-    return False
+def _rows(p) -> list:
+    """The (coefficient, factors) rows of a Polynomial's terms; rows are
+    returned as they are."""
+    return [(c, m.factors) for m, c in p.terms()] if isinstance(p, Polynomial) else p
 
 
-def _validate_ambient(n: int, p: Polynomial) -> None:
+def _validate_ambient(n: int, variables: Iterable) -> None:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"need n >= 3, got {n!r}")
-    if not p.uses_only_edge_vars():
+    variables = list(variables)
+    if not all(map(is_edge_var, variables)):
         raise ValueError("expected a polynomial in edge variables only")
-    for v in p.variables():
+    for v in variables:
         if v[2] > n:
             raise ValueError(f"variable {v!r} is out of range for n={n}")
 
 
-def in_toric_ideal(n: int, p: Polynomial) -> bool:
-    """Exact membership in the kernel of x[a,b] -> t_a*t_b."""
-    _validate_ambient(n, p)
-    return _rank_image(p, 1, None).is_zero
+def _variables(rows) -> set:
+    return {v for v, _ in chain.from_iterable(f for _, f in rows)}
 
 
-def in_secant_ideal(n: int, p: Polynomial) -> bool:
-    """Exact membership in the rank-2 vanishing ideal, for homogeneous p.
+def in_toric_ideal(n: int, p) -> bool:
+    """Exact membership in the kernel of x[a,b] -> t_a*t_b, for a Polynomial
+    or its (coefficient, factors) rows."""
+    rows = _rows(p)
+    _validate_ambient(n, _variables(rows))
+    return _rank_image(rows, 1, None).is_zero
+
+
+def in_secant_ideal(n: int, p) -> bool:
+    """Exact membership in the rank-2 vanishing ideal, for a homogeneous
+    Polynomial or its (coefficient, factors) rows.
 
     p vanishes on the rank-2 locus iff its image under x[a,b] ->
     t_a*t_b + u_a*u_b is zero.  That image is invariant under O(2, C) acting
@@ -191,17 +237,64 @@ def in_secant_ideal(n: int, p: Polynomial) -> bool:
     the smallest label on a tie: every such factor then takes only its
     t choice in the expansion.
     """
-    _validate_ambient(n, p)
-    if not p.is_homogeneous:
+    rows = _rows(p)
+    _validate_ambient(n, _variables(rows))
+    if len({sum(e for _, e in f) for _, f in rows}) > 1:
         raise ValueError("secant membership oracle requires a homogeneous polynomial")
-    return _rank_image(p, 2, _pinned_vertex(p)).is_zero
+    return _rank_image(rows, 2, _pinned_vertex(rows)).is_zero
 
 
-def _pinned_vertex(p: Polynomial) -> int | None:
-    """The vertex in_secant_ideal pins for p, or None if p uses no edge."""
+def _pinned_vertex(rows) -> int | None:
+    """The vertex in_secant_ideal pins for the polynomial with these rows, or
+    None if it uses no edge."""
     meets: dict[int, int] = {}
-    for m in p.monomials():
-        for (_, a, b), e in m.factors:
+    for _, factors in rows:
+        for (_, a, b), e in factors:
             meets[a] = meets.get(a, 0) + e
             meets[b] = meets.get(b, 0) + e
     return min(meets, key=lambda v: (-meets[v], v), default=None)
+
+
+class SecantClasses:
+    """in_secant_ideal at n, its verdicts memoized by relabelling class.
+
+    Called on the (coefficient, factors) rows of a homogeneous polynomial.
+    The secant ideal is S_n-invariant, so a vertex relabelling keeps every
+    verdict.  The class key relabels the vertices the rows use, increasingly,
+    to 0..|support|-1, packs each relabelled term with a field per edge, and
+    is the set of (packed term, coefficient) pairs with the field width: two
+    polynomials share a key iff one is the other relabelled increasingly.
+    Such a relabelling also keeps _pinned_vertex's choice, so the oracle's
+    computation is literally the same for both.  The key is computed from
+    the rows alone, so a changed polynomial never inherits a verdict, and
+    a variable outside the edges of n raises ValueError before any lookup.
+    The memo lives as long as the instance, one certification run, and holds
+    at most one verdict per polynomial asked about.
+    """
+
+    __slots__ = ("n", "_verdicts")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._verdicts: dict = {}
+
+    def __call__(self, rows) -> bool:
+        key = self._key(rows)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = in_secant_ideal(self.n, rows)
+        return verdict
+
+    def _key(self, rows) -> tuple:
+        pairs = set(chain.from_iterable(f for _, f in rows))
+        _validate_ambient(self.n, {v for v, _ in pairs})
+        rank = {a: k for k, a in enumerate(sorted({a for (_, *ends), _ in pairs for a in ends}))}
+        w = max([1] + [e for _, e in pairs]).bit_length()
+        # The relabelled edge (a, b), a < b, owns field b(b-1)/2 + a.
+        packed = {}
+        for pair in pairs:
+            (_, a, b), e = pair
+            a, b = rank[a], rank[b]
+            packed[pair] = e << w * (b * (b - 1) // 2 + a)
+        get = packed.__getitem__
+        return w, frozenset((sum(map(get, f)), c) for c, f in rows)

@@ -5,7 +5,7 @@ arranged on a circle.  A base pairing matches I_l with J_{l+k-1}; the group
 generated by the 2k+1 letter transpositions (I_l, J_{l-1}) acts on pairings
 by conjugation, and the master polynomial is the sign-weighted sum of the
 monomials of all 2^{2k+1} conjugates, specialized through the assignment
-I_l -> i_l, J_l -> j_l of an admissible sequence.  master_polynomial reads
+I_l -> i_l, J_l -> j_l of an admissible sequence.  master_terms reads
 each conjugate's endpoints straight off the index arrays, so no pairing is
 built; degenerate assignments (i_l = j_l for some l) need no special case,
 their collisions cancel in the signed sum.
@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .hypersimplex import _validate_ambient, in_secant_ideal
+from .hypersimplex import SecantClasses, _validate_ambient
 from .noncrossing import AdmissibleSequence, cycle_monomial
-from .order import CircularTermOrder
+from .order import CircularTermOrder, _Packing
 from .poly import Monomial, Polynomial, edge_var
 
 
@@ -46,49 +46,62 @@ def _conjugation_selectors(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def master_polynomial(s: AdmissibleSequence) -> Polynomial:
-    """Sign-weighted conjugation sum attached to an admissible sequence.
+def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, int, tuple]]:
+    """The terms of the master polynomial of s as (packed monomial,
+    coefficient, factors), descending in the order of `packing`, which must
+    hold degree 2k+1 and every index of s.
 
     Each conjugate's monomial is read off the index arrays: a moved letter
-    I_l takes the index j_{l-1}, a moved J_m the index i_{m+1}.  An edge
-    monomial is packed as one int with a field per edge wide enough for the
-    degree, the signed counts are summed per packed monomial so
-    opposite-signed collisions cancel, and only the survivors become
-    Monomials.  The result is nonzero, homogeneous of degree 2k+1, and its
-    coefficients are small ints.  A conjugate pair that joins an index to
-    itself raises ValueError (edge_var rejects the loop).
+    I_l takes the index j_{l-1}, a moved J_m the index i_{m+1}.  Each
+    conjugate's edge x[a,b] adds 1 to its field of the packing, the signed
+    counts are summed per packed monomial so opposite-signed collisions
+    cancel, and only the survivors are unpacked.  The result is nonzero,
+    homogeneous of degree 2k+1, and its coefficients are small ints.  A
+    conjugate pair that joins an index to itself raises ValueError (edge_var
+    rejects the loop), and so does an index the packing has no field for.
     """
     k, length, ii, jj = s.k, s.length, s.i, s.j
-    width = length.bit_length()
-    fields: dict[tuple[int, int], int] = {}
+    if length > packing.limit:
+        raise ValueError(f"a packing for degree {packing.limit} cannot hold a master of degree {length}")
     choices = []
     for l in range(length):
         m = (l + k - 1) % length
         for b in (jj[m], ii[(m + 1) % length]):
             for a in (ii[l], jj[l - 1]):
-                shift = fields.setdefault((min(a, b), max(a, b)), width * len(fields))
-                choices.append(1 << shift)
+                at = packing.offset.get(edge_var(a, b))
+                if at is None:
+                    raise ValueError(f"index {max(a, b)} is out of range for n={packing.n}")
+                choices.append(1 << at)
     pick = choices.__getitem__
     acc: dict[int, int] = {}
     for selector, sign in _conjugation_selectors(k):
-        key = sum(map(pick, selector))
-        nc = acc.get(key, 0) + sign
+        fields = sum(map(pick, selector))
+        nc = acc.get(fields, 0) + sign
         if nc:
-            acc[key] = nc
+            acc[fields] = nc
         else:
-            acc.pop(key, None)
-    mask = (1 << width) - 1
-    edges = [(edge_var(a, b), shift) for (a, b), shift in fields.items()]
-    return Polynomial(
-        (Monomial._of({v: e for v, shift in edges if (e := key >> shift & mask)}), c)
-        for key, c in acc.items()
-    )
+            acc.pop(fields, None)
+    join, factors = packing.join, packing.factors
+    return sorted(((join(fields), c, factors(fields)) for fields, c in acc.items()), reverse=True)
 
 
-def verify_membership(n: int, s: AdmissibleSequence) -> bool:
-    """Nonzero and inside the rank-2 vanishing ideal."""
-    f = master_polynomial(s)
-    return not f.is_zero and in_secant_ideal(n, f)
+@lru_cache(maxsize=None)
+def _order(n: int) -> CircularTermOrder:
+    return CircularTermOrder(n)
+
+
+def master_polynomial(s: AdmissibleSequence) -> Polynomial:
+    """Sign-weighted conjugation sum attached to an admissible sequence: the
+    Polynomial of master_terms."""
+    packing = _order(max(3, s.min_ambient())).packing(s.length)
+    return Polynomial._of({Monomial._with(f): c for _, c, f in master_terms(s, packing)})
+
+
+def verify_membership(n: int, s: AdmissibleSequence, member: SecantClasses | None = None) -> bool:
+    """Nonzero and inside the rank-2 vanishing ideal, by `member`, or by a
+    SecantClasses of its own when none is given."""
+    rows = [(c, f) for _, c, f in master_terms(s, _order(n).packing(s.length))]
+    return bool(rows) and (member or SecantClasses(n))(rows)
 
 
 def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
@@ -116,7 +129,7 @@ def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
         raise ValueError("prolongation check requires a homogeneous polynomial")
     if not isinstance(bound, int) or bound < 0:
         raise ValueError(f"need bound >= 0, got {bound!r}")
-    _validate_ambient(n, f)
+    _validate_ambient(n, f.variables())
     width = f.degree.bit_length()
     fields = {v: i * width for i, v in enumerate(f.variables())}
     groups: dict[int, list] = {}
@@ -140,7 +153,5 @@ def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
 
 def verify_leading_term(n: int, s: AdmissibleSequence, order: CircularTermOrder) -> bool:
     """The order's leading monomial of the master polynomial is the cycle monomial."""
-    f = master_polynomial(s)
-    if f.is_zero:
-        return False
-    return order.leading_monomial(f) == cycle_monomial(s)
+    terms = master_terms(s, order.packing(s.length))
+    return bool(terms) and terms[0][2] == cycle_monomial(s).factors

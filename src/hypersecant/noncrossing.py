@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .hypersimplex import MonomialIdeal, crosses
-from .poly import Monomial
+from .order import CircularTermOrder, _Packing
+from .poly import Monomial, edge_var
 
 
 class NoncrossingGraph:
@@ -147,29 +148,45 @@ def induced_odd_cycles(g: NoncrossingGraph, max_len: int) -> list[tuple[tuple[in
     return [tuple(g.vertices[v] for v in c) for c in found]
 
 
-def secant_of_edge_ideal(g: NoncrossingGraph, max_len: int) -> MonomialIdeal:
-    """Squarefree monomials of the induced odd cycles, as a monomial ideal.
+def _chord_keys(g: NoncrossingGraph, order: CircularTermOrder | None, degree: int) -> tuple[_Packing, dict]:
+    """The packing of `order` (grevlex if None) for monomials of degree at
+    most `degree`, and each chord's edge variable packed in it.  A product of
+    chords is packed as the sum of theirs."""
+    if order is None:
+        order = CircularTermOrder(g.n)
+    elif order.n != g.n:
+        raise ValueError(f"the order is for n={order.n}, the graph for n={g.n}")
+    packing = order.packing(degree)
+    return packing, {e: packing.join(1 << packing.offset[edge_var(*e)]) for e in g.vertices}
+
+
+def secant_of_edge_ideal(g: NoncrossingGraph, max_len: int, order: CircularTermOrder | None = None) -> MonomialIdeal:
+    """Squarefree monomials of the induced odd cycles, as a monomial ideal
+    packed in `order`'s packing for degree max_len (see _chord_keys).
 
     No two induced cycles are nested, so minimalization never removes a
     generator here; the constructor still normalizes.
     """
-    return MonomialIdeal(Monomial.from_edges(c) for c in induced_odd_cycles(g, max_len))
+    packing, key = _chord_keys(g, order, max_len)
+    return MonomialIdeal([sum(map(key.__getitem__, c)) for c in induced_odd_cycles(g, max_len)], packing)
 
 
-def symbolic_square_of_edge_ideal(g: NoncrossingGraph) -> MonomialIdeal:
-    """Triangles plus products of adjacent pairs, minimalized.
+def symbolic_square_of_edge_ideal(g: NoncrossingGraph, order: CircularTermOrder | None = None) -> MonomialIdeal:
+    """Triangles plus products of adjacent pairs, minimalized, packed in
+    `order`'s packing for degree 4 (see _chord_keys).
 
     Degree three: each triangle of the graph.  Degree four: the product of
     two (not necessarily disjoint) adjacent pairs, including the square of a
-    single pair.
+    single pair; equal products are passed once.
     """
-    gens: list[Monomial] = []
+    packing, key = _chord_keys(g, order, 4)
+    gens = set()
     if g.vertex_count >= 3:
-        gens.extend(Monomial.from_edges(c) for c in induced_odd_cycles(g, 3))
-    pairs = [Monomial.from_edges(p) for p in g.adjacency_pairs()]
-    for a, ma in enumerate(pairs):
-        gens.extend(ma.mul(mb) for mb in pairs[a:])
-    return MonomialIdeal(gens)
+        gens.update(sum(map(key.__getitem__, c)) for c in induced_odd_cycles(g, 3))
+    pairs = [key[e] + key[f] for e, f in g.adjacency_pairs()]
+    for a, p in enumerate(pairs):
+        gens.update(p + q for q in pairs[a:])
+    return MonomialIdeal(list(gens), packing)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,13 @@ Every polynomial a command writes is first put in one form, its rows: the
 (coefficient, factors) pairs of its terms, descending in the order.
 `CircularTermOrder.rows` gives the rows of a Polynomial;
 `_Packing.product_rows` gives those of a product straight from its factors'
-packed terms.
+packed terms, and `master.master_terms` those of a master from its packed
+conjugates, read back by `_Packing.factors`.
 """
 
 from __future__ import annotations
 
-from .poly import Monomial, Polynomial, is_edge_var, product_factors
+from .poly import Monomial, Polynomial, _interned, is_edge_var, product_factors
 
 INNER_ORDERS = ("grevlex", "lex")
 
@@ -144,6 +145,9 @@ class _Packing:
             degree_slots |= ((1 << w) - 1) << (w * top)
             for k, v in enumerate(block):
                 self.offset[v] = w * (top - 1 - k if self.lex else top - len(block) + k)
+        # Per variable's slot, keyed by its guard bit: the variable and offset.
+        self._slots = {1 << (at + bits): (v, at) for v, at in self.offset.items()}
+        self._pairs: dict = {}
         self.ones = sum(1 << (w * s) for s in range(slots))
         self.guard = self.ones << bits
         # Per block, the guard bits of its variables' slots.
@@ -156,8 +160,6 @@ class _Packing:
         # Multiplying by the window sums each block's span - 1 slots into the
         # slot above them; no window sum exceeds `limit`, so nothing carries.
         self._window = sum(1 << (w * k) for k in range(1, span))
-        self._total_at = w * (slots - 1)
-        self._digit = (1 << w) - 1
 
     def join(self, fields: int) -> int:
         """The packed monomial with these exponent fields."""
@@ -210,11 +212,28 @@ class _Packing:
                     rows.append((c, product_factors(f1, f2)))
         return rows
 
-    def unpack(self, p: int) -> Monomial:
-        return Monomial((v, (p >> at) & self.limit) for v, at in self.offset.items())
+    def factors(self, p: int) -> tuple:
+        """The factors of the packed monomial p, as a Monomial holds them:
+        read off the slots whose guard bit marks them nonzero.  Each slot's
+        bits, in place, key its interned (variable, exponent) pair in
+        `_pairs`, which holds at most one entry per pair."""
+        fields, guard, bits = p & self.fields_mask, self.guard, self.bits
+        support = ((fields | guard) - self.ones) & guard
+        pairs = []
+        while support:
+            low = support & -support
+            part = fields & (low - (low >> bits))
+            pair = self._pairs.get(part)
+            if pair is None:
+                v, at = self._slots[low]
+                pair = self._pairs[part] = _interned([(v, part >> at)])[0]
+            pairs.append(pair)
+            support ^= low
+        pairs.sort()
+        return tuple(pairs)
 
-    def degree(self, p: int) -> int:
-        return ((p & self.fields_mask) * self.ones >> self._total_at) & self._digit
+    def unpack(self, p: int) -> Monomial:
+        return Monomial._with(self.factors(p))
 
     def polynomial(self, terms: dict) -> Polynomial:
         return Polynomial((self.unpack(p), c) for p, c in terms.items())

@@ -12,6 +12,7 @@ everything here is safe to share across threads or processes.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
@@ -60,10 +61,10 @@ def is_edge_var(v: Variable) -> bool:
 _FACTORS: dict[tuple, tuple] = {}
 
 
-def _interned(factors: dict) -> tuple:
-    """The sorted (variable, exponent) pairs of `factors`, each the shared
-    tuple from _FACTORS."""
-    items = sorted(factors.items())
+def _interned(pairs: Iterable[tuple]) -> tuple:
+    """The (variable, exponent) pairs, sorted, each the shared tuple from
+    _FACTORS."""
+    items = sorted(pairs)
     return tuple(map(_FACTORS.setdefault, items, items))
 
 
@@ -73,7 +74,7 @@ def product_factors(f1: tuple, f2: tuple) -> tuple:
     d = dict(f1)
     for v, e in f2:
         d[v] = d.get(v, 0) + e
-    return _interned(d)
+    return _interned(d.items())
 
 
 class Monomial:
@@ -98,14 +99,8 @@ class Monomial:
                 raise ValueError(f"negative exponent {e} for {v}")
             if e:
                 acc[v] = acc.get(v, 0) + e
-        self.factors = _interned(acc)
+        self.factors = _interned(acc.items())
         self._hash = hash(self.factors)
-
-    @classmethod
-    def _of(cls, factors: dict) -> "Monomial":
-        """Trusted constructor: `factors` maps variables to positive int
-        exponents, so none of __init__'s checks is repeated."""
-        return cls._with(_interned(factors))
 
     @classmethod
     def _with(cls, factors: tuple) -> "Monomial":
@@ -343,9 +338,10 @@ class Polynomial:
         return f"Polynomial({format_polynomial(self)})"
 
 
-def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
-    """The image of the edge polynomial p under x[a,b] -> t_a*t_b (r = 1) or
-    t_a*t_b + u_a*u_b (r = 2), with u_pinned = 0.
+def _rank_image(rows, r: int, pinned: int | None) -> Polynomial:
+    """The image of the edge polynomial with these (coefficient, factors)
+    rows under x[a,b] -> t_a*t_b (r = 1) or t_a*t_b + u_a*u_b (r = 2), with
+    u_pinned = 0.
 
     Write v_a = (t_a, u_a).  Then x[a,b] -> t_a*t_b + u_a*u_b is the bilinear
     form <v_a, v_b>, which O(2, C) preserves.  Any v_pinned with
@@ -359,32 +355,31 @@ def _rank_image(p: Polynomial, r: int, pinned: int | None) -> Polynomial:
     The expansion runs on packed parameter monomials: each vertex of p owns
     one field for t_v and one for u_v, so x[a,b] maps to the ints T_a+T_b and
     U_a+U_b and multiplying by a factor is an add.  An edge raises any one
-    parameter by at most 1, so no exponent exceeds p.degree and fields of
+    parameter by at most 1, so no exponent exceeds p's degree and fields of
     its bit length never carry.  Only surviving terms become Monomials.
     """
-    w = max(p.degree, 1).bit_length()
-    vertices = sorted({a for _, *ends in p.variables() for a in ends})
-    at = {a: 2 * w * k for k, a in enumerate(vertices)}
+    powers = set(chain.from_iterable(f for _, f in rows))
+    w = max([1, *(sum(e for _, e in f) for _, f in rows)]).bit_length()
+    at = {a: 2 * w * k for k, a in enumerate(sorted({a for (_, *ends), _ in powers for a in ends}))}
     # Per edge power x[a,b]^e, the packed terms of (t_a t_b)^k (u_a u_b)^(e-k)
     # with their binomial coefficients; a power with only its t choice,
     # k = e, is the bare int of that term, added to every term of the
     # expansion at once.
-    powers: dict = {}
+    choices_of: dict = {}
+    for power in powers:
+        (_, a, b), e = power
+        t = (1 << at[a]) + (1 << at[b])
+        if r == 1 or pinned == a or pinned == b:
+            choices_of[power] = e * t
+        else:
+            u = t << w
+            choices_of[power] = [(k * t + (e - k) * u, comb(e, k)) for k in range(e + 1)]
     acc: dict[int, int] = {}
-    for m, c in p.terms():
+    for c, factors in rows:
         fixed = 0
         free = []
-        for power in m.factors:
-            choices = powers.get(power)
-            if choices is None:
-                (_, a, b), e = power
-                t = (1 << at[a]) + (1 << at[b])
-                if r == 1 or pinned == a or pinned == b:
-                    choices = e * t
-                else:
-                    u = t << w
-                    choices = [(k * t + (e - k) * u, comb(e, k)) for k in range(e + 1)]
-                powers[power] = choices
+        for power in factors:
+            choices = choices_of[power]
             if isinstance(choices, int):
                 fixed += choices
             else:

@@ -39,11 +39,15 @@ def both_inner_orders(n):
 def label_polynomials(n, labels):
     """The Polynomial of each candidate_basis label at n, in label order: a
     reference builder that forms the product ("product", a, b) as
-    toric[a] * toric[b], and a master or minor by groebner._generator.  The
-    rows of groebner.generator_rows are checked against it."""
+    toric[a] * toric[b], and a master or minor from its packed terms by
+    groebner._generator.  The rows of groebner.generator_rows are checked
+    against it."""
     toric = groebner.toric_gb_polynomials(n)
+    packing = CircularTermOrder(n).packing(n)
     return [
-        toric[label[1]] * toric[label[2]] if label[0] == "product" else groebner._generator(label)
+        toric[label[1]] * toric[label[2]]
+        if label[0] == "product"
+        else Polynomial((Monomial(f), c) for _, c, f in groebner._generator(label, packing))
         for label in labels
     ]
 
@@ -127,7 +131,7 @@ def substitute_rank(p, r):
         raise ValueError("only ranks 1 and 2 are supported")
     if not p.uses_only_edge_vars():
         raise ValueError("substitute_rank requires a polynomial in edge variables only")
-    return _rank_image(p, r, None)
+    return _rank_image(term_rows([p])[0], r, None)
 
 
 def edges_for(n):
@@ -206,17 +210,26 @@ def reference_induced_odd_cycles(g, max_len):
 # follow Sturmfels-Sullivant 2006, "Combinatorial secant varieties".
 
 
-def _in_edge_ideal(adj, u):
-    """Whether x^u lies in I: its support holds an edge of G."""
-    support = sum(1 << i for i, e in enumerate(u) if e)
-    return any(adj[i] & support for i, e in enumerate(u) if e)
+def _in_edge_ideal(adj, support):
+    """Whether a monomial with this support, a bitmask over G's vertices,
+    lies in I: the support holds an edge of G."""
+    return any(adj[i] & support for i in range(len(adj)) if support >> i & 1)
 
 
 def in_secant_by_splits(adj, u):
-    """x^u lies in the join I*I iff every split u = v + w has x^v or x^w in I."""
-    for v in product(*(range(e + 1) for e in u)):
-        w = tuple(e - d for e, d in zip(u, v))
-        if not (_in_edge_ideal(adj, v) or _in_edge_ideal(adj, w)):
+    """x^u lies in the join I*I iff every split u = v + w has x^v or x^w in I.
+
+    Whether a part lies in I depends on its support alone.  A split and its
+    swap are one split, so only the splits whose part v is the smaller one,
+    deg v <= deg w, are enumerated, and once v lies in I the split passes
+    without w being tested.
+    """
+    support = [i for i, e in enumerate(u) if e]
+    half = sum(u) // 2
+    for v in product(*(range(u[i] + 1) for i in support)):
+        if sum(v) > half or _in_edge_ideal(adj, sum(1 << i for i, d in zip(support, v) if d)):
+            continue
+        if not _in_edge_ideal(adj, sum(1 << i for i, d in zip(support, v) if d < u[i])):
             return False
     return True
 
@@ -497,26 +510,41 @@ def flip_lowest_tail(g, order):
     return g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
 
 
+def relabel(p, vertex):
+    """p with every vertex a replaced by vertex[a]."""
+    return Polynomial(
+        (Monomial((edge_var(vertex[a], vertex[b]), e) for (_, a, b), e in m.factors), c) for m, c in p.terms()
+    )
+
+
 def substitute_generators(monkeypatch, polys, labels=None):
     """Make every candidate basis build polys[label] for each label in `polys`.
 
     The one builder of the rows a command writes and the S-pair leg reads,
     groebner.generator_rows, is patched where groebner and cli read it, so
-    both see every substitute, a product's included.  The builder of a master or minor,
-    groebner._generator, is patched too, so the membership and initial-ideal
-    legs see a substituted master or minor; they read a product through its
-    label alone.  Given `labels`, candidate_basis returns them in place of a
-    basis's own labels, for example with one left out.
+    both see every substitute, a product's included.  The builder of the
+    packed terms of a master or minor, groebner._generator, is patched too,
+    so the membership and initial-ideal legs see a substituted master or
+    minor; they read a product through its label alone.  Given `labels`,
+    candidate_basis returns them in place of a basis's own labels, for
+    example with one left out.
     """
     from hypersecant import cli
 
     build, rows = groebner._generator, groebner.generator_rows
 
     def substituted_rows(n, labels, order):
-        for label, built in zip(labels, rows(n, labels, order)):
-            yield order.rows(polys[label]) if label in polys else built
+        built = rows(n, [label for label in labels if label not in polys], order)
+        for label in labels:
+            yield order.rows(polys[label]) if label in polys else next(built)
 
-    monkeypatch.setattr(groebner, "_generator", lambda label: polys[label] if label in polys else build(label))
+    def substituted_terms(label, packing):
+        if label not in polys:
+            return build(label, packing)
+        assert polys[label].degree <= packing.limit, "the substitute does not fit the packing"
+        return sorted(packing.terms(polys[label]), reverse=True)
+
+    monkeypatch.setattr(groebner, "_generator", substituted_terms)
     for module in (groebner, cli):
         monkeypatch.setattr(module, "generator_rows", substituted_rows)
     if labels is not None:

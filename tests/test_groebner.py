@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersecant import (
+    AdmissibleSequence,
     CircularTermOrder,
     Monomial,
     MonomialIdeal,
@@ -40,6 +41,7 @@ from hypersecant import (
 from hypersecant import groebner
 from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing, edge_class
+from hypersecant.poly import format_rows
 
 from conftest import (
     both_inner_orders,
@@ -53,6 +55,7 @@ from conftest import (
     polynomial_strategy,
     reference_first_divisor,
     reference_order_key,
+    relabel,
     s_polynomial,
     substitute_generators,
     term_rows,
@@ -221,7 +224,7 @@ class TestPacking:
             assert (p1 == p2) == (m1 == m2)
             assert p1 + p2 == pk.pack(m1.mul(m2).factors)
             assert pk.unpack(p1) == m1
-            assert pk.degree(p1 + p2) == m1.degree + m2.degree
+            assert pk.factors(p1 + p2) == m1.mul(m2).factors
 
 
 class TestSPolynomial:
@@ -623,6 +626,49 @@ class TestPairStreaming:
         assert held == [("buchberger_verify", ["labels"])] * 4
         assert pool_of_two == [2, 2]
 
+    def test_labelled_rows_reach_the_divider_unlisted(self, monkeypatch):
+        # Given labels, the packing is sized from them, so the divider reads
+        # the very iterator of rows it was given, one generator at a time.
+        read = []
+        init = groebner._Divider.__init__
+
+        def spy(self, packing, rows, degree=None):
+            read.append((rows, packing.limit, degree))
+            init(self, packing, rows, degree)
+
+        monkeypatch.setattr(groebner._Divider, "__init__", spy)
+        for n, kind in ((6, "secant"), (5, "symbolic-square")):
+            labels = groebner.candidate_basis(n, kind)
+            order = CircularTermOrder(n)
+            rows = groebner.generator_rows(n, labels, order)
+            assert buchberger_verify(rows, order, labels=labels).passed
+            degree = 5 if kind == "secant" else 4
+            assert read[-1] == (rows, order.packing(2 * degree).limit, degree)
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_label_degree_is_the_generator_degree(self, n, kind):
+        labels = groebner.candidate_basis(n, kind)
+        assert [groebner._label_degree(l) for l in labels] == [g.degree for g in label_polynomials(n, labels)]
+        assert groebner._label_degree(("binomial", (1, 2, 3, 4), 1)) == 2
+
+    def test_row_above_its_declared_degree_is_rejected_before_forking(self, pool_of_two, monkeypatch):
+        # A degree-6 product filed under a minor's label: the packing sized
+        # from the labels, whose largest degree is 5, could not hold its
+        # S-pairs.
+        labels = groebner.candidate_basis(6, "secant")
+        toric = toric_gb_polynomials(6)
+        substitute_generators(monkeypatch, {labels[-1]: toric[0] * toric[1] * toric[2]})
+        for order in both_inner_orders(6):
+            rows = groebner.generator_rows(6, labels, order)
+            with pytest.raises(ValueError, match="a reducer of degree 6 exceeds the declared degree 5"):
+                buchberger_verify(rows, order, threads=2, labels=labels)
+        assert pool_of_two == []
+        labels = [("minor", (1, 2, 3), (4, 5, 6)), ("minor", (2, 3, 4), (5, 6, 1))]
+        rows = [term_rows([toric[0] * toric[1]])[0], term_rows([off_diagonal_minor(*labels[1][1:])])[0]]
+        with pytest.raises(ValueError, match="a reducer of degree 4 exceeds the declared degree 3"):
+            buchberger_verify(iter(rows), CircularTermOrder(6), labels=labels)
+
     def test_pool_chunks_are_small_row_ranges(self, pool_of_two, monkeypatch):
         import concurrent.futures
         import pickle
@@ -962,19 +1008,20 @@ class TestDelightfulCheck:
         "kind,target", [("secant", "secant_of_edge_ideal"), ("symbolic-square", "symbolic_square_of_edge_ideal")]
     )
     def test_monomial_ideal_is_built_once_for_the_target(self, monkeypatch, kind, target):
-        # A passing initial-ideal leg holds one ideal, the target: the leading
-        # monomials are checked against it as they are computed, and no
-        # leading-term ideal is built.
+        # A passing initial-ideal leg holds one ideal, the target, packed in
+        # the order's packing: the packed leading monomials are checked
+        # against it as they are computed, and no leading-term ideal is built.
         built = []
         init = MonomialIdeal.__init__
 
-        def recording_init(self, gens=()):
-            built.append(sys._getframe(1).f_code.co_name)
-            init(self, gens)
+        def recording_init(self, gens=(), packing=None):
+            built.append((sys._getframe(1).f_code.co_name, packing))
+            init(self, gens, packing)
 
         monkeypatch.setattr(MonomialIdeal, "__init__", recording_init)
-        assert delightful_check(6, kind, CircularTermOrder(6)).passed
-        assert built == [target]
+        order = CircularTermOrder(6)
+        assert delightful_check(6, kind, order).passed
+        assert built == [(target, order.packing(5 if kind == "secant" else 4))]
 
     @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
     @pytest.mark.parametrize("n", [5, 6, 7])
@@ -1099,6 +1146,30 @@ class TestDelightfulNegativeControls:
         assert [(w["family"], w["k"], w["i"], w["j"]) for w in leg.witness] == [
             ("master", s.k, list(s.i), list(s.j))
         ]
+        assert _check(cert, "initial_ideal_matches_combinatorial_target").status == "pass"
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_flipped_relabelled_master_fails_membership(self, monkeypatch, inner):
+        # The master of a sequence shifted up by one is the first one
+        # relabelled, so both share a relabelling class, whose verdict the
+        # first sets.  The second, with one coefficient flipped, must be
+        # asked of the oracle again, and fail under its own name.
+        n, order = 7, CircularTermOrder(7, inner)
+        labels = groebner.candidate_basis(n, "secant")
+        s = all_admissible_sequences(n)[0]
+        shifted = AdmissibleSequence.from_arrays([a + 1 for a in s.i], [a + 1 for a in s.j])
+        first, k = labels.index(("master", s)), labels.index(("master", shifted))
+        assert first < k
+        copy = relabel(master_polynomial(s), {a: a + 1 for a in range(1, n)})
+        assert copy == master_polynomial(shifted)
+        substitute_generators(monkeypatch, {labels[k]: flip_lowest_tail(copy, order)})
+        cert = delightful_check(n, "secant", order)
+        leg = _check(cert, "generators_vanish_on_rank_two_locus")
+        assert leg.status == "fail"
+        assert [(w["index"], w["family"], w["k"], w["i"], w["j"]) for w in leg.witness] == [
+            (k, "master", shifted.k, list(shifted.i), list(shifted.j))
+        ]
+        assert leg.witness[0]["generator"] == format_rows(order.rows(flip_lowest_tail(copy, order)))
         assert _check(cert, "initial_ideal_matches_combinatorial_target").status == "pass"
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])

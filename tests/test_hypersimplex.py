@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersecant import (
+    CircularTermOrder,
     Monomial,
     MonomialIdeal,
     NoncrossingGraph,
@@ -24,7 +25,9 @@ from hypersecant import (
     symbolic_square_of_edge_ideal,
     toric_gb,
 )
-from hypersecant.hypersimplex import _pinned_vertex
+from hypersecant import hypersimplex
+from hypersecant.groebner import candidate_basis
+from hypersecant.hypersimplex import SecantClasses, _pinned_vertex
 from hypersecant.poly import canonical_key, canonical_sorted
 from hypersecant.noncrossing import AdmissibleSequence
 
@@ -33,8 +36,12 @@ from conftest import (
     candidate_polynomials,
     edges_for,
     monomial_strategy,
+    flip_lowest_tail,
+    label_polynomials,
     reference_minimal_generators,
+    relabel,
     substitute_rank,
+    term_rows,
 )
 
 PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
@@ -181,6 +188,68 @@ class TestMembershipOracles:
             in_toric_ideal(4, Polynomial.variable(edge_var(1, 5)))
 
 
+class TestSecantClasses:
+    """Rank-2 verdicts memoized by relabelling class against the oracle
+    called once per polynomial."""
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_class_verdicts_equal_direct_calls(self, monkeypatch, n, kind):
+        # Every master and minor, and at n <= 6 each with its lowest tail
+        # flipped, in basis order through one memo.
+        order = CircularTermOrder(n)
+        labels = [l for l in candidate_basis(n, kind) if l[0] != "product"]
+        gens = label_polynomials(n, labels)
+        if n <= 6:
+            gens += [flip_lowest_tail(g, order) for g in gens]
+        calls = []
+        oracle = hypersimplex.in_secant_ideal
+
+        def counted(n, rows):
+            calls.append(rows)
+            return oracle(n, rows)
+
+        monkeypatch.setattr(hypersimplex, "in_secant_ideal", counted)
+        member = SecantClasses(n)
+        verdicts = [member(rows) for rows in term_rows(gens)]
+        monkeypatch.undo()
+        assert verdicts == [in_secant_ideal(n, g) for g in gens]
+        assert verdicts == [True] * len(labels) + [False] * (len(gens) - len(labels))
+        assert len(calls) == len({member._key(rows) for rows in term_rows(gens)}) <= len(gens)
+        if n == 8 and kind == "secant":
+            # 508 generators, 51 classes up to an increasing relabelling.
+            assert (len(gens), len(calls)) == (508, 51)
+
+    @given(st.permutations(range(1, 8)), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_verdict_is_invariant_under_vertex_permutations(self, perm, data):
+        n = 7
+        vertex = dict(zip(range(1, 8), perm))
+        g = data.draw(st.sampled_from(SECANT_GENERATORS[n]))
+        if data.draw(st.booleans()):
+            g = flip_lowest_tail(g, CircularTermOrder(n))
+        assert in_secant_ideal(n, relabel(g, vertex)) == in_secant_ideal(n, g)
+
+    def test_relabelled_copy_shares_a_key_and_a_flip_does_not(self):
+        pentad = master_polynomial(PENTAD_SEQ)
+        shifted = relabel(pentad, {a: a + 2 for a in range(1, 6)})
+        member = SecantClasses(7)
+        rows, shifted_rows = term_rows([pentad, shifted])
+        assert member._key(rows) == member._key(shifted_rows)
+        flipped = flip_lowest_tail(shifted, CircularTermOrder(7))
+        assert member._key(term_rows([flipped])[0]) != member._key(rows)
+        assert member(rows) and member(shifted_rows)
+        assert not member(term_rows([flipped])[0])
+
+    def test_a_vertex_above_n_raises_despite_a_shared_class(self):
+        minor = off_diagonal_minor((1, 2, 3), (4, 5, 6))
+        member = SecantClasses(6)
+        assert member(term_rows([minor])[0])
+        outside = relabel(minor, {a: a + 1 for a in range(1, 7)})
+        with pytest.raises(ValueError):
+            member(term_rows([outside])[0])
+
+
 # Masters and minors of the secant bases, the generators the rank-2 oracle
 # must accept, with degrees 3, 5 and 7.
 SECANT_GENERATORS = {n: candidate_polynomials(n, "secant") for n in (5, 6, 7)}
@@ -240,28 +309,28 @@ class TestPinnedRankTwoOracle:
     def test_pinned_vertex_meets_every_term(self):
         pentad = master_polynomial(PENTAD_SEQ)
         f = Polynomial.variable(edge_var(3, 6)) * pentad
-        assert _pinned_vertex(f) == 3
+        assert _pinned_vertex(term_rows([f])[0]) == 3
         assert all(any(3 in v[1:] for v in m.variables()) for m in f.monomials())
         assert in_secant_ideal(6, f)
         g = f + Polynomial.from_monomial(mono((3, 6), (3, 4), (1, 2), (1, 5), (2, 4), (5, 6)))
-        assert _pinned_vertex(g) == 3
+        assert _pinned_vertex(term_rows([g])[0]) == 3
         assert not in_secant_ideal(6, g)
         assert not substitute_rank(g, 2).is_zero
 
     def test_tie_for_largest_degree_pins_smallest_label(self):
         # Every vertex of a 3x3 minor meets each term once.
         minor = off_diagonal_minor((2, 3, 5), (1, 6, 7))
-        assert _pinned_vertex(minor) == 1
+        assert _pinned_vertex(term_rows([minor])[0]) == 1
         assert in_secant_ideal(7, minor)
         m = next(iter(minor.monomials()))
         flipped = minor - Polynomial.from_monomial(m, 2 * minor.coefficient(m))
-        assert _pinned_vertex(flipped) == 1
+        assert _pinned_vertex(term_rows([flipped])[0]) == 1
         assert not in_secant_ideal(7, flipped)
         assert not substitute_rank(flipped, 2).is_zero
 
     def test_zero_and_constant(self):
-        assert _pinned_vertex(Polynomial.zero()) is None
-        assert _pinned_vertex(Polynomial.constant(5)) is None
+        assert _pinned_vertex(term_rows([Polynomial.zero()])[0]) is None
+        assert _pinned_vertex(term_rows([Polynomial.constant(5)])[0]) is None
         assert in_secant_ideal(5, Polynomial.zero()) == substitute_rank(Polynomial.zero(), 2).is_zero
         c = Polynomial.constant(5)
         assert not substitute_rank(c, 2).is_zero
@@ -335,12 +404,12 @@ class TestMonomialIdeal:
         # Products of generators have divisors on proper submasks; probes on
         # the octagon's chords may use variables no generator uses, and
         # membership must not grow the index.
-        index = (dict(ideal._bits), {s: list(h) for s, h in ideal._by_support.items()})
+        index = (dict(ideal._offset), {s: list(g) for s, g in ideal._by_support.items()})
         probes = data.draw(st.lists(monomial_strategy(n=8, max_factors=6, max_exp=3), max_size=10))
         probes += gens + [a.mul(b) for a, b in zip(gens, gens[1:])]
         for probe in probes:
             assert ideal.contains(probe) == any(g.divides(probe) for g in minimal)
-        assert (ideal._bits, ideal._by_support) == index
+        assert (ideal._offset, ideal._by_support) == index
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -351,6 +420,26 @@ class TestMonomialIdeal:
         gens += [a.mul(b) for a, b in zip(gens, gens[1:])]
         gens += data.draw(st.lists(st.sampled_from(gens), max_size=4)) if gens else []
         assert canonical_sorted(gens) == sorted(set(gens), key=canonical_key)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_packed_ideal_matches_the_monomial_one(self, data):
+        # The same edge monomials, given packed in an order's packing and
+        # given as Monomials: the same minimal generators, and the same
+        # verdict on every probe, packed or not.
+        order = CircularTermOrder(6, data.draw(st.sampled_from(("grevlex", "lex"))))
+        packing = order.packing(7)
+        gens = data.draw(st.lists(monomial_strategy(n=6, max_factors=4, max_exp=2), max_size=20))
+        packed = MonomialIdeal([packing.pack(m.factors) for m in gens], packing)
+        plain = MonomialIdeal(gens)
+        assert packed.generators == plain.generators == reference_minimal_generators(gens)
+        assert packed == plain and len(packed) == len(plain)
+        probes = data.draw(st.lists(monomial_strategy(n=6, max_factors=6, max_exp=3), max_size=10))
+        for probe in probes + gens:
+            want = any(g.divides(probe) for g in plain.generators)
+            assert packed.contains(probe) == plain.contains(probe) == want
+            if probe.degree <= packing.limit:
+                assert packed.contains_key(packing.pack(probe.factors)) == want
 
     def test_divisors_on_proper_submasks(self):
         # Six supports, so a probe on two known variables enumerates its

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypersecant import (
     AdmissibleSequence,
+    CircularTermOrder,
     Monomial,
     NoncrossingGraph,
     Polynomial,
@@ -20,6 +21,7 @@ from hypersecant import (
     verify_membership,
     verify_prolongation,
 )
+from hypersecant.master import master_terms
 from hypersecant.fixtures import (
     REFERENCE_CUBIC_TERMS,
     REFERENCE_PENTAD_TERMS,
@@ -222,6 +224,34 @@ class TestMasterPolynomial:
                 f = master_polynomial(s)
                 survivors = [m for m in f.monomials() if ideal.contains(m)]
                 assert survivors == [cycle_monomial(s)]
+
+
+class TestMasterTerms:
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_rows_equal_the_sorted_polynomial(self, n, inner):
+        # Every admissible sequence at n, in the order's packing for its
+        # degree and in the one for degree n: the same rows as
+        # master_polynomial sorted by the order, each with its packed key.
+        order = CircularTermOrder(n, inner)
+        for s in all_admissible_sequences(n):
+            want = order.rows(master_polynomial(s))
+            for packing in (order.packing(s.length), order.packing(n)):
+                terms = master_terms(s, packing)
+                assert [(c, f) for _, c, f in terms] == want, s
+                assert [p for p, _, _ in terms] == [packing.pack(f) for _, f in want], s
+
+    def test_factors_are_interned_as_a_monomials(self):
+        order = CircularTermOrder(6)
+        terms = master_terms(PENTAD_SEQ, order.packing(5))
+        for _, _, f in terms:
+            assert all(a is b for a, b in zip(f, Monomial(f).factors))
+
+    def test_packing_too_small_or_too_narrow_raises(self):
+        with pytest.raises(ValueError):
+            master_terms(PENTAD_SEQ, CircularTermOrder(6).packing(3))
+        with pytest.raises(ValueError):
+            master_terms(CUBIC_SEQ, CircularTermOrder(5).packing(3))
 
 
 class TestVerifiers:

@@ -4,6 +4,7 @@ import pytest
 
 from hypersecant import (
     AdmissibleSequence,
+    CircularTermOrder,
     Monomial,
     MonomialIdeal,
     NoncrossingGraph,
@@ -152,6 +153,40 @@ def _through(ideal, degree):
     return {m for m in ideal.generators if m.degree <= degree}
 
 
+def _monomial_target(n, kind):
+    """The target of `kind` at n built from Monomials, each cycle and product
+    of adjacent pairs by Monomial.from_edges and Monomial.mul."""
+    g = NoncrossingGraph(n)
+    if kind == "secant":
+        return MonomialIdeal(Monomial.from_edges(c) for c in induced_odd_cycles(g, odd_floor(n)))
+    pairs = [Monomial.from_edges(p) for p in g.adjacency_pairs()]
+    gens = [Monomial.from_edges(c) for c in induced_odd_cycles(g, 3)]
+    gens += [a.mul(b) for k, a in enumerate(pairs) for b in pairs[k:]]
+    return MonomialIdeal(gens)
+
+
+class TestPackedTargets:
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_packed_target_equals_the_monomial_one(self, n, kind):
+        want = _monomial_target(n, kind)
+        g = NoncrossingGraph(n)
+        for inner in ("grevlex", "lex"):
+            order = CircularTermOrder(n, inner)
+            if kind == "secant":
+                target = secant_of_edge_ideal(g, odd_floor(n), order)
+            else:
+                target = symbolic_square_of_edge_ideal(g, order)
+            assert target.generators == want.generators
+            assert target == want and len(target) == len(want)
+            packing = target.packing
+            assert sorted(target.keys) == sorted(packing.pack(m.factors) for m in want.generators)
+
+    def test_order_for_another_n_is_refused(self):
+        with pytest.raises(ValueError):
+            secant_of_edge_ideal(NoncrossingGraph(6), 5, CircularTermOrder(7))
+
+
 class TestTargetsMatchTheirDefinitions:
     """The initial-ideal leg compares leading monomials with these targets
     alone, so each is checked against its definition, not against odd cycles:
@@ -163,6 +198,16 @@ class TestTargetsMatchTheirDefinitions:
         want = target_by_definition(n, kind, degree)
         assert want
         assert _through(_target(n, kind), degree) == want
+
+    def test_secant_target_at_its_top_degree(self):
+        # n = 6 at D = 5 reaches the degree-5 generators, the largest the
+        # secant target has there: the whole target, built on the packed
+        # monomials of either inner order, against its definition.
+        want = target_by_definition(6, "secant", 5)
+        for inner in ("grevlex", "lex"):
+            target = secant_of_edge_ideal(NoncrossingGraph(6), 5, CircularTermOrder(6, inner))
+            assert target.degrees() == (3, 5)
+            assert set(target.generators) == want
 
     @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
     def test_target_with_a_generator_dropped_or_added_disagrees(self, kind):

@@ -86,7 +86,7 @@ class TestConstructors:
 
     @given(m1=monomial_strategy(), m2=monomial_strategy())
     def test_trusted_product_equals_checked_construction(self, m1, m2):
-        # mul builds its result through the unchecked Monomial._of.
+        # mul builds its result through the unchecked Monomial._with.
         product = m1.mul(m2)
         checked = Monomial([*m1.factors, *m2.factors])
         assert (product.factors, hash(product)) == (checked.factors, hash(checked))
@@ -107,7 +107,7 @@ class TestInternedFactors:
         packing = order.packing(4)
         edges = Monomial.from_edges([(1, 2), (3, 4), (3, 4)])
         product = Monomial.from_edges([(1, 2)]).mul(Monomial.from_edges([(3, 4), (3, 4)]))
-        trusted = Monomial._of({edge_var(3, 4): 2, edge_var(1, 2): 1})
+        trusted = Monomial._with(poly._interned([(edge_var(3, 4), 2), (edge_var(1, 2), 1)]))
         unpacked = packing.unpack(packing.pack(edges.factors))
         for m in (product, trusted, unpacked):
             assert m == edges
