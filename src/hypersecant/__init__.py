@@ -1,22 +1,14 @@
 """Certified Groebner bases for the second hypersimplex under circular orders.
 
-Exact sparse polynomial arithmetic, the circular block term orders, the
+Every polynomial is held as exact (coefficient, factors) rows over the edge
+variables, packed under the circular block term orders.  On them: the
 quadratic toric basis and its noncrossing initial ideal, induced odd-cycle
 combinatorics, master polynomials with their verification lemmas, and a
 Buchberger certification engine for the rank-2 secant and symbolic-square
 bases.
 """
 
-from .poly import (
-    Monomial,
-    Polynomial,
-    Variable,
-    edge_var,
-    format_monomial,
-    format_polynomial,
-    param_t,
-    param_u,
-)
+from .poly import Monomial, Variable, edge_var, format_monomial
 from .order import CircularTermOrder, edge_class
 from .hypersimplex import (
     BinomialGenerator,
@@ -25,7 +17,6 @@ from .hypersimplex import (
     in_secant_ideal,
     in_toric_ideal,
     toric_gb,
-    toric_gb_polynomials,
 )
 from .noncrossing import (
     AdmissibleSequence,
@@ -38,22 +29,14 @@ from .noncrossing import (
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
-from .master import (
-    master_polynomial,
-    verify_leading_term,
-    verify_membership,
-    verify_prolongation,
-)
+from .master import verify_leading_term, verify_membership, verify_prolongation
 from .groebner import (
     CheckResult,
     GroebnerCertificate,
     SPairStats,
-    antidiagonal_monomial,
     buchberger_verify,
     circular_minor_splits,
     delightful_check,
-    off_diagonal_minor,
-    reduce,
 )
 from .fixtures import (
     GENERIC_QUINTIC_SEQUENCE,

@@ -29,7 +29,7 @@ from .groebner import (
     generator_rows,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, SecantClasses, toric_gb
-from .master import master_polynomial, verify_leading_term, verify_membership, verify_prolongation
+from .master import master_terms, verify_leading_term, verify_membership, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
     NoncrossingGraph,
@@ -124,7 +124,7 @@ class _FactorText(dict):
 class _JsonText:
     """Generators as the exact text json.dumps(..., indent=2) gives them.
 
-    Monomials, polynomial rows (see CircularTermOrder.rows) and binomials go
+    Monomials, polynomial rows (see order.py) and binomials go
     straight to text, with no {"coeff", "monomial"} dicts or factor lists in
     between.  Each (variable, exponent) factor is rendered once per depth
     and reused: a basis at n <= 8 has only a few dozen distinct factors.
@@ -192,7 +192,7 @@ def _cas_monomial(factors: tuple) -> str:
         return "1"
     parts = []
     for v, e in factors:
-        name = f"x_{v[1]}_{v[2]}" if v[0] == "x" else f"{v[0]}_{v[1]}"
+        name = f"x_{v[1]}_{v[2]}"
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts)
 
@@ -216,13 +216,12 @@ def _cas_polynomial(rows: list) -> str:
 def algebra_script(rows, order: CircularTermOrder) -> Iterator[str]:
     """The script of an iterable of polynomial rows in chunks: the header,
     then one generator per chunk."""
-    n = order.n
-    one_var = [Monomial(((("x", a, b), 1),)) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
-    one_var.sort(key=order.sort_key(1), reverse=True)
+    packing = order.packing(1)
+    variables = sorted((((v, 1),) for v in packing.offset), key=packing.pack, reverse=True)
     yield (
         "-- generated by hypersecant; variables listed from largest to smallest\n"
-        f"-- ambient n = {n}, circular block order, inner = {order.descriptor()['inner']}\n"
-        "variables: " + ", ".join(_cas_monomial(m.factors) for m in one_var) + "\n"
+        f"-- ambient n = {order.n}, circular block order, inner = {order.descriptor()['inner']}\n"
+        "variables: " + ", ".join(map(_cas_monomial, variables)) + "\n"
         "generators:\n"
     )
     sep = ""
@@ -339,7 +338,7 @@ def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, order: 
 def _emit_polynomials(args: argparse.Namespace, rows, count: int, order: CircularTermOrder,
                       meta: dict) -> Iterator[str]:
     """`rows` is any iterable of the rows of `count` polynomials (see
-    CircularTermOrder.rows), read as it is written."""
+    order.py), each descending in the order, read as it is written."""
     if args.format == "json":
         header = {**meta, "order": order.descriptor(), "count": count}
         text = _JsonText()
@@ -376,7 +375,8 @@ def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
         header = {"command": "toric-gb", "n": n, "order": order.descriptor(), "count": len(gens)}
         text = _JsonText()
         return RunResult(EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial)), warn)
-    rows = (order.rows(g.polynomial()) for g in gens)
+    packing = order.packing(2)
+    rows = ([(c, f) for _, c, f in packing.terms(g.rows())] for g in gens)
     meta = {"command": "toric-gb", "n": n}
     return RunResult(EXIT_OK, _emit_polynomials(args, rows, len(gens), order, meta), warn)
 
@@ -439,9 +439,8 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
         raise UsageError(f"--n {n} is too small for indices up to {seq.min_ambient()}")
     warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
     warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
-    poly = master_polynomial(seq)
     order = CircularTermOrder(n, args.inner)
-    rows = order.rows(poly)
+    rows = [(c, f) for _, c, f in master_terms(seq, order.packing(seq.length))]
     if args.format == "json":
         header = {
             "command": "master-poly",
@@ -450,7 +449,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
             "k": seq.k,
             "i": list(seq.i),
             "j": list(seq.j),
-            "term_count": poly.term_count,
+            "term_count": len(rows),
         }
         text = _JsonText().polynomial(rows, 1)
         return RunResult(EXIT_OK, _json_document(header, "polynomial", (text,)), warn)
@@ -475,7 +474,8 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
         if args.verify_what == "membership":
             passed = verify_membership(n, s, member)
         elif args.verify_what == "prolongation":
-            passed = verify_prolongation(n, master_polynomial(s), s.k)
+            rows = [(c, f) for _, c, f in master_terms(s, order.packing(s.length))]
+            passed = verify_prolongation(n, rows, s.k)
         else:
             passed = verify_leading_term(n, s, order)
         results.append({"k": s.k, "i": list(s.i), "j": list(s.j), "pass": passed})
@@ -515,7 +515,7 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
     if kind == "toric":
         binomials = toric_gb(n)
         labels = [("binomial", b.quadruple, b.family) for b in binomials]
-        rows = (order.rows(b.polynomial()) for b in binomials)
+        rows = (b.rows() for b in binomials)
     else:
         labels = candidate_basis(n, kind)
         rows = generator_rows(n, labels, order)

@@ -15,14 +15,10 @@ import time
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .hypersimplex import (
-    MonomialIdeal,
-    SecantClasses,
-    in_toric_ideal,
-    toric_gb_polynomials,
-)
+from .hypersimplex import MonomialIdeal, SecantClasses, in_toric_ideal, toric_gb
 from .noncrossing import (
     NoncrossingGraph,
     admissible_sequences,
@@ -32,8 +28,8 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .master import master_terms
-from .order import CircularTermOrder, _Packing
-from .poly import Monomial, Polynomial, format_monomial, format_rows
+from .order import CircularTermOrder, _Packing, _check_terms
+from .poly import edge_var, format_monomial, format_rows
 
 SECANT = "secant"
 SYMBOLIC_SQUARE = "symbolic-square"
@@ -90,11 +86,11 @@ class GroebnerCertificate:
 # division and S-pairs
 # ---------------------------------------------------------------------------
 #
-# One engine serves reduce() and buchberger_verify.  It works on the order's
-# packed monomials, after Monagan and Pearce (sparse division with a heap over
-# packed exponent vectors; CASC 2007, JSC 2011): an edge monomial is one int,
-# so a product is a sum, the order is int comparison and divisibility is one
-# guard-bit test.  Generators come in as (coefficient, factors) rows.
+# The engine of buchberger_verify works on the order's packed monomials,
+# after Monagan and Pearce (sparse division with a heap over packed exponent
+# vectors; CASC 2007, JSC 2011): an edge monomial is one int, so a product is
+# a sum, the order is int comparison and divisibility is one guard-bit test.
+# Generators come in as (coefficient, factors) rows.
 
 
 # Exact monomials the front memo of one divider holds, each with its first
@@ -131,8 +127,9 @@ class _Divider:
     one call, and so do its tables and memo.  Each reducer of `rows`, its
     (coefficient, factors) rows in any order, is packed as it is read, and
     only its leading term and tail are kept.  A reducer must be homogeneous
-    of degree at most `degree`, by default the packing's limit, else
-    ValueError: no field overflows unnoticed.
+    of degree at most `degree`, by default the packing's limit, and keep
+    the row invariant (see order.py), else ValueError: no field overflows
+    unnoticed, and no term is read twice.
     """
 
     def __init__(self, packing: _Packing, rows, degree: int | None = None):
@@ -149,6 +146,7 @@ class _Divider:
             if max(degrees) > degree:
                 raise ValueError(f"a reducer of degree {max(degrees)} exceeds the declared degree {degree}")
             terms = [(packing.pack(f), c) for c, f in g]
+            _check_terms(terms)
             lt, ltc = max(terms)
             if ltc not in (1, -1):
                 raise ValueError(f"reducer has non-unit leading coefficient {ltc}")
@@ -290,20 +288,6 @@ class _Divider:
                     }
                 )
         return failures, skipped, reduced, max_terms
-
-
-def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> Polynomial:
-    """Normal form of f modulo G: no remainder term divisible by any LT(g).
-
-    Every g in G must be homogeneous, f need not be: a rewrite then keeps the
-    degree of the term it replaces, so every term fits the packing sized
-    from the inputs.  A non-homogeneous reducer raises ValueError.
-    """
-    G = list(G)
-    packing = order.packing(max([f.degree] + [g.degree for g in G]))
-    divider = _Divider(packing, ([(c, m.factors) for m, c in g.terms()] for g in G))
-    rem, _ = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
-    return packing.polynomial({-q: c for q, c in rem.items()})
 
 
 _WORKER_CTX: dict = {}
@@ -467,34 +451,6 @@ def buchberger_verify(
 # candidate bases
 # ---------------------------------------------------------------------------
 
-def off_diagonal_minor(rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
-    """3x3 minor of the symmetric variable matrix on disjoint row/column sets.
-
-    Signs are normalized so the antidiagonal term
-    x[r1,c3]*x[r2,c2]*x[r3,c1] has coefficient +1.
-    """
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != 3 or len(cols) != 3:
-        raise ValueError("need exactly three row and three column indices")
-    if len(set(rows) | set(cols)) != 6:
-        raise ValueError("row and column indices must be six distinct vertices")
-    if any(not isinstance(v, int) or v < 1 for v in rows + cols):
-        raise ValueError("indices must be positive ints")
-    acc: dict[Monomial, int] = {}
-    for perm in permutations(range(3)):
-        sign = 1 if perm in _EVEN_PERMS else -1
-        m = Monomial.from_edges((rows[a], cols[perm[a]]) for a in range(3))
-        acc[m] = acc.get(m, 0) + sign
-    anti = antidiagonal_monomial(rows, cols)
-    if acc[anti] < 0:
-        acc = {m: -c for m, c in acc.items()}
-    return Polynomial(acc)
-
-
-def antidiagonal_monomial(rows: Sequence[int], cols: Sequence[int]) -> Monomial:
-    return Monomial.from_edges((r, c) for r, c in zip(rows, reversed(tuple(cols))))
-
-
 def circular_minor_splits(subset: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The three splits of a 6-subset into circularly consecutive row/column arcs.
 
@@ -525,10 +481,10 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     A label is ("master", seq) for the master of an admissible sequence,
     ("minor", rows, cols) for the 3x3 minor on a circularly consecutive
     split, or ("product", a, b) for the product of binomials a <= b of
-    toric_gb_polynomials(n).  The secant basis is the masters of every odd
-    degree, then the minors, whose antidiagonal leading terms are the nested
-    noncrossing triples.  The symbolic-square basis is the minors, the
-    degree-3 masters, then the products in combinations_with_replacement
+    toric_gb(n), two per 4-subset.  The secant basis is the masters of every
+    odd degree, then the minors, whose antidiagonal leading terms are the
+    nested noncrossing triples.  The symbolic-square basis is the minors,
+    the degree-3 masters, then the products in combinations_with_replacement
     order.  generator_rows() builds their rows.
     """
     if not isinstance(n, int) or n < 4:
@@ -539,7 +495,7 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     if kind == SECANT:
         return [("master", s) for s in all_admissible_sequences(n)] + minors
     masters = [("master", s) for s in admissible_sequences(n, 1)]
-    pairs = combinations_with_replacement(range(len(toric_gb_polynomials(n))), 2)
+    pairs = combinations_with_replacement(range(2 * comb(n, 4)), 2)
     return minors + masters + [("product", a, b) for a, b in pairs]
 
 
@@ -554,24 +510,34 @@ def _label_degree(label: tuple) -> int:
 def _generator(label: tuple, packing: _Packing) -> list[tuple[int, int, tuple]]:
     """The terms of a master or minor label of candidate_basis as (packed
     monomial, coefficient, factors), descending in `packing`, which must hold
-    its degree."""
+    its degree.
+
+    The minor on rows r and columns c is the 3x3 minor of the symmetric
+    variable matrix, signed so that its antidiagonal term
+    x[r1,c3]*x[r2,c2]*x[r3,c1] has coefficient +1: each permutation's term
+    is packed as the sum of its edges' fields, with +1 for an odd
+    permutation, as the antidiagonal is, and -1 for an even one.
+    """
     if label[0] == "master":
         return master_terms(label[1], packing)
-    return sorted(packing.terms(off_diagonal_minor(label[1], label[2])), reverse=True)
+    r, c = label[1], label[2]
+    terms = []
+    for perm in permutations(range(3)):
+        fields = sum(1 << packing.offset[edge_var(r[a], c[perm[a]])] for a in range(3))
+        terms.append((packing.join(fields), -1 if perm in _EVEN_PERMS else 1, packing.factors(fields)))
+    return sorted(terms, reverse=True)
 
 
 def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
-    """The rows (see CircularTermOrder.rows) of the polynomials of
-    candidate_basis labels at n, in label order, each built when asked for.
+    """The rows (see order.py) of the polynomials of candidate_basis labels
+    at n, descending in the order, in label order, each built when asked for.
 
     A product's rows come from the packed terms of its two toric binomials
     under the degree-4 packing (_Packing.product_rows), a master's or a
-    minor's from _generator: no Monomial or Polynomial is built for a master
-    or a product.
+    minor's from _generator.
     """
-    toric = toric_gb_polynomials(n)
     packing = order.packing(4)
-    packed = [packing.terms(t) for t in toric]
+    packed = [packing.terms(b.rows()) for b in toric_gb(n)]
     for label in labels:
         if label[0] == "product":
             yield packing.product_rows(packed[label[1]], packed[label[2]])
@@ -646,9 +612,9 @@ def delightful_check(
     else:
         leg = "generators_member_of_symbolic_square"
         target = symbolic_square_of_edge_ideal(graph, order)
-        toric = toric_gb_polynomials(n)
+        toric = [b.rows() for b in toric_gb(n)]
         factor_ok = [in_toric_ideal(n, t) for t in toric]
-        toric_leads = [max(target.packing.terms(t))[0] for t in toric]
+        toric_leads = [target.packing.terms(t)[0][0] for t in toric]
     member = SecantClasses(n)
 
     def built(label: tuple) -> tuple[list | None, int]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable
 
-from .poly import Monomial, Polynomial, _rank_image, canonical_sorted, is_edge_var
+from .order import _check_terms
+from .poly import Monomial, _rank_image, canonical_sorted, is_edge_var
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -48,8 +49,8 @@ class BinomialGenerator:
     quadruple: tuple[int, int, int, int]
     family: int  # 1: (ij)(kl) lead, 2: (il)(jk) lead
 
-    def polynomial(self) -> Polynomial:
-        return Polynomial(((self.lead, 1), (self.trail, -1)))
+    def rows(self) -> list[tuple[int, tuple]]:
+        return [(1, self.lead.factors), (-1, self.trail.factors)]
 
 
 def toric_gb(n: int) -> list[BinomialGenerator]:
@@ -64,81 +65,48 @@ def toric_gb(n: int) -> list[BinomialGenerator]:
     return out
 
 
-def toric_gb_polynomials(n: int) -> list[Polynomial]:
-    return [g.polynomial() for g in toric_gb(n)]
-
-
 class MonomialIdeal:
     """A monomial ideal held by its inclusion-minimal generating set.
 
-    Membership and equality queries reduce to divisibility against the
-    minimal generators, which are computed once at construction and held
-    packed, as in order._Packing: each variable owns a field with a guard bit
-    above it, so g divides m iff subtracting g's fields from m's, every guard
-    set, clears no guard.  The support of a monomial is the set of guard bits
-    of its nonzero fields, and the index maps a support to the fields of
-    every generator with exactly that support.  A divisor of m has its
-    support inside m's, so only generators filed under submasks of m's
-    support are candidates.  The submasks are enumerated while there are no
-    more of them than supports in the index (at most 16 for a degree-4
-    monomial); past that, the supports are scanned.
-
-    Given Monomials, the ideal lays out a field for each variable its
-    generators use, wide enough for their largest exponent; a queried
-    monomial's exponents are capped at that width, which keeps every
-    divisibility, and a variable no generator uses plays no part.  Given a
-    CircularTermOrder `packing`, the generators are packed monomials of it:
-    `keys` holds the minimal ones, `contains_key` looks up another, and the
-    Monomials of `generators` are unpacked when first asked for.  Either
-    way a divisor is smaller in some term order, so generators sorted by
-    degree, or by packed monomial, are minimal once none before them divides
-    them.
+    The generators are packed monomials of a CircularTermOrder `packing`
+    (order._Packing), given with it: each variable owns a field with a guard
+    bit above it, so g divides m iff subtracting g's fields from m's, every
+    guard set, clears no guard.  `keys` holds the minimal generators,
+    `contains_key` looks up another packed monomial, and the Monomials of
+    `generators` are read back when first asked for.  Membership and
+    equality queries reduce to divisibility against the minimal generators,
+    which are computed once at construction.  The support of a monomial is
+    the set of guard bits of its nonzero fields, and the index maps a
+    support to the fields of every generator with exactly that support.  A
+    divisor of m has its support inside m's, so only generators filed under
+    submasks of m's support are candidates.  The submasks are enumerated
+    while there are no more of them than supports in the index (at most 16
+    for a degree-4 monomial); past that, the supports are scanned.  A
+    divisor is smaller in the term order, so generators sorted by packed
+    monomial are minimal once none before them divides them.
     """
 
-    __slots__ = ("packing", "keys", "_offset", "_limit", "_guard", "_ones", "_by_support", "_generators")
+    __slots__ = ("packing", "keys", "_by_support", "_generators")
 
-    def __init__(self, generators: Iterable = (), packing=None):
+    def __init__(self, generators: Iterable[int], packing):
         self.packing = packing
         self._by_support: dict[int, list[int]] = {}
-        if packing is None:
-            gens = canonical_sorted(generators)
-            variables = sorted({v for m in gens for v, _ in m.factors})
-            bits = max([1] + [e for m in gens for _, e in m.factors]).bit_length()
-            self._offset = {v: (bits + 1) * k for k, v in enumerate(variables)}
-            self._limit = (1 << bits) - 1
-            self._ones = sum(1 << at for at in self._offset.values())
-            self._guard = self._ones << bits
-            kept, keys = [], []
-            for m in gens:
-                fields = self._fields(m)
-                if self._keep(fields):
-                    kept.append(m)
-                    keys.append(fields)
-            self._generators, self.keys = tuple(kept), tuple(keys)
-        else:
-            self._offset, self._limit = packing.offset, packing.limit
-            self._ones, self._guard = packing.ones, packing.guard
-            self._generators = None
-            self.keys = tuple(p for p in sorted(set(generators)) if self._keep(p & packing.fields_mask))
-
-    def _fields(self, m: Monomial) -> int:
-        """m's exponents, capped at the field width, in the fields of the
-        variables the ideal lays out."""
-        offset, limit = self._offset, self._limit
-        return sum(min(e, limit) << offset[v] for v, e in m.factors if v in offset)
+        self._generators = None
+        self.keys = tuple(p for p in sorted(set(generators)) if self._keep(p & packing.fields_mask))
 
     def _keep(self, fields: int) -> bool:
         """Index a generator unless an indexed one divides it."""
         if self._has_divisor(fields):
             return False
-        self._by_support.setdefault(((fields | self._guard) - self._ones) & self._guard, []).append(fields)
+        guard = self.packing.guard
+        self._by_support.setdefault(((fields | guard) - self.packing.ones) & guard, []).append(fields)
         return True
 
     def _has_divisor(self, fields: int) -> bool:
         """Whether an indexed generator divides the monomial with these fields."""
-        guard, index = self._guard, self._by_support
+        guard, index = self.packing.guard, self._by_support
         pg = fields | guard
-        support = (pg - self._ones) & guard
+        support = (pg - self.packing.ones) & guard
         if 1 << support.bit_count() <= len(index):
             sub = support
             while True:
@@ -161,7 +129,8 @@ class MonomialIdeal:
     def generators(self) -> tuple[Monomial, ...]:
         """The minimal generators, in canonical order."""
         if self._generators is None:
-            self._generators = tuple(canonical_sorted(map(self.packing.unpack, self.keys)))
+            factors = self.packing.factors
+            self._generators = tuple(canonical_sorted(Monomial._with(factors(p)) for p in self.keys))
         return self._generators
 
     @property
@@ -170,12 +139,6 @@ class MonomialIdeal:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def contains(self, m: Monomial) -> bool:
-        """True iff some minimal generator divides m."""
-        return self._has_divisor(self._fields(m))
-
-    __contains__ = contains
 
     def contains_key(self, p: int) -> bool:
         """True iff some minimal generator divides the monomial packed as p
@@ -195,12 +158,6 @@ class MonomialIdeal:
         return f"MonomialIdeal({len(self)} minimal generators)"
 
 
-def _rows(p) -> list:
-    """The (coefficient, factors) rows of a Polynomial's terms; rows are
-    returned as they are."""
-    return [(c, m.factors) for m, c in p.terms()] if isinstance(p, Polynomial) else p
-
-
 def _validate_ambient(n: int, variables: Iterable) -> None:
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"need n >= 3, got {n!r}")
@@ -216,17 +173,16 @@ def _variables(rows) -> set:
     return {v for v, _ in chain.from_iterable(f for _, f in rows)}
 
 
-def in_toric_ideal(n: int, p) -> bool:
-    """Exact membership in the kernel of x[a,b] -> t_a*t_b, for a Polynomial
-    or its (coefficient, factors) rows."""
-    rows = _rows(p)
+def in_toric_ideal(n: int, rows) -> bool:
+    """Exact membership in the kernel of x[a,b] -> t_a*t_b, for the
+    polynomial with these (coefficient, factors) rows."""
     _validate_ambient(n, _variables(rows))
-    return _rank_image(rows, 1, None).is_zero
+    return not _rank_image(rows, 1, None)
 
 
-def in_secant_ideal(n: int, p) -> bool:
-    """Exact membership in the rank-2 vanishing ideal, for a homogeneous
-    Polynomial or its (coefficient, factors) rows.
+def in_secant_ideal(n: int, rows) -> bool:
+    """Exact membership in the rank-2 vanishing ideal, for the homogeneous
+    polynomial with these (coefficient, factors) rows.
 
     p vanishes on the rank-2 locus iff its image under x[a,b] ->
     t_a*t_b + u_a*u_b is zero.  That image is invariant under O(2, C) acting
@@ -237,11 +193,10 @@ def in_secant_ideal(n: int, p) -> bool:
     the smallest label on a tie: every such factor then takes only its
     t choice in the expansion.
     """
-    rows = _rows(p)
     _validate_ambient(n, _variables(rows))
     if len({sum(e for _, e in f) for _, f in rows}) > 1:
         raise ValueError("secant membership oracle requires a homogeneous polynomial")
-    return _rank_image(rows, 2, _pinned_vertex(rows)).is_zero
+    return not _rank_image(rows, 2, _pinned_vertex(rows))
 
 
 def _pinned_vertex(rows) -> int | None:
@@ -258,7 +213,8 @@ def _pinned_vertex(rows) -> int | None:
 class SecantClasses:
     """in_secant_ideal at n, its verdicts memoized by relabelling class.
 
-    Called on the (coefficient, factors) rows of a homogeneous polynomial.
+    Called on the (coefficient, factors) rows of a homogeneous polynomial;
+    rows that break the row invariant (see order.py) raise ValueError.
     The secant ideal is S_n-invariant, so a vertex relabelling keeps every
     verdict.  The class key relabels the vertices the rows use, increasingly,
     to 0..|support|-1, packs each relabelled term with a field per edge, and
@@ -297,4 +253,6 @@ class SecantClasses:
             a, b = rank[a], rank[b]
             packed[pair] = e << w * (b * (b - 1) // 2 + a)
         get = packed.__getitem__
-        return w, frozenset((sum(map(get, f)), c) for c, f in rows)
+        terms = [(sum(map(get, f)), c) for c, f in rows]
+        _check_terms(terms)
+        return w, frozenset(terms)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .hypersimplex import SecantClasses, _validate_ambient
+from .hypersimplex import SecantClasses, _validate_ambient, _variables
 from .noncrossing import AdmissibleSequence, cycle_monomial
 from .order import CircularTermOrder, _Packing
-from .poly import Monomial, Polynomial, edge_var
+from .poly import edge_var
 
 
 @lru_cache(maxsize=2)
@@ -90,13 +90,6 @@ def _order(n: int) -> CircularTermOrder:
     return CircularTermOrder(n)
 
 
-def master_polynomial(s: AdmissibleSequence) -> Polynomial:
-    """Sign-weighted conjugation sum attached to an admissible sequence: the
-    Polynomial of master_terms."""
-    packing = _order(max(3, s.min_ambient())).packing(s.length)
-    return Polynomial._of({Monomial._with(f): c for _, c, f in master_terms(s, packing)})
-
-
 def verify_membership(n: int, s: AdmissibleSequence, member: SecantClasses | None = None) -> bool:
     """Nonzero and inside the rank-2 vanishing ideal, by `member`, or by a
     SecantClasses of its own when none is given."""
@@ -104,8 +97,10 @@ def verify_membership(n: int, s: AdmissibleSequence, member: SecantClasses | Non
     return bool(rows) and (member or SecantClasses(n))(rows)
 
 
-def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
-    """All partial derivatives of order 1..bound lie in the toric ideal.
+def verify_prolongation(n: int, rows, bound: int) -> bool:
+    """All partial derivatives of order 1..bound of the homogeneous
+    polynomial f with these (coefficient, factors) rows lie in the toric
+    ideal.
 
     Vanishing derivatives pass; f itself is not required to be a member.
     No derivative is built.  Write phi for the rank-1 image
@@ -125,18 +120,20 @@ def verify_prolongation(n: int, f: Polynomial, bound: int) -> bool:
     field per edge of f; no vertex degree and no d_v exceeds deg f, so no
     field carries.
     """
-    if not f.is_homogeneous:
+    degrees = {sum(e for _, e in f) for _, f in rows}
+    if len(degrees) > 1:
         raise ValueError("prolongation check requires a homogeneous polynomial")
     if not isinstance(bound, int) or bound < 0:
         raise ValueError(f"need bound >= 0, got {bound!r}")
-    _validate_ambient(n, f.variables())
-    width = f.degree.bit_length()
-    fields = {v: i * width for i, v in enumerate(f.variables())}
+    variables = sorted(_variables(rows))
+    _validate_ambient(n, variables)
+    width = max(degrees, default=0).bit_length()
+    fields = {v: i * width for i, v in enumerate(variables)}
     groups: dict[int, list] = {}
-    for m, c in f.terms():
+    for c, factors in rows:
         image = 0
         units = []
-        for v, e in m.factors:
+        for v, e in factors:
             image += (e << v[1] * width) + (e << v[2] * width)
             units += [1 << fields[v]] * e
         groups.setdefault(image, []).append((units, c))

@@ -94,8 +94,11 @@ class NoncrossingGraph:
 
 def initial_edge_ideal(n: int) -> MonomialIdeal:
     """The ideal of all noncrossing chord pairs, i.e. the toric initial ideal:
-    one generator per edge of the noncrossing graph.  Needs n >= 3."""
-    return MonomialIdeal(Monomial.from_edges(p) for p in NoncrossingGraph(n).adjacency_pairs())
+    one generator per edge of the noncrossing graph, packed in the grevlex
+    packing for degree 2 (see _chord_keys).  Needs n >= 3."""
+    g = NoncrossingGraph(n)
+    packing, key = _chord_keys(g, None, 2)
+    return MonomialIdeal([key[e] + key[f] for e, f in g.adjacency_pairs()], packing)
 
 
 def odd_floor(n: int) -> int:

@@ -10,19 +10,31 @@ which is the property all the leading-term results here rely on.
 The order is encoded once, as a packed integer weight (`_Packing`).  The
 same ints sort output terms and drive division in the S-pair engine.
 
-Every polynomial a command writes is first put in one form, its rows: the
-(coefficient, factors) pairs of its terms, descending in the order.
-`CircularTermOrder.rows` gives the rows of a Polynomial;
-`_Packing.product_rows` gives those of a product straight from its factors'
-packed terms, and `master.master_terms` those of a master from its packed
-conjugates, read back by `_Packing.factors`.
+Every polynomial is held in one form, its rows: the (coefficient, factors)
+pairs of its terms.  Rows name each monomial at most once, each with a
+nonzero coefficient; a consumer that keys terms by monomial raises
+ValueError on rows that break this (_check_terms).  Rows are in any order
+unless said otherwise; every polynomial a command writes is descending in
+the order.  `_Packing.terms` packs and sorts rows, `_Packing.product_rows`
+gives the rows of a product straight from its factors' packed terms, and
+`master.master_terms` those of a master from its packed conjugates, read
+back by `_Packing.factors`.
 """
 
 from __future__ import annotations
 
-from .poly import Monomial, Polynomial, _interned, is_edge_var, product_factors
+from .poly import _interned, is_edge_var, product_factors
 
 INNER_ORDERS = ("grevlex", "lex")
+
+
+def _check_terms(terms) -> None:
+    """Raise ValueError unless these (monomial key, coefficient) pairs, one
+    per row, keep the row invariant."""
+    if len({k for k, _ in terms}) < len(terms):
+        raise ValueError("the rows name a monomial twice")
+    if not all(c for _, c in terms):
+        raise ValueError("the rows hold a zero coefficient")
 
 
 def edge_class(n: int, e: tuple[int, int]) -> int:
@@ -45,9 +57,9 @@ class CircularTermOrder:
     Inside each class block the variables are ranked ascending by (a, b) and
     compared with the selected inner order, graded reverse lex by default.
     Comparison proceeds block 1, block 2, ... so any monomial with more
-    weight in an earlier class wins.  `sort_key(degree)` ranks monomials of
-    total degree at most `degree`; its packing is built on first use and
-    kept, one per field width.
+    weight in an earlier class wins.  `packing(degree)` ranks monomials of
+    total degree at most `degree`; it is built on first use and kept, one
+    per field width.
     """
 
     __slots__ = ("n", "inner", "_blocks", "_packings")
@@ -82,32 +94,6 @@ class CircularTermOrder:
         if pk is None:
             pk = self._packings[bits] = _Packing(self, bits)
         return pk
-
-    def sort_key(self, degree: int):
-        """Sort key for monomials of total degree at most `degree`:
-        m1 precedes m2 in the order iff key(m1) < key(m2)."""
-        pack = self.packing(degree).pack
-        return lambda m: pack(m.factors)
-
-    def rows(self, p: Polynomial) -> list[tuple[int, tuple]]:
-        """The terms of p as (coefficient, factors) rows, descending in the order."""
-        return [(c, f) for _, c, f in sorted(self.packing(p.degree).terms(p), reverse=True)]
-
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0 or 1 as m1 is below, equal to or above m2."""
-        key = self.sort_key(max(m1.degree, m2.degree))
-        k1, k2 = key(m1), key(m2)
-        return (k1 > k2) - (k1 < k2)
-
-    def leading_term(self, p: Polynomial) -> tuple[Monomial, int]:
-        """The maximal monomial of p with its coefficient; p must be nonzero."""
-        if p.is_zero:
-            raise ValueError("the zero polynomial has no leading term")
-        m = max(p.monomials(), key=self.sort_key(p.degree))
-        return m, p.coefficient(m)
-
-    def leading_monomial(self, p: Polynomial) -> Monomial:
-        return self.leading_term(p)[0]
 
     def __repr__(self) -> str:
         return f"CircularTermOrder(n={self.n}, inner={self.inner!r})"
@@ -180,17 +166,17 @@ class _Packing:
             fields += e << at
         return self.join(fields)
 
-    def terms(self, p: Polynomial) -> list[tuple[int, int, tuple]]:
-        """The terms of p as (packed monomial, coefficient, factors)."""
+    def terms(self, rows) -> list[tuple[int, int, tuple]]:
+        """The rows as (packed monomial, coefficient, factors), descending."""
         pack = self.pack
-        return [(pack(m.factors), c, m.factors) for m, c in p.terms()]
+        return sorted(((pack(f), c, f) for c, f in rows), reverse=True)
 
     def product_rows(self, a: list, b: list) -> list[tuple[int, tuple]]:
         """The rows of the product of two polynomials given by their terms()
-        in this packing, which must hold the product's degree.
+        in this packing, which must hold the product's degree, descending.
 
         Each pair of terms gives one packed monomial, the sum of theirs; equal
-        ones merge, and a zero coefficient drops out, as in Polynomial.  The
+        ones merge, and a zero coefficient drops out.  The
         factors of a surviving term are merged from one pair that gives it, so
         no Monomial is built.
         """
@@ -213,7 +199,7 @@ class _Packing:
         return rows
 
     def factors(self, p: int) -> tuple:
-        """The factors of the packed monomial p, as a Monomial holds them:
+        """The factors of the packed monomial p, as rows hold them:
         read off the slots whose guard bit marks them nonzero.  Each slot's
         bits, in place, key its interned (variable, exponent) pair in
         `_pairs`, which holds at most one entry per pair."""
@@ -231,9 +217,3 @@ class _Packing:
             support ^= low
         pairs.sort()
         return tuple(pairs)
-
-    def unpack(self, p: int) -> Monomial:
-        return Monomial._with(self.factors(p))
-
-    def polynomial(self, terms: dict) -> Polynomial:
-        return Polynomial((self.unpack(p), c) for p, c in terms.items())

@@ -1,10 +1,11 @@
-"""Exact sparse multivariate polynomial arithmetic over arbitrary-precision ints.
+"""Edge monomials, their exact (coefficient, factors) rows, and their text.
 
-Polynomials live in the edge variables x[a,b] (chords of a labelled n-gon,
-stored with a < b) and, for the rank-substitution oracles, in the parameter
-variables t[i] and u[i].  Coefficients are plain Python ints, so every
-operation is exact.  A polynomial is a mapping from monomials to nonzero
-coefficients; the zero polynomial is the empty mapping.
+A polynomial lives in the edge variables x[a,b] (chords of a labelled n-gon,
+stored with a < b) and is held as its rows: (coefficient, factors) pairs with
+plain Python int coefficients, so every operation is exact (see order.py for
+the row invariant).  A Monomial is one term's factors as a hashable value,
+for output and monomial ideals.  The rank-substitution oracle expands rows
+on packed parameter monomials and builds no Monomial.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads or processes.
@@ -15,12 +16,12 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-# A variable is a plain tuple: ('x', a, b) with a < b, ('t', i) or ('u', i).
+# A variable is a plain tuple: ('x', a, b) with a < b.
 Variable = tuple
 
-_EDGE, _PARAM_T, _PARAM_U = "x", "t", "u"
+_EDGE = "x"
 
 
 def edge_var(a: int, b: int) -> Variable:
@@ -34,20 +35,6 @@ def edge_var(a: int, b: int) -> Variable:
     if a > b:
         a, b = b, a
     return (_EDGE, a, b)
-
-
-def param_t(i: int) -> Variable:
-    """Parameter variable t[i] of the first substitution family."""
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"parameter index must be a positive int, got {i!r}")
-    return (_PARAM_T, i)
-
-
-def param_u(i: int) -> Variable:
-    """Parameter variable u[i] of the second substitution family."""
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"parameter index must be a positive int, got {i!r}")
-    return (_PARAM_U, i)
 
 
 def is_edge_var(v: Variable) -> bool:
@@ -111,10 +98,6 @@ class Monomial:
         return m
 
     @classmethod
-    def one(cls) -> "Monomial":
-        return cls(())
-
-    @classmethod
     def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Monomial":
         """Monomial from edge endpoint pairs; repeats accumulate exponents."""
         acc: dict[Variable, int] = {}
@@ -126,46 +109,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(e for _, e in self.factors)
-
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
-
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v, _ in self.factors)
-
-    def exponent(self, v: Variable) -> int:
-        for w, e in self.factors:
-            if w == v:
-                return e
-        return 0
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial._with(product_factors(self.factors, other.factors))
-
-    def divides(self, other: "Monomial") -> bool:
-        d = dict(other.factors)
-        return all(d.get(v, 0) >= e for v, e in self.factors)
-
-    def divide_by(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if not divisible."""
-        d = dict(self.factors)
-        for v, e in other.factors:
-            r = d.get(v, 0) - e
-            if r < 0:
-                raise ValueError(f"{other} does not divide {self}")
-            if r:
-                d[v] = r
-            else:
-                d.pop(v, None)
-        return Monomial(d)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        d = dict(self.factors)
-        for v, e in other.factors:
-            if d.get(v, 0) < e:
-                d[v] = e
-        return Monomial(d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.factors == other.factors
@@ -198,150 +141,11 @@ def canonical_sorted(monomials: Iterable[Monomial]) -> list[Monomial]:
     return sorted(distinct, key=lambda m: (sum(map(exponent, m.factors)), *map(rank, m.factors)))
 
 
-class Polynomial:
-    """A sparse polynomial: monomials mapped to nonzero int coefficients."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
-        if isinstance(terms, dict) or isinstance(terms, Mapping):
-            terms = terms.items()
-        acc: dict[Monomial, int] = {}
-        for m, c in terms:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficient must be an int, got {c!r}")
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-        self._terms = acc
-
-    # ----- constructors -----
-
-    @classmethod
-    def _of(cls, terms: dict) -> "Polynomial":
-        """Trusted constructor: `terms` maps monomials to nonzero int
-        coefficients and becomes the polynomial's own dict, unchecked."""
-        p = object.__new__(cls)
-        p._terms = terms
-        return p
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def from_monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
-        return cls(((m, coeff),))
-
-    @classmethod
-    def variable(cls, v: Variable) -> "Polynomial":
-        return cls(((Monomial(((v, 1),)), 1),))
-
-    @classmethod
-    def constant(cls, c: int) -> "Polynomial":
-        return cls(((Monomial.one(), c),))
-
-    @classmethod
-    def from_edge_terms(cls, terms: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> "Polynomial":
-        """Build from (coefficient, edge pair list) entries.  Test-fixture friendly."""
-        return cls((Monomial.from_edges(pairs), c) for c, pairs in terms)
-
-    # ----- queries -----
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m.degree for m in self._terms)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self._terms}
-        return len(degs) <= 1
-
-    def coefficient(self, m: Monomial) -> int:
-        return self._terms.get(m, 0)
-
-    def terms(self) -> Iterator[tuple[Monomial, int]]:
-        return iter(self._terms.items())
-
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(self._terms)
-
-    def variables(self) -> tuple[Variable, ...]:
-        seen = {v for m in self._terms for v, _ in m.factors}
-        return tuple(sorted(seen))
-
-    def uses_only_edge_vars(self) -> bool:
-        return all(v[0] == _EDGE for m in self._terms for v, _ in m.factors)
-
-    # ----- arithmetic -----
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = acc.get(m, 0) + c
-            if nc:
-                acc[m] = nc
-            else:
-                acc.pop(m, None)
-        return Polynomial._of(acc)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return Polynomial.zero()
-            return Polynomial._of({m: c * other for m, c in self._terms.items()})
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        acc: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mm = m1.mul(m2)
-                nc = acc.get(mm, 0) + c1 * c2
-                if nc:
-                    acc[mm] = nc
-                else:
-                    acc.pop(mm, None)
-        return Polynomial._of(acc)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self) -> str:
-        return f"Polynomial({format_polynomial(self)})"
-
-
-def _rank_image(rows, r: int, pinned: int | None) -> Polynomial:
+def _rank_image(rows, r: int, pinned: int | None) -> dict[int, int]:
     """The image of the edge polynomial with these (coefficient, factors)
     rows under x[a,b] -> t_a*t_b (r = 1) or t_a*t_b + u_a*u_b (r = 2), with
-    u_pinned = 0.
+    u_pinned = 0, as its packed parameter monomials mapped to their nonzero
+    coefficients: empty iff the image is zero.
 
     Write v_a = (t_a, u_a).  Then x[a,b] -> t_a*t_b + u_a*u_b is the bilinear
     form <v_a, v_b>, which O(2, C) preserves.  Any v_pinned with
@@ -356,7 +160,8 @@ def _rank_image(rows, r: int, pinned: int | None) -> Polynomial:
     one field for t_v and one for u_v, so x[a,b] maps to the ints T_a+T_b and
     U_a+U_b and multiplying by a factor is an add.  An edge raises any one
     parameter by at most 1, so no exponent exceeds p's degree and fields of
-    its bit length never carry.  Only surviving terms become Monomials.
+    its bit length never carry.  The packed monomials are returned as they
+    are: only whether the image is zero is ever asked.
     """
     powers = set(chain.from_iterable(f for _, f in rows))
     w = max([1, *(sum(e for _, e in f) for _, f in rows)]).bit_length()
@@ -394,13 +199,7 @@ def _rank_image(rows, r: int, pinned: int | None) -> Polynomial:
             expansion = nxt
         for q, qc in expansion.items():
             acc[q] = acc.get(q, 0) + qc
-    mask = (1 << w) - 1
-    fields = [(v(a), k + shift) for a, k in at.items() for v, shift in ((param_t, 0), (param_u, w))]
-    return Polynomial(
-        (Monomial(((v, e) for v, k in fields if (e := q >> k & mask))), qc)
-        for q, qc in acc.items()
-        if qc
-    )
+    return {q: qc for q, qc in acc.items() if qc}
 
 
 # ----- text grammar -----
@@ -408,10 +207,8 @@ def _rank_image(rows, r: int, pinned: int | None) -> Polynomial:
 # term      := sign magnitude ('*' factor)*          e.g.  -1*x[1,2]*x[3,4]^2
 # factor    := x[a,b] | t[i] | u[i], optional ^e for e > 1
 # polynomial:= term (' ' term)*  or  "0"
-# A polynomial is written from its rows, (coefficient, factors) pairs in the
-# order its terms are listed: descending under the term order for every
-# polynomial a command writes (CircularTermOrder.rows), descending under a
-# given key, canonical degree-then-factors by default, in format_polynomial.
+# A polynomial is written from its rows in the order they are listed:
+# descending under the term order for every polynomial a command writes.
 # Factors are sorted.
 
 
@@ -439,8 +236,3 @@ def format_rows(rows) -> str:
     if not rows:
         return "0"
     return " ".join(f"{c:+d}*{format_factors(f)}" if f else f"{c:+d}" for c, f in rows)
-
-
-def format_polynomial(p: Polynomial, key=canonical_key) -> str:
-    """Signed-term text per the shared grammar, descending under `key`."""
-    return format_rows([(c, m.factors) for m, c in sorted(p.terms(), key=lambda t: key(t[0]), reverse=True)])

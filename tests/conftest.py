@@ -3,8 +3,8 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Mapping
+from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
 from hypothesis import strategies as st
@@ -14,20 +14,366 @@ from hypersecant import (
     Monomial,
     MonomialIdeal,
     NoncrossingGraph,
-    Polynomial,
-    antidiagonal_monomial,
     edge_var,
     in_toric_ideal,
     initial_edge_ideal,
-    param_t,
-    param_u,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
 from hypersecant import groebner
 from hypersecant.groebner import _minor_splits, candidate_basis
+from hypersecant.master import _order, master_terms
 from hypersecant.noncrossing import odd_floor
-from hypersecant.poly import _rank_image
+from hypersecant.poly import Variable, _EDGE, canonical_key, format_rows, product_factors
+
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic.  The engine holds every polynomial as its
+# (coefficient, factors) rows; the tests compare those rows against the plain
+# Polynomial values below.  The Monomial and term-order operations the engine
+# does not use are functions here, of the monomial or of the order.
+# ---------------------------------------------------------------------------
+
+_PARAM_T, _PARAM_U = "t", "u"
+
+
+def param_t(i: int) -> Variable:
+    """Parameter variable t[i] of the first substitution family."""
+    if not isinstance(i, int) or i < 1:
+        raise ValueError(f"parameter index must be a positive int, got {i!r}")
+    return (_PARAM_T, i)
+
+
+def param_u(i: int) -> Variable:
+    """Parameter variable u[i] of the second substitution family."""
+    if not isinstance(i, int) or i < 1:
+        raise ValueError(f"parameter index must be a positive int, got {i!r}")
+    return (_PARAM_U, i)
+
+
+def one() -> Monomial:
+    return Monomial(())
+
+
+def is_one(m: Monomial) -> bool:
+    return not m.factors
+
+
+def variables(m: Monomial) -> tuple[Variable, ...]:
+    return tuple(v for v, _ in m.factors)
+
+
+def exponent(m: Monomial, v: Variable) -> int:
+    for w, e in m.factors:
+        if w == v:
+            return e
+    return 0
+
+
+def mul(m: Monomial, other: Monomial) -> Monomial:
+    return Monomial._with(product_factors(m.factors, other.factors))
+
+
+def divides(m: Monomial, other: Monomial) -> bool:
+    d = dict(other.factors)
+    return all(d.get(v, 0) >= e for v, e in m.factors)
+
+
+def divide_by(m: Monomial, other: Monomial) -> Monomial:
+    """Exact quotient m / other; raises if not divisible."""
+    d = dict(m.factors)
+    for v, e in other.factors:
+        r = d.get(v, 0) - e
+        if r < 0:
+            raise ValueError(f"{other} does not divide {m}")
+        if r:
+            d[v] = r
+        else:
+            d.pop(v, None)
+    return Monomial(d)
+
+
+def lcm(m: Monomial, other: Monomial) -> Monomial:
+    d = dict(m.factors)
+    for v, e in other.factors:
+        if d.get(v, 0) < e:
+            d[v] = e
+    return Monomial(d)
+
+
+class Polynomial:
+    """A sparse polynomial: monomials mapped to nonzero int coefficients."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[Monomial, int] | Iterable[tuple[Monomial, int]] = ()):
+        if isinstance(terms, dict) or isinstance(terms, Mapping):
+            terms = terms.items()
+        acc: dict[Monomial, int] = {}
+        for m, c in terms:
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient must be an int, got {c!r}")
+            nc = acc.get(m, 0) + c
+            if nc:
+                acc[m] = nc
+            else:
+                acc.pop(m, None)
+        self._terms = acc
+
+    # ----- constructors -----
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Polynomial":
+        """Trusted constructor: `terms` maps monomials to nonzero int
+        coefficients and becomes the polynomial's own dict, unchecked."""
+        p = object.__new__(cls)
+        p._terms = terms
+        return p
+
+    @classmethod
+    def zero(cls) -> "Polynomial":
+        return cls(())
+
+    @classmethod
+    def from_monomial(cls, m: Monomial, coeff: int = 1) -> "Polynomial":
+        return cls(((m, coeff),))
+
+    @classmethod
+    def variable(cls, v: Variable) -> "Polynomial":
+        return cls(((Monomial(((v, 1),)), 1),))
+
+    @classmethod
+    def constant(cls, c: int) -> "Polynomial":
+        return cls(((one(), c),))
+
+    @classmethod
+    def from_edge_terms(cls, terms: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> "Polynomial":
+        """Build from (coefficient, edge pair list) entries.  Test-fixture friendly."""
+        return cls((Monomial.from_edges(pairs), c) for c, pairs in terms)
+
+    # ----- queries -----
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    @property
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    @property
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        if not self._terms:
+            return -1
+        return max(m.degree for m in self._terms)
+
+    @property
+    def is_homogeneous(self) -> bool:
+        degs = {m.degree for m in self._terms}
+        return len(degs) <= 1
+
+    def coefficient(self, m: Monomial) -> int:
+        return self._terms.get(m, 0)
+
+    def terms(self) -> Iterator[tuple[Monomial, int]]:
+        return iter(self._terms.items())
+
+    def monomials(self) -> Iterator[Monomial]:
+        return iter(self._terms)
+
+    def variables(self) -> tuple[Variable, ...]:
+        seen = {v for m in self._terms for v, _ in m.factors}
+        return tuple(sorted(seen))
+
+    def uses_only_edge_vars(self) -> bool:
+        return all(v[0] == _EDGE for m in self._terms for v, _ in m.factors)
+
+    # ----- arithmetic -----
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
+            nc = acc.get(m, 0) + c
+            if nc:
+                acc[m] = nc
+            else:
+                acc.pop(m, None)
+        return Polynomial._of(acc)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._of({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            if other == 0:
+                return Polynomial.zero()
+            return Polynomial._of({m: c * other for m, c in self._terms.items()})
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        acc: dict[Monomial, int] = {}
+        for m1, c1 in self._terms.items():
+            for m2, c2 in other._terms.items():
+                mm = mul(m1, m2)
+                nc = acc.get(mm, 0) + c1 * c2
+                if nc:
+                    acc[mm] = nc
+                else:
+                    acc.pop(mm, None)
+        return Polynomial._of(acc)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Polynomial) and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    def __repr__(self) -> str:
+        return f"Polynomial({format_polynomial(self)})"
+
+
+def format_polynomial(p: Polynomial, key=canonical_key) -> str:
+    """Signed-term text per the shared grammar, descending under `key`."""
+    return format_rows([(c, m.factors) for m, c in sorted(p.terms(), key=lambda t: key(t[0]), reverse=True)])
+
+
+def poly_rows(p: Polynomial) -> list[tuple[int, tuple]]:
+    """The (coefficient, factors) rows of p, in its term order."""
+    return [(c, m.factors) for m, c in p.terms()]
+
+
+def polynomial_of(rows) -> Polynomial:
+    """The Polynomial with these (coefficient, factors) rows."""
+    return Polynomial((Monomial(f), c) for c, f in rows)
+
+
+def sort_key(order: CircularTermOrder, degree: int):
+    """Sort key for monomials of total degree at most `degree`:
+    m1 precedes m2 in the order iff key(m1) < key(m2)."""
+    pack = order.packing(degree).pack
+    return lambda m: pack(m.factors)
+
+
+def order_rows(order: CircularTermOrder, p: Polynomial) -> list[tuple[int, tuple]]:
+    """The terms of p as (coefficient, factors) rows, descending in the order."""
+    return [(c, f) for _, c, f in order.packing(p.degree).terms(poly_rows(p))]
+
+
+def compare(order: CircularTermOrder, m1: Monomial, m2: Monomial) -> int:
+    """-1, 0 or 1 as m1 is below, equal to or above m2."""
+    key = sort_key(order, max(m1.degree, m2.degree))
+    k1, k2 = key(m1), key(m2)
+    return (k1 > k2) - (k1 < k2)
+
+
+def leading_term(order: CircularTermOrder, p: Polynomial) -> tuple[Monomial, int]:
+    """The maximal monomial of p with its coefficient; p must be nonzero."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no leading term")
+    m = max(p.monomials(), key=sort_key(order, p.degree))
+    return m, p.coefficient(m)
+
+
+def leading_monomial(order: CircularTermOrder, p: Polynomial) -> Monomial:
+    return leading_term(order, p)[0]
+
+
+def unpack(packing, p: int) -> Monomial:
+    return Monomial._with(packing.factors(p))
+
+
+def packed_polynomial(packing, terms: dict) -> Polynomial:
+    """The Polynomial of packed monomials mapped to their coefficients."""
+    return Polynomial((unpack(packing, p), c) for p, c in terms.items())
+
+
+def reduce(f: Polynomial, G: Sequence[Polynomial], order: CircularTermOrder) -> Polynomial:
+    """Normal form of f modulo G by the engine's divider: no remainder term
+    divisible by any LT(g).
+
+    Every g in G must be homogeneous, f need not be: a rewrite then keeps the
+    degree of the term it replaces, so every term fits the packing sized
+    from the inputs.  A non-homogeneous reducer raises ValueError.
+    """
+    G = list(G)
+    packing = order.packing(max([f.degree] + [g.degree for g in G]))
+    divider = groebner._Divider(packing, (poly_rows(g) for g in G))
+    rem, _ = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
+    return packed_polynomial(packing, {-q: c for q, c in rem.items()})
+
+
+_EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def off_diagonal_minor(rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+    """3x3 minor of the symmetric variable matrix on disjoint row/column sets.
+
+    Signs are normalized so the antidiagonal term
+    x[r1,c3]*x[r2,c2]*x[r3,c1] has coefficient +1.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    if len(rows) != 3 or len(cols) != 3:
+        raise ValueError("need exactly three row and three column indices")
+    if len(set(rows) | set(cols)) != 6:
+        raise ValueError("row and column indices must be six distinct vertices")
+    if any(not isinstance(v, int) or v < 1 for v in rows + cols):
+        raise ValueError("indices must be positive ints")
+    acc: dict[Monomial, int] = {}
+    for perm in permutations(range(3)):
+        sign = 1 if perm in _EVEN_PERMS else -1
+        m = Monomial.from_edges((rows[a], cols[perm[a]]) for a in range(3))
+        acc[m] = acc.get(m, 0) + sign
+    anti = antidiagonal_monomial(rows, cols)
+    if acc[anti] < 0:
+        acc = {m: -c for m, c in acc.items()}
+    return Polynomial(acc)
+
+
+def antidiagonal_monomial(rows: Sequence[int], cols: Sequence[int]) -> Monomial:
+    return Monomial.from_edges((r, c) for r, c in zip(rows, reversed(tuple(cols))))
+
+
+def master_polynomial(s) -> Polynomial:
+    """Sign-weighted conjugation sum attached to an admissible sequence: the
+    Polynomial of master_terms."""
+    packing = _order(max(3, s.min_ambient())).packing(s.length)
+    return Polynomial._of({Monomial._with(f): c for _, c, f in master_terms(s, packing)})
+
+
+def toric_gb_polynomials(n: int) -> list[Polynomial]:
+    """The binomials of toric_gb(n) as groebner reads them, so a
+    substitute_toric substitution shows here too."""
+    return [polynomial_of(g.rows()) for g in groebner.toric_gb(n)]
+
+
+def reference_polynomial(terms) -> Polynomial:
+    return Polynomial.from_edge_terms(terms)
+
+
+def packed_ideal(generators, probes=(), n=8, inner="grevlex"):
+    """The MonomialIdeal of these edge Monomials, packed in the circular
+    order at n, under the packing for the largest degree among the
+    generators and the probes: every probe can then be asked about with
+    ideal_contains."""
+    degree = max([1] + [m.degree for m in [*generators, *probes]])
+    packing = CircularTermOrder(n, inner).packing(degree)
+    return MonomialIdeal([packing.pack(m.factors) for m in generators], packing)
+
+
+def ideal_contains(ideal, m: Monomial) -> bool:
+    """MonomialIdeal.contains_key on m packed in the ideal's packing, which
+    must hold its degree."""
+    assert m.degree <= ideal.packing.limit, "the probe does not fit the ideal's packing"
+    return ideal.contains_key(ideal.packing.pack(m.factors))
 
 
 def both_inner_orders(n):
@@ -36,18 +382,28 @@ def both_inner_orders(n):
     return CircularTermOrder(n, "grevlex"), CircularTermOrder(n, "lex")
 
 
+# The polynomials substitute_generators substitutes, by label.
+_SUBSTITUTES: dict = {}
+
+
 def label_polynomials(n, labels):
     """The Polynomial of each candidate_basis label at n, in label order: a
     reference builder that forms the product ("product", a, b) as
-    toric[a] * toric[b], and a master or minor from its packed terms by
-    groebner._generator.  The rows of groebner.generator_rows are checked
-    against it."""
-    toric = groebner.toric_gb_polynomials(n)
+    toric[a] * toric[b] and the minor ("minor", rows, cols) as
+    off_diagonal_minor(rows, cols), in Polynomial arithmetic, and a master
+    from its packed terms by groebner._generator.  A label substituted by
+    substitute_generators gives its substitute.  The rows of
+    groebner.generator_rows are checked against it."""
+    toric = toric_gb_polynomials(n)
     packing = CircularTermOrder(n).packing(n)
     return [
-        toric[label[1]] * toric[label[2]]
+        _SUBSTITUTES[label]
+        if label in _SUBSTITUTES
+        else toric[label[1]] * toric[label[2]]
         if label[0] == "product"
-        else Polynomial((Monomial(f), c) for _, c, f in groebner._generator(label, packing))
+        else off_diagonal_minor(label[1], label[2])
+        if label[0] == "minor"
+        else polynomial_of((c, f) for _, c, f in groebner._generator(label, packing))
         for label in labels
     ]
 
@@ -61,7 +417,7 @@ def candidate_polynomials(n, kind):
 def term_rows(polys):
     """The (coefficient, factors) rows of each polynomial, in its term order:
     the generator form buchberger_verify and the divider read."""
-    return [[(c, m.factors) for m, c in p.terms()] for p in polys]
+    return [poly_rows(p) for p in polys]
 
 
 # Paper-level facts about the candidate bases and the initial ideals.
@@ -77,12 +433,12 @@ def symbolic_square_identity_holds(n):
     its ordinary square plus the secant of the initial ideal."""
     g = NoncrossingGraph(n)
     square_gens = [
-        a.mul(b)
+        mul(a, b)
         for a, b in combinations_with_replacement(initial_edge_ideal(n).generators, 2)
     ]
     union = list(square_gens)
     union.extend(secant_of_edge_ideal(g, odd_floor(n)).generators)
-    return MonomialIdeal(union) == symbolic_square_of_edge_ideal(g)
+    return packed_ideal(union, n=n) == symbolic_square_of_edge_ideal(g)
 
 
 def partial_derivative(p, edges):
@@ -99,7 +455,7 @@ def partial_derivative(p, edges):
         v = edge_var(a, b)
         acc = {}
         for m, c in out.terms():
-            e = m.exponent(v)
+            e = exponent(m, v)
             if not e:
                 continue
             d = dict(m.factors)
@@ -121,9 +477,10 @@ def substitute_rank(p, r):
     """Image of p under x[a,b] -> t_a*t_b (r=1) or t_a*t_b + u_a*u_b (r=2).
 
     This is the defining parameterization of the rank-r locus: the result is
-    identically zero exactly when p vanishes on all rank-r points.  The
-    expansion is the rank-2 oracle's, with no vertex pinned.  Only r = 1 and
-    r = 2 are supported; there is no third parameter family.
+    identically zero exactly when p vanishes on all rank-r points.  It is
+    expanded in Polynomial arithmetic, term by term and factor by factor,
+    sharing no code with the engine's rank-2 oracle.  Only r = 1 and r = 2
+    are supported; there is no third parameter family.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"rank must be a positive int, got {r!r}")
@@ -131,7 +488,20 @@ def substitute_rank(p, r):
         raise ValueError("only ranks 1 and 2 are supported")
     if not p.uses_only_edge_vars():
         raise ValueError("substitute_rank requires a polynomial in edge variables only")
-    return _rank_image(term_rows([p])[0], r, None)
+    image = {}
+    out = Polynomial.zero()
+    for m, c in p.terms():
+        term = Polynomial.constant(c)
+        for v, e in m.factors:
+            if v not in image:
+                _, a, b = v
+                image[v] = Polynomial.variable(param_t(a)) * Polynomial.variable(param_t(b))
+                if r == 2:
+                    image[v] = image[v] + Polynomial.variable(param_u(a)) * Polynomial.variable(param_u(b))
+            for _ in range(e):
+                term = term * image[v]
+        out = out + term
+    return out
 
 
 def edges_for(n):
@@ -456,7 +826,7 @@ def reference_prolongation(n, f, bound):
     for size in range(1, bound + 1):
         for multiset in chooser(edges, size):
             d = partial_derivative(f, multiset)
-            if not d.is_zero and not in_toric_ideal(n, d):
+            if not d.is_zero and not in_toric_ideal(n, poly_rows(d)):
                 return False
     return True
 
@@ -464,20 +834,18 @@ def reference_prolongation(n, f, bound):
 def s_polynomial(f, g, order):
     """The lcm-cancellation combination with both leading terms eliminated,
     in plain Polynomial arithmetic."""
-    ltf, cf = order.leading_term(f)
-    ltg, cg = order.leading_term(g)
+    ltf, cf = leading_term(order, f)
+    ltg, cg = leading_term(order, g)
     if cf not in (1, -1) or cg not in (1, -1):
         raise ValueError("s_polynomial requires unit leading coefficients")
-    lcm = ltf.lcm(ltg)
-    left = f * Polynomial.from_monomial(lcm.divide_by(ltf), cf)
-    right = g * Polynomial.from_monomial(lcm.divide_by(ltg), cg)
+    both = lcm(ltf, ltg)
+    left = f * Polynomial.from_monomial(divide_by(both, ltf), cf)
+    right = g * Polynomial.from_monomial(divide_by(both, ltg), cg)
     return left - right
 
 
 def off_diagonal_minor_3x3(indices):
     """Minor on six increasing vertices split as rows 1..3, columns 4..6."""
-    from hypersecant import off_diagonal_minor
-
     idx = tuple(indices)
     if len(idx) != 6 or any(idx[a] >= idx[a + 1] for a in range(5)):
         raise ValueError("need six distinct strictly increasing vertex indices")
@@ -487,11 +855,9 @@ def off_diagonal_minor_3x3(indices):
 def reference_minimal_generators(gens):
     """Inclusion-minimal generators by pairwise divisibility, in canonical
     order: the brute-force oracle for MonomialIdeal's support index."""
-    from hypersecant.poly import canonical_key
-
     distinct = set(gens)
     return tuple(sorted(
-        (m for m in distinct if not any(d != m and d.divides(m) for d in distinct)),
+        (m for m in distinct if not any(d != m and divides(d, m) for d in distinct)),
         key=canonical_key,
     ))
 
@@ -499,13 +865,13 @@ def reference_minimal_generators(gens):
 def reference_first_divisor(leads, m):
     """Index of the first monomial in `leads` that divides m, or -1: the
     brute-force scan the S-pair engine's divisor index must agree with."""
-    return next((k for k, lt in enumerate(leads) if lt.divides(m)), -1)
+    return next((k for k, lt in enumerate(leads) if divides(lt, m)), -1)
 
 
 def flip_lowest_tail(g, order):
     """g with the coefficient of its canonically smallest non-leading monomial
     negated: every leading term stays, and so does every pair criterion."""
-    lead = order.leading_monomial(g)
+    lead = leading_monomial(order, g)
     m = min(x for x in g.monomials() if x != lead)
     return g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
 
@@ -525,9 +891,9 @@ def substitute_generators(monkeypatch, polys, labels=None):
     both see every substitute, a product's included.  The builder of the
     packed terms of a master or minor, groebner._generator, is patched too,
     so the membership and initial-ideal legs see a substituted master or
-    minor; they read a product through its label alone.  Given `labels`,
-    candidate_basis returns them in place of a basis's own labels, for
-    example with one left out.
+    minor; they read a product through its label alone.  label_polynomials
+    returns every substitute too.  Given `labels`, candidate_basis returns
+    them in place of a basis's own labels, for example with one left out.
     """
     from hypersecant import cli
 
@@ -536,19 +902,35 @@ def substitute_generators(monkeypatch, polys, labels=None):
     def substituted_rows(n, labels, order):
         built = rows(n, [label for label in labels if label not in polys], order)
         for label in labels:
-            yield order.rows(polys[label]) if label in polys else next(built)
+            yield order_rows(order, polys[label]) if label in polys else next(built)
 
     def substituted_terms(label, packing):
         if label not in polys:
             return build(label, packing)
         assert polys[label].degree <= packing.limit, "the substitute does not fit the packing"
-        return sorted(packing.terms(polys[label]), reverse=True)
+        return packing.terms(poly_rows(polys[label]))
 
+    for label, p in polys.items():
+        monkeypatch.setitem(_SUBSTITUTES, label, p)
     monkeypatch.setattr(groebner, "_generator", substituted_terms)
     for module in (groebner, cli):
         monkeypatch.setattr(module, "generator_rows", substituted_rows)
     if labels is not None:
         monkeypatch.setattr(groebner, "candidate_basis", lambda n, kind: list(labels))
+
+
+def substitute_toric(monkeypatch, polys):
+    """Make the candidate bases read polys[k] as the k-th toric binomial:
+    groebner.toric_gb returns stand-ins whose rows() are those of polys."""
+
+    class Substitute:
+        def __init__(self, p):
+            self._rows = poly_rows(p)
+
+        def rows(self):
+            return list(self._rows)
+
+    monkeypatch.setattr(groebner, "toric_gb", lambda n: [Substitute(p) for p in polys])
 
 
 def monomial_strategy(n=6, max_factors=3, max_exp=2):
@@ -635,7 +1017,7 @@ def parse_monomial(text: str) -> Monomial:
     """Parse bare monomial text as emitted by format_monomial."""
     text = text.strip()
     if text == "1":
-        return Monomial.one()
+        return one()
     factors: dict = {}
     for tok in text.split("*"):
         m = _FACTOR_RE.match(tok.strip())
@@ -660,7 +1042,7 @@ def parse_polynomial(text: str) -> Polynomial:
             coeff = int(head)
         except ValueError as exc:
             raise ValueError(f"bad term {tok!r}: expected a signed coefficient") from exc
-        mono = parse_monomial(rest) if rest else Monomial.one()
+        mono = parse_monomial(rest) if rest else one()
         nc = acc.get(mono, 0) + coeff
         if nc:
             acc[mono] = nc
@@ -687,9 +1069,7 @@ def monomial_to_json(m):
 def polynomial_to_json(p, order=None):
     """Terms descending under the order; without one, in canonical order, for
     the reader's round trip of polynomials in the parameters."""
-    from hypersecant.poly import canonical_key
-
-    key = canonical_key if order is None else order.sort_key(p.degree)
+    key = canonical_key if order is None else sort_key(order, p.degree)
     terms = [
         {"coeff": p.coefficient(m), "monomial": monomial_to_json(m)}
         for m in sorted(p.monomials(), key=key, reverse=True)

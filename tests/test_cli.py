@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from hypersecant import (
     BinomialGenerator,
     CircularTermOrder,
     GroebnerCertificate,
-    Polynomial,
     groebner,
 )
 from hypersecant.cli import (
@@ -32,6 +32,7 @@ from hypersecant.cli import (
     run,
 )
 from conftest import (
+    Polynomial,
     candidate_polynomials,
     child_peak_rss,
     flip_lowest_tail,
@@ -230,8 +231,8 @@ class TestVerify:
         # One trail of toric n = 5 with its sign flipped: lead + trail leaves
         # the toric ideal, and S-pairs with it fail.
         class TrailFlipped(BinomialGenerator):
-            def polynomial(self):
-                return Polynomial(((self.lead, 1), (self.trail, 1)))
+            def rows(self):
+                return [(1, self.lead.factors), (1, self.trail.factors)]
 
         binomials = cli.toric_gb(5)
         flipped = 3
@@ -261,7 +262,7 @@ class TestVerify:
         checks = {c["check"]: c for c in json.loads(res.stdout)["checks"]}
         witness = checks["spairs_reduce_to_zero"]["witness"]
         assert witness
-        last = len(groebner.toric_gb_polynomials(5)) - 1
+        last = len(cli.toric_gb(5)) - 1
         for w in witness:
             assert [f["family"] for f in w["generators"]] == ["product", "product"]
         assert {"family": "product", "factors": [last, last]} in witness[-1]["generators"]
@@ -770,6 +771,19 @@ GOLDEN = {
     "master-poly --i 1,3,5 --j 2,4,6 --format json --order inner=lex": (0, "9d39b8e05b5348f3337197eeb665aaad7a124882ddb5cdd0b173e56665dc3bc6"),
     "master-poly --i 1,3,5 --j 2,4,6 --format algebra-script --order inner=grevlex": (0, "aae5c2c6a46267231cfcca4c4b17c26524a78b9f0982deb22a9d736d1e0733cc"),
     "master-poly --i 1,3,5 --j 2,4,6 --format algebra-script --order inner=lex": (0, "889243522fb850311ed65247a2478c65592029fb9fa6c293e85b038efe631676"),
+    # Recorded at commit 28b89a4: a master under an order built for a larger n
+    # than its sequence needs, the degenerate pentad, and the initial ideal
+    # at n = 7 as JSON.
+    "master-poly --i 1,3,5 --j 2,4,6 --n 8 --format text --order inner=grevlex": (0, "78aed070211e12e84caba6d300fe8e890ea89a9e9893d37dc3cdecec4b743e06"),
+    "master-poly --i 1,3,5 --j 2,4,6 --n 8 --format text --order inner=lex": (0, "78aed070211e12e84caba6d300fe8e890ea89a9e9893d37dc3cdecec4b743e06"),
+    "master-poly --i 1,3,5 --j 2,4,6 --n 8 --format json --order inner=grevlex": (0, "b6ec542b3c9bf04d9f4ea15f736086519dc9682ed5e328cf56609a48f9caba6e"),
+    "master-poly --i 1,3,5 --j 2,4,6 --n 8 --format json --order inner=lex": (0, "e72fe3b1595111649043873fab2c0f9b887436c13296ae3c185f7d0661196693"),
+    "master-poly --i 1,2,3,4,5 --j 1,2,3,4,5 --format text --order inner=grevlex": (0, "36cfba33cff43e6b49a3108cb7a8f2e9a2a45d571bc6bc46b7c100c9ca622a08"),
+    "master-poly --i 1,2,3,4,5 --j 1,2,3,4,5 --format text --order inner=lex": (0, "3e4806386b558952056742c03fdd87e72f130e49647633e1881ccd6f325eff5f"),
+    "master-poly --i 1,2,3,4,5 --j 1,2,3,4,5 --format json --order inner=grevlex": (0, "9bb63e100322ea8ff20eab39fcdfdaa9d799f31ffa432a50cc84f0a5a0c86584"),
+    "master-poly --i 1,2,3,4,5 --j 1,2,3,4,5 --format json --order inner=lex": (0, "83455247b1865c9be553ff8c81a92e8ced88cac074e514e2fc96bf7c47ca7739"),
+    "initial-ideal --n 7 --format json --order inner=grevlex": (0, "8d5fe43bdc1fb47a45364b71cf69e077161493a0aaf6290a0aee46426adc9202"),
+    "initial-ideal --n 7 --format json --order inner=lex": (0, "6937563abc7502f39f417ae038931ee1246bbee045332d73f2528486e469ed99"),
     "odd-cycles --n 6 --format text": (0, "9613485e7b7eba42bc14a6d1e3e0365905ccccfa54f97b5174a945439570219c"),
     "admissible --n 6 --format text": (0, "aecf4c48832131263f4550e6997d5d39c67875a3a6a49f64aa371e147ba74d23"),
     "reproduce --format text": (0, "33a5eb15fc58296a7d0f5826c83c2f378c7e555c7ac417274d1200da96300e18"),
@@ -894,23 +908,12 @@ def test_spair_leg_reads_the_rows_symbolic_gb_writes(monkeypatch, inner):
     assert read == [_written_rows(written["generators"])]
 
 
-def test_certification_builds_no_product_polynomial(monkeypatch):
-    # Under a Polynomial.__mul__ that refuses two polynomials, the symbolic
-    # certifications, S-pair leg included, still pass with the same stdout.
-    delightful = ["verify", "delightful", "--n", "6", "--kind", "symbolic", "--buchberger"]
-    want = invoke(*delightful).stdout
-    mul = Polynomial.__mul__
-
-    def no_product(self, other):
-        if isinstance(other, Polynomial):
-            raise AssertionError("a product polynomial was built")
-        return mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", no_product)
-    argv = ["verify", "buchberger", "--n", "6", "--kind", "symbolic", "--format", "json", "--order", "inner=grevlex"]
-    assert _stdout_digest(argv) == REFERENCE_DIGESTS[" ".join(argv)]
-    res = invoke(*delightful)
-    assert (res.code, res.stdout) == (EXIT_OK, want)
+def test_src_holds_no_polynomial_form():
+    # Rows are the only polynomial form in the engine: no Polynomial class,
+    # import or annotation is left under src/, so no certification can build
+    # a product polynomial.
+    for path in sorted((ROOT / "src" / "hypersecant").glob("*.py")):
+        assert not re.search(r"\bPolynomial\b", path.read_text()), path.name
 
 
 def test_threads_never_start_more_workers_than_usable_cpus(pool_of_two):
@@ -953,6 +956,8 @@ RETIRED_TRACER_TARGETS = [
     "hypersecant.groebner.symbolic_square_gb",
     "hypersecant.poly.substitute_rank",
     "hypersecant.poly.partial_derivative",
+    "hypersecant.master.master_polynomial",
+    "hypersecant.order.CircularTermOrder.leading_term",
 ]
 
 
@@ -971,21 +976,66 @@ def test_tracer_targets_resolve():
 
 
 # Names that left src/, each under the module it left: deleted wrappers and
-# helpers, and test-only API that lives in tests/conftest.py now.
+# helpers, and test-only API that lives in tests/conftest.py now.  A dotted
+# name is a class attribute: a method that left the class.
 REMOVED_NAMES = {
     "cli": ["monomial_from_json", "polynomial_from_json"],
+    "fixtures": ["reference_polynomial"],
     "groebner": [
         "_packed_terms",
+        "antidiagonal_monomial",
         "generators",
         "nested_triple_monomials",
+        "off_diagonal_minor",
+        "reduce",
         "secant_gb",
         "symbolic_square_gb",
         "symbolic_square_identity_holds",
     ],
-    "master": ["Letter", "PairingInvolution", "_letters", "_position", "base_involution", "crossing_number"],
+    "hypersimplex": [
+        "BinomialGenerator.polynomial",
+        "MonomialIdeal._fields",
+        "MonomialIdeal.contains",
+        "_rows",
+        "toric_gb_polynomials",
+    ],
+    "master": [
+        "Letter",
+        "PairingInvolution",
+        "_letters",
+        "_position",
+        "base_involution",
+        "crossing_number",
+        "master_polynomial",
+    ],
     "noncrossing": ["build_graph"],
-    "order": ["both_inner_orders"],
-    "poly": ["_FACTOR_RE", "parse_monomial", "parse_polynomial"],
+    "order": [
+        "CircularTermOrder.compare",
+        "CircularTermOrder.leading_monomial",
+        "CircularTermOrder.leading_term",
+        "CircularTermOrder.rows",
+        "CircularTermOrder.sort_key",
+        "_Packing.polynomial",
+        "_Packing.unpack",
+        "both_inner_orders",
+    ],
+    "poly": [
+        "Monomial.divide_by",
+        "Monomial.divides",
+        "Monomial.exponent",
+        "Monomial.is_one",
+        "Monomial.lcm",
+        "Monomial.mul",
+        "Monomial.one",
+        "Monomial.variables",
+        "Polynomial",
+        "_FACTOR_RE",
+        "format_polynomial",
+        "param_t",
+        "param_u",
+        "parse_monomial",
+        "parse_polynomial",
+    ],
 }
 
 
@@ -993,5 +1043,9 @@ REMOVED_NAMES = {
 def test_removed_names_stay_out_of_the_package(module):
     owner = importlib.import_module(f"hypersecant.{module}")
     for name in REMOVED_NAMES[module]:
-        assert not hasattr(hypersecant, name), name
-        assert not hasattr(owner, name), f"hypersecant.{module}.{name}"
+        cls, _, attr = name.rpartition(".")
+        if cls:
+            assert not hasattr(getattr(owner, cls), attr), f"hypersecant.{module}.{name}"
+        else:
+            assert not hasattr(hypersecant, name), name
+            assert not hasattr(owner, name), f"hypersecant.{module}.{name}"

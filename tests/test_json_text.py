@@ -11,13 +11,9 @@ from hypersecant import (
     CircularTermOrder,
     Monomial,
     NoncrossingGraph,
-    Polynomial,
     all_admissible_sequences,
     edge_var,
     initial_edge_ideal,
-    master_polynomial,
-    param_t,
-    param_u,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
     toric_gb,
@@ -26,10 +22,16 @@ from hypersecant.cli import EXIT_OK, _JsonText, _json_document, main
 from hypersecant.noncrossing import odd_floor
 
 from conftest import (
+    Polynomial,
     candidate_polynomials,
     edges_for,
     json_text,
+    master_polynomial,
     monomial_to_json,
+    one,
+    order_rows,
+    param_t,
+    param_u,
     polynomial_to_json,
 )
 
@@ -57,7 +59,7 @@ CONSTANT = Polynomial.constant(-7)
 # Coefficients past 2**63, a constant term, terms stored smallest first, and
 # x12*x34 above x13*x24, which the canonical order ranks the other way.
 WIDE = Polynomial([
-    (Monomial.one(), 2**63 + 1),
+    (one(), 2**63 + 1),
     (Monomial({edge_var(1, 3): 1, edge_var(2, 4): 1}), -BIG - 1),
     (Monomial({edge_var(1, 2): 1, edge_var(3, 4): 1}), BIG),
     (Monomial({edge_var(1, 2): 2, edge_var(2, 3): 1}), 5),
@@ -75,7 +77,7 @@ def header(order, count):
 def test_polynomial_array_matches_oracle(polys, inner):
     order = CircularTermOrder(6, inner)
     text = _JsonText()
-    rows = [order.rows(p) for p in polys]
+    rows = [order_rows(order, p) for p in polys]
     got = "".join(_json_document(header(order, len(polys)), "generators", text.array(rows, text.polynomial)))
     expected = {**header(order, len(polys)), "generators": [polynomial_to_json(p, order) for p in polys]}
     assert got == json_text(expected)
@@ -89,14 +91,14 @@ def test_polynomial_array_matches_oracle(polys, inner):
 def test_single_polynomial_matches_oracle(p, inner):
     order = CircularTermOrder(6, inner)
     head = {"command": "master-poly", "n": 6, "term_count": p.term_count}
-    got = "".join(_json_document(head, "polynomial", [_JsonText().polynomial(order.rows(p), 1)]))
+    got = "".join(_json_document(head, "polynomial", [_JsonText().polynomial(order_rows(order, p), 1)]))
     assert got == json_text({**head, "polynomial": polynomial_to_json(p, order)})
 
 
 @settings(max_examples=60, deadline=None)
 @given(monos=st.lists(monomials(ALL_VARS), max_size=5))
 @example(monos=[])
-@example(monos=[Monomial.one()])
+@example(monos=[one()])
 def test_monomial_array_matches_oracle(monos):
     order = CircularTermOrder(6)
     text = _JsonText()

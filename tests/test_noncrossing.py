@@ -6,7 +6,6 @@ from hypersecant import (
     AdmissibleSequence,
     CircularTermOrder,
     Monomial,
-    MonomialIdeal,
     NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
@@ -18,7 +17,9 @@ from hypersecant import (
 from hypersecant.noncrossing import odd_floor
 
 from conftest import (
+    mul,
     nested_triple_monomials,
+    packed_ideal,
     reference_induced_odd_cycles,
     symbolic_square_identity_holds,
     target_by_definition,
@@ -130,7 +131,7 @@ class TestSymbolicSquareOfEdgeIdeal:
         ideal = symbolic_square_of_edge_ideal(NoncrossingGraph(4))
         a = mono((1, 2), (3, 4))
         b = mono((1, 4), (2, 3))
-        assert set(ideal.generators) == {a.mul(a), b.mul(b), a.mul(b)}
+        assert set(ideal.generators) == {mul(a, a), mul(b, b), mul(a, b)}
 
     def test_n5_no_degree_three(self):
         ideal = symbolic_square_of_edge_ideal(NoncrossingGraph(5))
@@ -155,14 +156,14 @@ def _through(ideal, degree):
 
 def _monomial_target(n, kind):
     """The target of `kind` at n built from Monomials, each cycle and product
-    of adjacent pairs by Monomial.from_edges and Monomial.mul."""
+    of adjacent pairs by Monomial.from_edges and mul, packed by packed_ideal."""
     g = NoncrossingGraph(n)
     if kind == "secant":
-        return MonomialIdeal(Monomial.from_edges(c) for c in induced_odd_cycles(g, odd_floor(n)))
+        return packed_ideal([Monomial.from_edges(c) for c in induced_odd_cycles(g, odd_floor(n))], n=n)
     pairs = [Monomial.from_edges(p) for p in g.adjacency_pairs()]
     gens = [Monomial.from_edges(c) for c in induced_odd_cycles(g, 3)]
-    gens += [a.mul(b) for k, a in enumerate(pairs) for b in pairs[k:]]
-    return MonomialIdeal(gens)
+    gens += [mul(a, b) for k, a in enumerate(pairs) for b in pairs[k:]]
+    return packed_ideal(gens, n=n)
 
 
 class TestPackedTargets:
@@ -215,8 +216,8 @@ class TestTargetsMatchTheirDefinitions:
         # neither target, and divides some of the target's generators.
         want = target_by_definition(6, kind, 4)
         gens = _target(6, kind).generators
-        dropped = MonomialIdeal(gens[1:])
-        added = MonomialIdeal(gens + (mono((1, 2), (3, 4)),))
+        dropped = packed_ideal(gens[1:], n=6)
+        added = packed_ideal(gens + (mono((1, 2), (3, 4)),), n=6)
         assert gens[0] in want
         assert _through(dropped, 4) != want
         assert _through(added, 4) != want
@@ -311,4 +312,4 @@ class TestFamilyCompleteness:
             brute = secant_of_edge_ideal(g, max_len)
             family = [cycle_monomial(s) for s in all_admissible_sequences(n)]
             family.extend(nested_triple_monomials(n))
-            assert MonomialIdeal(family) == brute
+            assert packed_ideal(family, n=n) == brute
