@@ -14,9 +14,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
-import traceback
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import groebner
@@ -60,7 +57,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
 class RunResult:
     """Exit code, stdout payload and stderr text of one command.
 
@@ -69,9 +65,10 @@ class RunResult:
     chunk as it comes, so the whole document is never held.
     """
 
-    code: int
-    payload: Iterable[str] | str = ""
-    stderr: str = ""
+    __slots__ = ("code", "payload", "stderr")
+
+    def __init__(self, code: int, payload: Iterable[str] | str = "", stderr: str = ""):
+        self.code, self.payload, self.stderr = code, payload, stderr
 
     @property
     def stdout(self) -> str:
@@ -682,6 +679,8 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
     path = os.path.realpath(path)
     if os.path.lexists(path) and not os.path.isfile(path):
         raise _OutputError(f"{path} is not a regular file")
+    import tempfile  # only --output needs it; module level is what every command runs
+
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
@@ -748,6 +747,8 @@ def main(argv=None) -> int:
         print(f"error: cannot write {where}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback  # only a fault needs it
+
         traceback.print_exc()
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .hypersimplex import MonomialIdeal, SecantClasses, in_toric_ideal, toric_gb
 from .noncrossing import (
@@ -41,8 +40,7 @@ _EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One certification leg: machine-checked pass/fail, or cited theory."""
 
     name: str
@@ -54,8 +52,7 @@ class CheckResult:
         return self.status == "fail"
 
 
-@dataclass(frozen=True)
-class SPairStats:
+class SPairStats(NamedTuple):
     count: int = 0
     skipped_coprime: int = 0
     reduced: int = 0
@@ -63,8 +60,7 @@ class SPairStats:
     wall_time: float = 0.0
 
 
-@dataclass(frozen=True)
-class GroebnerCertificate:
+class GroebnerCertificate(NamedTuple):
     """Evidence container: per-leg outcomes plus S-pair statistics."""
 
     order_descriptor: dict

@@ -10,9 +10,8 @@ Groebner machinery they certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .order import _check_terms
 from .poly import Monomial, _rank_image, canonical_sorted, is_edge_var
@@ -40,8 +39,7 @@ def crosses(n: int, e: tuple[int, int], f: tuple[int, int]) -> bool:
     return (a < c < b) != (a < d < b)
 
 
-@dataclass(frozen=True)
-class BinomialGenerator:
+class BinomialGenerator(NamedTuple):
     """A generator lead - trail of the toric ideal, lead the noncrossing pair."""
 
     lead: Monomial
@@ -132,10 +130,6 @@ class MonomialIdeal:
             factors = self.packing.factors
             self._generators = tuple(canonical_sorted(Monomial._with(factors(p)) for p in self.keys))
         return self._generators
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.keys
 
     def __len__(self) -> int:
         return len(self.keys)

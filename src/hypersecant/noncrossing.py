@@ -19,7 +19,6 @@ lexicographically least of the 2k+1 rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .hypersimplex import MonomialIdeal, crosses
@@ -64,18 +63,6 @@ class NoncrossingGraph:
 
     def adjacent(self, e: tuple[int, int], f: tuple[int, int]) -> bool:
         return bool(self._adj[self.index_of(e)] >> self.index_of(f) & 1)
-
-    def neighbors(self, e: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        mask = self._adj[self.index_of(e)]
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(self.vertices[low.bit_length() - 1])
-        return tuple(out)
-
-    def degree(self, e: tuple[int, int]) -> int:
-        return self._adj[self.index_of(e)].bit_count()
 
     def adjacency_pairs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """All adjacent vertex pairs (e, f) with e < f, in vertex order."""
@@ -192,21 +179,21 @@ def symbolic_square_of_edge_ideal(g: NoncrossingGraph, order: CircularTermOrder 
     return MonomialIdeal(list(gens), packing)
 
 
-@dataclass(frozen=True)
 class AdmissibleSequence:
     """Canonical interleaved index chain of odd length 2k+1.
 
     Stored in the canonical rotation described in the module docstring.
     The entry i_l may equal j_l (a degenerate tie); the loop-freeness
     condition i_l != j_{l+k-1 mod 2k+1} guarantees that the associated cycle
-    monomial has no self-paired index.
+    monomial has no self-paired index.  Immutable; equal and hashed by
+    (k, i, j).
     """
 
-    k: int
-    i: tuple[int, ...]
-    j: tuple[int, ...]
+    __slots__ = ("k", "i", "j")
 
-    def __post_init__(self):
+    def __init__(self, k: int, i: tuple[int, ...], j: tuple[int, ...]):
+        for name, value in (("k", k), ("i", i), ("j", j)):
+            object.__setattr__(self, name, value)
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"need k >= 1, got {self.k!r}")
         length = 2 * self.k + 1
@@ -239,13 +226,28 @@ class AdmissibleSequence:
                     "the cycle monomial would need a degenerate edge"
                 )
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"AdmissibleSequence is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.i, self.j) == (other.k, other.i, other.j)
+
+    def __hash__(self):
+        return hash((self.k, self.i, self.j))
+
+    def __repr__(self) -> str:
+        return f"AdmissibleSequence(k={self.k!r}, i={self.i!r}, j={self.j!r})"
+
+    def __reduce__(self):
+        return AdmissibleSequence, (self.k, self.i, self.j)
+
     @property
     def length(self) -> int:
         return 2 * self.k + 1
-
-    @property
-    def wraps(self) -> bool:
-        return self.j[-1] < self.i[-1]
 
     def min_ambient(self) -> int:
         """Smallest n this sequence is valid for (any larger n works too)."""

@@ -79,10 +79,6 @@ class CircularTermOrder:
         self._blocks = tuple(map(tuple, blocks))
         self._packings: dict[int, _Packing] = {}
 
-    @property
-    def block_count(self) -> int:
-        return len(self._blocks)
-
     def descriptor(self) -> dict:
         return {"blocks": "circular", "inner": self.inner}
 

@@ -1,10 +1,12 @@
 import argparse
 import contextlib
+import copy
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import pickle
 import re
 import stat
 import subprocess
@@ -17,7 +19,9 @@ import pytest
 import hypersecant
 import hypersecant.cli as cli
 from hypersecant import (
+    AdmissibleSequence,
     BinomialGenerator,
+    CheckResult,
     CircularTermOrder,
     GroebnerCertificate,
     groebner,
@@ -716,6 +720,48 @@ def test_console_entry_point_subprocess():
     assert proc.stdout == "x[1,2]*x[1,5]*x[2,3]*x[3,4]*x[4,5]\n"
 
 
+# Modules that only some commands run: --output (tempfile, shutil), the
+# exit-3 path (traceback), the S-pair pool (multiprocessing,
+# concurrent.futures), and what dataclasses pulls in.
+DEFERRED_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "traceback",
+    "tempfile", "shutil", "multiprocessing", "concurrent.futures",
+}
+
+
+def test_cold_start_loads_only_what_every_command_runs():
+    """Every command starts a fresh interpreter and pays for what importing
+    the CLI loads; -S keeps site's .pth imports out of the check."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, hypersecant.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "hypersecant.cli" in loaded
+    assert not loaded & DEFERRED_MODULES, sorted(loaded & DEFERRED_MODULES)
+
+
+def test_records_stay_immutable_values():
+    """The records are tuples or __slots__ classes, not dataclasses: fields
+    cannot be assigned, and equal sequences are one set element."""
+    s = AdmissibleSequence(1, (1, 3, 5), (2, 4, 6))
+    check = CheckResult("leg", "pass")
+    cert = GroebnerCertificate({}, 0, (check,))
+    for record, field in ((s, "k"), (s, "i"), (check, "status"), (cert, "n")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        del s.j
+    assert len({s, AdmissibleSequence(1, (1, 3, 5), (2, 4, 6))}) == 1
+    assert s != AdmissibleSequence(1, (1, 3, 5), (2, 4, 7))
+    assert repr(s) == "AdmissibleSequence(k=1, i=(1, 3, 5), j=(2, 4, 6))"
+    assert copy.copy(s) == pickle.loads(pickle.dumps(s)) == s
+
+
 # Exit code and SHA-256 of stdout per invocation, recorded at commit c3aee7a:
 # every subcommand, format and inner order at small n, plus rejected inputs.
 GOLDEN = {
@@ -996,6 +1042,7 @@ REMOVED_NAMES = {
         "BinomialGenerator.polynomial",
         "MonomialIdeal._fields",
         "MonomialIdeal.contains",
+        "MonomialIdeal.is_empty",
         "_rows",
         "toric_gb_polynomials",
     ],
@@ -1008,8 +1055,14 @@ REMOVED_NAMES = {
         "crossing_number",
         "master_polynomial",
     ],
-    "noncrossing": ["build_graph"],
+    "noncrossing": [
+        "AdmissibleSequence.wraps",
+        "NoncrossingGraph.degree",
+        "NoncrossingGraph.neighbors",
+        "build_graph",
+    ],
     "order": [
+        "CircularTermOrder.block_count",
         "CircularTermOrder.compare",
         "CircularTermOrder.leading_monomial",
         "CircularTermOrder.leading_term",

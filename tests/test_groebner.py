@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import itertools
 import json
@@ -405,9 +404,7 @@ class TestBuchbergerVerify:
                 serial = buchberger_verify(gens, order, threads=1)
                 parallel = buchberger_verify(gens, order, threads=2)
                 assert stats_tuple(parallel) == stats_tuple(serial)
-                assert dataclasses.replace(parallel, spair_stats=None) == dataclasses.replace(
-                    serial, spair_stats=None
-                )
+                assert parallel._replace(spair_stats=None) == serial._replace(spair_stats=None)
         # One pool per parallel sweep.
         assert pool_of_two == [2] * 6
 
@@ -575,9 +572,7 @@ class TestWorkerCount:
             serial = buchberger_verify(gens, order, n=7, kind="secant", threads=1)
             assert derived.passed
             assert stats_tuple(derived) == stats_tuple(serial)
-            assert dataclasses.replace(derived, spair_stats=None) == dataclasses.replace(
-                serial, spair_stats=None
-            )
+            assert derived._replace(spair_stats=None) == serial._replace(spair_stats=None)
         assert pool_of_two == [2, 2]
 
 
@@ -898,7 +893,7 @@ class TestBases:
 
     def test_secant_basis_4_empty(self):
         assert candidate_polynomials(4, "secant") == []
-        assert secant_of_edge_ideal(NoncrossingGraph(4), 3).is_empty
+        assert not secant_of_edge_ideal(NoncrossingGraph(4), 3).keys
 
     def test_secant_basis_6_composition(self):
         gens = candidate_polynomials(6, "secant")
@@ -1310,7 +1305,7 @@ def _sympy_initial_ideal(polys, order):
     from sympy.polys.orderings import ProductOrder, grevlex, lex
 
     key = order.packing(1).pack
-    blocks = [[] for _ in range(order.block_count)]
+    blocks = [[] for _ in range(len(order._blocks))]
     for a, b in edges_for(order.n):
         blocks[edge_class(order.n, (a, b)) - 1].append(("x", a, b))
     inner = grevlex if order.inner == "grevlex" else lex
