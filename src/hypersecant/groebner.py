@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from math import comb, isqrt
+from typing import Iterable, Iterator, NamedTuple
 
 from .hypersimplex import MonomialIdeal, SecantClasses, in_toric_ideal, toric_gb
 from .noncrossing import (
@@ -471,7 +472,39 @@ def _minor_splits(n: int):
         yield from circular_minor_splits(sub)
 
 
-def candidate_basis(n: int, kind: str) -> list[tuple]:
+class _Labels(Sequence):
+    """The labels of `head`, then ("product", a, b) for each pair a <= b of m
+    toric binomials in combinations_with_replacement order, made when read or
+    unranked from an index, so no list of products is held; a slice is a list."""
+
+    __slots__ = ("head", "m")
+
+    def __init__(self, head: list, m: int = 0):
+        self.head, self.m = head, m
+
+    def __len__(self) -> int:
+        return len(self.head) + self.m * (self.m + 1) // 2
+
+    def __iter__(self) -> Iterator[tuple]:
+        yield from self.head
+        for a, b in combinations_with_replacement(range(self.m), 2):
+            yield "product", a, b
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        if not -len(self) <= k < len(self):
+            raise IndexError("label index out of range")
+        k %= len(self)
+        if k < len(self.head):
+            return self.head[k]
+        # j counts from the end; the r pairs (m - r, b) hold r(r - 1)/2 <= j < r(r + 1)/2.
+        j = len(self) - 1 - k
+        r = (1 + isqrt(8 * j + 1)) // 2
+        return "product", self.m - r, self.m - 1 - j + r * (r - 1) // 2
+
+
+def candidate_basis(n: int, kind: str) -> Sequence[tuple]:
     """The family label of each generator of the candidate basis of `kind`.
 
     A label is ("master", seq) for the master of an admissible sequence,
@@ -481,7 +514,7 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
     odd degree, then the minors, whose antidiagonal leading terms are the
     nested noncrossing triples.  The symbolic-square basis is the minors,
     the degree-3 masters, then the products in combinations_with_replacement
-    order.  generator_rows() builds their rows.
+    order, read from a _Labels.  generator_rows() builds their rows.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -489,10 +522,8 @@ def candidate_basis(n: int, kind: str) -> list[tuple]:
         raise ValueError(f"kind must be 'secant' or 'symbolic-square', got {kind!r}")
     minors = [("minor", rows, cols) for rows, cols in _minor_splits(n)]
     if kind == SECANT:
-        return [("master", s) for s in all_admissible_sequences(n)] + minors
-    masters = [("master", s) for s in admissible_sequences(n, 1)]
-    pairs = combinations_with_replacement(range(2 * comb(n, 4)), 2)
-    return minors + masters + [("product", a, b) for a, b in pairs]
+        return _Labels([("master", s) for s in all_admissible_sequences(n)] + minors)
+    return _Labels(minors + [("master", s) for s in admissible_sequences(n, 1)], 2 * comb(n, 4))
 
 
 def _label_degree(label: tuple) -> int:
@@ -649,7 +680,8 @@ def delightful_check(
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
         # Only a failing leg builds the leading-term ideal, for its witness.
-        got = set(MonomialIdeal([built(label)[1] for label in labels], target.packing).generators)
+        leads = sorted((built(label)[1] for label in labels), key=target.packing.degree)
+        got = set(MonomialIdeal(leads, target.packing).generators)
         want = set(target.generators)
         witness = {
             "missing": sorted(format_monomial(m) for m in want - got),

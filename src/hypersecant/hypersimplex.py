@@ -67,61 +67,55 @@ class MonomialIdeal:
     """A monomial ideal held by its inclusion-minimal generating set.
 
     The generators are packed monomials of a CircularTermOrder `packing`
-    (order._Packing), given with it: each variable owns a field with a guard
-    bit above it, so g divides m iff subtracting g's fields from m's, every
-    guard set, clears no guard.  `keys` holds the minimal generators,
-    `contains_key` looks up another packed monomial, and the Monomials of
-    `generators` are read back when first asked for.  Membership and
-    equality queries reduce to divisibility against the minimal generators,
-    which are computed once at construction.  The support of a monomial is
-    the set of guard bits of its nonzero fields, and the index maps a
-    support to the fields of every generator with exactly that support.  A
-    divisor of m has its support inside m's, so only generators filed under
-    submasks of m's support are candidates.  The submasks are enumerated
-    while there are no more of them than supports in the index (at most 16
-    for a degree-4 monomial); past that, the supports are scanned.  A
-    divisor is smaller in the term order, so generators sorted by packed
-    monomial are minimal once none before them divides them.
+    (order._Packing), given with it in nondecreasing degree, else
+    ValueError: each variable owns a field with a guard bit above it, so g
+    divides m iff subtracting g's fields from m's, every guard set, clears
+    no guard, whatever the weights above the fields.  A generator is kept
+    unless a kept one divides it: a proper divisor has a lower degree, so it
+    came first, and a repeat meets its first copy.  `keys` holds the kept
+    ones, `contains_key` looks up another packed monomial, and the Monomials
+    of `generators` are read back when first asked for.  The support of a
+    monomial is the set of guard bits of its nonzero fields; the index maps
+    it to the one generator with exactly that support, or a tuple of them.
+    A divisor of m has its support inside m's, so only generators filed
+    under submasks of m's support are candidates.  The submasks are
+    enumerated while there are no more of them than supports in the index
+    (at most 16 for a degree-4 monomial); past that, the supports are scanned.
     """
 
     __slots__ = ("packing", "keys", "_by_support", "_generators")
 
     def __init__(self, generators: Iterable[int], packing):
-        self.packing = packing
-        self._by_support: dict[int, list[int]] = {}
-        self._generators = None
-        self.keys = tuple(p for p in sorted(set(generators)) if self._keep(p & packing.fields_mask))
+        self.packing, self._by_support, self._generators = packing, {}, None
+        guard, ones, index, keys, last = packing.guard, packing.ones, self._by_support, [], 0
+        for p in generators:
+            degree = packing.degree(p)
+            if degree < last:
+                raise ValueError(f"generators must come in nondecreasing degree: {degree} after {last}")
+            last = degree
+            if not self.contains_key(p):
+                support = ((p | guard) - ones) & guard
+                held = index.get(support)
+                index[support] = p if held is None else (held, p) if held.__class__ is int else held + (p,)
+                keys.append(p)
+        self.keys = tuple(keys)
 
-    def _keep(self, fields: int) -> bool:
-        """Index a generator unless an indexed one divides it."""
-        if self._has_divisor(fields):
-            return False
-        guard = self.packing.guard
-        self._by_support.setdefault(((fields | guard) - self.packing.ones) & guard, []).append(fields)
-        return True
-
-    def _has_divisor(self, fields: int) -> bool:
-        """Whether an indexed generator divides the monomial with these fields."""
+    def contains_key(self, p: int) -> bool:
+        """True iff some minimal generator divides the monomial packed as p
+        in the ideal's packing."""
         guard, index = self.packing.guard, self._by_support
-        pg = fields | guard
+        pg = p | guard
         support = (pg - self.packing.ones) & guard
         if 1 << support.bit_count() <= len(index):
             sub = support
             while True:
-                gens = index.get(sub)
-                if gens is not None:
-                    for g in gens:
-                        if (pg - g) & guard == guard:
-                            return True
+                held = index.get(sub)
+                if held is not None and _divides(pg, held, guard):
+                    return True
                 if not sub:
                     return False
                 sub = (sub - 1) & support
-        for s, gens in index.items():
-            if not s & ~support:
-                for g in gens:
-                    if (pg - g) & guard == guard:
-                        return True
-        return False
+        return any(not s & ~support and _divides(pg, held, guard) for s, held in index.items())
 
     @property
     def generators(self) -> tuple[Monomial, ...]:
@@ -134,11 +128,6 @@ class MonomialIdeal:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def contains_key(self, p: int) -> bool:
-        """True iff some minimal generator divides the monomial packed as p
-        in the ideal's packing."""
-        return self._has_divisor(p & self.packing.fields_mask)
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({m.degree for m in self.generators}))
 
@@ -150,6 +139,13 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({len(self)} minimal generators)"
+
+
+def _divides(pg: int, held, guard: int) -> bool:
+    """Whether a packed generator, or one of a tuple, divides pg's monomial."""
+    if held.__class__ is int:
+        return (pg - held) & guard == guard
+    return any((pg - g) & guard == guard for g in held)
 
 
 def _validate_ambient(n: int, variables: Iterable) -> None:

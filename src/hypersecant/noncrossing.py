@@ -19,6 +19,7 @@ lexicographically least of the 2k+1 rotations.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .hypersimplex import MonomialIdeal, crosses
@@ -167,16 +168,13 @@ def symbolic_square_of_edge_ideal(g: NoncrossingGraph, order: CircularTermOrder 
 
     Degree three: each triangle of the graph.  Degree four: the product of
     two (not necessarily disjoint) adjacent pairs, including the square of a
-    single pair; equal products are passed once.
+    single pair.  Both are streamed, in that order, to the minimalization,
+    which drops a repeated product as it drops a multiple.
     """
     packing, key = _chord_keys(g, order, 4)
-    gens = set()
-    if g.vertex_count >= 3:
-        gens.update(sum(map(key.__getitem__, c)) for c in induced_odd_cycles(g, 3))
+    triangles = (sum(map(key.__getitem__, c)) for c in induced_odd_cycles(g, 3))
     pairs = [key[e] + key[f] for e, f in g.adjacency_pairs()]
-    for a, p in enumerate(pairs):
-        gens.update(p + q for q in pairs[a:])
-    return MonomialIdeal(list(gens), packing)
+    return MonomialIdeal(chain(triangles, (p + q for a, p in enumerate(pairs) for q in pairs[a:])), packing)
 
 
 class AdmissibleSequence:

@@ -151,6 +151,10 @@ class _Packing:
             weight = ((fields * self._window) & self._degree_slots) - fields
         return (weight << self.shift) | fields
 
+    def degree(self, p: int) -> int:
+        """The degree of packed p: its fields times `ones` sum into the top slot."""
+        return (p & self.fields_mask) * self.ones >> self.shift - self.bits - 1 & 2 * self.limit + 1
+
     def pack(self, factors: tuple) -> int:
         fields = 0
         for v, e in factors:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
@@ -14,6 +15,8 @@ from hypersecant import (
     Monomial,
     MonomialIdeal,
     NoncrossingGraph,
+    admissible_sequences,
+    all_admissible_sequences,
     edge_var,
     in_toric_ideal,
     initial_edge_ideal,
@@ -363,10 +366,11 @@ def packed_ideal(generators, probes=(), n=8, inner="grevlex"):
     """The MonomialIdeal of these edge Monomials, packed in the circular
     order at n, under the packing for the largest degree among the
     generators and the probes: every probe can then be asked about with
-    ideal_contains."""
+    ideal_contains.  The generators are passed in nondecreasing degree, as
+    MonomialIdeal requires."""
     degree = max([1] + [m.degree for m in [*generators, *probes]])
     packing = CircularTermOrder(n, inner).packing(degree)
-    return MonomialIdeal([packing.pack(m.factors) for m in generators], packing)
+    return MonomialIdeal([packing.pack(m.factors) for m in sorted(generators, key=lambda m: m.degree)], packing)
 
 
 def ideal_contains(ideal, m: Monomial) -> bool:
@@ -406,6 +410,18 @@ def label_polynomials(n, labels):
         else polynomial_of((c, f) for _, c, f in groebner._generator(label, packing))
         for label in labels
     ]
+
+
+def eager_labels(n, kind):
+    """candidate_basis(n, kind) written out as a list: for the secant, the
+    masters of every odd degree, then the minors; for the symbolic square,
+    the minors, the degree-3 masters, then ("product", a, b) for each pair
+    of combinations_with_replacement over the 2*C(n, 4) toric binomials."""
+    minors = [("minor", rows, cols) for rows, cols in _minor_splits(n)]
+    if kind == "secant":
+        return [("master", s) for s in all_admissible_sequences(n)] + minors
+    pairs = combinations_with_replacement(range(2 * comb(n, 4)), 2)
+    return minors + [("master", s) for s in admissible_sequences(n, 1)] + [("product", a, b) for a, b in pairs]
 
 
 def candidate_polynomials(n, kind):
@@ -606,15 +622,22 @@ def in_secant_by_splits(adj, u):
 
 def minimal_vertex_covers(adj):
     """The minimal vertex covers of G as bitmasks: the complements of its
-    maximal independent sets, found by scanning every vertex subset."""
+    maximal independent sets, found among every independent set, each grown
+    vertex by vertex, taking or skipping each vertex no taken one meets."""
     nv = len(adj)
     full = (1 << nv) - 1
     covers = []
-    for mask in range(1 << nv):
-        if any(mask >> i & 1 and adj[i] & mask for i in range(nv)):
-            continue
-        if all(mask >> i & 1 or adj[i] & mask for i in range(nv)):
-            covers.append(full & ~mask)
+
+    def grow(v, mask):
+        if v == nv:
+            if all(mask >> i & 1 or adj[i] & mask for i in range(nv)):
+                covers.append(full & ~mask)
+            return
+        grow(v + 1, mask)
+        if not adj[v] & mask:
+            grow(v + 1, mask | 1 << v)
+
+    grow(0, 0)
     return covers
 
 

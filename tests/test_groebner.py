@@ -1,3 +1,4 @@
+import collections.abc
 import heapq
 import itertools
 import json
@@ -44,6 +45,7 @@ from conftest import (
     compare,
     divide_by,
     divides,
+    eager_labels,
     edges_for,
     flip_lowest_tail,
     format_polynomial,
@@ -618,7 +620,8 @@ class TestPairStreaming:
 
     def test_sweep_runs_with_no_basis_in_the_frame(self, pool_of_two, monkeypatch):
         # buchberger_verify drops its list of generators once the divider is
-        # built, so neither a serial sweep nor a forked worker holds it.
+        # built, and the labels are no list either, so neither a serial
+        # sweep nor a forked worker holds a list of the basis.
         held = []
         sweep = groebner._sweep
 
@@ -633,7 +636,7 @@ class TestPairStreaming:
             for order in both_inner_orders(5):
                 rows = groebner.generator_rows(5, labels, order)
                 assert buchberger_verify(rows, order, threads=threads, labels=labels).passed
-        assert held == [("buchberger_verify", ["labels"])] * 4
+        assert held == [("buchberger_verify", [])] * 4
         assert pool_of_two == [2, 2]
 
     def test_labelled_rows_reach_the_divider_unlisted(self, monkeypatch):
@@ -919,6 +922,30 @@ class TestBases:
         assert cert.passed
 
 
+class TestLabels:
+    """candidate_basis is a read-only sequence whose product labels are made
+    when asked for; it must read as conftest's eager list does."""
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_labels_equal_the_eager_reference(self, n, kind):
+        labels, want = groebner.candidate_basis(n, kind), eager_labels(n, kind)
+        m = len(want)
+        assert isinstance(labels, collections.abc.Sequence) and not isinstance(labels, list)
+        assert len(labels) == m
+        assert list(labels) == want and list(labels) == want  # iterated twice
+        assert [labels[k] for k in range(m)] == want
+        assert [labels[k] for k in range(-m, 0)] == want
+        for s in (slice(None), slice(None, None, -1), slice(3, -2, 7), slice(-5, None), slice(m, None),
+                  slice(m // 2, m // 2 + 3), slice(-m - 4, 2), slice(None, None, 97)):
+            assert labels[s] == want[s], s
+        for k in (m, m + 1, -m - 1):
+            with pytest.raises(IndexError):
+                labels[k]
+        with pytest.raises(TypeError):
+            labels[0] = None
+
+
 class TestGeneratorRows:
     """Commands write a basis and the S-pair leg certifies it from
     generator_rows; its rows must be those of the reference Polynomials of
@@ -1202,7 +1229,7 @@ class TestDelightfulNegativeControls:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_dropped_minor_fails_symbolic_initial_ideal(self, monkeypatch, inner):
         order = CircularTermOrder(6, inner)
-        labels = groebner.candidate_basis(6, "symbolic-square")
+        labels = list(groebner.candidate_basis(6, "symbolic-square"))
         minors, _, _ = _families(6, "symbolic-square")
         del labels[len(minors) - 1]  # the last minor
         substitute_generators(monkeypatch, {}, labels=labels)
@@ -1266,7 +1293,7 @@ class TestDelightfulNegativeControls:
         # binomial's noncrossing pair lies outside the target.  It is filed
         # under a minor label that no split produces.
         order = CircularTermOrder(6, inner)
-        labels = groebner.candidate_basis(6, "symbolic-square")
+        labels = list(groebner.candidate_basis(6, "symbolic-square"))
         binomial = toric_gb_polynomials(6)[0]
         extra = ("minor", (1, 2), (3, 4))
         substitute_generators(monkeypatch, {extra: binomial}, labels=labels + [extra])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypersecant import (
     CircularTermOrder,
     Monomial,
+    MonomialIdeal,
     NoncrossingGraph,
     crosses,
     edge_var,
@@ -430,10 +431,70 @@ class TestMonomialIdeal:
         ideal = packed_ideal(gens, probes)
         minimal = reference_minimal_generators(gens)
         assert ideal.generators == minimal
-        index = {s: list(g) for s, g in ideal._by_support.items()}
+        # Each minimal generator is filed once, under its own support: alone
+        # as a packed int, or in a tuple where two or more share it.
+        packing, index = ideal.packing, dict(ideal._by_support)
+        filed = []
+        for support, held in index.items():
+            assert isinstance(held, int) or (isinstance(held, tuple) and len(held) >= 2)
+            held = (held,) if isinstance(held, int) else held
+            assert all(((g | packing.guard) - packing.ones) & packing.guard == support for g in held)
+            filed += held
+        assert sorted(filed) == sorted(ideal.keys)
         for probe in probes:
             assert ideal_contains(ideal, probe) == any(divides(g, probe) for g in minimal)
         assert ideal._by_support == index
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stream_matches_brute_force_minimalization(self, data):
+        # The packed keys themselves, streamed in nondecreasing degree and in
+        # any order within a degree, with duplicates, powers and mixed
+        # degrees: the kept keys are the minimal generators, every copy of
+        # a repeat but the first is dropped, and membership is divisibility.
+        gens = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=3), max_size=14))
+        if gens:
+            gens += data.draw(st.lists(st.sampled_from(gens), max_size=5))
+            gens += [mul(a, b) for a, b in zip(gens, gens[1:3])]
+        gens = sorted(data.draw(st.permutations(gens)), key=lambda m: m.degree)
+        inner = data.draw(st.sampled_from(["grevlex", "lex"]))
+        packing = CircularTermOrder(6, inner).packing(max([8] + [m.degree for m in gens]))
+        keys = [packing.pack(m.factors) for m in gens]
+        assert [packing.degree(p) for p in keys] == [m.degree for m in gens]
+        ideal = MonomialIdeal(iter(keys), packing)
+        minimal = reference_minimal_generators(gens)
+        # The kept keys, in the order of their first copies.
+        minimal_keys = {packing.pack(m.factors) for m in minimal}
+        assert ideal.keys == tuple(p for p in dict.fromkeys(keys) if p in minimal_keys)
+        assert ideal.generators == minimal
+        probes = data.draw(st.lists(monomial_strategy(n=6, max_factors=4, max_exp=2), max_size=8))
+        for probe in probes + gens:
+            assert ideal_contains(ideal, probe) == any(divides(g, probe) for g in gens)
+
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_generators_sharing_a_support_are_both_kept_and_found(self, inner):
+        # x12^2*x34 and x12*x34^2 have one support and divide neither each
+        # other nor anything else here; x12*x34 shares their support too and
+        # lies in neither's ideal, x12^2*x34^2 in both.
+        a, b = mono((1, 2), (1, 2), (3, 4)), mono((1, 2), (3, 4), (3, 4))
+        for gens in ([a, b], [b, a], [a, mono((5, 6)), b, a]):
+            ideal = packed_ideal(gens, [mono((1, 2), (1, 2), (3, 4), (3, 4))], n=6, inner=inner)
+            assert set(ideal.generators) == set(gens)
+            pa, pb = (ideal.packing.pack(m.factors) for m in (a, b))
+            support = ((pa | ideal.packing.guard) - ideal.packing.ones) & ideal.packing.guard
+            assert sorted(ideal._by_support[support]) == sorted((pa, pb))
+            assert ideal_contains(ideal, a) and ideal_contains(ideal, b)
+            assert ideal_contains(ideal, mono((1, 2), (1, 2), (3, 4), (3, 4)))
+            assert not ideal_contains(ideal, mono((1, 2), (3, 4)))
+            assert not ideal_contains(ideal, mono((1, 2), (1, 2), (1, 2)))
+
+    def test_stream_whose_degree_decreases_is_refused(self):
+        packing = CircularTermOrder(6).packing(4)
+        cubic, quadric = (packing.pack(mono(*edges).factors) for edges in ([(1, 2)] * 3, [(3, 4)] * 2))
+        with pytest.raises(ValueError, match="nondecreasing degree: 2 after 3"):
+            MonomialIdeal([quadric, cubic, quadric], packing)
+        # A multiple after its divisor, and a repeat, are dropped, not refused.
+        assert MonomialIdeal([quadric, quadric, quadric + cubic], packing).keys == (quadric,)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

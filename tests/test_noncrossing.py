@@ -209,6 +209,17 @@ class TestTargetsMatchTheirDefinitions:
             assert target.degrees() == (3, 5)
             assert set(target.generators) == want
 
+    def test_symbolic_target_at_n7(self):
+        # The streamed target, triangles then degree-4 products, under
+        # either inner order: it has no generator above degree 4, so through
+        # D = 4 this is the whole target against its definition.
+        want = target_by_definition(7, "symbolic-square", 4)
+        assert len(want) == 1673
+        for inner in ("grevlex", "lex"):
+            target = symbolic_square_of_edge_ideal(NoncrossingGraph(7), CircularTermOrder(7, inner))
+            assert target.degrees() == (3, 4)
+            assert set(target.generators) == want
+
     @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
     def test_target_with_a_generator_dropped_or_added_disagrees(self, kind):
         # Added: a noncrossing pair, which lies in the edge ideal but in
