@@ -8,7 +8,7 @@ Buchberger certification engine for the rank-2 secant and symbolic-square
 bases.
 """
 
-from .poly import Monomial, Variable, edge_var, format_monomial
+from .poly import Variable, edge_var
 from .order import CircularTermOrder, edge_class
 from .hypersimplex import (
     BinomialGenerator,

@@ -39,7 +39,7 @@ from .noncrossing import (
     symbolic_square_of_edge_ideal,
 )
 from .order import CircularTermOrder, INNER_ORDERS
-from .poly import Monomial, format_monomial, format_rows
+from .poly import edge_factors, format_factors, format_rows
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -106,7 +106,7 @@ def _json_object(pairs: list[tuple[str, str]], depth: int) -> str:
 
 class _FactorText(dict):
     """Memo from a (variable, exponent) factor to its JSON text at one depth:
-    ["x", a, b, e] for an edge, [kind, i, e] for a parameter."""
+    the variable's fields, then the exponent, ["x", a, b, e] for x[a,b]^e."""
 
     def __init__(self, depth: int):
         super().__init__()
@@ -121,10 +121,11 @@ class _FactorText(dict):
 class _JsonText:
     """Generators as the exact text json.dumps(..., indent=2) gives them.
 
-    Monomials, polynomial rows (see order.py) and binomials go
-    straight to text, with no {"coeff", "monomial"} dicts or factor lists in
-    between.  Each (variable, exponent) factor is rendered once per depth
-    and reused: a basis at n <= 8 has only a few dozen distinct factors.
+    Monomials, given by their factors, polynomial rows (see order.py) and
+    binomials go straight to text, with no {"coeff", "monomial"} dicts or
+    factor lists in between.  Each (variable, exponent) factor is rendered
+    once per depth and reused: a basis at n <= 8 has only a few dozen
+    distinct factors.
     One instance serves one command.
     """
 
@@ -146,12 +147,12 @@ class _JsonText:
             self._factors_at[depth] = render
         return render
 
-    def monomial(self, m: Monomial, depth: int) -> str:
-        return self._factors_renderer(depth)(m.factors)
+    def monomial(self, factors: tuple, depth: int) -> str:
+        return self._factors_renderer(depth)(factors)
 
     def binomial(self, g: BinomialGenerator, depth: int) -> str:
         mono = self._factors_renderer(depth + 1)
-        return _json_object([("lead", mono(g.lead.factors)), ("trail", mono(g.trail.factors))], depth)
+        return _json_object([("lead", mono(g.lead)), ("trail", mono(g.trail))], depth)
 
     def polynomial(self, rows: list, depth: int) -> str:
         """{"terms": [{"coeff": c, "monomial": [...]}, ...]}, one term per row."""
@@ -328,8 +329,8 @@ def _emit_monomial_ideal(args: argparse.Namespace, ideal: MonomialIdeal, order: 
         text = _JsonText()
         return _json_document(header, "generators", text.array(ideal.generators, text.monomial))
     if args.format == "algebra-script":
-        return algebra_script(([(1, m.factors)] for m in ideal.generators), order)
-    return _text_lines(map(format_monomial, ideal.generators))
+        return algebra_script(([(1, f)] for f in ideal.generators), order)
+    return _text_lines(map(format_factors, ideal.generators))
 
 
 def _emit_polynomials(args: argparse.Namespace, rows, count: int, order: CircularTermOrder,
@@ -393,7 +394,7 @@ def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
             "cycles": [[[a, b] for a, b in cyc] for cyc in cycles],
         }
         return RunResult(EXIT_OK, _json_dump(payload), warn)
-    lines = [format_monomial(Monomial.from_edges(c)) for c in cycles]
+    lines = [format_factors(edge_factors(c)) for c in cycles]
     return RunResult(EXIT_OK, _text_lines(lines), warn)
 
 

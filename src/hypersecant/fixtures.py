@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .noncrossing import AdmissibleSequence
 from .master import _order, master_terms
-from .poly import Monomial, format_monomial
+from .poly import canonical_sorted, edge_factors, format_factors
 
 CUBIC_SEQUENCE = ((1, 3, 5), (2, 4, 6))
 
@@ -49,20 +49,20 @@ GENERIC_QUINTIC_TERM_COUNT = 32
 
 
 def _master(arrays) -> dict:
-    """The master polynomial of the sequence with these index arrays, each
-    Monomial mapped to its coefficient."""
+    """The master polynomial of the sequence with these index arrays, the
+    factors of each term mapped to its coefficient."""
     s = AdmissibleSequence.from_arrays(*arrays)
     packing = _order(max(3, s.min_ambient())).packing(s.length)
-    return {Monomial._with(f): c for _, c, f in master_terms(s, packing)}
+    return {f: c for _, c, f in master_terms(s, packing)}
 
 
 def _diff(reference, computed: dict) -> dict:
-    expected = {Monomial.from_edges(pairs): c for c, pairs in reference}
+    expected = {edge_factors(pairs): c for c, pairs in reference}
     mismatches = []
-    for m in sorted(expected.keys() | computed.keys()):
-        ce, cc = expected.get(m, 0), computed.get(m, 0)
+    for f in canonical_sorted(expected.keys() | computed.keys()):
+        ce, cc = expected.get(f, 0), computed.get(f, 0)
         if ce != cc:
-            mismatches.append({"monomial": format_monomial(m), "expected": ce, "computed": cc})
+            mismatches.append({"monomial": format_factors(f), "expected": ce, "computed": cc})
     return {
         "expected_terms": len(expected),
         "computed_terms": len(computed),

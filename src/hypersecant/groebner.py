@@ -29,7 +29,7 @@ from .noncrossing import (
 )
 from .master import master_terms
 from .order import CircularTermOrder, _Packing, _check_terms
-from .poly import edge_var, format_monomial, format_rows
+from .poly import degree, edge_var, format_factors, format_rows
 
 SECANT = "secant"
 SYMBOLIC_SQUARE = "symbolic-square"
@@ -124,24 +124,24 @@ class _Divider:
     one call, and so do its tables and memo.  Each reducer of `rows`, its
     (coefficient, factors) rows in any order, is packed as it is read, and
     only its leading term and tail are kept.  A reducer must be homogeneous
-    of degree at most `degree`, by default the packing's limit, and keep
+    of degree at most `top`, by default the packing's limit, and keep
     the row invariant (see order.py), else ValueError: no field overflows
     unnoticed, and no term is read twice.
     """
 
-    def __init__(self, packing: _Packing, rows, degree: int | None = None):
-        if degree is None:
-            degree = packing.limit
+    def __init__(self, packing: _Packing, rows, top: int | None = None):
+        if top is None:
+            top = packing.limit
         self.packing = packing
         self.lts, self.tails, self.supports = [], [], []
         for g in rows:
             if not g:
                 raise ValueError("reducers must be nonzero")
-            degrees = {sum(e for _, e in f) for _, f in g}
+            degrees = {degree(f) for _, f in g}
             if len(degrees) > 1:
                 raise ValueError("reducers must be homogeneous")
-            if max(degrees) > degree:
-                raise ValueError(f"a reducer of degree {max(degrees)} exceeds the declared degree {degree}")
+            if max(degrees) > top:
+                raise ValueError(f"a reducer of degree {max(degrees)} exceeds the declared degree {top}")
             terms = [(packing.pack(f), c) for c, f in g]
             _check_terms(terms)
             lt, ltc = max(terms)
@@ -400,13 +400,13 @@ def buchberger_verify(
     started = time.perf_counter()
     if labels is None:
         G = list(G)
-        degree = max((sum(e for _, e in f) for g in G for _, f in g), default=0)
+        top = max((degree(f) for g in G for _, f in g), default=0)
     else:
-        degree = max(map(_label_degree, labels), default=0)
+        top = max(map(_label_degree, labels), default=0)
     # Rewrites by homogeneous reducers keep degrees, so every term of a
     # reduction has at most the degree of its S-pair's lcm, which is at most
     # twice the largest generator's.
-    divider = _Divider(order.packing(2 * degree), G, degree)
+    divider = _Divider(order.packing(2 * top), G, top)
     m = len(divider.lts)
     del G
     results = _sweep(divider, threads)
@@ -684,8 +684,8 @@ def delightful_check(
         got = set(MonomialIdeal(leads, target.packing).generators)
         want = set(target.generators)
         witness = {
-            "missing": sorted(format_monomial(m) for m in want - got),
-            "unexpected": sorted(format_monomial(m) for m in got - want),
+            "missing": sorted(map(format_factors, want - got)),
+            "unexpected": sorted(map(format_factors, got - want)),
         }
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "fail", witness))
 

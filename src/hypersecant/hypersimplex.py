@@ -14,7 +14,7 @@ from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
 from .order import _check_terms
-from .poly import Monomial, _rank_image, canonical_sorted, is_edge_var
+from .poly import _rank_image, canonical_sorted, degree, edge_factors, is_edge_var
 
 
 def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
@@ -42,13 +42,13 @@ def crosses(n: int, e: tuple[int, int], f: tuple[int, int]) -> bool:
 class BinomialGenerator(NamedTuple):
     """A generator lead - trail of the toric ideal, lead the noncrossing pair."""
 
-    lead: Monomial
-    trail: Monomial
+    lead: tuple
+    trail: tuple
     quadruple: tuple[int, int, int, int]
     family: int  # 1: (ij)(kl) lead, 2: (il)(jk) lead
 
     def rows(self) -> list[tuple[int, tuple]]:
-        return [(1, self.lead.factors), (-1, self.trail.factors)]
+        return [(1, self.lead), (-1, self.trail)]
 
 
 def toric_gb(n: int) -> list[BinomialGenerator]:
@@ -57,9 +57,9 @@ def toric_gb(n: int) -> list[BinomialGenerator]:
         raise ValueError(f"need n >= 3, got {n!r}")
     out = []
     for i, j, k, l in combinations(range(1, n + 1), 4):
-        trail = Monomial.from_edges([(i, k), (j, l)])
-        out.append(BinomialGenerator(Monomial.from_edges([(i, j), (k, l)]), trail, (i, j, k, l), 1))
-        out.append(BinomialGenerator(Monomial.from_edges([(i, l), (j, k)]), trail, (i, j, k, l), 2))
+        trail = edge_factors([(i, k), (j, l)])
+        out.append(BinomialGenerator(edge_factors([(i, j), (k, l)]), trail, (i, j, k, l), 1))
+        out.append(BinomialGenerator(edge_factors([(i, l), (j, k)]), trail, (i, j, k, l), 2))
     return out
 
 
@@ -73,7 +73,7 @@ class MonomialIdeal:
     no guard, whatever the weights above the fields.  A generator is kept
     unless a kept one divides it: a proper divisor has a lower degree, so it
     came first, and a repeat meets its first copy.  `keys` holds the kept
-    ones, `contains_key` looks up another packed monomial, and the Monomials
+    ones, `contains_key` looks up another packed monomial, and the factors
     of `generators` are read back when first asked for.  The support of a
     monomial is the set of guard bits of its nonzero fields; the index maps
     it to the one generator with exactly that support, or a tuple of them.
@@ -118,18 +118,17 @@ class MonomialIdeal:
         return any(not s & ~support and _divides(pg, held, guard) for s, held in index.items())
 
     @property
-    def generators(self) -> tuple[Monomial, ...]:
-        """The minimal generators, in canonical order."""
+    def generators(self) -> tuple[tuple, ...]:
+        """The factors of the minimal generators, by degree, then factors."""
         if self._generators is None:
-            factors = self.packing.factors
-            self._generators = tuple(canonical_sorted(Monomial._with(factors(p)) for p in self.keys))
+            self._generators = tuple(canonical_sorted(map(self.packing.factors, self.keys)))
         return self._generators
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({m.degree for m in self.generators}))
+        return tuple(sorted(set(map(self.packing.degree, self.keys))))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialIdeal) and self.generators == other.generators
@@ -184,7 +183,7 @@ def in_secant_ideal(n: int, rows) -> bool:
     t choice in the expansion.
     """
     _validate_ambient(n, _variables(rows))
-    if len({sum(e for _, e in f) for _, f in rows}) > 1:
+    if len({degree(f) for _, f in rows}) > 1:
         raise ValueError("secant membership oracle requires a homogeneous polynomial")
     return not _rank_image(rows, 2, _pinned_vertex(rows))
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from .hypersimplex import SecantClasses, _validate_ambient, _variables
 from .noncrossing import AdmissibleSequence, cycle_monomial
 from .order import CircularTermOrder, _Packing
-from .poly import edge_var
+from .poly import degree, edge_var
 
 
 @lru_cache(maxsize=2)
@@ -120,7 +120,7 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
     field per edge of f; no vertex degree and no d_v exceeds deg f, so no
     field carries.
     """
-    degrees = {sum(e for _, e in f) for _, f in rows}
+    degrees = {degree(f) for _, f in rows}
     if len(degrees) > 1:
         raise ValueError("prolongation check requires a homogeneous polynomial")
     if not isinstance(bound, int) or bound < 0:
@@ -151,4 +151,4 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
 def verify_leading_term(n: int, s: AdmissibleSequence, order: CircularTermOrder) -> bool:
     """The order's leading monomial of the master polynomial is the cycle monomial."""
     terms = master_terms(s, order.packing(s.length))
-    return bool(terms) and terms[0][2] == cycle_monomial(s).factors
+    return bool(terms) and terms[0][2] == cycle_monomial(s)

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .hypersimplex import MonomialIdeal, crosses
 from .order import CircularTermOrder, _Packing
-from .poly import Monomial, edge_var
+from .poly import edge_factors, edge_var
 
 
 class NoncrossingGraph:
@@ -323,13 +323,7 @@ def all_admissible_sequences(n: int) -> list[AdmissibleSequence]:
     return out
 
 
-def cycle_monomial(s: AdmissibleSequence) -> Monomial:
-    """The product over l of x[i_l, j_{l+k-1}], indices modulo 2k+1."""
-    length = s.length
-    pairs = []
-    for l in range(length):
-        a, b = s.i[l], s.j[(l + s.k - 1) % length]
-        if a == b:
-            raise ValueError(f"loop at position {l + 1}: both endpoints are {a}")
-        pairs.append((min(a, b), max(a, b)))
-    return Monomial.from_edges(pairs)
+def cycle_monomial(s: AdmissibleSequence) -> tuple:
+    """The factors of the product over l of x[i_l, j_{l+k-1}], indices
+    modulo 2k+1."""
+    return edge_factors((s.i[l], s.j[(l + s.k - 1) % s.length]) for l in range(s.length))

@@ -177,8 +177,7 @@ class _Packing:
 
         Each pair of terms gives one packed monomial, the sum of theirs; equal
         ones merge, and a zero coefficient drops out.  The
-        factors of a surviving term are merged from one pair that gives it, so
-        no Monomial is built.
+        factors of a surviving term are merged from one pair that gives it.
         """
         acc: dict = {}
         for k1, c1, f1 in a:

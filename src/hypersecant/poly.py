@@ -3,9 +3,10 @@
 A polynomial lives in the edge variables x[a,b] (chords of a labelled n-gon,
 stored with a < b) and is held as its rows: (coefficient, factors) pairs with
 plain Python int coefficients, so every operation is exact (see order.py for
-the row invariant).  A Monomial is one term's factors as a hashable value,
-for output and monomial ideals.  The rank-substitution oracle expands rows
-on packed parameter monomials and builds no Monomial.
+the row invariant).  A monomial unpacked is its factors: the sorted tuple of
+its (variable, exponent) pairs, no exponent zero, the empty tuple the
+constant 1.  The rank-substitution oracle expands rows on packed parameter
+monomials instead.
 
 All values are immutable after construction and all operations are pure, so
 everything here is safe to share across threads or processes.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import chain
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable
 
 # A variable is a plain tuple: ('x', a, b) with a < b.
 Variable = tuple
@@ -41,7 +42,7 @@ def is_edge_var(v: Variable) -> bool:
     return v[0] == _EDGE
 
 
-# Every Monomial's (variable, exponent) pairs are interned here, so equal
+# Every monomial's (variable, exponent) pairs are interned here, so equal
 # pairs are one tuple however many monomials hold them.  It holds one entry
 # per distinct pair ever used: at most the variables times the largest
 # exponent, not one per monomial.
@@ -64,81 +65,33 @@ def product_factors(f1: tuple, f2: tuple) -> tuple:
     return _interned(d.items())
 
 
-class Monomial:
-    """A sparse monomial: a product of variables with positive exponents.
-
-    Stored as a sorted tuple of (variable, exponent) pairs; no exponent is
-    ever zero.  The empty monomial is the constant 1.  Each pair is interned
-    (see _FACTORS), so monomials share their pairs rather than copy them.
-    """
-
-    __slots__ = ("factors", "_hash")
-
-    def __init__(self, factors: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
-        # The dict test first: it is cheap, and the Mapping check is not.
-        if isinstance(factors, dict) or isinstance(factors, Mapping):
-            factors = factors.items()
-        acc: dict[Variable, int] = {}
-        for v, e in factors:
-            if not isinstance(e, int):
-                raise TypeError(f"exponent of {v} must be an int, got {e!r}")
-            if e < 0:
-                raise ValueError(f"negative exponent {e} for {v}")
-            if e:
-                acc[v] = acc.get(v, 0) + e
-        self.factors = _interned(acc.items())
-        self._hash = hash(self.factors)
-
-    @classmethod
-    def _with(cls, factors: tuple) -> "Monomial":
-        """Trusted constructor from factors as _interned returns them."""
-        m = object.__new__(cls)
-        m.factors = factors
-        m._hash = hash(factors)
-        return m
-
-    @classmethod
-    def from_edges(cls, pairs: Iterable[tuple[int, int]]) -> "Monomial":
-        """Monomial from edge endpoint pairs; repeats accumulate exponents."""
-        acc: dict[Variable, int] = {}
-        for a, b in pairs:
-            v = edge_var(a, b)
-            acc[v] = acc.get(v, 0) + 1
-        return cls(acc)
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.factors)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Monomial") -> bool:
-        return canonical_key(self) < canonical_key(other)
-
-    def __repr__(self) -> str:
-        return f"Monomial({format_monomial(self)})"
+def edge_factors(pairs: Iterable[tuple[int, int]]) -> tuple:
+    """The factors of the product of the edges x[a,b] over these endpoint
+    pairs; repeats accumulate exponents."""
+    acc: dict[Variable, int] = {}
+    for a, b in pairs:
+        v = edge_var(a, b)
+        acc[v] = acc.get(v, 0) + 1
+    return _interned(acc.items())
 
 
-def canonical_key(m: Monomial) -> tuple:
-    """Order-agnostic sort key, degree then factors, used only for stable output."""
-    return (m.degree, m.factors)
+def degree(factors: tuple) -> int:
+    """The total degree of the monomial with these factors."""
+    return sum(e for _, e in factors)
 
 
-def canonical_sorted(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """The distinct monomials in canonical_key order.
+def canonical_sorted(monomials: Iterable[tuple]) -> list[tuple]:
+    """The distinct monomials, given by their factors, sorted by degree, then
+    factors: an order-agnostic order, used only for stable output.
 
     Each distinct (variable, exponent) factor is ranked as an int first, so
     the key is a flat tuple of ints, degree then factor ranks, which compares
     about twice as fast as the nested factor tuples and orders the same.
     """
     distinct = set(monomials)
-    rank = {f: r for r, f in enumerate(sorted({f for m in distinct for f in m.factors}))}.__getitem__
+    rank = {f: r for r, f in enumerate(sorted({f for m in distinct for f in m}))}.__getitem__
     exponent = itemgetter(1)
-    return sorted(distinct, key=lambda m: (sum(map(exponent, m.factors)), *map(rank, m.factors)))
+    return sorted(distinct, key=lambda m: (sum(map(exponent, m)), *map(rank, m)))
 
 
 def _rank_image(rows, r: int, pinned: int | None) -> dict[int, int]:
@@ -164,7 +117,7 @@ def _rank_image(rows, r: int, pinned: int | None) -> dict[int, int]:
     are: only whether the image is zero is ever asked.
     """
     powers = set(chain.from_iterable(f for _, f in rows))
-    w = max([1, *(sum(e for _, e in f) for _, f in rows)]).bit_length()
+    w = max([1, *(degree(f) for _, f in rows)]).bit_length()
     at = {a: 2 * w * k for k, a in enumerate(sorted({a for (_, *ends), _ in powers for a in ends}))}
     # Per edge power x[a,b]^e, the packed terms of (t_a t_b)^k (u_a u_b)^(e-k)
     # with their binomial coefficients; a power with only its t choice,
@@ -205,7 +158,7 @@ def _rank_image(rows, r: int, pinned: int | None) -> dict[int, int]:
 # ----- text grammar -----
 #
 # term      := sign magnitude ('*' factor)*          e.g.  -1*x[1,2]*x[3,4]^2
-# factor    := x[a,b] | t[i] | u[i], optional ^e for e > 1
+# factor    := x[a,b], optional ^e for e > 1
 # polynomial:= term (' ' term)*  or  "0"
 # A polynomial is written from its rows in the order they are listed:
 # descending under the term order for every polynomial a command writes.
@@ -213,22 +166,11 @@ def _rank_image(rows, r: int, pinned: int | None) -> dict[int, int]:
 
 
 def format_factors(factors: tuple) -> str:
-    """Bare text of a monomial's factors, e.g. x[1,2]*x[2,3]; no factors is '1'."""
+    """Bare text of an edge monomial's factors, e.g. x[1,2]*x[2,3]^2; no
+    factors is '1'."""
     if not factors:
         return "1"
-    parts = []
-    for v, e in factors:
-        if v[0] == _EDGE:
-            s = f"x[{v[1]},{v[2]}]"
-        else:
-            s = f"{v[0]}[{v[1]}]"
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "*".join(parts)
-
-
-def format_monomial(m: Monomial) -> str:
-    """Bare monomial text, e.g. x[1,2]*x[2,3]; the empty monomial is '1'."""
-    return format_factors(m.factors)
+    return "*".join([f"x[{a},{b}]" if e == 1 else f"x[{a},{b}]^{e}" for (_, a, b), e in factors])
 
 
 def format_rows(rows) -> str:

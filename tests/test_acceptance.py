@@ -11,7 +11,6 @@ from math import comb
 
 from hypersecant import (
     CircularTermOrder,
-    Monomial,
     NoncrossingGraph,
     all_admissible_sequences,
     buchberger_verify,
@@ -30,6 +29,7 @@ from hypersecant.fixtures import (
 )
 from hypersecant.groebner import candidate_basis, generator_rows
 from hypersecant.noncrossing import AdmissibleSequence
+from hypersecant.poly import edge_factors
 
 from conftest import (
     ConjugationSubset,
@@ -45,10 +45,10 @@ from conftest import (
     leading_monomial,
     leading_term,
     master_polynomial,
+    monomial,
     mul,
     nested_triple_monomials,
     off_diagonal_minor,
-    one,
     order_rows,
     packed_ideal,
     partial_derivative,
@@ -97,7 +97,7 @@ def test_criterion_03_generic_term_count():
 def test_criterion_04_initial_secant_n5():
     t0 = time.perf_counter()
     res = run(build_parser().parse_args(["initial-secant", "--n", "5"]))
-    expected = Monomial.from_edges([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    expected = edge_factors([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     ideal = secant_of_edge_ideal(NoncrossingGraph(5), 5)
     ok = (
         res.code == 0
@@ -229,7 +229,7 @@ def test_criterion_11_delightfulness_equality():
 def _random_monomial(rng, n=6, max_vars=3, max_exp=2):
     edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     chosen = rng.sample(edges, rng.randint(0, max_vars))
-    return Monomial((edge_var(a, b), rng.randint(1, max_exp)) for a, b in chosen)
+    return monomial((edge_var(a, b), rng.randint(1, max_exp)) for a, b in chosen)
 
 
 def _random_poly(rng, n=6, max_terms=3, max_exp=2):
@@ -245,7 +245,7 @@ def test_criterion_12_property_suites():
     t0 = time.perf_counter()
     rng = random.Random(20260808)
     order_g, order_l = both_inner_orders(6)
-    unit = one()
+    unit = ()
     for _ in range(cases):
         m1, m2, m3 = (_random_monomial(rng) for _ in range(3))
         for order in (order_g, order_l):

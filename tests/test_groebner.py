@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypersecant import (
     AdmissibleSequence,
     CircularTermOrder,
-    Monomial,
     MonomialIdeal,
     NoncrossingGraph,
     admissible_sequences,
@@ -23,7 +22,6 @@ from hypersecant import (
     buchberger_verify,
     circular_minor_splits,
     delightful_check,
-    format_monomial,
     in_secant_ideal,
     induced_odd_cycles,
     initial_edge_ideal,
@@ -34,7 +32,7 @@ from hypersecant import (
 from hypersecant import groebner
 from hypersecant.noncrossing import odd_floor
 from hypersecant.order import _Packing, edge_class
-from hypersecant.poly import format_rows
+from hypersecant.poly import degree, edge_factors, format_factors, format_rows
 
 from conftest import (
     Polynomial,
@@ -54,6 +52,7 @@ from conftest import (
     leading_monomial,
     leading_term,
     master_polynomial,
+    monomial,
     monomial_strategy,
     mul,
     off_diagonal_minor,
@@ -73,13 +72,12 @@ from conftest import (
     substitute_toric,
     term_rows,
     toric_gb_polynomials,
-    unpack,
     variables,
 )
 
 
 def mono(*edges):
-    return Monomial.from_edges(edges)
+    return edge_factors(edges)
 
 
 def binom(lead, trail):
@@ -87,7 +85,7 @@ def binom(lead, trail):
 
 
 def power(a, b, e=1):
-    return Polynomial.from_monomial(Monomial({("x", a, b): e}))
+    return Polynomial.from_monomial(monomial({("x", a, b): e}))
 
 
 def mutated_secant_basis_6():
@@ -102,7 +100,7 @@ def mutated_secant_basis_6():
 
 
 def reference_normal_form(f, G, order):
-    """Division on Monomial and Polynomial values, the rule spelled out: the
+    """Division on Polynomial values, the rule spelled out: the
     largest remaining term is rewritten by the first reducer whose leading
     term divides it, or else moved to the remainder.  Returns the remainder
     and max_terms, the largest number of terms of f plus the remainder,
@@ -129,8 +127,8 @@ def unit_reducers(draw, order, n):
     leading coefficient +-1."""
     out = []
     for degree in draw(st.lists(st.integers(1, 4), max_size=3)):
-        monomial = st.lists(st.sampled_from(edges_for(n)), min_size=degree, max_size=degree)
-        terms = st.tuples(monomial.map(Monomial.from_edges), st.integers(-4, 4))
+        edges = st.lists(st.sampled_from(edges_for(n)), min_size=degree, max_size=degree)
+        terms = st.tuples(edges.map(edge_factors), st.integers(-4, 4))
         p = Polynomial(draw(st.lists(terms, min_size=1, max_size=3)))
         if p.is_zero:
             continue
@@ -235,12 +233,12 @@ class TestPacking:
         m2 = data.draw(monomial_strategy(n=n, max_factors=5, max_exp=3))
         for order in both_inner_orders(n):
             pk = _Packing(order, 5)
-            p1, p2 = pk.pack(m1.factors), pk.pack(m2.factors)
+            p1, p2 = pk.pack(m1), pk.pack(m2)
             assert (p1 < p2) == (reference_order_key(order, m1) < reference_order_key(order, m2))
             assert (p1 == p2) == (m1 == m2)
-            assert p1 + p2 == pk.pack(mul(m1, m2).factors)
-            assert unpack(pk, p1) == m1
-            assert pk.factors(p1 + p2) == mul(m1, m2).factors
+            assert p1 + p2 == pk.pack(mul(m1, m2))
+            assert pk.factors(p1) == m1
+            assert pk.factors(p1 + p2) == mul(m1, m2)
 
 
 class TestSPolynomial:
@@ -687,7 +685,7 @@ class TestPairStreaming:
         # (1, -1, 2) is 2*x13*x24 with x12*x34 named twice: its leading
         # coefficient is 2, not a unit, yet the divider once led with the
         # first copy of x12*x34.  (1, 0) has a zero tail coefficient.
-        lead, tail = mono((1, 2), (3, 4)).factors, mono((1, 3), (2, 4)).factors
+        lead, tail = mono((1, 2), (3, 4)), mono((1, 3), (2, 4))
         rows = [(c, lead) for c in coefficients[:-1]] + [(coefficients[-1], tail)]
         for order in both_inner_orders(4):
             with pytest.raises(ValueError, match="a monomial twice|a zero coefficient"):
@@ -752,7 +750,7 @@ class TestNormalForm:
         want = reference_normal_form(f, G, order)
         # The second division finds every first divisor in the memo.
         for _ in range(2):
-            rem, max_terms = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
+            rem, max_terms = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
             assert (packed_polynomial(packing, {-q: c for q, c in rem.items()}), max_terms) == want
 
     # Linear cases over v[0] > v[1] > ... > v[9], the ten variables of
@@ -787,7 +785,7 @@ class TestNormalForm:
         monkeypatch.setattr(groebner, "heappush", counting_push)
         packing = order.packing(1)
         divider = groebner._Divider(packing, term_rows(G))
-        got, got_max = divider.normal_form({-packing.pack(m.factors): c for m, c in f.terms()})
+        got, got_max = divider.normal_form({-packing.pack(m): c for m, c in f.terms()})
         assert (packed_polynomial(packing, {-q: c for q, c in got.items()}), got_max) == (rem, max_terms)
         assert len(pushed) == pushes
 
@@ -809,13 +807,13 @@ class TestDivisorIndex:
         terms = data.draw(
             st.lists(monomial_strategy(n=7, max_factors=6, max_exp=3), min_size=1, max_size=8)
         )
-        packing = order.packing(max(m.degree for m in leads + terms))
+        packing = order.packing(max(map(degree, leads + terms)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_FRONT_MEMO_CAP", cap)
-            divider = groebner._Divider(packing, [[(1, lt.factors)] for lt in leads])
+            divider = groebner._Divider(packing, [[(1, lt)] for lt in leads])
             misses = 0
             for m in terms + terms:
-                q = -packing.pack(m.factors)
+                q = -packing.pack(m)
                 want = reference_first_divisor(leads, m)
                 if q in divider.memo:
                     assert divider.memo[q] == want
@@ -961,7 +959,7 @@ class TestGeneratorRows:
         coefficients, exponents = set(), set()
         for (_, a, b), rows in zip(labels, groebner.generator_rows(n, labels, order), strict=True):
             p = toric[a] * toric[b]
-            assert rows == [(p.coefficient(m), m.factors) for m in sorted(p.monomials(), key=key, reverse=True)]
+            assert rows == [(p.coefficient(m), m) for m in sorted(p.monomials(), key=key, reverse=True)]
             coefficients.update(c for c, _ in rows)
             exponents.update(e for _, f in rows for _, e in f)
         # A square merges its two cross terms into -2 and raises exponents to
@@ -985,7 +983,7 @@ class TestSecantBasisIsOddCycleBijection:
         gens = candidate_polynomials(n, "secant")
         cycles = induced_odd_cycles(NoncrossingGraph(n), odd_floor(n))
         assert len(gens) == len(cycles) == count
-        want = {Monomial.from_edges(c) for c in cycles}
+        want = set(map(edge_factors, cycles))
         for order in both_inner_orders(n):
             assert {leading_monomial(order, g) for g in gens} == want
 
@@ -1133,8 +1131,8 @@ def _reference_witness(n, kind, order):
     leads, target = _leads_and_target(n, kind, order)
     got, want = set(packed_ideal(leads, n=n).generators), set(target.generators)
     return {
-        "missing": sorted(format_monomial(m) for m in want - got),
-        "unexpected": sorted(format_monomial(m) for m in got - want),
+        "missing": sorted(map(format_factors, want - got)),
+        "unexpected": sorted(map(format_factors, got - want)),
     }
 
 
@@ -1222,7 +1220,7 @@ class TestDelightfulNegativeControls:
         assert _check(cert, "generators_vanish_on_rank_two_locus").status == "pass"
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
         assert leg.status == "fail"
-        assert leg.witness["missing"] == [format_monomial(leading_monomial(order, dropped))]
+        assert leg.witness["missing"] == [format_factors(leading_monomial(order, dropped))]
         assert leg.witness["unexpected"] == []
         assert leg.witness == _reference_witness(6, "secant", order)
 
@@ -1300,7 +1298,7 @@ class TestDelightfulNegativeControls:
         cert = delightful_check(6, "symbolic-square", order)
         leg = _check(cert, "initial_ideal_matches_combinatorial_target")
         assert leg.status == "fail"
-        lead = format_monomial(leading_monomial(order, binomial))
+        lead = format_factors(leading_monomial(order, binomial))
         assert leg.witness["unexpected"] == [lead]
         assert leg.witness == _reference_witness(6, "symbolic-square", order)
         membership = _check(cert, "generators_member_of_symbolic_square")
@@ -1343,11 +1341,11 @@ def _sympy_initial_ideal(polys, order):
         variables += block
     sym = [sympy.Symbol(f"x_{a}_{b}") for _, a, b in variables]
     at = dict(zip(variables, sym))
-    exprs = [sum(c * sympy.Mul(*(at[v] ** e for v, e in m.factors)) for m, c in p.terms()) for p in polys]
+    exprs = [sum(c * sympy.Mul(*(at[v] ** e for v, e in m)) for m, c in p.terms()) for p in polys]
     product_order = ProductOrder(*slices)
     basis = sympy.groebner(exprs, *sym, order=product_order)
     return packed_ideal(
-        [Monomial((v, e) for v, e in zip(variables, g.monoms(order=product_order)[0]) if e) for g in basis.polys],
+        [monomial(zip(variables, g.monoms(order=product_order)[0])) for g in basis.polys],
         n=order.n,
     )
 

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from hypersecant import (
     CircularTermOrder,
-    Monomial,
     MonomialIdeal,
     NoncrossingGraph,
     crosses,
     edge_var,
-    format_monomial,
     in_secant_ideal,
     in_toric_ideal,
     initial_edge_ideal,
@@ -23,13 +21,14 @@ from hypersecant import (
 from hypersecant import hypersimplex
 from hypersecant.groebner import candidate_basis
 from hypersecant.hypersimplex import SecantClasses, _pinned_vertex
-from hypersecant.poly import canonical_key, canonical_sorted
+from hypersecant.poly import canonical_sorted, degree, edge_factors, format_factors
 from hypersecant.noncrossing import AdmissibleSequence
 
 from conftest import (
     Polynomial,
     both_inner_orders,
     candidate_polynomials,
+    canonical_key,
     divides,
     edges_for,
     flip_lowest_tail,
@@ -38,10 +37,10 @@ from conftest import (
     leading_monomial,
     leading_term,
     master_polynomial,
+    monomial,
     monomial_strategy,
     mul,
     off_diagonal_minor,
-    one,
     packed_ideal,
     param_t,
     param_u,
@@ -58,7 +57,7 @@ PENTAD_SEQ = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
 
 
 def mono(*edges):
-    return Monomial.from_edges(edges)
+    return edge_factors(edges)
 
 
 mixed_monomial = st.lists(
@@ -69,7 +68,7 @@ mixed_monomial = st.lists(
         st.integers(1, 3),
     ),
     max_size=4,
-).map(Monomial)
+).map(monomial)
 
 
 class TestCrosses:
@@ -266,7 +265,7 @@ class TestSecantClasses:
         # both once fell into the minor's class.  Rows name each monomial at
         # most once, with a nonzero coefficient.
         minor = term_rows([off_diagonal_minor((1, 2, 3), (4, 5, 6))])[0]
-        m = mono((1, 2), (3, 4), (5, 6)).factors
+        m = mono((1, 2), (3, 4), (5, 6))
         with pytest.raises(ValueError, match="a monomial twice|a zero coefficient"):
             SecantClasses(6)(minor + [(c, m) for c in extra])
 
@@ -287,8 +286,8 @@ def secant_sums(draw):
     f = Polynomial.zero()
     for _ in range(draw(st.integers(1, 3))):
         g = draw(st.sampled_from(gens))
-        m = Monomial.from_edges(draw(st.lists(st.sampled_from(edges), min_size=degree - g.degree,
-                                              max_size=degree - g.degree)))
+        m = edge_factors(draw(st.lists(st.sampled_from(edges), min_size=degree - g.degree,
+                                       max_size=degree - g.degree)))
         f = f + Polynomial.from_monomial(m, draw(st.integers(-3, 3).filter(bool))) * g
     return n, f
 
@@ -308,7 +307,7 @@ class TestPinnedRankTwoOracle:
     def test_broken_members_agree_with_unpinned_image(self, case, how, data):
         n, f = case
         degree = max(f.degree, 3)
-        draw_monomial = lambda d: Monomial.from_edges(
+        draw_monomial = lambda d: edge_factors(
             data.draw(st.lists(st.sampled_from(edges_for(n)), min_size=d, max_size=d))
         )
         c = data.draw(st.integers(-3, 3).filter(bool))
@@ -377,7 +376,7 @@ class TestMonomialIdeal:
         ideal = initial_edge_ideal(5)
         assert ideal_contains(ideal, mono((1, 2), (3, 4)))
         assert not ideal_contains(ideal, mono((1, 3), (2, 4)))
-        assert not ideal_contains(ideal, one())
+        assert not ideal_contains(ideal, ())
         ideal = packed_ideal(ideal.generators, [mono((1, 2), (3, 4), (2, 4))], n=5)
         assert ideal_contains(ideal, mono((1, 2), (3, 4), (2, 4)))
 
@@ -422,7 +421,7 @@ class TestMonomialIdeal:
         if gens:
             gens += data.draw(st.lists(st.sampled_from(gens), max_size=5))
         if data.draw(st.integers(0, 4)) == 0:
-            gens.append(one())
+            gens.append(())
         # Products of generators have divisors on proper submasks; probes on
         # the octagon's chords may use variables no generator uses, and
         # membership must not grow the index.
@@ -456,15 +455,15 @@ class TestMonomialIdeal:
         if gens:
             gens += data.draw(st.lists(st.sampled_from(gens), max_size=5))
             gens += [mul(a, b) for a, b in zip(gens, gens[1:3])]
-        gens = sorted(data.draw(st.permutations(gens)), key=lambda m: m.degree)
+        gens = sorted(data.draw(st.permutations(gens)), key=degree)
         inner = data.draw(st.sampled_from(["grevlex", "lex"]))
-        packing = CircularTermOrder(6, inner).packing(max([8] + [m.degree for m in gens]))
-        keys = [packing.pack(m.factors) for m in gens]
-        assert [packing.degree(p) for p in keys] == [m.degree for m in gens]
+        packing = CircularTermOrder(6, inner).packing(max([8, *map(degree, gens)]))
+        keys = list(map(packing.pack, gens))
+        assert list(map(packing.degree, keys)) == list(map(degree, gens))
         ideal = MonomialIdeal(iter(keys), packing)
         minimal = reference_minimal_generators(gens)
         # The kept keys, in the order of their first copies.
-        minimal_keys = {packing.pack(m.factors) for m in minimal}
+        minimal_keys = set(map(packing.pack, minimal))
         assert ideal.keys == tuple(p for p in dict.fromkeys(keys) if p in minimal_keys)
         assert ideal.generators == minimal
         probes = data.draw(st.lists(monomial_strategy(n=6, max_factors=4, max_exp=2), max_size=8))
@@ -480,7 +479,7 @@ class TestMonomialIdeal:
         for gens in ([a, b], [b, a], [a, mono((5, 6)), b, a]):
             ideal = packed_ideal(gens, [mono((1, 2), (1, 2), (3, 4), (3, 4))], n=6, inner=inner)
             assert set(ideal.generators) == set(gens)
-            pa, pb = (ideal.packing.pack(m.factors) for m in (a, b))
+            pa, pb = map(ideal.packing.pack, (a, b))
             support = ((pa | ideal.packing.guard) - ideal.packing.ones) & ideal.packing.guard
             assert sorted(ideal._by_support[support]) == sorted((pa, pb))
             assert ideal_contains(ideal, a) and ideal_contains(ideal, b)
@@ -490,7 +489,7 @@ class TestMonomialIdeal:
 
     def test_stream_whose_degree_decreases_is_refused(self):
         packing = CircularTermOrder(6).packing(4)
-        cubic, quadric = (packing.pack(mono(*edges).factors) for edges in ([(1, 2)] * 3, [(3, 4)] * 2))
+        cubic, quadric = (packing.pack(mono(*edges)) for edges in ([(1, 2)] * 3, [(3, 4)] * 2))
         with pytest.raises(ValueError, match="nondecreasing degree: 2 after 3"):
             MonomialIdeal([quadric, cubic, quadric], packing)
         # A multiple after its divisor, and a repeat, are dropped, not refused.
@@ -543,7 +542,7 @@ class TestMonomialIdeal:
         ]
         for ideal in ideals:
             assert len(ideal) == 1673
-            text = " ".join(format_monomial(m) for m in ideal.generators)
+            text = " ".join(map(format_factors, ideal.generators))
             assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @given(st.lists(monomial_strategy(max_factors=2), max_size=5))
