@@ -432,7 +432,7 @@ def _sequence_from_args(args: argparse.Namespace) -> AdmissibleSequence:
 
 def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     seq = _sequence_from_args(args)
-    n = args.n if args.n is not None else max(3, seq.min_ambient())
+    n = args.n if args.n is not None else seq.min_ambient()
     if n < seq.min_ambient():
         raise UsageError(f"--n {n} is too small for indices up to {seq.min_ambient()}")
     warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
@@ -475,7 +475,7 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
             rows = [(c, f) for _, c, f in master_terms(s, order.packing(s.length))]
             passed = verify_prolongation(n, rows, s.k)
         else:
-            passed = verify_leading_term(n, s, order)
+            passed = verify_leading_term(s, order)
         results.append({"k": s.k, "i": list(s.i), "j": list(s.j), "pass": passed})
     ok = all(r["pass"] for r in results)
     code = EXIT_OK if ok else EXIT_FAIL

@@ -52,7 +52,7 @@ def _master(arrays) -> dict:
     """The master polynomial of the sequence with these index arrays, the
     factors of each term mapped to its coefficient."""
     s = AdmissibleSequence.from_arrays(*arrays)
-    packing = _order(max(3, s.min_ambient())).packing(s.length)
+    packing = _order(s.min_ambient()).packing(s.length)
     return {f: c for _, c, f in master_terms(s, packing)}
 
 

@@ -75,9 +75,6 @@ class GroebnerCertificate(NamedTuple):
     def passed(self) -> bool:
         return not any(c.failed for c in self.checks)
 
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if c.failed)
-
 
 # ---------------------------------------------------------------------------
 # division and S-pairs

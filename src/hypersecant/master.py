@@ -148,7 +148,7 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
     return True
 
 
-def verify_leading_term(n: int, s: AdmissibleSequence, order: CircularTermOrder) -> bool:
+def verify_leading_term(s: AdmissibleSequence, order: CircularTermOrder) -> bool:
     """The order's leading monomial of the master polynomial is the cycle monomial."""
     terms = master_terms(s, order.packing(s.length))
     return bool(terms) and terms[0][2] == cycle_monomial(s)

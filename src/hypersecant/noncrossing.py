@@ -13,14 +13,15 @@ An admissible sequence is a cyclic chain
 
 read around the circle, advancing exactly one full revolution.  The stored
 canonical form is the unique rotation that is either fully increasing, or
-increasing with the wrap inside the last pair (j_{2k+1} < i_1); this is the
-lexicographically least of the 2k+1 rotations.
+increasing with the wrap inside the last pair (j_{2k+1} < i_1).  Its i's
+strictly increase, so it is the rotation that starts at the least i.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable
+from itertools import chain, combinations
+from operator import sub
+from typing import Iterable, NamedTuple
 
 from .hypersimplex import MonomialIdeal, crosses
 from .order import CircularTermOrder, _Packing
@@ -177,71 +178,62 @@ def symbolic_square_of_edge_ideal(g: NoncrossingGraph, order: CircularTermOrder 
     return MonomialIdeal(chain(triangles, (p + q for a, p in enumerate(pairs) for q in pairs[a:])), packing)
 
 
-class AdmissibleSequence:
+class _Fields(NamedTuple):
+    k: int
+    i: tuple[int, ...]
+    j: tuple[int, ...]
+
+
+class AdmissibleSequence(_Fields):
     """Canonical interleaved index chain of odd length 2k+1.
 
     Stored in the canonical rotation described in the module docstring.
     The entry i_l may equal j_l (a degenerate tie); the loop-freeness
     condition i_l != j_{l+k-1 mod 2k+1} guarantees that the associated cycle
-    monomial has no self-paired index.  Immutable; equal and hashed by
-    (k, i, j).
+    monomial has no self-paired index.  A checked tuple (k, i, j): the
+    constructor, which pickling and copying call too, validates; equality,
+    hashing and order are the plain tuple's.
     """
 
-    __slots__ = ("k", "i", "j")
+    __slots__ = ()
 
-    def __init__(self, k: int, i: tuple[int, ...], j: tuple[int, ...]):
-        for name, value in (("k", k), ("i", i), ("j", j)):
-            object.__setattr__(self, name, value)
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"need k >= 1, got {self.k!r}")
-        length = 2 * self.k + 1
-        if len(self.i) != length or len(self.j) != length:
+    def __new__(cls, k: int, i: tuple[int, ...], j: tuple[int, ...]):
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"need k >= 1, got {k!r}")
+        length = 2 * k + 1
+        if len(i) != length or len(j) != length:
             raise ValueError(f"index arrays must have length {length}")
-        if any(not isinstance(v, int) or v < 1 for v in self.i + self.j):
+        if any(not isinstance(v, int) or v < 1 for v in i + j):
             raise ValueError("indices must be positive ints")
-        ii, jj = self.i, self.j
         for l in range(length):
-            if l and not jj[l - 1] < ii[l]:
+            if l and not j[l - 1] < i[l]:
                 raise ValueError(
                     f"not in canonical form: need j_{l} < i_{l + 1} "
-                    f"(got {jj[l - 1]} and {ii[l]})"
+                    f"(got {j[l - 1]} and {i[l]})"
                 )
-            if l < length - 1 and not ii[l] <= jj[l]:
+            if l < length - 1 and not i[l] <= j[l]:
                 raise ValueError(
                     f"not in canonical form: need i_{l + 1} <= j_{l + 1} "
-                    f"(got {ii[l]} and {jj[l]})"
+                    f"(got {i[l]} and {j[l]})"
                 )
         # Last pair either continues the increase (no wrap) or wraps below i_1.
-        if not (ii[-1] <= jj[-1] or jj[-1] < ii[0]):
+        if not (i[-1] <= j[-1] or j[-1] < i[0]):
             raise ValueError(
                 "not a one-revolution chain: the last pair must either ascend "
-                f"or wrap strictly below i_1 (got i={ii[-1]}, j={jj[-1]}, i_1={ii[0]})"
+                f"or wrap strictly below i_1 (got i={i[-1]}, j={j[-1]}, i_1={i[0]})"
             )
         for l in range(length):
-            if ii[l] == jj[(l + self.k - 1) % length]:
+            if i[l] == j[(l + k - 1) % length]:
                 raise ValueError(
-                    f"loop: i_{l + 1} equals j_{(l + self.k - 1) % length + 1}, "
+                    f"loop: i_{l + 1} equals j_{(l + k - 1) % length + 1}, "
                     "the cycle monomial would need a degenerate edge"
                 )
+        return super().__new__(cls, k, i, j)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"AdmissibleSequence is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.i, self.j) == (other.k, other.i, other.j)
-
-    def __hash__(self):
-        return hash((self.k, self.i, self.j))
-
-    def __repr__(self) -> str:
-        return f"AdmissibleSequence(k={self.k!r}, i={self.i!r}, j={self.j!r})"
-
-    def __reduce__(self):
-        return AdmissibleSequence, (self.k, self.i, self.j)
+    @classmethod
+    def _make(cls, fields: Iterable) -> "AdmissibleSequence":
+        # The tuple's _make, and _replace through it, would skip the checks.
+        return cls(*fields)
 
     @property
     def length(self) -> int:
@@ -253,62 +245,44 @@ class AdmissibleSequence:
 
     @classmethod
     def from_arrays(cls, i_vals: Iterable[int], j_vals: Iterable[int]) -> "AdmissibleSequence":
-        """Build from any rotation of the paired sequence; canonicalizes."""
+        """Build from any rotation of the paired sequence; canonicalizes to
+        the rotation that starts at the least i."""
         ii, jj = tuple(i_vals), tuple(j_vals)
         if len(ii) != len(jj):
             raise ValueError("index arrays must have equal length")
         length = len(ii)
         if length < 3 or length % 2 == 0:
             raise ValueError(f"length must be odd and >= 3, got {length}")
-        k = (length - 1) // 2
-        errors = []
-        for r in range(length):
-            try:
-                return cls(k, ii[r:] + ii[:r], jj[r:] + jj[:r])
-            except ValueError as exc:
-                errors.append(str(exc))
-        raise ValueError(
-            "no rotation of the given arrays is an admissible chain; "
-            f"first failure: {errors[0]}"
-        )
+        r = ii.index(min(ii))
+        return cls((length - 1) // 2, ii[r:] + ii[:r], jj[r:] + jj[:r])
 
 
 def admissible_sequences(n: int, k: int) -> list[AdmissibleSequence]:
-    """All canonical admissible sequences of length 2k+1 with indices in 1..n."""
+    """All canonical admissible sequences of length L = 2k+1 with indices in
+    1..n, in the order of their flat tuples (i_1, j_1, ..., i_L, j_L).
+
+    Subtracting (p + 1) // 2 from entry p of a strictly increasing tuple
+    gives a flat chain i_1 <= j_1 < i_2 <= ...: the chains with no wrap are
+    the 2L-subsets of 1..n+L, and those that wrap are the (2L-1)-subsets of
+    1..n+L-1, each followed by a last j below i_1.  Loops are dropped.
+    """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"need n >= 3, got {n!r}")
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"need k >= 1, got {k!r}")
     length = 2 * k + 1
-    chains: list[tuple[int, ...]] = []
+    if length > n:  # a chain needs `length` distinct i's
+        return []
+    shift = [(p + 1) // 2 for p in range(2 * length)]
 
-    def extend(slots: list[int], wrapped: bool) -> None:
-        idx = len(slots)
-        last_j = 2 * length - 1
-        if idx == last_j:
-            if wrapped:
-                for v in range(1, slots[0]):
-                    chains.append(tuple(slots) + (v,))
-            else:
-                for v in range(slots[-1], n + 1):
-                    chains.append(tuple(slots) + (v,))
-            return
-        if idx % 2 == 1:  # j slot, tie with its i allowed
-            lo = slots[-1]
-        else:  # next i slot, strictly above the previous j
-            lo = slots[-1] + 1
-        for v in range(lo, n + 1):
-            slots.append(v)
-            extend(slots, wrapped)
-            slots.pop()
+    def chains(size: int):
+        return (tuple(map(sub, c, shift)) for c in combinations(range(1, n + size // 2 + 1), size))
 
-    for first in range(1, n + 1):
-        extend([first], wrapped=False)
-    for first in range(2, n + 1):
-        extend([first], wrapped=True)
-
+    flats = [*chains(2 * length)]
+    flats += [head + (last,) for head in chains(2 * length - 1) for last in range(1, head[0])]
+    flats.sort()
     out = []
-    for flat in sorted(set(chains)):
+    for flat in flats:
         ii, jj = flat[0::2], flat[1::2]
         if all(ii[l] != jj[(l + k - 1) % length] for l in range(length)):
             out.append(AdmissibleSequence(k, ii, jj))

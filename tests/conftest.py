@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from hypersecant import (
+    AdmissibleSequence,
     CircularTermOrder,
     MonomialIdeal,
     NoncrossingGraph,
@@ -359,7 +360,7 @@ def antidiagonal_monomial(rows: Sequence[int], cols: Sequence[int]) -> tuple:
 def master_polynomial(s) -> Polynomial:
     """Sign-weighted conjugation sum attached to an admissible sequence: the
     Polynomial of master_terms."""
-    packing = _order(max(3, s.min_ambient())).packing(s.length)
+    packing = _order(s.min_ambient()).packing(s.length)
     return Polynomial._of({f: c for _, c, f in master_terms(s, packing)})
 
 
@@ -594,6 +595,32 @@ def reference_induced_odd_cycles(g, max_len):
                     stack.append(low.bit_length() - 1)
             if seen == mask:
                 out.append(tuple(g.vertices[v] for v in combo))
+    return out
+
+
+def reference_admissible_sequences(n, k):
+    """Admissible sequences of length L = 2k+1 by brute force, the
+    independent oracle.
+
+    A candidate is a flat nondecreasing tuple (i_1, j_1, ..., i_L, j_L) over
+    1..n, or such a tuple of length 2L-1 followed by a last j below its first
+    entry (the wrapped chains).  The constructor keeps the chains and drops
+    the rest; the kept ones come in flat-tuple order, as the library lists
+    them.
+    """
+    length = 2 * k + 1
+    flats = list(combinations_with_replacement(range(1, n + 1), 2 * length))
+    flats += [
+        head + (last,)
+        for head in combinations_with_replacement(range(1, n + 1), 2 * length - 1)
+        for last in range(1, head[0])
+    ]
+    out = []
+    for flat in sorted(flats):
+        try:
+            out.append(AdmissibleSequence(k, flat[0::2], flat[1::2]))
+        except ValueError:
+            pass
     return out
 
 

@@ -11,6 +11,7 @@ import re
 import stat
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -101,9 +102,10 @@ class TestCommands:
         poly = polynomial_from_json(payload["polynomial"])
         assert poly.term_count == 8
 
-    def test_master_poly_rejects_bad_sequence(self):
+    def test_master_poly_rejects_bad_sequence(self, capsys):
         res_code = main(["master-poly", "--i", "1,2,5", "--j", "3,4,6"])
         assert res_code == EXIT_USAGE
+        assert "invalid admissible sequence:" in capsys.readouterr().err
 
     def test_odd_cycles_json(self):
         res = invoke("odd-cycles", "--n", "5", "--format", "json")
@@ -114,6 +116,15 @@ class TestCommands:
     def test_admissible_text(self):
         res = invoke("admissible", "--n", "6", "--k", "1")
         assert res.stdout.splitlines() == ["k=1 i=1,3,5 j=2,4,6", "k=1 i=2,4,6 j=3,5,1"]
+
+    def test_admissible_huge_k_is_empty_at_once(self):
+        # A chain of length 2k+1 needs that many distinct i's, so none
+        # exists past n; nothing of size k is built.
+        start = time.perf_counter()
+        res = invoke("admissible", "--n", "8", "--k", "1000000000", "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert res.code == EXIT_OK
+        assert json.loads(res.stdout)["count"] == 0
 
     def test_initial_symbolic_n4(self):
         res = invoke("initial-symbolic", "--n", "4")
@@ -794,6 +805,9 @@ def test_records_stay_immutable_values():
     assert s != AdmissibleSequence(1, (1, 3, 5), (2, 4, 7))
     assert repr(s) == "AdmissibleSequence(k=1, i=(1, 3, 5), j=(2, 4, 6))"
     assert copy.copy(s) == pickle.loads(pickle.dumps(s)) == s
+    assert s._replace(j=(2, 4, 7)) == (1, (1, 3, 5), (2, 4, 7))
+    with pytest.raises(ValueError):
+        s._replace(j=(1, 4, 6))  # a loop: i_1 == j_1
 
 
 # Exit code and SHA-256 of stdout per invocation, recorded at commit c3aee7a:
@@ -1062,6 +1076,7 @@ REMOVED_NAMES = {
     "cli": ["monomial_from_json", "polynomial_from_json"],
     "fixtures": ["reference_polynomial"],
     "groebner": [
+        "GroebnerCertificate.failures",
         "_packed_terms",
         "antidiagonal_monomial",
         "generators",

@@ -196,9 +196,7 @@ class TestMasterPolynomial:
     def test_conjugate_with_a_loop_is_an_error(self):
         # i_1 = j_1 pairs one index with itself in the base pairing for k = 1;
         # the sequence is built past AdmissibleSequence's own loop check.
-        s = object.__new__(AdmissibleSequence)
-        for name, value in (("k", 1), ("i", (1, 3, 5)), ("j", (1, 4, 6))):
-            object.__setattr__(s, name, value)
+        s = tuple.__new__(AdmissibleSequence, (1, (1, 3, 5), (1, 4, 6)))
         with pytest.raises(ValueError):
             reference_master_polynomial(s)
         with pytest.raises(ValueError):
@@ -287,9 +285,9 @@ class TestVerifiers:
 
     def test_leading_term_pentad_and_cubic_both_orders(self):
         for order in both_inner_orders(5):
-            assert verify_leading_term(5, PENTAD_SEQ, order)
+            assert verify_leading_term(PENTAD_SEQ, order)
         for order in both_inner_orders(6):
-            assert verify_leading_term(6, CUBIC_SEQ, order)
+            assert verify_leading_term(CUBIC_SEQ, order)
 
     def test_derivative_pairing_for_injective_assignment(self):
         # Squarefree derivatives of a distinct-index master split into

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     mul,
     nested_triple_monomials,
     packed_ideal,
+    reference_admissible_sequences,
     reference_induced_odd_cycles,
     symbolic_square_identity_holds,
     target_by_definition,
@@ -261,12 +263,37 @@ class TestAdmissibleSequences:
         for (n, k), count in expected.items():
             assert len(admissible_sequences(n, k)) == count, (n, k)
 
+    def test_matches_brute_force_oracle(self):
+        for n in range(3, 8):
+            for k in range(1, (n + 1) // 2 + 1):
+                assert admissible_sequences(n, k) == reference_admissible_sequences(n, k), (n, k)
+
+    # SHA-256 of repr([(s.k, s.i, s.j) for s in all_admissible_sequences(n)]),
+    # recorded at commit 8f52e29, past the oracle's reach: n -> (count, digest).
+    ENUMERATION_DIGESTS = {
+        9: (1591, "369a9393c5c95e59da52327e786d51567dcfeb51a8ea217f938782a93f5e0b43"),
+        10: (5244, "c9be87e85224b890bc9a5e655d183d24df70e755c3a175077e86b3838e7619fc"),
+        11: (15885, "66aa3d8740de30dfe649295aef110eb46dc632146ad975d263dd735d4d4bcd42"),
+        12: (45536, "832a1d043904afe47a38d476a64fe37f2a400ff534ec215c38f33f1adc98d6cd"),
+    }
+
+    @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+    def test_enumeration_digest(self, n):
+        flat = [(s.k, s.i, s.j) for s in all_admissible_sequences(n)]
+        digest = hashlib.sha256(repr(flat).encode()).hexdigest()
+        assert (len(flat), digest) == self.ENUMERATION_DIGESTS[n]
+
     def test_from_arrays_canonicalizes_rotations(self):
-        canonical = AdmissibleSequence.from_arrays((1, 2, 3, 4, 5), (1, 2, 3, 4, 5))
-        for r in range(5):
-            ii = tuple([1, 2, 3, 4, 5][r:] + [1, 2, 3, 4, 5][:r])
-            seq = AdmissibleSequence.from_arrays(ii, ii)
-            assert seq == canonical
+        # Every rotation canonicalizes to the sequence; only rotation 0
+        # passes the constructor.
+        for n in range(3, 8):
+            for s in all_admissible_sequences(n):
+                for r in range(s.length):
+                    ii, jj = s.i[r:] + s.i[:r], s.j[r:] + s.j[:r]
+                    assert AdmissibleSequence.from_arrays(ii, jj) == s
+                    if r:
+                        with pytest.raises(ValueError):
+                            AdmissibleSequence(s.k, ii, jj)
 
     def test_from_arrays_wrapped(self):
         seq = AdmissibleSequence.from_arrays((4, 6, 2), (5, 1, 3))
