@@ -438,7 +438,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
     warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     order = CircularTermOrder(n, args.inner)
-    rows = [(c, f) for _, c, f in master_terms(seq, order.packing(seq.length))]
+    rows = master_terms(seq, order.packing(seq.length))
     if args.format == "json":
         header = {
             "command": "master-poly",
@@ -472,7 +472,7 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
         if args.verify_what == "membership":
             passed = verify_membership(n, s, member)
         elif args.verify_what == "prolongation":
-            rows = [(c, f) for _, c, f in master_terms(s, order.packing(s.length))]
+            rows = master_terms(s, order.packing(s.length))
             passed = verify_prolongation(n, rows, s.k)
         else:
             passed = verify_leading_term(s, order)

@@ -53,7 +53,7 @@ def _master(arrays) -> dict:
     factors of each term mapped to its coefficient."""
     s = AdmissibleSequence.from_arrays(*arrays)
     packing = _order(s.min_ambient()).packing(s.length)
-    return {f: c for _, c, f in master_terms(s, packing)}
+    return {f: c for c, f in master_terms(s, packing)}
 
 
 def _diff(reference, computed: dict) -> dict:

@@ -100,7 +100,8 @@ _PAIRS_PER_WORKER = 2048
 
 
 class _Divider:
-    """Reducers packed in list order, with full division and the S-pair sweep.
+    """Reducers packed in list order, with full division and, per row of
+    S-pairs, their reduction (verify_row).
 
     A term is keyed by its negated packed monomial, so a min-heap pops the
     largest term first.  `lts` holds each reducer's leading monomial, packed,
@@ -237,27 +238,30 @@ class _Divider:
                 max_terms = size
         return rem, max_terms
 
-    def verify_pairs(self, pairs):
-        """Reduce the S-polynomial of each pair (i, j) of the iterable; collect
-        failures."""
+    def verify_row(self, i: int):
+        """Reduce the S-polynomial of each pair (i, j) with i < j, in order of
+        j; (failures, skipped, reduced, max_terms) of the row."""
         pk = self.packing
         guard, fields_mask, bits = pk.guard, pk.fields_mask, pk.bits
         lts, tails, supports = self.lts, self.tails, self.supports
+        lt_i, tail_i, support_i = lts[i], tails[i], supports[i]
+        fi = lt_i & fields_mask
+        fi_guarded = fi | guard
         failures = []
         skipped = reduced = max_terms = 0
-        for i, j in pairs:
-            if not supports[i] & supports[j]:
+        for j in range(i + 1, len(lts)):
+            if not support_i & supports[j]:
                 skipped += 1  # coprime leading terms always reduce to zero
                 continue
-            fi, fj = lts[i] & fields_mask, lts[j] & fields_mask
-            ge = ((fi | guard) - fj) & guard  # guards of the slots where fi >= fj
+            fj = lts[j] & fields_mask
+            ge = (fi_guarded - fj) & guard  # guards of the slots where fi >= fj
             take = ge - (ge >> bits)
             lcm = pk.join((fi & take) | (fj & ~take))
             # LC_i*(lcm/LT_i)*g_i - LC_j*(lcm/LT_j)*g_j, whose negated cofactor
             # keys are lts[k] - lcm: the leading terms cancel at the lcm, and
             # every other term lies below it.
-            shift = lts[i] - lcm
-            work = {t + shift: -sc for t, sc in tails[i]}
+            shift = lt_i - lcm
+            work = {t + shift: -sc for t, sc in tail_i}
             shift = lts[j] - lcm
             for t, sc in tails[j]:
                 q = t + shift
@@ -291,34 +295,8 @@ def _worker_init(divider):
     _WORKER_CTX["divider"] = divider
 
 
-def _row_pairs(rows: range, m: int):
-    """The S-pairs (i, j) with i in `rows` and i < j < m, in combinations order."""
-    return ((i, j) for i in rows for j in range(i + 1, m))
-
-
-def _row_chunks(m: int, workers: int) -> list[range]:
-    """Row ranges that split the m(m-1)/2 S-pairs of m generators into chunks.
-
-    A chunk ends after the row where the running pair count reaches the next
-    multiple of ceil(pairs / (workers * 4)), so no chunk is empty and, while
-    rows are shorter than that step, there are as many chunks as slices of
-    that length.  Row m - 1 has no pairs and is in no chunk.
-    """
-    step = -(-(m * (m - 1) // 2) // (workers * 4))
-    chunks, start, done, bound = [], 0, 0, step
-    for i in range(m - 1):
-        done += m - 1 - i
-        if done >= bound:
-            chunks.append(range(start, i + 1))
-            start, bound = i + 1, done - done % step + step
-    if start < m - 1:
-        chunks.append(range(start, m - 1))
-    return chunks
-
-
-def _worker_chunk(rows: range):
-    divider = _WORKER_CTX["divider"]
-    return divider.verify_pairs(_row_pairs(rows, len(divider.lts)))
+def _verify_row(i: int):
+    return _WORKER_CTX["divider"].verify_row(i)
 
 
 def _usable_cpus() -> int:
@@ -339,18 +317,19 @@ def _workers(pairs: int, threads: int | None) -> int:
 
 
 def _sweep(divider: _Divider, threads: int | None):
-    """Per-chunk (failures, skipped, reduced, max_terms), in pair order.
+    """Per-row (failures, skipped, reduced, max_terms), in row order.
 
-    No list of pairs is built: a serial sweep reduces the pairs of
-    combinations(range(m), 2) as they are generated, and a pool sends each
-    worker a row range from _row_chunks, whose pairs the worker generates
-    itself.  Forked workers inherit the divider, unpickled, through the
-    pool's initializer.
+    One loop, _Divider.verify_row, is mapped over the rows i of the
+    m(m-1)/2 S-pairs (i, j), so no list of pairs is built.  Serially it is
+    the builtin map; on a fork pool it is the pool's, whose workers inherit
+    the divider, unpickled, through the pool's initializer, and get the
+    row numbers in about 16 chunks per worker.  Both maps return the rows
+    in order, so failures keep pair order.
     """
     m = len(divider.lts)
     workers = _workers(m * (m - 1) // 2, threads)
     if workers <= 1:
-        return [divider.verify_pairs(combinations(range(m), 2))]
+        return list(map(divider.verify_row, range(m)))
     import multiprocessing as mp
     from concurrent.futures import ProcessPoolExecutor
 
@@ -362,7 +341,7 @@ def _sweep(divider: _Divider, threads: int | None):
         initializer=_worker_init,
         initargs=(divider,),
     ) as pool:
-        return list(pool.map(_worker_chunk, _row_chunks(m, workers)))
+        return list(pool.map(_verify_row, range(m), chunksize=-(-m // (16 * workers))))
 
 
 def buchberger_verify(
@@ -381,13 +360,14 @@ def buchberger_verify(
     offending pair and its nonzero remainder as a witness; given the label
     of each generator (see _family), the witness also names both
     generators of the pair by family under "generators".  The m(m-1)/2
-    pairs are counted, never listed: they are generated as they are reduced.
-    A sweep may be partitioned by rows of pairs over a fork pool of one
-    worker per _PAIRS_PER_WORKER pairs, at most one per usable CPU and, given
-    threads=T, at most T, so a small sweep runs serially.  Aggregation order
-    is fixed, so the certificate is identical to the serial one.  Every
-    generator must be homogeneous; a non-homogeneous one raises ValueError
-    before any worker starts.  Forked workers inherit the divider alone.
+    pairs are counted, never listed: each row i of pairs (i, j) is reduced
+    by one call of _Divider.verify_row, mapped over the rows serially or on
+    a fork pool of one worker per _PAIRS_PER_WORKER pairs, at most one per
+    usable CPU and, given threads=T, at most T, so a small sweep runs
+    serially.  Rows are aggregated in order, so the certificate is identical
+    to the serial one.  Every generator must be homogeneous; a
+    non-homogeneous one raises ValueError before any worker starts.  Forked
+    workers inherit the divider alone.
 
     Given labels, G is read as it is packed, and the packing is sized from
     the labels' degrees (_label_degree); a generator above its declared
@@ -531,10 +511,9 @@ def _label_degree(label: tuple) -> int:
     return {"minor": 3, "product": 4, "binomial": 2}[label[0]]
 
 
-def _generator(label: tuple, packing: _Packing) -> list[tuple[int, int, tuple]]:
-    """The terms of a master or minor label of candidate_basis as (packed
-    monomial, coefficient, factors), descending in `packing`, which must hold
-    its degree.
+def _generator(label: tuple, packing: _Packing) -> list[tuple[int, tuple]]:
+    """The rows of a master or minor label of candidate_basis, descending in
+    `packing`, which must hold its degree.
 
     The minor on rows r and columns c is the 3x3 minor of the symmetric
     variable matrix, signed so that its antidiagonal term
@@ -548,8 +527,8 @@ def _generator(label: tuple, packing: _Packing) -> list[tuple[int, int, tuple]]:
     terms = []
     for perm in permutations(range(3)):
         fields = sum(1 << packing.offset[edge_var(r[a], c[perm[a]])] for a in range(3))
-        terms.append((packing.join(fields), -1 if perm in _EVEN_PERMS else 1, packing.factors(fields)))
-    return sorted(terms, reverse=True)
+        terms.append((packing.join(fields), -1 if perm in _EVEN_PERMS else 1))
+    return [(c, packing.factors(p)) for p, c in sorted(terms, reverse=True)]
 
 
 def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
@@ -566,7 +545,7 @@ def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) ->
         if label[0] == "product":
             yield packing.product_rows(packed[label[1]], packed[label[2]])
         else:
-            yield [(c, f) for _, c, f in _generator(label, order.packing(_label_degree(label)))]
+            yield _generator(label, order.packing(_label_degree(label)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +624,8 @@ def delightful_check(
         """The rows of a label, None for a product, and its packed lead."""
         if label[0] == "product":
             return None, toric_leads[label[1]] + toric_leads[label[2]]
-        terms = _generator(label, target.packing)
-        return [(c, f) for _, c, f in terms], terms[0][0]
+        rows = _generator(label, target.packing)
+        return rows, target.packing.pack(rows[0][1])
 
     # Leg (b) as the leads stream past: each must lie in the target, and
     # each minimal generator of the target must turn up among them.

@@ -46,10 +46,9 @@ def _conjugation_selectors(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, int, tuple]]:
-    """The terms of the master polynomial of s as (packed monomial,
-    coefficient, factors), descending in the order of `packing`, which must
-    hold degree 2k+1 and every index of s.
+def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, tuple]]:
+    """The rows of the master polynomial of s, descending in the order of
+    `packing`, which must hold degree 2k+1 and every index of s.
 
     Each conjugate's monomial is read off the index arrays: a moved letter
     I_l takes the index j_{l-1}, a moved J_m the index i_{m+1}.  Each
@@ -82,7 +81,8 @@ def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, in
         else:
             acc.pop(fields, None)
     join, factors = packing.join, packing.factors
-    return sorted(((join(fields), c, factors(fields)) for fields, c in acc.items()), reverse=True)
+    terms = sorted(((join(fields), c) for fields, c in acc.items()), reverse=True)
+    return [(c, factors(p)) for p, c in terms]
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +93,7 @@ def _order(n: int) -> CircularTermOrder:
 def verify_membership(n: int, s: AdmissibleSequence, member: SecantClasses | None = None) -> bool:
     """Nonzero and inside the rank-2 vanishing ideal, by `member`, or by a
     SecantClasses of its own when none is given."""
-    rows = [(c, f) for _, c, f in master_terms(s, _order(n).packing(s.length))]
+    rows = master_terms(s, _order(n).packing(s.length))
     return bool(rows) and (member or SecantClasses(n))(rows)
 
 
@@ -150,5 +150,5 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
 
 def verify_leading_term(s: AdmissibleSequence, order: CircularTermOrder) -> bool:
     """The order's leading monomial of the master polynomial is the cycle monomial."""
-    terms = master_terms(s, order.packing(s.length))
-    return bool(terms) and terms[0][2] == cycle_monomial(s)
+    rows = master_terms(s, order.packing(s.length))
+    return bool(rows) and rows[0][1] == cycle_monomial(s)

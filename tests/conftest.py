@@ -361,7 +361,7 @@ def master_polynomial(s) -> Polynomial:
     """Sign-weighted conjugation sum attached to an admissible sequence: the
     Polynomial of master_terms."""
     packing = _order(s.min_ambient()).packing(s.length)
-    return Polynomial._of({f: c for _, c, f in master_terms(s, packing)})
+    return Polynomial._of({f: c for c, f in master_terms(s, packing)})
 
 
 def toric_gb_polynomials(n: int) -> list[Polynomial]:
@@ -406,7 +406,7 @@ def label_polynomials(n, labels):
     reference builder that forms the product ("product", a, b) as
     toric[a] * toric[b] and the minor ("minor", rows, cols) as
     off_diagonal_minor(rows, cols), in Polynomial arithmetic, and a master
-    from its packed terms by groebner._generator.  A label substituted by
+    from its rows by groebner._generator.  A label substituted by
     substitute_generators gives its substitute.  The rows of
     groebner.generator_rows are checked against it."""
     toric = toric_gb_polynomials(n)
@@ -418,7 +418,7 @@ def label_polynomials(n, labels):
         if label[0] == "product"
         else off_diagonal_minor(label[1], label[2])
         if label[0] == "minor"
-        else polynomial_of((c, f) for _, c, f in groebner._generator(label, packing))
+        else polynomial_of(groebner._generator(label, packing))
         for label in labels
     ]
 
@@ -946,7 +946,7 @@ def substitute_generators(monkeypatch, polys, labels=None):
     The one builder of the rows a command writes and the S-pair leg reads,
     groebner.generator_rows, is patched where groebner and cli read it, so
     both see every substitute, a product's included.  The builder of the
-    packed terms of a master or minor, groebner._generator, is patched too,
+    rows of a master or minor, groebner._generator, is patched too,
     so the membership and initial-ideal legs see a substituted master or
     minor; they read a product through its label alone.  label_polynomials
     returns every substitute too.  Given `labels`, candidate_basis returns
@@ -965,7 +965,7 @@ def substitute_generators(monkeypatch, polys, labels=None):
         if label not in polys:
             return build(label, packing)
         assert polys[label].degree <= packing.limit, "the substitute does not fit the packing"
-        return packing.terms(poly_rows(polys[label]))
+        return [(c, f) for _, c, f in packing.terms(poly_rows(polys[label]))]
 
     for label, p in polys.items():
         monkeypatch.setitem(_SUBSTITUTES, label, p)

@@ -204,7 +204,7 @@ class TestVerify:
         assert res.stdout.endswith("PASS\n")
         seqs = hypersecant.all_admissible_sequences(8)
         packing = CircularTermOrder(8).packing(7)
-        rows = [[(c, f) for _, c, f in master_terms(s, packing)] for s in seqs]
+        rows = [master_terms(s, packing) for s in seqs]
         classes = {hypersimplex.SecantClasses(8)._key(r) for r in rows}
         assert len(res.stdout.splitlines()) == len(seqs) + 1 == 425
         assert len(calls) == len(classes) < 60
@@ -1022,9 +1022,9 @@ def test_dead_pool_worker_is_internal_error():
     script = (
         "import os, sys\n"
         "from hypersecant import cli, groebner\n"
-        "def die(pairs):\n"
+        "def die(i):\n"
         "    os._exit(1)\n"
-        "groebner._worker_chunk = die\n"
+        "groebner._verify_row = die\n"
         "groebner._usable_cpus = lambda: 2\n"
         "groebner._PAIRS_PER_WORKER = 1\n"
         "sys.exit(cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2']))\n"
@@ -1077,7 +1077,11 @@ REMOVED_NAMES = {
     "fixtures": ["reference_polynomial"],
     "groebner": [
         "GroebnerCertificate.failures",
+        "_Divider.verify_pairs",
         "_packed_terms",
+        "_row_chunks",
+        "_row_pairs",
+        "_worker_chunk",
         "antidiagonal_monomial",
         "generators",
         "nested_triple_monomials",

@@ -470,9 +470,9 @@ class TestBuchbergerVerify:
             "import os\n"
             "from concurrent.futures.process import BrokenProcessPool\n"
             "from hypersecant import CircularTermOrder, groebner\n"
-            "def die(pairs):\n"
+            "def die(i):\n"
             "    os._exit(1)\n"
-            "groebner._worker_chunk = die\n"
+            "groebner._verify_row = die\n"
             "groebner._usable_cpus = lambda: 2\n"
             "groebner._PAIRS_PER_WORKER = 1\n"
             "try:\n"
@@ -577,44 +577,72 @@ class TestWorkerCount:
 
 
 class TestPairStreaming:
-    """No sweep builds its list of S-pairs: a serial sweep generates them as
-    it reduces them, and a pool sends each worker a row range."""
+    """No sweep builds its list of S-pairs: one row loop, _Divider.verify_row,
+    reduces the pairs (i, j) of row i, and a sweep maps it over range(m),
+    serially with the builtin map or on a pool with the pool's."""
 
     @given(m=st.integers(2, 60), threads=st.integers(2, 4))
     @settings(max_examples=200, deadline=None)
-    def test_row_chunks_cover_every_pair_in_order(self, m, threads):
-        pairs = m * (m - 1) // 2
+    def test_rows_cover_every_pair_in_order(self, m, threads):
+        # Every S-pair of the binomials x12*v - x13^2 fails: their leads
+        # share x12, and no term v*x13^2 of a remainder has it.  So the
+        # witness lists every pair the rows reduced, in aggregation order.
+        # The pool runs its map in this process, to record its rows.
+        import concurrent.futures
+
+        edges = [e for e in itertools.combinations(range(1, 13), 2) if e not in ((1, 2), (1, 3))]
+        rows = [[(1, mono((1, 2), e)), (-1, mono((1, 3), (1, 3)))] for e in edges[:m]]
+        seen, pools = [], []
+        verify_row = groebner._Divider.verify_row
+
+        def spy(self, i):
+            seen.append(i)
+            return verify_row(self, i)
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs, **kwargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, iterable, chunksize):
+                pools.append(iterable)
+                return map(fn, iterable)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_PAIRS_PER_WORKER", 1)
             mp.setattr(groebner, "_usable_cpus", lambda: 4)
-            workers = groebner._workers(pairs, threads)
-        assert workers == min(threads, pairs)
-        chunks = groebner._row_chunks(m, workers)
-        streamed = [list(groebner._row_pairs(rows, m)) for rows in chunks]
-        assert all(streamed)
-        assert [pair for chunk in streamed for pair in chunk] == list(itertools.combinations(range(m), 2))
-        # While every row is shorter than the step, the chunks are as many
-        # as the slices of a pair list cut every `step` pairs.
-        step = -(-pairs // (workers * 4))
-        if m - 1 <= step:
-            assert len(chunks) == -(-pairs // step)
-        assert len(chunks) <= workers * 4
+            mp.setattr(groebner, "_WORKER_CTX", {})
+            mp.setattr(groebner._Divider, "verify_row", spy)
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+            check = buchberger_verify(rows, CircularTermOrder(12), threads=threads).checks[0]
+        workers = min(threads, m * (m - 1) // 2)
+        assert pools == ([workers, range(m)] if workers > 1 else [])
+        assert seen == list(range(m))
+        assert [tuple(f["pair"]) for f in check.witness] == list(itertools.combinations(range(m), 2))
 
     def test_serial_sweep_is_given_no_sequence(self, monkeypatch):
         received = []
-        verify_pairs = groebner._Divider.verify_pairs
+        verify_row = groebner._Divider.verify_row
 
-        def spy(self, pairs):
-            received.append(type(pairs))
-            return verify_pairs(self, pairs)
+        def spy(self, i):
+            received.append(i)
+            return verify_row(self, i)
 
-        monkeypatch.setattr(groebner._Divider, "verify_pairs", spy)
+        monkeypatch.setattr(groebner._Divider, "verify_row", spy)
+        sizes = []
         for gens, n in ((candidate_polynomials(6, "secant"), 6), (candidate_polynomials(5, "symbolic-square"), 5)):
             for order in both_inner_orders(n):
                 buchberger_verify(term_rows(gens), order, threads=1)
-        # One sweep of one divider per call.
-        assert len(received) == 4
-        assert not any(issubclass(t, (list, tuple)) for t in received)
+                sizes.append(len(gens))
+        # One call per row, with its row number.
+        assert received == [i for m in sizes for i in range(m)]
+        assert all(type(i) is int for i in received)
 
     def test_sweep_runs_with_no_basis_in_the_frame(self, pool_of_two, monkeypatch):
         # buchberger_verify drops its list of generators once the divider is
@@ -695,16 +723,20 @@ class TestPairStreaming:
         import concurrent.futures
         import pickle
 
-        sent = []
+        mapped, tasks = [], []
         pool_class = concurrent.futures.ProcessPoolExecutor  # the fixture's recording pool
-        pool_map = pool_class.map
+        pool_map, pool_submit = pool_class.map, pool_class.submit
 
-        def spy(self, fn, chunks, **kwargs):
-            chunks = list(chunks)
-            sent.append(chunks)
-            return pool_map(self, fn, chunks, **kwargs)
+        def map_spy(self, fn, rows, **kwargs):
+            mapped.append((rows, kwargs))
+            return pool_map(self, fn, rows, **kwargs)
 
-        monkeypatch.setattr(pool_class, "map", spy)
+        def submit_spy(self, fn, *args):
+            tasks.append(pickle.dumps(args))
+            return pool_submit(self, fn, *args)
+
+        monkeypatch.setattr(pool_class, "map", map_spy)
+        monkeypatch.setattr(pool_class, "submit", submit_spy)
         gens = term_rows(candidate_polynomials(5, "symbolic-square"))
         for order in both_inner_orders(5):
             parallel = buchberger_verify(gens, order, threads=2)
@@ -712,12 +744,12 @@ class TestPairStreaming:
             assert stats_tuple(parallel) == stats_tuple(serial)
             assert parallel.checks == serial.checks
         assert pool_of_two == [2, 2]
-        # Eight chunks of about 185 pairs each, which as a list of tuples
-        # would pickle to over a kilobyte.
-        assert [len(chunks) for chunks in sent] == [8, 8]
-        for chunks in sent:
-            assert chunks == groebner._row_chunks(len(gens), 2)
-            assert all(isinstance(rows, range) and len(pickle.dumps(rows)) < 100 for rows in chunks)
+        # The 55 rows go in chunks of two row numbers, about 16 per worker;
+        # the 1,485 pairs as a list of tuples would pickle to kilobytes.
+        m = len(gens)
+        assert mapped == [(range(m), {"chunksize": 2})] * 2
+        assert len(tasks) == 2 * -(-m // 2)
+        assert all(len(task) < 100 for task in tasks)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.posix_spawn")
     def test_serial_symbolic_n6_peak_rss(self):
@@ -829,7 +861,8 @@ class TestDivisorIndex:
         order = CircularTermOrder(7)
         packing = order.packing(2 * max(g.degree for g in gens))
         divider = groebner._Divider(packing, term_rows(gens))
-        divider.verify_pairs(itertools.combinations(range(len(gens)), 2))
+        for i in range(len(gens)):
+            divider.verify_row(i)
         assert len(divider.memo) == groebner._FRONT_MEMO_CAP
         assert [block.bit_count() for block, _ in divider.blocks] == [7, 7, 7]
         for block, table in divider.blocks:
@@ -869,7 +902,7 @@ class TestOffDiagonalMinor:
         for order in both_inner_orders(n):
             packing = order.packing(3)
             for rows, cols in splits:
-                got = [(c, f) for _, c, f in groebner._generator(("minor", rows, cols), packing)]
+                got = groebner._generator(("minor", rows, cols), packing)
                 assert got == order_rows(order, off_diagonal_minor(rows, cols)), (rows, cols)
 
     def test_vanishes_on_rank_two(self):

@@ -234,19 +234,19 @@ class TestMasterTerms:
     def test_rows_equal_the_sorted_polynomial(self, n, inner):
         # Every admissible sequence at n, in the order's packing for its
         # degree and in the one for degree n: the same rows as
-        # master_polynomial sorted by the order, each with its packed key.
+        # master_polynomial sorted by the order, descending in the packing.
         order = CircularTermOrder(n, inner)
         for s in all_admissible_sequences(n):
             want = order_rows(order, master_polynomial(s))
             for packing in (order.packing(s.length), order.packing(n)):
-                terms = master_terms(s, packing)
-                assert [(c, f) for _, c, f in terms] == want, s
-                assert [p for p, _, _ in terms] == [packing.pack(f) for _, f in want], s
+                rows = master_terms(s, packing)
+                assert rows == want, s
+                keys = [packing.pack(f) for _, f in rows]
+                assert keys == sorted(keys, reverse=True), s
 
     def test_factors_are_interned_as_a_monomials(self):
         order = CircularTermOrder(6)
-        terms = master_terms(PENTAD_SEQ, order.packing(5))
-        for _, _, f in terms:
+        for _, f in master_terms(PENTAD_SEQ, order.packing(5)):
             assert all(a is b for a, b in zip(f, monomial(f)))
 
     def test_packing_too_small_or_too_narrow_raises(self):
