@@ -29,7 +29,7 @@ from .noncrossing import (
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
 )
-from .master import verify_leading_term, verify_membership, verify_prolongation
+from .master import verify_prolongation
 from .groebner import (
     CheckResult,
     GroebnerCertificate,

@@ -26,12 +26,13 @@ from .groebner import (
     generator_rows,
 )
 from .hypersimplex import BinomialGenerator, MonomialIdeal, SecantClasses, toric_gb
-from .master import master_terms, verify_leading_term, verify_membership, verify_prolongation
+from .master import master_terms, verify_prolongation
 from .noncrossing import (
     AdmissibleSequence,
     NoncrossingGraph,
     admissible_sequences,
     all_admissible_sequences,
+    cycle_monomial,
     induced_odd_cycles,
     initial_edge_ideal,
     odd_floor,
@@ -438,7 +439,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
     warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
     warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     order = CircularTermOrder(n, args.inner)
-    rows = master_terms(seq, order.packing(seq.length))
+    rows = master_terms(seq, order)
     if args.format == "json":
         header = {
             "command": "master-poly",
@@ -469,13 +470,13 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
     for s in seqs:
         if s.min_ambient() > n:
             raise UsageError(f"sequence uses indices above n={n}")
+        rows = master_terms(s, order)
         if args.verify_what == "membership":
-            passed = verify_membership(n, s, member)
+            passed = bool(rows) and member(rows)
         elif args.verify_what == "prolongation":
-            rows = master_terms(s, order.packing(s.length))
-            passed = verify_prolongation(n, rows, s.k)
+            passed = bool(rows) and verify_prolongation(n, rows, s.k)
         else:
-            passed = verify_leading_term(s, order)
+            passed = bool(rows) and rows[0][1] == cycle_monomial(s)
         results.append({"k": s.k, "i": list(s.i), "j": list(s.j), "pass": passed})
     ok = all(r["pass"] for r in results)
     code = EXIT_OK if ok else EXIT_FAIL
@@ -550,11 +551,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> RunResult:
             lines.append(f"  {mm['monomial']}: expected {mm['expected']}, computed {mm['computed']}")
     lines.append("PASS" if report["match"] else "FAIL")
     return RunResult(code, _text_lines(lines))
-
-
-def run(args: argparse.Namespace) -> RunResult:
-    """Run a parsed invocation; pure apart from computation time."""
-    return args.handler(args)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +732,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        result = run(args)
+        result = args.handler(args)
         if result.stderr:
             sys.stderr.write(result.stderr)
         _write(result.payload, args.output)

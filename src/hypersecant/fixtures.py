@@ -11,7 +11,8 @@ term by the `reproduce` command and the acceptance suite.
 from __future__ import annotations
 
 from .noncrossing import AdmissibleSequence
-from .master import _order, master_terms
+from .master import master_terms
+from .order import CircularTermOrder
 from .poly import canonical_sorted, edge_factors, format_factors
 
 CUBIC_SEQUENCE = ((1, 3, 5), (2, 4, 6))
@@ -52,8 +53,7 @@ def _master(arrays) -> dict:
     """The master polynomial of the sequence with these index arrays, the
     factors of each term mapped to its coefficient."""
     s = AdmissibleSequence.from_arrays(*arrays)
-    packing = _order(s.min_ambient()).packing(s.length)
-    return {f: c for c, f in master_terms(s, packing)}
+    return {f: c for c, f in master_terms(s, CircularTermOrder(s.min_ambient()))}
 
 
 def _diff(reference, computed: dict) -> dict:

@@ -511,9 +511,10 @@ def _label_degree(label: tuple) -> int:
     return {"minor": 3, "product": 4, "binomial": 2}[label[0]]
 
 
-def _generator(label: tuple, packing: _Packing) -> list[tuple[int, tuple]]:
+def _generator(label: tuple, order: CircularTermOrder) -> list[tuple[int, tuple]]:
     """The rows of a master or minor label of candidate_basis, descending in
-    `packing`, which must hold its degree.
+    `order`: a master's from master_terms, a minor's packed in
+    order.packing(3).
 
     The minor on rows r and columns c is the 3x3 minor of the symmetric
     variable matrix, signed so that its antidiagonal term
@@ -522,7 +523,8 @@ def _generator(label: tuple, packing: _Packing) -> list[tuple[int, tuple]]:
     permutation, as the antidiagonal is, and -1 for an even one.
     """
     if label[0] == "master":
-        return master_terms(label[1], packing)
+        return master_terms(label[1], order)
+    packing = order.packing(3)
     r, c = label[1], label[2]
     terms = []
     for perm in permutations(range(3)):
@@ -545,7 +547,7 @@ def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) ->
         if label[0] == "product":
             yield packing.product_rows(packed[label[1]], packed[label[2]])
         else:
-            yield _generator(label, order.packing(_label_degree(label)))
+            yield _generator(label, order)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +626,7 @@ def delightful_check(
         """The rows of a label, None for a product, and its packed lead."""
         if label[0] == "product":
             return None, toric_leads[label[1]] + toric_leads[label[2]]
-        rows = _generator(label, target.packing)
+        rows = _generator(label, order)
         return rows, target.packing.pack(rows[0][1])
 
     # Leg (b) as the leads stream past: each must lie in the target, and

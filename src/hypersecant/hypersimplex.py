@@ -13,17 +13,8 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Iterable, NamedTuple
 
-from .order import _check_terms
+from .order import _check_terms, normalize_edge
 from .poly import _rank_image, canonical_sorted, degree, edge_factors, is_edge_var
-
-
-def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
-    a, b = e
-    if a > b:
-        a, b = b, a
-    if a < 1 or b > n or a == b:
-        raise ValueError(f"edge ({e[0]},{e[1]}) is not valid for n={n}")
-    return (a, b)
 
 
 def crosses(n: int, e: tuple[int, int], f: tuple[int, int]) -> bool:

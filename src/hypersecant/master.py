@@ -16,9 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .hypersimplex import SecantClasses, _validate_ambient, _variables
-from .noncrossing import AdmissibleSequence, cycle_monomial
-from .order import CircularTermOrder, _Packing
+from .hypersimplex import _validate_ambient, _variables
+from .noncrossing import AdmissibleSequence
+from .order import CircularTermOrder
 from .poly import degree, edge_var
 
 
@@ -46,9 +46,9 @@ def _conjugation_selectors(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
-def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, tuple]]:
-    """The rows of the master polynomial of s, descending in the order of
-    `packing`, which must hold degree 2k+1 and every index of s.
+def master_terms(s: AdmissibleSequence, order: CircularTermOrder) -> list[tuple[int, tuple]]:
+    """The rows of the master polynomial of s, descending in `order`, whose
+    n must hold every index of s; they are packed in order.packing(2k+1).
 
     Each conjugate's monomial is read off the index arrays: a moved letter
     I_l takes the index j_{l-1}, a moved J_m the index i_{m+1}.  Each
@@ -57,11 +57,10 @@ def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, tu
     cancel, and only the survivors are unpacked.  The result is nonzero,
     homogeneous of degree 2k+1, and its coefficients are small ints.  A
     conjugate pair that joins an index to itself raises ValueError (edge_var
-    rejects the loop), and so does an index the packing has no field for.
+    rejects the loop), and so does an index above the order's n.
     """
     k, length, ii, jj = s.k, s.length, s.i, s.j
-    if length > packing.limit:
-        raise ValueError(f"a packing for degree {packing.limit} cannot hold a master of degree {length}")
+    packing = order.packing(length)
     choices = []
     for l in range(length):
         m = (l + k - 1) % length
@@ -83,18 +82,6 @@ def master_terms(s: AdmissibleSequence, packing: _Packing) -> list[tuple[int, tu
     join, factors = packing.join, packing.factors
     terms = sorted(((join(fields), c) for fields, c in acc.items()), reverse=True)
     return [(c, factors(p)) for p, c in terms]
-
-
-@lru_cache(maxsize=None)
-def _order(n: int) -> CircularTermOrder:
-    return CircularTermOrder(n)
-
-
-def verify_membership(n: int, s: AdmissibleSequence, member: SecantClasses | None = None) -> bool:
-    """Nonzero and inside the rank-2 vanishing ideal, by `member`, or by a
-    SecantClasses of its own when none is given."""
-    rows = master_terms(s, _order(n).packing(s.length))
-    return bool(rows) and (member or SecantClasses(n))(rows)
 
 
 def verify_prolongation(n: int, rows, bound: int) -> bool:
@@ -146,9 +133,3 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
         if any(sums.values()):
             return False
     return True
-
-
-def verify_leading_term(s: AdmissibleSequence, order: CircularTermOrder) -> bool:
-    """The order's leading monomial of the master polynomial is the cycle monomial."""
-    rows = master_terms(s, order.packing(s.length))
-    return bool(rows) and rows[0][1] == cycle_monomial(s)

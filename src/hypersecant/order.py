@@ -37,6 +37,15 @@ def _check_terms(terms) -> None:
         raise ValueError("the rows hold a zero coefficient")
 
 
+def normalize_edge(n: int, e: tuple[int, int]) -> tuple[int, int]:
+    a, b = e
+    if a > b:
+        a, b = b, a
+    if a < 1 or b > n or a == b:
+        raise ValueError(f"edge ({e[0]},{e[1]}) is not valid for n={n}")
+    return (a, b)
+
+
 def edge_class(n: int, e: tuple[int, int]) -> int:
     """Dihedral orbit of an edge: its circular distance, in 1..floor(n/2)."""
     if not isinstance(n, int) or n < 3:
@@ -44,10 +53,7 @@ def edge_class(n: int, e: tuple[int, int]) -> int:
     a, b = e
     if not (isinstance(a, int) and isinstance(b, int)):
         raise TypeError("edge endpoints must be ints")
-    if a > b:
-        a, b = b, a
-    if a < 1 or b > n or a == b:
-        raise ValueError(f"edge ({e[0]},{e[1]}) is not valid for n={n}")
+    a, b = normalize_edge(n, e)
     return min(b - a, n - (b - a))
 
 

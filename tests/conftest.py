@@ -25,7 +25,7 @@ from hypersecant import (
 )
 from hypersecant import groebner
 from hypersecant.groebner import _minor_splits, candidate_basis
-from hypersecant.master import _order, master_terms
+from hypersecant.master import master_terms
 from hypersecant.noncrossing import odd_floor
 from hypersecant.poly import Variable, _EDGE, _interned, degree, edge_factors, product_factors
 
@@ -360,8 +360,7 @@ def antidiagonal_monomial(rows: Sequence[int], cols: Sequence[int]) -> tuple:
 def master_polynomial(s) -> Polynomial:
     """Sign-weighted conjugation sum attached to an admissible sequence: the
     Polynomial of master_terms."""
-    packing = _order(s.min_ambient()).packing(s.length)
-    return Polynomial._of({f: c for c, f in master_terms(s, packing)})
+    return Polynomial._of({f: c for c, f in master_terms(s, CircularTermOrder(s.min_ambient()))})
 
 
 def toric_gb_polynomials(n: int) -> list[Polynomial]:
@@ -410,7 +409,7 @@ def label_polynomials(n, labels):
     substitute_generators gives its substitute.  The rows of
     groebner.generator_rows are checked against it."""
     toric = toric_gb_polynomials(n)
-    packing = CircularTermOrder(n).packing(n)
+    order = CircularTermOrder(n)
     return [
         _SUBSTITUTES[label]
         if label in _SUBSTITUTES
@@ -418,7 +417,7 @@ def label_polynomials(n, labels):
         if label[0] == "product"
         else off_diagonal_minor(label[1], label[2])
         if label[0] == "minor"
-        else polynomial_of(groebner._generator(label, packing))
+        else polynomial_of(groebner._generator(label, order))
         for label in labels
     ]
 
@@ -961,11 +960,10 @@ def substitute_generators(monkeypatch, polys, labels=None):
         for label in labels:
             yield order_rows(order, polys[label]) if label in polys else next(built)
 
-    def substituted_terms(label, packing):
+    def substituted_terms(label, order):
         if label not in polys:
-            return build(label, packing)
-        assert polys[label].degree <= packing.limit, "the substitute does not fit the packing"
-        return [(c, f) for _, c, f in packing.terms(poly_rows(polys[label]))]
+            return build(label, order)
+        return order_rows(order, polys[label])
 
     for label, p in polys.items():
         monkeypatch.setitem(_SUBSTITUTES, label, p)

@@ -21,7 +21,7 @@ from hypersecant import (
     symbolic_square_of_edge_ideal,
     verify_prolongation,
 )
-from hypersecant.cli import build_parser, run
+from hypersecant.cli import build_parser
 from hypersecant.fixtures import (
     GENERIC_QUINTIC_SEQUENCE,
     REFERENCE_CUBIC_TERMS,
@@ -96,7 +96,8 @@ def test_criterion_03_generic_term_count():
 
 def test_criterion_04_initial_secant_n5():
     t0 = time.perf_counter()
-    res = run(build_parser().parse_args(["initial-secant", "--n", "5"]))
+    args = build_parser().parse_args(["initial-secant", "--n", "5"])
+    res = args.handler(args)
     expected = edge_factors([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     ideal = secant_of_edge_ideal(NoncrossingGraph(5), 5)
     ok = (

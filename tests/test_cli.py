@@ -34,7 +34,6 @@ from hypersecant.cli import (
     EXIT_USAGE,
     build_parser,
     main,
-    run,
 )
 from conftest import (
     Polynomial,
@@ -54,7 +53,8 @@ SRC = str(ROOT / "src")
 
 
 def invoke(*argv):
-    return run(build_parser().parse_args(list(argv)))
+    args = build_parser().parse_args(list(argv))
+    return args.handler(args)
 
 
 @pytest.fixture
@@ -203,11 +203,24 @@ class TestVerify:
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
         seqs = hypersecant.all_admissible_sequences(8)
-        packing = CircularTermOrder(8).packing(7)
-        rows = [master_terms(s, packing) for s in seqs]
+        order = CircularTermOrder(8)
+        rows = [master_terms(s, order) for s in seqs]
         classes = {hypersimplex.SecantClasses(8)._key(r) for r in rows}
         assert len(res.stdout.splitlines()) == len(seqs) + 1 == 425
         assert len(calls) == len(classes) < 60
+
+    def test_membership_verdicts_do_not_depend_on_the_inner_order(self):
+        # The rows are built under --order; a relabelling class is keyed by
+        # the set of terms, which no order changes.
+        inners = ["grevlex", "lex"]
+        payloads = [
+            json.loads(invoke("verify", "membership", "--n", "8", "--order", f"inner={inner}", "--format", "json").stdout)
+            for inner in inners
+        ]
+        assert [p["order"]["inner"] for p in payloads] == inners
+        assert payloads[0]["pass"] is payloads[1]["pass"] is True
+        assert payloads[0]["results"] == payloads[1]["results"]
+        assert len(payloads[0]["results"]) == 424
 
     def test_leading_term_sweep_lex(self):
         res = invoke("verify", "leading-term", "--n", "5", "--order", "inner=lex", "--format", "json")
@@ -1073,7 +1086,7 @@ def test_tracer_targets_resolve():
 # helpers, and test-only API that lives in tests/conftest.py now.  A dotted
 # name is a class attribute: a method that left the class.
 REMOVED_NAMES = {
-    "cli": ["monomial_from_json", "polynomial_from_json"],
+    "cli": ["monomial_from_json", "polynomial_from_json", "run"],
     "fixtures": ["reference_polynomial"],
     "groebner": [
         "GroebnerCertificate.failures",
@@ -1103,10 +1116,13 @@ REMOVED_NAMES = {
         "Letter",
         "PairingInvolution",
         "_letters",
+        "_order",
         "_position",
         "base_involution",
         "crossing_number",
         "master_polynomial",
+        "verify_leading_term",
+        "verify_membership",
     ],
     "noncrossing": [
         "AdmissibleSequence.wraps",

@@ -12,10 +12,9 @@ from hypersecant import (
     all_admissible_sequences,
     cycle_monomial,
     secant_of_edge_ideal,
-    verify_leading_term,
-    verify_membership,
     verify_prolongation,
 )
+from hypersecant.hypersimplex import SecantClasses
 from hypersecant.master import master_terms
 from hypersecant.poly import degree, edge_factors
 from hypersecant.fixtures import (
@@ -232,36 +231,36 @@ class TestMasterTerms:
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_rows_equal_the_sorted_polynomial(self, n, inner):
-        # Every admissible sequence at n, in the order's packing for its
-        # degree and in the one for degree n: the same rows as
-        # master_polynomial sorted by the order, descending in the packing.
+        # Every admissible sequence at n: the same rows as master_polynomial
+        # sorted by the order, descending in the order's packing for degree
+        # n, which ranks every master at n.
         order = CircularTermOrder(n, inner)
+        packing = order.packing(n)
         for s in all_admissible_sequences(n):
-            want = order_rows(order, master_polynomial(s))
-            for packing in (order.packing(s.length), order.packing(n)):
-                rows = master_terms(s, packing)
-                assert rows == want, s
-                keys = [packing.pack(f) for _, f in rows]
-                assert keys == sorted(keys, reverse=True), s
+            rows = master_terms(s, order)
+            assert rows == order_rows(order, master_polynomial(s)), s
+            keys = [packing.pack(f) for _, f in rows]
+            assert keys == sorted(keys, reverse=True), s
 
     def test_factors_are_interned_as_a_monomials(self):
         order = CircularTermOrder(6)
-        for _, f in master_terms(PENTAD_SEQ, order.packing(5)):
+        rows = master_terms(PENTAD_SEQ, order)
+        for _, f in rows:
             assert all(a is b for a, b in zip(f, monomial(f)))
+        keys = [order.packing(6).pack(f) for _, f in rows]
+        assert keys == sorted(keys, reverse=True)
 
-    def test_packing_too_small_or_too_narrow_raises(self):
+    def test_order_too_narrow_raises(self):
         with pytest.raises(ValueError):
-            master_terms(PENTAD_SEQ, CircularTermOrder(6).packing(3))
-        with pytest.raises(ValueError):
-            master_terms(CUBIC_SEQ, CircularTermOrder(5).packing(3))
+            master_terms(CUBIC_SEQ, CircularTermOrder(5))
 
 
 class TestVerifiers:
     def test_membership_pentad(self):
-        assert verify_membership(5, PENTAD_SEQ)
+        assert SecantClasses(5)(master_terms(PENTAD_SEQ, CircularTermOrder(5)))
 
     def test_membership_cubic(self):
-        assert verify_membership(6, CUBIC_SEQ)
+        assert SecantClasses(6)(master_terms(CUBIC_SEQ, CircularTermOrder(6)))
 
     def test_prolongation_pentad(self):
         assert verify_prolongation(5, poly_rows(master_polynomial(PENTAD_SEQ)), 2)
@@ -285,9 +284,9 @@ class TestVerifiers:
 
     def test_leading_term_pentad_and_cubic_both_orders(self):
         for order in both_inner_orders(5):
-            assert verify_leading_term(PENTAD_SEQ, order)
+            assert master_terms(PENTAD_SEQ, order)[0][1] == cycle_monomial(PENTAD_SEQ)
         for order in both_inner_orders(6):
-            assert verify_leading_term(CUBIC_SEQ, order)
+            assert master_terms(CUBIC_SEQ, order)[0][1] == cycle_monomial(CUBIC_SEQ)
 
     def test_derivative_pairing_for_injective_assignment(self):
         # Squarefree derivatives of a distinct-index master split into
