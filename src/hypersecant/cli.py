@@ -58,25 +58,10 @@ class UsageError(Exception):
     pass
 
 
-class RunResult:
-    """Exit code, stdout payload and stderr text of one command.
-
-    The payload is a str or an iterable of text chunks, one generator per
-    chunk for generator lists, that renders as it is read; main writes each
-    chunk as it comes, so the whole document is never held.
-    """
-
-    __slots__ = ("code", "payload", "stderr")
-
-    def __init__(self, code: int, payload: Iterable[str] | str = "", stderr: str = ""):
-        self.code, self.payload, self.stderr = code, payload, stderr
-
-    @property
-    def stdout(self) -> str:
-        """The whole payload as one string, rendered on first use and kept."""
-        if not isinstance(self.payload, str):
-            self.payload = "".join(self.payload)
-        return self.payload
+# A command's stdout: a str, or an iterable of text chunks, one generator per
+# chunk for generator lists, that renders as it is read; main writes each
+# chunk as it comes, so the whole document is never held.
+Payload = Iterable[str] | str
 
 
 # ---------------------------------------------------------------------------
@@ -301,22 +286,25 @@ def _need_n(args: argparse.Namespace, least: int = 3) -> int:
     return args.n
 
 
-def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, name: str = "n") -> str:
+def _check_bound(args: argparse.Namespace, value: int, bound: int, what: str, name: str = "n") -> None:
+    """Refuse a value past its bound, or with --allow-large warn on stderr
+    at once, before the work it sizes."""
     if value <= bound:
-        return ""
+        return
     if not args.allow_large:
         raise UsageError(
             f"{name}={value} exceeds the desk-scale bound {bound} for {what}; pass --allow-large to override"
         )
-    return f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n"
+    sys.stderr.write(f"warning: {name}={value} exceeds the desk-scale bound {bound} for {what}; continuing\n")
 
 
-def _max_len(args: argparse.Namespace, n: int) -> tuple[int, str]:
-    """--max-len (default: the odd floor of n) and the warning for passing that floor."""
+def _max_len(args: argparse.Namespace, n: int) -> int:
+    """--max-len, by default the odd floor of n; its bound is the caller's
+    to check, after n's."""
     max_len = args.max_len if args.max_len is not None else odd_floor(n)
     if max_len % 2 == 0 or max_len < 3:
         raise UsageError(f"--max-len must be odd and >= 3, got {max_len}")
-    return max_len, _check_bound(args, max_len, odd_floor(n), args.command, name="max-len")
+    return max_len
 
 
 def _kind(args: argparse.Namespace) -> str:
@@ -347,44 +335,43 @@ def _emit_polynomials(args: argparse.Namespace, rows, count: int, order: Circula
     return _text_lines(map(format_rows, rows))
 
 
-def _cmd_build(args: argparse.Namespace) -> RunResult:
+def _cmd_build(args: argparse.Namespace) -> tuple[int, Payload]:
     """The build-then-emit commands: one initial ideal or candidate basis at --n."""
     n = _need_n(args, args.least_n)
-    warn = _check_bound(args, n, SWEEP_BOUND, args.command)
-    extra = {}
-    if "max_len" in args:
-        extra["max_len"], max_len_warn = _max_len(args, n)
-        warn += max_len_warn
+    extra = {"max_len": _max_len(args, n)} if "max_len" in args else {}
+    _check_bound(args, n, SWEEP_BOUND, args.command)
+    if extra:
+        _check_bound(args, extra["max_len"], odd_floor(n), args.command, name="max-len")
     built = args.build(n, **extra)
     meta = {"command": args.command, "n": n, **extra}
     order = CircularTermOrder(n, args.inner)
     if isinstance(built, MonomialIdeal):
-        return RunResult(EXIT_OK, _emit_monomial_ideal(args, built, order, meta), warn)
+        return EXIT_OK, _emit_monomial_ideal(args, built, order, meta)
     # The labels of a candidate basis, each built as it is written.
     rows = generator_rows(n, built, order)
-    return RunResult(EXIT_OK, _emit_polynomials(args, rows, len(built), order, meta), warn)
+    return EXIT_OK, _emit_polynomials(args, rows, len(built), order, meta)
 
 
-def _cmd_toric_gb(args: argparse.Namespace) -> RunResult:
+def _cmd_toric_gb(args: argparse.Namespace) -> tuple[int, Payload]:
     n = _need_n(args)
-    warn = _check_bound(args, n, SWEEP_BOUND, "toric-gb")
+    _check_bound(args, n, SWEEP_BOUND, "toric-gb")
     gens = toric_gb(n)
     order = CircularTermOrder(n, args.inner)
     if args.format == "json":
         header = {"command": "toric-gb", "n": n, "order": order.descriptor(), "count": len(gens)}
         text = _JsonText()
-        return RunResult(EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial)), warn)
+        return EXIT_OK, _json_document(header, "generators", text.array(gens, text.binomial))
     packing = order.packing(2)
     rows = ([(c, f) for _, c, f in packing.terms(g.rows())] for g in gens)
     meta = {"command": "toric-gb", "n": n}
-    return RunResult(EXIT_OK, _emit_polynomials(args, rows, len(gens), order, meta), warn)
+    return EXIT_OK, _emit_polynomials(args, rows, len(gens), order, meta)
 
 
-def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
+def _cmd_odd_cycles(args: argparse.Namespace) -> tuple[int, Payload]:
     n = _need_n(args)
-    warn = _check_bound(args, n, CERTIFY_BOUND, "odd-cycles")
-    max_len, max_len_warn = _max_len(args, n)
-    warn += max_len_warn
+    max_len = _max_len(args, n)
+    _check_bound(args, n, CERTIFY_BOUND, "odd-cycles")
+    _check_bound(args, max_len, odd_floor(n), "odd-cycles", name="max-len")
     cycles = induced_odd_cycles(NoncrossingGraph(n), max_len)
     if args.format == "json":
         payload = {
@@ -394,20 +381,17 @@ def _cmd_odd_cycles(args: argparse.Namespace) -> RunResult:
             "count": len(cycles),
             "cycles": [[[a, b] for a, b in cyc] for cyc in cycles],
         }
-        return RunResult(EXIT_OK, _json_dump(payload), warn)
+        return EXIT_OK, _json_dump(payload)
     lines = [format_factors(edge_factors(c)) for c in cycles]
-    return RunResult(EXIT_OK, _text_lines(lines), warn)
+    return EXIT_OK, _text_lines(lines)
 
 
-def _cmd_admissible(args: argparse.Namespace) -> RunResult:
+def _cmd_admissible(args: argparse.Namespace) -> tuple[int, Payload]:
     n = _need_n(args)
-    warn = _check_bound(args, n, SWEEP_BOUND, "admissible")
-    if args.k is None:
-        seqs = all_admissible_sequences(n)
-    elif args.k < 1:
+    if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be at least 1, got {args.k}")
-    else:
-        seqs = admissible_sequences(n, args.k)
+    _check_bound(args, n, SWEEP_BOUND, "admissible")
+    seqs = all_admissible_sequences(n) if args.k is None else admissible_sequences(n, args.k)
     if args.format == "json":
         payload = {
             "command": "admissible",
@@ -415,11 +399,11 @@ def _cmd_admissible(args: argparse.Namespace) -> RunResult:
             "count": len(seqs),
             "sequences": [{"k": s.k, "i": list(s.i), "j": list(s.j)} for s in seqs],
         }
-        return RunResult(EXIT_OK, _json_dump(payload), warn)
+        return EXIT_OK, _json_dump(payload)
     lines = [
         f"k={s.k} i={','.join(map(str, s.i))} j={','.join(map(str, s.j))}" for s in seqs
     ]
-    return RunResult(EXIT_OK, _text_lines(lines), warn)
+    return EXIT_OK, _text_lines(lines)
 
 
 def _sequence_from_args(args: argparse.Namespace) -> AdmissibleSequence:
@@ -431,13 +415,13 @@ def _sequence_from_args(args: argparse.Namespace) -> AdmissibleSequence:
         raise UsageError(f"invalid admissible sequence: {exc}") from exc
 
 
-def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
+def _cmd_master_poly(args: argparse.Namespace) -> tuple[int, Payload]:
     seq = _sequence_from_args(args)
     n = args.n if args.n is not None else seq.min_ambient()
     if n < seq.min_ambient():
         raise UsageError(f"--n {n} is too small for indices up to {seq.min_ambient()}")
-    warn = _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
-    warn += _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
+    _check_bound(args, n, max(SWEEP_BOUND, seq.min_ambient()), "master-poly")
+    _check_bound(args, seq.k, MASTER_K_BOUND, "master-poly", name="k")
     order = CircularTermOrder(n, args.inner)
     rows = master_terms(seq, order)
     if args.format == "json":
@@ -451,25 +435,23 @@ def _cmd_master_poly(args: argparse.Namespace) -> RunResult:
             "term_count": len(rows),
         }
         text = _JsonText().polynomial(rows, 1)
-        return RunResult(EXIT_OK, _json_document(header, "polynomial", (text,)), warn)
+        return EXIT_OK, _json_document(header, "polynomial", (text,))
     meta = {"command": "master-poly", "n": n}
-    return RunResult(EXIT_OK, _emit_polynomials(args, [rows], 1, order, meta), warn)
+    return EXIT_OK, _emit_polynomials(args, [rows], 1, order, meta)
 
 
-def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
+def _cmd_verify_sequences(args: argparse.Namespace) -> tuple[int, Payload]:
     n = _need_n(args)
-    warn = _check_bound(args, n, CERTIFY_BOUND, f"verify {args.verify_what}")
+    # The one sequence of --i/--j, or every admissible sequence at n.
+    given = [_sequence_from_args(args)] if args.i_vals is not None or args.j_vals is not None else []
+    if any(s.min_ambient() > n for s in given):
+        raise UsageError(f"sequence uses indices above n={n}")
+    _check_bound(args, n, CERTIFY_BOUND, f"verify {args.verify_what}")
     order = CircularTermOrder(n, args.inner)
-    if args.i_vals is not None or args.j_vals is not None:
-        seqs = [_sequence_from_args(args)]
-    else:
-        seqs = all_admissible_sequences(n)
     results = []
     # One rank-2 oracle call per relabelling class of the masters.
     member = SecantClasses(n)
-    for s in seqs:
-        if s.min_ambient() > n:
-            raise UsageError(f"sequence uses indices above n={n}")
+    for s in given or all_admissible_sequences(n):
         rows = master_terms(s, order)
         if args.verify_what == "membership":
             passed = bool(rows) and member(rows)
@@ -488,28 +470,28 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> RunResult:
             "results": results,
             "pass": ok,
         }
-        return RunResult(code, _json_dump(payload), warn)
+        return code, _json_dump(payload)
     lines = [
         ("ok   " if r["pass"] else "FAIL ")
         + f"k={r['k']} i={','.join(map(str, r['i']))} j={','.join(map(str, r['j']))}"
         for r in results
     ]
-    return RunResult(code, _text_lines(lines + ["PASS" if ok else "FAIL"]), warn)
+    return code, _text_lines(lines + ["PASS" if ok else "FAIL"])
 
 
-def _certificate_result(args: argparse.Namespace, cert: GroebnerCertificate, warn: str) -> RunResult:
+def _certificate_result(args: argparse.Namespace, cert: GroebnerCertificate) -> tuple[int, Payload]:
     if cert.spair_stats is not None:
-        warn += f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n"
+        sys.stderr.write(f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n")
     code = EXIT_OK if cert.passed else EXIT_FAIL
     if args.format == "json":
-        return RunResult(code, _json_dump(certificate_to_json(cert)), warn)
-    return RunResult(code, certificate_text(cert), warn)
+        return code, _json_dump(certificate_to_json(cert))
+    return code, certificate_text(cert)
 
 
-def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
+def _cmd_verify_buchberger(args: argparse.Namespace) -> tuple[int, Payload]:
     kind = _kind(args)
     n = _need_n(args, 3 if kind == "toric" else 4)
-    warn = _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
+    _check_bound(args, n, BUCHBERGER_BOUNDS[kind], f"{kind} buchberger")
     order = CircularTermOrder(n, args.inner)
     if kind == "toric":
         binomials = toric_gb(n)
@@ -519,26 +501,26 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> RunResult:
         labels = candidate_basis(n, kind)
         rows = generator_rows(n, labels, order)
     cert = buchberger_verify(rows, order, n=n, kind=kind, threads=args.threads, labels=labels)
-    return _certificate_result(args, cert, warn)
+    return _certificate_result(args, cert)
 
 
-def _cmd_verify_delightful(args: argparse.Namespace) -> RunResult:
+def _cmd_verify_delightful(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.threads is not None and not args.with_buchberger:
         raise UsageError("--threads needs --buchberger: only the S-pair leg runs on worker processes")
     kind = _kind(args)
     n = _need_n(args, 4)
     bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
-    warn = _check_bound(args, n, bound, f"delightful {kind}")
+    _check_bound(args, n, bound, f"delightful {kind}")
     order = CircularTermOrder(n, args.inner)
     cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
-    return _certificate_result(args, cert, warn)
+    return _certificate_result(args, cert)
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> RunResult:
+def _cmd_reproduce(args: argparse.Namespace) -> tuple[int, Payload]:
     report = reproduce_reference_examples()
     code = EXIT_OK if report["match"] else EXIT_FAIL
     if args.format == "json":
-        return RunResult(code, _json_dump({"command": "reproduce", **report}))
+        return code, _json_dump({"command": "reproduce", **report})
     lines = []
     for name in ("cubic", "pentad", "generic_quintic"):
         section = report[name]
@@ -550,7 +532,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> RunResult:
         for mm in section.get("mismatches", []):
             lines.append(f"  {mm['monomial']}: expected {mm['expected']}, computed {mm['computed']}")
     lines.append("PASS" if report["match"] else "FAIL")
-    return RunResult(code, _text_lines(lines))
+    return code, _text_lines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +549,10 @@ def _parse_order(text: str) -> str:
 
 
 def _parse_index_list(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; an empty token, from a doubled, leading or
+    trailing comma, is refused."""
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a comma-separated index list, got {text!r}")
 
@@ -701,8 +685,8 @@ def _write_atomically(path: str, chunks: Iterable[str]) -> None:
         raise _OutputError(exc) from exc
 
 
-def _write(payload: Iterable[str] | str, path: str | None) -> None:
-    """Write a RunResult payload, chunk by chunk, to stdout or to path."""
+def _write(payload: Payload, path: str | None) -> None:
+    """Write a command's payload, chunk by chunk, to stdout or to path."""
     chunks = (payload,) if isinstance(payload, str) else payload
     if path:
         _write_atomically(path, chunks)
@@ -722,8 +706,10 @@ def _write(payload: Iterable[str] | str, path: str | None) -> None:
 def main(argv=None) -> int:
     """Parse argv, run the command, write its payload; return the exit code.
 
-    Every input check runs before the first chunk is written, so exit 2 on
-    bad input leaves stdout empty.  On exit 3 stdout may hold a truncated
+    Every input check runs before the first warning and before the first
+    chunk, so exit 2 on bad input leaves stdout empty and stderr holding
+    only its error line.  Warnings and timings go to stderr as soon as they
+    are known, not after the work.  On exit 3 stdout may hold a truncated
     document, because the payload is rendered while it is written; --output
     stays all-or-nothing: its file is replaced by the whole payload or not.
     """
@@ -732,10 +718,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        result = args.handler(args)
-        if result.stderr:
-            sys.stderr.write(result.stderr)
-        _write(result.payload, args.output)
+        code, payload = args.handler(args)
+        _write(payload, args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -749,7 +733,7 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return result.code
+    return code
 
 
 if __name__ == "__main__":

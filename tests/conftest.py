@@ -1005,11 +1005,6 @@ def polynomial_strategy(n=6, max_terms=4, max_factors=3, max_exp=2, max_coeff=4)
     )
 
 
-@pytest.fixture(scope="session")
-def graph6():
-    return NoncrossingGraph(6)
-
-
 @pytest.fixture
 def pool_of_two(monkeypatch):
     """A sweep of two or more S-pairs runs on a fork pool of two workers: two

@@ -97,12 +97,12 @@ def test_criterion_03_generic_term_count():
 def test_criterion_04_initial_secant_n5():
     t0 = time.perf_counter()
     args = build_parser().parse_args(["initial-secant", "--n", "5"])
-    res = args.handler(args)
+    code, payload = args.handler(args)
     expected = edge_factors([(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
     ideal = secant_of_edge_ideal(NoncrossingGraph(5), 5)
     ok = (
-        res.code == 0
-        and res.stdout == "x[1,2]*x[1,5]*x[2,3]*x[3,4]*x[4,5]\n"
+        code == 0
+        and "".join(payload) == "x[1,2]*x[1,5]*x[2,3]*x[3,4]*x[4,5]\n"
         and ideal.generators == (expected,)
     )
     _report(4, ok, "initial-secant --n 5 reports the single degree-5 generator", 1.0,

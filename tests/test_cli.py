@@ -53,8 +53,14 @@ SRC = str(ROOT / "src")
 
 
 def invoke(*argv):
+    """Run one command's handler: its exit code, its whole stdout and the
+    stderr it wrote."""
     args = build_parser().parse_args(list(argv))
-    return args.handler(args)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, payload = args.handler(args)
+        stdout = payload if isinstance(payload, str) else "".join(payload)
+    return types.SimpleNamespace(code=code, stdout=stdout, stderr=err.getvalue())
 
 
 @pytest.fixture
@@ -238,6 +244,7 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["spairs"]["count"] == 45
         assert "wall" not in json.dumps(payload)
+        assert re.fullmatch(r"s-pair wall time: \d+\.\d\ds\n", res.stderr)
 
     def test_buchberger_threads(self):
         res = invoke("verify", "buchberger", "--n", "5", "--kind", "toric", "--threads", "2")
@@ -432,6 +439,39 @@ class TestBoundsAndExitCodes:
             assert res.code == EXIT_OK
             assert res.stderr.startswith("warning: n=11 exceeds the desk-scale bound 10")
         assert main(["verify", "delightful", "--n", "8", "--kind", "secant", "--buchberger"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("i_vals", ["1,3,,5", ",1,3,5", "1,3,5,", ""])
+    def test_empty_index_token_is_usage_error(self, i_vals, capsys):
+        assert main(["master-poly", "--i", i_vals, "--j", "2,4,6"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"expected a comma-separated index list, got {i_vals!r}" in err
+
+    def test_warning_is_written_before_the_work(self, monkeypatch):
+        seen = []
+
+        def certificate(n, kind, order, **kwargs):
+            seen.append(sys.stderr.getvalue())
+            return GroebnerCertificate(order.descriptor(), 0, (), n=n, kind=kind)
+
+        monkeypatch.setattr(cli, "delightful_check", certificate)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "delightful", "--n", "11", "--allow-large"]) == EXIT_OK
+        warning = "warning: n=11 exceeds the desk-scale bound 10 for delightful secant; continuing\n"
+        assert seen == [warning]
+        assert err.getvalue() == warning
+
+    @pytest.mark.parametrize("argv, error", [
+        (["initial-secant", "--n", "9", "--allow-large", "--max-len", "4"],
+         "--max-len must be odd and >= 3, got 4"),
+        (["admissible", "--n", "9", "--allow-large", "--k", "0"], "--k must be at least 1, got 0"),
+        (["verify", "membership", "--n", "11", "--allow-large", "--i", "1,3,5", "--j", "2,4,12"],
+         "sequence uses indices above n=11"),
+    ])
+    def test_rejected_command_prints_no_warning(self, argv, error, capsys):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
     @pytest.mark.parametrize("argv", [
         ["verify", "buchberger", "--n", "5", "--threads", "3"],
@@ -1086,7 +1126,7 @@ def test_tracer_targets_resolve():
 # helpers, and test-only API that lives in tests/conftest.py now.  A dotted
 # name is a class attribute: a method that left the class.
 REMOVED_NAMES = {
-    "cli": ["monomial_from_json", "polynomial_from_json", "run"],
+    "cli": ["RunResult", "monomial_from_json", "polynomial_from_json", "run"],
     "fixtures": ["reference_polynomial"],
     "groebner": [
         "GroebnerCertificate.failures",
