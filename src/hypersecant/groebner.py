@@ -10,6 +10,7 @@ and in one packing; this is asserted, not assumed.
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
 from collections.abc import Sequence
@@ -92,10 +93,8 @@ class GroebnerCertificate(NamedTuple):
 # lookup.
 _FRONT_MEMO_CAP = 1 << 15
 
-# A derived worker count gives each worker at least this many S-pairs.
-# Starting a pool costs 5-15 ms, more than a serial sweep of toric n = 7
-# (2,415 S-pairs, 6 ms), so toric n <= 7, secant n <= 6 and symbolic n <= 5
-# sweep serially, and secant n = 7 (6,328) and symbolic n = 6 use the pool.
+# At least this many S-pairs per derived worker.  Forking two costs about 3 ms,
+# a serial sweep of toric n = 7 (2,415); secant n = 7 (6,328) and symbolic n = 6 fork.
 _PAIRS_PER_WORKER = 2048
 
 
@@ -288,17 +287,6 @@ class _Divider:
         return failures, skipped, reduced, max_terms
 
 
-_WORKER_CTX: dict = {}
-
-
-def _worker_init(divider):
-    _WORKER_CTX["divider"] = divider
-
-
-def _verify_row(i: int):
-    return _WORKER_CTX["divider"].verify_row(i)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -316,32 +304,66 @@ def _workers(pairs: int, threads: int | None) -> int:
     return max(1, min(_usable_cpus(), pairs // _PAIRS_PER_WORKER, threads or pairs))
 
 
+def _shares(m: int, workers: int) -> list[range]:
+    """Each worker's rows of a sweep of m rows: row i goes to worker i mod workers."""
+    return [range(w, m, workers) for w in range(workers)]
+
+
 def _sweep(divider: _Divider, threads: int | None):
     """Per-row (failures, skipped, reduced, max_terms), in row order.
 
-    One loop, _Divider.verify_row, is mapped over the rows i of the
-    m(m-1)/2 S-pairs (i, j), so no list of pairs is built.  Serially it is
-    the builtin map; on a fork pool it is the pool's, whose workers inherit
-    the divider, unpickled, through the pool's initializer, and get the
-    row numbers in about 16 chunks per worker.  Both maps return the rows
-    in order, so failures keep pair order.
+    _Divider.verify_row is mapped over the rows i of the S-pairs (i, j):
+    serially, else on forked workers (_workers), each of which writes its
+    share of the rows (_shares), marshalled, to its own pipe.  A dead worker
+    raises RuntimeError here (one that raised prints its traceback first),
+    and every worker is reaped before this returns or raises, killed if live.
     """
     m = len(divider.lts)
     workers = _workers(m * (m - 1) // 2, threads)
     if workers <= 1:
         return list(map(divider.verify_row, range(m)))
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
+    import select
+    import signal
 
-    # Not multiprocessing.Pool: its map waits forever on a chunk whose worker
-    # died, where the executor raises BrokenProcessPool.
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=mp.get_context("fork"),
-        initializer=_worker_init,
-        initargs=(divider,),
-    ) as pool:
-        return list(pool.map(_verify_row, range(m), chunksize=-(-m // (16 * workers))))
+    results: list = [None] * m
+    live: dict = {}  # the read end of a live worker's pipe -> (pid, share)
+    try:
+        for share in _shares(m, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:  # the worker, which leaves by os._exit alone
+                try:
+                    with open(w, "wb") as out:
+                        out.write(marshal.dumps([divider.verify_row(i) for i in share]))
+                    os._exit(0)
+                except Exception:
+                    import traceback  # only a failing worker needs it
+
+                    traceback.print_exc()
+                finally:
+                    os._exit(1)
+            os.close(w)
+            live[open(r, "rb")] = pid, share
+        while live:
+            for pipe in select.select(list(live), [], [])[0]:
+                data = pipe.read()  # to EOF: a worker writes once its share is done
+                pid, share = live.pop(pipe)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                pipe.close()
+                if code:
+                    raise RuntimeError(f"S-pair worker {pid} exited with code {code}")
+                results[share.start :: share.step] = marshal.loads(data)
+        return results
+    finally:
+        for pipe, (pid, _) in live.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
 def buchberger_verify(
@@ -361,13 +383,10 @@ def buchberger_verify(
     of each generator (see _family), the witness also names both
     generators of the pair by family under "generators".  The m(m-1)/2
     pairs are counted, never listed: each row i of pairs (i, j) is reduced
-    by one call of _Divider.verify_row, mapped over the rows serially or on
-    a fork pool of one worker per _PAIRS_PER_WORKER pairs, at most one per
-    usable CPU and, given threads=T, at most T, so a small sweep runs
-    serially.  Rows are aggregated in order, so the certificate is identical
-    to the serial one.  Every generator must be homogeneous; a
-    non-homogeneous one raises ValueError before any worker starts.  Forked
-    workers inherit the divider alone.
+    by one call of _Divider.verify_row, serially or on forked workers
+    (_sweep), and rows are aggregated in order, so the certificate is the
+    serial one.  A non-homogeneous generator raises ValueError before any
+    worker starts.
 
     Given labels, G is read as it is packed, and the packing is sized from
     the labels' degrees (_label_degree); a generator above its declared
@@ -406,11 +425,7 @@ def buchberger_verify(
         max_terms=max_terms,
         wall_time=time.perf_counter() - started,
     )
-    check = CheckResult(
-        "spairs_reduce_to_zero",
-        "pass" if not failures else "fail",
-        None if not failures else failures,
-    )
+    check = CheckResult("spairs_reduce_to_zero", "fail" if failures else "pass", failures or None)
     return GroebnerCertificate(
         order_descriptor=order.descriptor(),
         generator_count=m,

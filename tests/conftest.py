@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
@@ -1007,27 +1010,77 @@ def polynomial_strategy(n=6, max_terms=4, max_factors=3, max_exp=2, max_coeff=4)
 
 @pytest.fixture
 def pool_of_two(monkeypatch):
-    """A sweep of two or more S-pairs runs on a fork pool of two workers: two
-    usable CPUs, one S-pair per worker.  Returns the max_workers of every pool
-    started, in order.  A pool of more than two workers is refused before it
-    starts a process."""
-    import concurrent.futures
-
-    from hypersecant import groebner
-
+    """A sweep of two or more S-pairs forks two workers: two usable CPUs, one
+    S-pair per worker.  Returns, for every forking sweep in order, the
+    workers forked, counted at os.fork.  A sweep of more than two workers is
+    refused before it forks a process, and so is a third fork in one sweep."""
     started = []
+    shares, fork = groebner._shares, os.fork
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            if max_workers is None or max_workers > 2:
-                raise AssertionError(f"a pool of {max_workers} workers was asked for")
-            super().__init__(max_workers, **kwargs)
+    def sweep_shares(m, workers):
+        if workers > 2:
+            raise AssertionError(f"a sweep of {workers} workers was asked for")
+        started.append(0)
+        return shares(m, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    def counted_fork():
+        if not started or started[-1] >= 2:
+            raise AssertionError("a worker was forked outside a sweep of two")
+        started[-1] += 1
+        return fork()
+
+    monkeypatch.setattr(groebner, "_shares", sweep_shares)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setattr(groebner, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(groebner, "_PAIRS_PER_WORKER", 1)
     return started
+
+
+def forking_sweep(row: str | None = None) -> str:
+    """The start of a script for a fresh interpreter, whose only children are
+    then the sweep's workers: two usable CPUs and one S-pair per worker, so a
+    sweep forks two.  Given `row`, with os, sys, time and types imported, it
+    is the body of every _Divider.verify_row(self, i)."""
+    script = (
+        "import os, sys, time, types\n"
+        "from hypersecant import CircularTermOrder, cli, groebner\n"
+        "groebner._usable_cpus = lambda: 2\n"
+        "groebner._PAIRS_PER_WORKER = 1\n"
+    )
+    if row is None:
+        return script
+    body = "".join(f"    {line}\n" for line in row.splitlines())
+    return script + f"def row(self, i):\n{body}groebner._Divider.verify_row = row\n"
+
+
+def dying_row(dead: int = 0) -> str:
+    """A forking_sweep row: row `dead` exits 1 at once, every other row
+    sleeps 30 s, so the worker of the other share is busy when it dies."""
+    return f"if i == {dead}:\n    os._exit(1)\ntime.sleep(30)"
+
+
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run `python -c script` with src/ on the path, in at most 60 s, in a
+    session of its own, which is killed afterwards: a worker that outlived
+    the script, and would keep its pipes open, is not left running."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def child_peak_rss(argv, pythonpath):

@@ -39,11 +39,14 @@ from conftest import (
     Polynomial,
     candidate_polynomials,
     child_peak_rss,
+    dying_row,
     flip_lowest_tail,
+    forking_sweep,
     label_polynomials,
     parse_polynomial,
     polynomial_from_json,
     polynomial_to_json,
+    run_script,
     substitute_generators,
     substitute_rank,
 )
@@ -819,11 +822,12 @@ def test_console_entry_point_subprocess():
 
 
 # Modules that only some commands run: --output (tempfile, shutil), the
-# exit-3 path (traceback), the S-pair pool (multiprocessing,
-# concurrent.futures), and what dataclasses pulls in.
+# exit-3 path (traceback), the forking S-pair sweep (select, signal), and
+# what dataclasses pulls in.  No command loads multiprocessing or
+# concurrent.futures.
 DEFERRED_MODULES = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "traceback",
-    "tempfile", "shutil", "multiprocessing", "concurrent.futures",
+    "tempfile", "shutil", "select", "signal", "multiprocessing", "concurrent.futures",
 }
 
 
@@ -1071,27 +1075,47 @@ def test_threads_never_start_more_workers_than_usable_cpus(pool_of_two):
 
 
 def test_dead_pool_worker_is_internal_error():
-    """A pool worker that dies makes the command exit 3, in bounded time."""
-    script = (
-        "import os, sys\n"
-        "from hypersecant import cli, groebner\n"
-        "def die(i):\n"
-        "    os._exit(1)\n"
-        "groebner._verify_row = die\n"
-        "groebner._usable_cpus = lambda: 2\n"
-        "groebner._PAIRS_PER_WORKER = 1\n"
+    """A worker that dies makes the command exit 3, in bounded time, though
+    the other worker would sleep 30 s on each of its rows."""
+    script = forking_sweep(dying_row()) + (
+        "started = time.perf_counter()\n"
+        "code = cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2'])\n"
+        "print('done in 10 s:', time.perf_counter() - started < 10, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_script(script)
+    assert proc.returncode == EXIT_INTERNAL
+    assert re.search(r"^RuntimeError: S-pair worker \d+ exited with code 1$", proc.stderr, re.M), proc.stderr
+    assert proc.stderr.endswith("done in 10 s: True\n")
+    assert proc.stdout == ""
+
+
+def test_raising_pool_worker_shows_its_error():
+    """A worker whose row raises exits 3 like a dead one, and stderr shows
+    the worker's own traceback before the command's."""
+    script = forking_sweep("if i == 0:\n    raise MemoryError('row 0')\ntime.sleep(30)") + (
         "sys.exit(cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2']))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
-        timeout=60,
-    )
+    proc = run_script(script)
     assert proc.returncode == EXIT_INTERNAL
-    assert "BrokenProcessPool" in proc.stderr
+    worker, command = proc.stderr.split("\nMemoryError: row 0\n")
+    assert worker.startswith("Traceback (most recent call last):\n"), proc.stderr
+    assert re.search(r"^RuntimeError: S-pair worker \d+ exited with code 1$", command, re.M), proc.stderr
     assert proc.stdout == ""
+
+
+def test_pooled_sweep_loads_no_executor():
+    """A forking sweep loads neither multiprocessing nor concurrent.futures."""
+    script = forking_sweep() + (
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        "code = cli.main(['verify', 'buchberger', '--n', '6', '--kind', 'secant', '--threads', '2'])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent'))\n"
+        "print(code, len(forks), loaded)\n"
+    )
+    proc = run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\nPASS\n0 2 []\n"), proc.stdout
 
 
 # Tracer targets that left src/ on purpose: the two basis-list wrappers are
@@ -1131,10 +1155,13 @@ REMOVED_NAMES = {
     "groebner": [
         "GroebnerCertificate.failures",
         "_Divider.verify_pairs",
+        "_WORKER_CTX",
         "_packed_terms",
         "_row_chunks",
         "_row_pairs",
+        "_verify_row",
         "_worker_chunk",
+        "_worker_init",
         "antidiagonal_monomial",
         "generators",
         "nested_triple_monomials",

@@ -2,7 +2,8 @@ import collections.abc
 import heapq
 import itertools
 import json
-import subprocess
+import os
+import re
 import sys
 from collections import Counter
 from math import comb
@@ -43,9 +44,11 @@ from conftest import (
     compare,
     divide_by,
     divides,
+    dying_row,
     eager_labels,
     edges_for,
     flip_lowest_tail,
+    forking_sweep,
     format_polynomial,
     label_polynomials,
     lcm,
@@ -66,6 +69,7 @@ from conftest import (
     reference_first_divisor,
     reference_order_key,
     relabel,
+    run_script,
     s_polynomial,
     sort_key,
     substitute_generators,
@@ -464,36 +468,77 @@ class TestBuchbergerVerify:
             ]
         assert pool_of_two == [2, 2]
 
-    def test_dead_worker_raises_instead_of_hanging(self):
-        """A pool worker that dies raises BrokenProcessPool, in bounded time."""
-        script = (
-            "import os\n"
-            "from concurrent.futures.process import BrokenProcessPool\n"
-            "from hypersecant import CircularTermOrder, groebner\n"
-            "def die(i):\n"
-            "    os._exit(1)\n"
-            "groebner._verify_row = die\n"
-            "groebner._usable_cpus = lambda: 2\n"
-            "groebner._PAIRS_PER_WORKER = 1\n"
-            "try:\n"
-            "    order = CircularTermOrder(6)\n"
-            "    groebner.buchberger_verify(\n"
-            "        groebner.generator_rows(6, groebner.candidate_basis(6, 'secant'), order),\n"
-            "        order,\n"
-            "        threads=2,\n"
-            "    )\n"
-            "except BrokenProcessPool:\n"
-            "    print('broken')\n"
+    # The end of a forking_sweep script: one sweep, whose error it prints,
+    # whether the sweep ended within 10 s, and whether a worker is left,
+    # running or unreaped.
+    SWEEP = (
+        "order = CircularTermOrder(6)\n"
+        "rows = groebner.generator_rows(6, groebner.candidate_basis(6, 'secant'), order)\n"
+        "started = time.perf_counter()\n"
+        "try:\n"
+        "    groebner.buchberger_verify(rows, order, threads=2)\n"
+        "except BaseException as exc:\n"
+        "    print(repr(exc))\n"
+        "print(time.perf_counter() - started < 10)\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('no child')\n"
+    )
+
+    @pytest.mark.parametrize("row", ["os._exit(1)", dying_row(0), dying_row(1)], ids=["all", "0", "1"])
+    def test_dead_worker_raises_instead_of_hanging(self, row):
+        """A worker that dies raises RuntimeError, in bounded time, and no
+        worker is left: with every row dying, or with one row dying while
+        the other worker would sleep 30 s on each of its rows, whichever of
+        the two pipes closes first."""
+        proc = run_script(forking_sweep(row) + self.SWEEP)
+        assert proc.returncode == 0, proc.stderr
+        want = r"RuntimeError\('S-pair worker \d+ exited with code 1'\)\nTrue\nno child\n"
+        assert re.fullmatch(want, proc.stdout), proc.stdout
+
+    @pytest.mark.parametrize("error", ["ValueError", "KeyboardInterrupt"])
+    def test_parent_error_leaves_no_worker(self, error):
+        # Worker 0 sends its rows at once and worker 1 sleeps 30 s on each
+        # of its own; the parent fails to decode worker 0's rows, so the
+        # error propagates, and worker 1 is killed and reaped first.
+        script = forking_sweep("if i % 2:\n    time.sleep(30)\nreturn [], 0, 0, 0") + (
+            "def decode(data):\n"
+            f"    raise {error}('decode')\n"
+            "groebner.marshal = types.SimpleNamespace(dumps=groebner.marshal.dumps, loads=decode)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-            timeout=60,
+        proc = run_script(script + self.SWEEP)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{error}('decode')\nTrue\nno child\n"
+
+    def test_raising_worker_prints_its_traceback(self):
+        """A worker whose row raises prints that exception's traceback, then
+        dies like any other: the sweep raises RuntimeError and leaves no worker."""
+        row = "if i == 0:\n    raise ValueError(f'row {i} failed')\ntime.sleep(30)"
+        proc = run_script(forking_sweep(row) + self.SWEEP)
+        assert proc.returncode == 0, proc.stderr
+        want = r"RuntimeError\('S-pair worker \d+ exited with code 1'\)\nTrue\nno child\n"
+        assert re.fullmatch(want, proc.stdout), proc.stdout
+        assert proc.stderr.startswith("Traceback (most recent call last):\n"), proc.stderr
+        assert proc.stderr.endswith("\nValueError: row 0 failed\n"), proc.stderr
+
+    def test_failed_fork_closes_its_pipe(self):
+        # The second fork fails, as it does at the process limit, while
+        # worker 0 sleeps: the error propagates, worker 0 is killed and
+        # reaped, and the failed worker's pipe is closed with it.
+        script = forking_sweep("time.sleep(30)") + (
+            "fork, forks = os.fork, []\n"
+            "def failing_fork():\n"
+            "    forks.append(1)\n"
+            "    if len(forks) == 2:\n"
+            "        raise BlockingIOError(11, 'fork')\n"
+            "    return fork()\n"
+            "os.fork = failing_fork\n"
+            "fds = sorted(os.listdir('/dev/fd'))\n"
         )
-        assert (proc.returncode, proc.stdout) == (0, "broken\n")
+        proc = run_script(script + self.SWEEP + "print(sorted(os.listdir('/dev/fd')) == fds)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "BlockingIOError(11, 'fork')\nTrue\nno child\nTrue\n"
 
 
 class TestWorkerCount:
@@ -535,19 +580,17 @@ class TestWorkerCount:
         assert groebner._usable_cpus() == 3
 
     @staticmethod
-    def _forbid_pool(monkeypatch):
-        import concurrent.futures
+    def _forbid_fork(monkeypatch):
+        def refuse():
+            raise AssertionError("a worker was forked")
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
 
     def test_small_sweeps_start_no_pool(self, monkeypatch):
         # Serial however many CPUs there are: each has fewer pairs than two
         # workers' worth.
         monkeypatch.setattr(groebner, "_usable_cpus", lambda: 64)
-        self._forbid_pool(monkeypatch)
+        self._forbid_fork(monkeypatch)
         for gens, n in (
             (toric_gb_polynomials(7), 7),
             (candidate_polynomials(6, "secant"), 6),
@@ -558,7 +601,7 @@ class TestWorkerCount:
         assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
 
     def test_pool_rejects_non_unit_reducer_before_forking(self, pool_of_two, monkeypatch):
-        self._forbid_pool(monkeypatch)
+        self._forbid_fork(monkeypatch)
         order = CircularTermOrder(6)
         gens = candidate_polynomials(6, "secant")
         gens[-1] = gens[-1] * 2
@@ -579,7 +622,18 @@ class TestWorkerCount:
 class TestPairStreaming:
     """No sweep builds its list of S-pairs: one row loop, _Divider.verify_row,
     reduces the pairs (i, j) of row i, and a sweep maps it over range(m),
-    serially with the builtin map or on a pool with the pool's."""
+    serially with the builtin map or, on forked workers, over each worker's
+    share of range(m)."""
+
+    @given(m=st.integers(0, 200), workers=st.integers(1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_shares_split_the_rows_in_turn(self, m, workers):
+        shares = groebner._shares(m, workers)
+        assert len(shares) == workers
+        assert all(type(share) is range for share in shares)
+        # Row i goes to worker i mod workers, so every row goes to one worker.
+        assert sorted(i for share in shares for i in share) == list(range(m))
+        assert all(i % workers == w for w, share in enumerate(shares) for i in share)
 
     @given(m=st.integers(2, 60), threads=st.integers(2, 4))
     @settings(max_examples=200, deadline=None)
@@ -587,43 +641,46 @@ class TestPairStreaming:
         # Every S-pair of the binomials x12*v - x13^2 fails: their leads
         # share x12, and no term v*x13^2 of a remainder has it.  So the
         # witness lists every pair the rows reduced, in aggregation order.
-        # The pool runs its map in this process, to record its rows.
-        import concurrent.futures
-
+        # Each process that reduces a row, a worker or this one, writes
+        # its pid and the row to a pipe, to record which rows it reduced.
         edges = [e for e in itertools.combinations(range(1, 13), 2) if e not in ((1, 2), (1, 3))]
         rows = [[(1, mono((1, 2), e)), (-1, mono((1, 3), (1, 3)))] for e in edges[:m]]
-        seen, pools = [], []
-        verify_row = groebner._Divider.verify_row
+        split, forks = [], []
+        shares, fork, verify_row = groebner._shares, os.fork, groebner._Divider.verify_row
+        r, w = os.pipe()
+
+        def shares_spy(m, workers):
+            split.append((m, workers))
+            return shares(m, workers)
+
+        def fork_spy():
+            pid = fork()
+            forks.append(pid)
+            return pid
 
         def spy(self, i):
-            seen.append(i)
+            os.write(w, f"{os.getpid()} {i}\n".encode())
             return verify_row(self, i)
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs, **kwargs):
-                pools.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, iterable, chunksize):
-                pools.append(iterable)
-                return map(fn, iterable)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groebner, "_PAIRS_PER_WORKER", 1)
             mp.setattr(groebner, "_usable_cpus", lambda: 4)
-            mp.setattr(groebner, "_WORKER_CTX", {})
+            mp.setattr(groebner, "_shares", shares_spy)
+            mp.setattr(os, "fork", fork_spy)
             mp.setattr(groebner._Divider, "verify_row", spy)
-            mp.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
             check = buchberger_verify(rows, CircularTermOrder(12), threads=threads).checks[0]
+        os.close(w)
+        with open(r) as pipe:
+            seen = [tuple(map(int, line.split())) for line in pipe]
         workers = min(threads, m * (m - 1) // 2)
-        assert pools == ([workers, range(m)] if workers > 1 else [])
-        assert seen == list(range(m))
+        assert split == ([(m, workers)] if workers > 1 else [])
+        # Each row was reduced once, by the process its share went to, and
+        # each process reduced its rows in order.
+        pids = forks if workers > 1 else [os.getpid()]
+        assert len(pids) == workers
+        for pid, share in zip(pids, shares(m, workers)):
+            assert [i for p, i in seen if p == pid] == list(share)
+        assert sorted(i for _, i in seen) == list(range(m))
         assert [tuple(f["pair"]) for f in check.witness] == list(itertools.combinations(range(m), 2))
 
     def test_serial_sweep_is_given_no_sequence(self, monkeypatch):
@@ -719,24 +776,17 @@ class TestPairStreaming:
             with pytest.raises(ValueError, match="a monomial twice|a zero coefficient"):
                 buchberger_verify([rows], order)
 
-    def test_pool_chunks_are_small_row_ranges(self, pool_of_two, monkeypatch):
-        import concurrent.futures
-        import pickle
+    def test_worker_shares_are_interleaved_row_ranges(self, pool_of_two, monkeypatch):
+        # A worker is forked with its share of the rows in memory, a range:
+        # no row number or pair is sent to it.
+        given_shares = []
+        shares = groebner._shares  # the fixture's recording split
 
-        mapped, tasks = [], []
-        pool_class = concurrent.futures.ProcessPoolExecutor  # the fixture's recording pool
-        pool_map, pool_submit = pool_class.map, pool_class.submit
+        def spy(m, workers):
+            given_shares.append(shares(m, workers))
+            return given_shares[-1]
 
-        def map_spy(self, fn, rows, **kwargs):
-            mapped.append((rows, kwargs))
-            return pool_map(self, fn, rows, **kwargs)
-
-        def submit_spy(self, fn, *args):
-            tasks.append(pickle.dumps(args))
-            return pool_submit(self, fn, *args)
-
-        monkeypatch.setattr(pool_class, "map", map_spy)
-        monkeypatch.setattr(pool_class, "submit", submit_spy)
+        monkeypatch.setattr(groebner, "_shares", spy)
         gens = term_rows(candidate_polynomials(5, "symbolic-square"))
         for order in both_inner_orders(5):
             parallel = buchberger_verify(gens, order, threads=2)
@@ -744,12 +794,9 @@ class TestPairStreaming:
             assert stats_tuple(parallel) == stats_tuple(serial)
             assert parallel.checks == serial.checks
         assert pool_of_two == [2, 2]
-        # The 55 rows go in chunks of two row numbers, about 16 per worker;
-        # the 1,485 pairs as a list of tuples would pickle to kilobytes.
+        # The 55 rows, the even ones to worker 0 and the odd ones to worker 1.
         m = len(gens)
-        assert mapped == [(range(m), {"chunksize": 2})] * 2
-        assert len(tasks) == 2 * -(-m // 2)
-        assert all(len(task) < 100 for task in tasks)
+        assert given_shares == [[range(0, m, 2), range(1, m, 2)]] * 2
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, os.posix_spawn")
     def test_serial_symbolic_n6_peak_rss(self):
