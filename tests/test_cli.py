@@ -258,6 +258,11 @@ class TestVerify:
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
         assert "CITED" in res.stdout
+        assert re.fullmatch(r"s-pair wall time: \d+\.\d\ds\n", res.stderr)
+
+    def test_delightful_without_buchberger_writes_no_wall_time(self):
+        res = invoke("verify", "delightful", "--n", "5")
+        assert (res.code, res.stderr) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_delightful_threads_need_buchberger(self, threads, capsys):
@@ -1057,6 +1062,36 @@ def test_spair_leg_reads_the_rows_symbolic_gb_writes(monkeypatch, inner):
     assert invoke("verify", "buchberger", "--n", "6", "--kind", "symbolic", *order).code == EXIT_OK
     written = json.loads(invoke("symbolic-gb", "--n", "6", "--format", "json", *order).stdout)
     assert read == [_written_rows(written["generators"])]
+
+
+# Exit code and SHA-256 of stdout of failing certificates: secant n = 6 with
+# its last generator, a minor, flipped as in
+# test_buchberger_names_failing_pairs_by_generator.  Every GOLDEN
+# certificate passes, so these hold the witnesses' bytes.
+FAILING_GOLDEN = {
+    "verify buchberger --n 6 --kind secant --format text":
+        (1, "b902d979869a971961e813e77f02d2c4a7147bc28b559a60d7d98fcc7adcbc1d"),
+    "verify buchberger --n 6 --kind secant --format json":
+        (1, "39ce5662842fa3c9ffb972e59c7f5f85cd2945ea53c9d19fde1704c94effcbf3"),
+    "verify delightful --n 6 --kind secant --buchberger --format text":
+        (1, "a2223602dd6a42cbe37b93904ce9bc72a8ace7c2de10764352d156518beaf7f3"),
+    "verify delightful --n 6 --kind secant --buchberger --format json":
+        (1, "b8d929d7a566db5595b582e2913cd3a6869924bd530dd909be017771ffe2ba4b"),
+}
+
+
+@pytest.mark.parametrize("threads, forked", [("1", []), ("2", [2])])
+@pytest.mark.parametrize("command", list(FAILING_GOLDEN))
+def test_failing_certificate_output(command, threads, forked, pool_of_two, monkeypatch):
+    # One digest whether the rows are reduced serially or on two forked
+    # workers, and one wall-time line for the one S-pair leg.
+    labels = groebner.candidate_basis(6, "secant")
+    (g,) = label_polynomials(6, labels[-1:])
+    substitute_generators(monkeypatch, {labels[-1]: flip_lowest_tail(g, CircularTermOrder(6))})
+    res = invoke(*command.split(), "--threads", threads)
+    assert (res.code, hashlib.sha256(res.stdout.encode()).hexdigest()) == FAILING_GOLDEN[command]
+    assert re.fullmatch(r"s-pair wall time: \d+\.\d\ds\n", res.stderr)
+    assert pool_of_two == forked
 
 
 def test_src_holds_no_polynomial_form():
