@@ -14,7 +14,8 @@ import json
 import os
 import stat
 import sys
-from typing import Iterable, Iterator
+import time
+from typing import Iterable, Iterator, Sequence
 
 from . import groebner
 from .fixtures import reproduce_reference_examples
@@ -216,6 +217,8 @@ def algebra_script(rows, order: CircularTermOrder) -> Iterator[str]:
 
 
 def certificate_to_json(cert: GroebnerCertificate) -> dict:
+    """The certificate's header, its legs, its verdict, then each leg's
+    counters under their key; no timing, so equal runs give equal output."""
     out = {
         "n": cert.n,
         "kind": cert.kind,
@@ -232,15 +235,9 @@ def certificate_to_json(cert: GroebnerCertificate) -> dict:
         ],
         "pass": cert.passed,
     }
-    if cert.spair_stats is not None:
-        s = cert.spair_stats
-        # wall time deliberately omitted: stdout must be deterministic
-        out["spairs"] = {
-            "count": s.count,
-            "skipped_coprime": s.skipped_coprime,
-            "reduced": s.reduced,
-            "max_terms": s.max_terms,
-        }
+    for c in cert.checks:
+        if c.counters is not None:
+            out[c.counters.key] = c.counters._asdict()
     return out
 
 
@@ -254,12 +251,8 @@ def certificate_text(cert: GroebnerCertificate) -> str:
         lines.append(f"check {c.name}: {status}")
         if c.failed and c.witness:
             lines.append(f"  witness: {json.dumps(c.witness)[:400]}")
-    if cert.spair_stats is not None:
-        s = cert.spair_stats
-        lines.append(
-            f"s-pairs: {s.count} total, {s.skipped_coprime} coprime-skipped, "
-            f"{s.reduced} reduced, max working terms {s.max_terms}"
-        )
+        if c.counters is not None:
+            lines.append(c.counters.line())
     lines.append("PASS" if cert.passed else "FAIL")
     return "\n".join(lines) + "\n"
 
@@ -479,9 +472,17 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> tuple[int, Payload]:
     return code, _text_lines(lines + ["PASS" if ok else "FAIL"])
 
 
+def _with_spair_leg(args: argparse.Namespace, cert: GroebnerCertificate, labels: Sequence[tuple],
+                    rows: Iterable[list], order: CircularTermOrder) -> GroebnerCertificate:
+    """cert with the S-pair leg of the generators `rows`, named by `labels`,
+    appended last; the leg's wall time goes to stderr when the sweep ends."""
+    started = time.perf_counter()
+    leg = buchberger_verify(rows, order, threads=args.threads, labels=labels)
+    sys.stderr.write(f"s-pair wall time: {time.perf_counter() - started:.2f}s\n")
+    return cert._replace(checks=cert.checks + (leg,))
+
+
 def _certificate_result(args: argparse.Namespace, cert: GroebnerCertificate) -> tuple[int, Payload]:
-    if cert.spair_stats is not None:
-        sys.stderr.write(f"s-pair wall time: {cert.spair_stats.wall_time:.2f}s\n")
     code = EXIT_OK if cert.passed else EXIT_FAIL
     if args.format == "json":
         return code, _json_dump(certificate_to_json(cert))
@@ -500,19 +501,22 @@ def _cmd_verify_buchberger(args: argparse.Namespace) -> tuple[int, Payload]:
     else:
         labels = candidate_basis(n, kind)
         rows = generator_rows(n, labels, order)
-    cert = buchberger_verify(rows, order, n=n, kind=kind, threads=args.threads, labels=labels)
-    return _certificate_result(args, cert)
+    cert = GroebnerCertificate(order.descriptor(), len(labels), (), n, kind)
+    return _certificate_result(args, _with_spair_leg(args, cert, labels, rows, order))
 
 
 def _cmd_verify_delightful(args: argparse.Namespace) -> tuple[int, Payload]:
-    if args.threads is not None and not args.with_buchberger:
+    if args.threads is not None and not args.buchberger:
         raise UsageError("--threads needs --buchberger: only the S-pair leg runs on worker processes")
     kind = _kind(args)
     n = _need_n(args, 4)
-    bound = BUCHBERGER_BOUNDS[kind] if args.with_buchberger else CERTIFY_BOUND
+    bound = BUCHBERGER_BOUNDS[kind] if args.buchberger else CERTIFY_BOUND
     _check_bound(args, n, bound, f"delightful {kind}")
     order = CircularTermOrder(n, args.inner)
-    cert = delightful_check(n, kind, order, with_buchberger=args.with_buchberger, threads=args.threads)
+    cert = delightful_check(n, kind, order)
+    if args.buchberger:
+        labels = candidate_basis(n, kind)
+        cert = _with_spair_leg(args, cert, labels, generator_rows(n, labels, order), order)
     return _certificate_result(args, cert)
 
 
@@ -635,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads_flag(p, "S-pair sweep")
     p = _add_command(vsub, "delightful", _cmd_verify_delightful)
     p.add_argument("--kind", choices=("secant", "symbolic"), default="secant")
-    p.add_argument("--buchberger", action="store_true", dest="with_buchberger")
+    p.add_argument("--buchberger", action="store_true")
     _add_threads_flag(p, "S-pair leg (needs --buchberger)")
 
     _add_command(sub, "reproduce", _cmd_reproduce, n=False, order=False, bounded=False)

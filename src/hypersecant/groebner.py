@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import time
 from collections.abc import Sequence
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
@@ -43,34 +42,53 @@ _EVEN_PERMS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 # ---------------------------------------------------------------------------
 
 class CheckResult(NamedTuple):
-    """One certification leg: machine-checked pass/fail, or cited theory."""
+    """One certification leg: machine-checked pass/fail, or cited theory.
+
+    A leg that counts its work carries its counters: a NamedTuple whose
+    `key` names its JSON object and whose line() is its text line.
+    """
 
     name: str
     status: str  # "pass" | "fail" | "cited"
     witness: object = None
+    counters: object = None
 
     @property
     def failed(self) -> bool:
         return self.status == "fail"
 
+    @property
+    def spair_stats(self):
+        """The counters, under the name perfbench/tracer.py reads them by."""
+        return self.counters
+
 
 class SPairStats(NamedTuple):
-    count: int = 0
-    skipped_coprime: int = 0
-    reduced: int = 0
-    max_terms: int = 0
-    wall_time: float = 0.0
+    """The counters of the S-pair leg."""
+
+    count: int
+    skipped_coprime: int
+    reduced: int
+    max_terms: int
+
+    key = "spairs"
+
+    def line(self) -> str:
+        return (
+            f"s-pairs: {self.count} total, {self.skipped_coprime} coprime-skipped, "
+            f"{self.reduced} reduced, max working terms {self.max_terms}"
+        )
 
 
 class GroebnerCertificate(NamedTuple):
-    """Evidence container: per-leg outcomes plus S-pair statistics."""
+    """A certificate: its header (order, generator count, n and kind), then
+    its legs, in order."""
 
     order_descriptor: dict
     generator_count: int
     checks: tuple[CheckResult, ...]
     n: int | None = None
     kind: str | None = None
-    spair_stats: SPairStats | None = None
 
     @property
     def passed(self) -> bool:
@@ -369,31 +387,30 @@ def _sweep(divider: _Divider, threads: int | None):
 def buchberger_verify(
     G: Iterable[list],
     order: CircularTermOrder,
-    n: int | None = None,
-    kind: str | None = None,
     threads: int | None = None,
     labels: Sequence[tuple] | None = None,
-) -> GroebnerCertificate:
-    """Certify that every S-pair of G reduces to zero modulo G.
+) -> CheckResult:
+    """The leg "spairs_reduce_to_zero": every S-pair of G reduces to zero
+    modulo G.  Its counters are SPairStats.
 
     Each generator of G is its (coefficient, factors) rows, in any order.
     Pairs with coprime leading terms are skipped (they reduce to zero by the
-    product criterion) and counted in the statistics.  Failures carry the
-    offending pair and its nonzero remainder as a witness; given the label
-    of each generator (see _family), the witness also names both
-    generators of the pair by family under "generators".  The m(m-1)/2
-    pairs are counted, never listed: each row i of pairs (i, j) is reduced
-    by one call of _Divider.verify_row, serially or on forked workers
-    (_sweep), and rows are aggregated in order, so the certificate is the
-    serial one.  A non-homogeneous generator raises ValueError before any
-    worker starts.
+    product criterion) and counted.  Failures carry the offending pair and
+    its nonzero remainder as a witness; given the label of each generator
+    (see _family), the witness also names both generators of the pair by
+    family under "generators".  The m(m-1)/2 pairs are counted, never
+    listed: each row i of pairs (i, j) is reduced by one call of
+    _Divider.verify_row, serially or on forked workers (_sweep), and rows
+    are aggregated in order, so the leg is the serial one.  `threads` is the
+    most worker processes the sweep may use, None for no cap beyond the
+    usable CPUs and the number of S-pairs.  A non-homogeneous generator
+    raises ValueError before any worker starts.
 
     Given labels, G is read as it is packed, and the packing is sized from
     the labels' degrees (_label_degree); a generator above its declared
     degree raises ValueError before any worker starts.  Without labels, G
     is read once to find its largest degree.
     """
-    started = time.perf_counter()
     if labels is None:
         G = list(G)
         top = max((degree(f) for g in G for _, f in g), default=0)
@@ -418,22 +435,8 @@ def buchberger_verify(
             {"pair": f["pair"], "generators": [_family(labels[k]) for k in f["pair"]], **f}
             for f in failures
         ]
-    stats = SPairStats(
-        count=m * (m - 1) // 2,
-        skipped_coprime=skipped,
-        reduced=reduced,
-        max_terms=max_terms,
-        wall_time=time.perf_counter() - started,
-    )
-    check = CheckResult("spairs_reduce_to_zero", "fail" if failures else "pass", failures or None)
-    return GroebnerCertificate(
-        order_descriptor=order.descriptor(),
-        generator_count=m,
-        checks=(check,),
-        n=n,
-        kind=kind,
-        spair_stats=stats,
-    )
+    counters = SPairStats(m * (m - 1) // 2, skipped, reduced, max_terms)
+    return CheckResult("spairs_reduce_to_zero", "fail" if failures else "pass", failures or None, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -583,21 +586,17 @@ def _family(label: tuple) -> dict:
     return {"family": "product", "factors": [label[1], label[2]]}
 
 
-def delightful_check(
-    n: int,
-    kind: str,
-    order: CircularTermOrder,
-    with_buchberger: bool = False,
-    threads: int | None = None,
-) -> GroebnerCertificate:
-    """Full certification that the candidate basis cuts out the right ideal.
+def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCertificate:
+    """The certificate that the candidate basis cuts out the right ideal.
 
     Legs: (a) every candidate generator passes the exact membership oracle
     for its ideal; (b) the minimal generators of the leading-term ideal
-    coincide with the combinatorial target; (c) optionally, every S-pair
-    reduces to zero.  Together with the cited containment of the initial
-    ideal of a secant in the secant of the initial ideal, (a)+(b) force the
-    initial ideals to agree, so the candidates form a Groebner basis.
+    coincide with the combinatorial target; then the cited containments.
+    Together with the cited containment of the initial ideal of a secant in
+    the secant of the initial ideal, (a)+(b) force the initial ideals to
+    agree, so the candidates form a Groebner basis.  Buchberger's criterion
+    is one more leg, which a caller may append: buchberger_verify on the
+    generator_rows of the same labels.
 
     Masters and minors go to the rank-2 oracle, one call per relabelling
     class (SecantClasses), a product to the toric verdicts of its factors.
@@ -605,8 +604,7 @@ def delightful_check(
     master by its sequence (k, i, j), a minor by its split (rows, cols), a
     product by the indices (a, b) of its toric factors.  Legs (a) and (b)
     make one pass over the labels and read a product only through its label
-    ("product", a, b); leg (c) reads its rows from generator_rows, so no
-    product polynomial is built.
+    ("product", a, b), so no product polynomial is built.
 
     Leg (b) runs on the packed monomials of the target's packing: a master's
     or minor's lead is its first term's, and a product's is the sum of its
@@ -619,10 +617,6 @@ def delightful_check(
     mu' divides l, and mu' | mu forces mu' = l = mu.  Only a failing leg
     makes a second pass, which minimalizes the leads and names the minimal
     generators missing from each side.
-
-    Leg (c) is buchberger_verify, and `threads` means what it means there:
-    the most worker processes the sweep may use, None for no cap beyond the
-    usable CPUs and the number of S-pairs.
     """
     labels = candidate_basis(n, kind)
     graph = NoncrossingGraph(n)
@@ -685,19 +679,4 @@ def delightful_check(
     checks.append(CheckResult("initial_of_secant_inside_secant_of_initial", "cited"))
     if kind == SYMBOLIC_SQUARE:
         checks.append(CheckResult("square_plus_secant_inside_symbolic_square", "cited"))
-
-    stats = None
-    if with_buchberger:
-        rows = generator_rows(n, labels, order)
-        sub = buchberger_verify(rows, order, n=n, kind=kind, threads=threads, labels=labels)
-        checks.extend(sub.checks)
-        stats = sub.spair_stats
-
-    return GroebnerCertificate(
-        order_descriptor=order.descriptor(),
-        generator_count=len(labels),
-        checks=tuple(checks),
-        n=n,
-        kind=kind,
-        spair_stats=stats,
-    )
+    return GroebnerCertificate(order.descriptor(), len(labels), tuple(checks), n, kind)

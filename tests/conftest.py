@@ -1009,7 +1009,7 @@ def polynomial_strategy(n=6, max_terms=4, max_factors=3, max_exp=2, max_coeff=4)
 
 
 @pytest.fixture
-def pool_of_two(monkeypatch):
+def workers_of_two(monkeypatch):
     """A sweep of two or more S-pairs forks two workers: two usable CPUs, one
     S-pair per worker.  Returns, for every forking sweep in order, the
     workers forked, counted at os.fork.  A sweep of more than two workers is

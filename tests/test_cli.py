@@ -435,7 +435,7 @@ class TestBoundsAndExitCodes:
         assert res.stderr == ""
 
     def test_delightful_bound_is_certify_bound_without_buchberger(self, monkeypatch):
-        def certificate(n, kind, order, **kwargs):
+        def certificate(n, kind, order):
             return GroebnerCertificate(order.descriptor(), 0, (), n=n, kind=kind)
 
         monkeypatch.setattr(cli, "delightful_check", certificate)
@@ -458,7 +458,7 @@ class TestBoundsAndExitCodes:
     def test_warning_is_written_before_the_work(self, monkeypatch):
         seen = []
 
-        def certificate(n, kind, order, **kwargs):
+        def certificate(n, kind, order):
             seen.append(sys.stderr.getvalue())
             return GroebnerCertificate(order.descriptor(), 0, (), n=n, kind=kind)
 
@@ -595,12 +595,12 @@ class TestDeterminism:
             assert a.stdout == b.stdout
             assert a.code == b.code
 
-    def test_threads_do_not_change_output(self, pool_of_two):
+    def test_threads_do_not_change_output(self, workers_of_two):
         argv = ("verify", "buchberger", "--n", "5", "--kind", "toric", "--format", "json")
         base = invoke(*argv, "--threads", "1")
         threaded = invoke(*argv, "--threads", "2")
         assert base.stdout == threaded.stdout
-        assert pool_of_two == [2]
+        assert workers_of_two == [2]
 
     def test_output_flag_writes_file(self, tmp_path):
         target = tmp_path / "out.json"
@@ -1082,7 +1082,7 @@ FAILING_GOLDEN = {
 
 @pytest.mark.parametrize("threads, forked", [("1", []), ("2", [2])])
 @pytest.mark.parametrize("command", list(FAILING_GOLDEN))
-def test_failing_certificate_output(command, threads, forked, pool_of_two, monkeypatch):
+def test_failing_certificate_output(command, threads, forked, workers_of_two, monkeypatch):
     # One digest whether the rows are reduced serially or on two forked
     # workers, and one wall-time line for the one S-pair leg.
     labels = groebner.candidate_basis(6, "secant")
@@ -1091,7 +1091,7 @@ def test_failing_certificate_output(command, threads, forked, pool_of_two, monke
     res = invoke(*command.split(), "--threads", threads)
     assert (res.code, hashlib.sha256(res.stdout.encode()).hexdigest()) == FAILING_GOLDEN[command]
     assert re.fullmatch(r"s-pair wall time: \d+\.\d\ds\n", res.stderr)
-    assert pool_of_two == forked
+    assert workers_of_two == forked
 
 
 def test_src_holds_no_polynomial_form():
@@ -1102,14 +1102,14 @@ def test_src_holds_no_polynomial_form():
         assert not re.search(r"\bPolynomial\b", path.read_text()), path.name
 
 
-def test_threads_never_start_more_workers_than_usable_cpus(pool_of_two):
+def test_threads_never_start_more_workers_than_usable_cpus(workers_of_two):
     argv = ["verify", "buchberger", "--n", "7", "--kind", "secant", "--allow-large"]
     argv += ["--format", "json", "--order", "inner=grevlex"]
     assert _stdout_digest(argv + ["--threads", "100000"]) == REFERENCE_DIGESTS[" ".join(argv)]
-    assert pool_of_two == [2]
+    assert workers_of_two == [2]
 
 
-def test_dead_pool_worker_is_internal_error():
+def test_dead_worker_is_internal_error():
     """A worker that dies makes the command exit 3, in bounded time, though
     the other worker would sleep 30 s on each of its rows."""
     script = forking_sweep(dying_row()) + (
@@ -1125,7 +1125,7 @@ def test_dead_pool_worker_is_internal_error():
     assert proc.stdout == ""
 
 
-def test_raising_pool_worker_shows_its_error():
+def test_raising_worker_shows_its_error():
     """A worker whose row raises exits 3 like a dead one, and stderr shows
     the worker's own traceback before the command's."""
     script = forking_sweep("if i == 0:\n    raise MemoryError('row 0')\ntime.sleep(30)") + (
@@ -1139,7 +1139,7 @@ def test_raising_pool_worker_shows_its_error():
     assert proc.stdout == ""
 
 
-def test_pooled_sweep_loads_no_executor():
+def test_forked_sweep_loads_no_executor():
     """A forking sweep loads neither multiprocessing nor concurrent.futures."""
     script = forking_sweep() + (
         "forks = []\n"
@@ -1167,18 +1167,37 @@ RETIRED_TRACER_TARGETS = [
 ]
 
 
-def test_tracer_targets_resolve():
-    """Every function the benchmark tracer wraps still exists under src/,
-    apart from the retired targets, which the tracer reports as missing."""
+def _benchmark_tracer():
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    tracer = tracer_module.Tracer(lambda: 0)
+    return tracer_module.Tracer(lambda: 0)
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps still exists under src/,
+    apart from the retired targets, which the tracer reports as missing."""
+    tracer = _benchmark_tracer()
     try:
         tracer.install()
         assert tracer.missing == RETIRED_TRACER_TARGETS
     finally:
         tracer.uninstall()
+
+
+def test_tracer_reads_the_spair_counters():
+    """The benchmark tracer's buchberger_verify span carries the counters of
+    the leg it returns."""
+    tracer = _benchmark_tracer()
+    try:
+        tracer.install()
+        res = invoke("verify", "buchberger", "--n", "5", "--kind", "toric")
+    finally:
+        tracer.uninstall()
+    assert res.code == EXIT_OK
+    (attrs,) = [span[5] for span in tracer.spans if span[2] == "groebner.buchberger_verify"]
+    counters = {k: attrs[k] for k in ("count", "skipped_coprime", "reduced", "max_terms")}
+    assert counters == {"count": 45, "skipped_coprime": 30, "reduced": 15, "max_terms": 2}
 
 
 # Names that left src/, each under the module it left: deleted wrappers and
@@ -1189,6 +1208,8 @@ REMOVED_NAMES = {
     "fixtures": ["reference_polynomial"],
     "groebner": [
         "GroebnerCertificate.failures",
+        "GroebnerCertificate.spair_stats",
+        "SPairStats.wall_time",
         "_Divider.verify_pairs",
         "_WORKER_CTX",
         "_packed_terms",

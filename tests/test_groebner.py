@@ -142,9 +142,13 @@ def unit_reducers(draw, order, n):
     return out
 
 
-def stats_tuple(cert):
-    s = cert.spair_stats
-    return (s.count, s.skipped_coprime, s.reduced, s.max_terms)
+def with_spair_leg(n, kind, order):
+    """delightful_check's certificate with the S-pair leg of the same labels
+    appended last, as verify delightful --buchberger composes it."""
+    cert = delightful_check(n, kind, order)
+    labels = groebner.candidate_basis(n, kind)
+    leg = buchberger_verify(groebner.generator_rows(n, labels, order), order, labels=labels)
+    return cert._replace(checks=cert.checks + (leg,))
 
 
 class TestReduce:
@@ -277,14 +281,13 @@ class TestSPolynomial:
 class TestBuchbergerVerify:
     def test_toric_n5_passes(self):
         for order in both_inner_orders(5):
-            cert = buchberger_verify(term_rows(toric_gb_polynomials(5)), order, n=5, kind="toric")
-            assert cert.passed
-            assert cert.spair_stats.count == comb(10, 2)
+            leg = buchberger_verify(term_rows(toric_gb_polynomials(5)), order)
+            assert leg.status == "pass"
+            assert leg.counters.count == comb(10, 2)
 
     def test_secant_n5_passes(self):
         gens = term_rows(candidate_polynomials(5, "secant"))
-        cert = buchberger_verify(gens, CircularTermOrder(5), n=5, kind="secant")
-        assert cert.passed
+        assert buchberger_verify(gens, CircularTermOrder(5)).status == "pass"
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -300,7 +303,7 @@ class TestBuchbergerVerify:
                 r, _ = reference_normal_form(s_polynomial(G[i], G[j], order), G, order)
                 if not r.is_zero:
                     want.append(([i, j], format_polynomial(r, sort_key(order, r.degree))))
-        witness = buchberger_verify(term_rows(G), order).checks[0].witness or []
+        witness = buchberger_verify(term_rows(G), order).witness or []
         assert [(w["pair"], w["remainder"]) for w in witness] == want
 
     def test_spair_exponent_past_generator_degree(self):
@@ -312,7 +315,7 @@ class TestBuchbergerVerify:
         ]
         remainder = {"grevlex": "-1*x[2,3]^5 +1*x[1,2]^2*x[3,4]^3", "lex": "+1*x[1,2]^2*x[3,4]^3 -1*x[2,3]^5"}
         for order in both_inner_orders(5):
-            witness = buchberger_verify(term_rows(G), order).checks[0].witness
+            witness = buchberger_verify(term_rows(G), order).witness
             assert witness == [{"pair": [0, 1], "remainder_terms": 2, "remainder": remainder[order.inner]}]
 
     def test_negative_control_records_failure(self):
@@ -321,10 +324,8 @@ class TestBuchbergerVerify:
         order = CircularTermOrder(4, "lex")
         g1 = binom(((1, 2), (3, 4)), ((1, 3), (2, 4)))
         g2 = binom(((1, 2), (3, 4)), ((1, 4), (2, 3)))
-        cert = buchberger_verify(term_rows([g1, g2]), order)
-        assert not cert.passed
-        (check,) = cert.checks
-        assert check.status == "fail"
+        check = buchberger_verify(term_rows([g1, g2]), order)
+        assert (check.name, check.status) == ("spairs_reduce_to_zero", "fail")
         assert check.witness[0]["pair"] == [0, 1]
         assert check.witness[0]["remainder_terms"] == 2
 
@@ -334,9 +335,9 @@ class TestBuchbergerVerify:
         order = CircularTermOrder(4, "grevlex")
         g1 = binom(((1, 2), (3, 4)), ((1, 3), (2, 4)))
         g2 = binom(((1, 2), (3, 4)), ((1, 4), (2, 3)))
-        cert = buchberger_verify(term_rows([g1, g2]), order)
-        assert cert.passed
-        assert cert.spair_stats.skipped_coprime == 1
+        leg = buchberger_verify(term_rows([g1, g2]), order)
+        assert leg.status == "pass"
+        assert leg.counters.skipped_coprime == 1
 
     # (count, skipped_coprime, reduced, max_terms) per inner order, recorded
     # from the Monomial-dict engine that preceded the packed one; equal
@@ -351,9 +352,9 @@ class TestBuchbergerVerify:
     def test_pinned_counters(self, kind, n):
         gens = term_rows(candidate_polynomials(n, "secant" if kind == "secant" else "symbolic-square"))
         for order in both_inner_orders(n):
-            cert = buchberger_verify(gens, order, n=n)
-            assert cert.passed
-            assert stats_tuple(cert) == self.PINNED[kind, n][order.inner]
+            leg = buchberger_verify(gens, order)
+            assert leg.status == "pass"
+            assert leg.counters == self.PINNED[kind, n][order.inner]
 
     @pytest.mark.parametrize("kind,n", [("secant", 6), ("symbolic", 5)])
     def test_pinned_counters_without_front_memo(self, kind, n, monkeypatch):
@@ -380,24 +381,23 @@ class TestBuchbergerVerify:
     def test_mutated_minor_fails_with_pinned_witnesses(self):
         gens = term_rows(mutated_secant_basis_6())
         for order in both_inner_orders(6):
-            cert = buchberger_verify(gens, order, n=6)
-            assert not cert.passed
-            assert stats_tuple(cert) == self.PINNED["secant", 6][order.inner]
-            (check,) = cert.checks
+            check = buchberger_verify(gens, order)
+            assert check.status == "fail"
+            assert check.counters == self.PINNED["secant", 6][order.inner]
             assert len(check.witness) == 75
             got = [(*w["pair"], w["remainder_terms"]) for w in check.witness]
             assert got == self.MUTATED_FAILURES
 
-    def test_non_homogeneous_basis_is_rejected_before_forking(self, pool_of_two):
-        # 136 S-pairs would take a pool of two; the check comes first.
+    def test_non_homogeneous_basis_is_rejected_before_forking(self, workers_of_two):
+        # 136 S-pairs would fork two workers; the check comes first.
         gens = candidate_polynomials(6, "secant")
         gens[-1] = gens[-1] + power(1, 2)
         for order in both_inner_orders(6):
             with pytest.raises(ValueError, match="reducers must be homogeneous"):
                 buchberger_verify(term_rows(gens), order, threads=2)
-        assert pool_of_two == []
+        assert workers_of_two == []
 
-    def test_threads_match_serial(self, pool_of_two):
+    def test_threads_match_serial(self, workers_of_two):
         for gens, n in (
             (candidate_polynomials(6, "secant"), 6),
             (candidate_polynomials(5, "symbolic-square"), 5),
@@ -407,10 +407,9 @@ class TestBuchbergerVerify:
             for order in both_inner_orders(n):
                 serial = buchberger_verify(gens, order, threads=1)
                 parallel = buchberger_verify(gens, order, threads=2)
-                assert stats_tuple(parallel) == stats_tuple(serial)
-                assert parallel._replace(spair_stats=None) == serial._replace(spair_stats=None)
-        # One pool per parallel sweep.
-        assert pool_of_two == [2] * 6
+                assert parallel == serial
+        # Two workers per parallel sweep.
+        assert workers_of_two == [2] * 6
 
     @staticmethod
     def _family_member(family):
@@ -435,7 +434,7 @@ class TestBuchbergerVerify:
         return 6, gens, labels, len(gens) - 1, name
 
     @pytest.mark.parametrize("family", ["master", "minor", "product"])
-    def test_flipped_coefficient_fails_spairs(self, family, pool_of_two):
+    def test_flipped_coefficient_fails_spairs(self, family, workers_of_two):
         # Negating a non-leading coefficient keeps every leading term, so the
         # pair criteria are unchanged and only the S-pair reductions can fail.
         n, gens, labels, index, name = self._family_member(family)
@@ -446,8 +445,7 @@ class TestBuchbergerVerify:
             mutated = list(gens)
             mutated[index] = g - Polynomial.from_monomial(m, 2 * g.coefficient(m))
             mutated = term_rows(mutated)
-            serial = buchberger_verify(mutated, order, threads=1, labels=labels)
-            (check,) = serial.checks
+            check = buchberger_verify(mutated, order, threads=1, labels=labels)
             assert (check.name, check.status) == ("spairs_reduce_to_zero", "fail")
             assert any(index in w["pair"] for w in check.witness)
             # Each witness names both generators of its pair, in pair order,
@@ -461,12 +459,12 @@ class TestBuchbergerVerify:
             families = {tuple(f["family"] for f in w["generators"]) for w in check.witness}
             assert ("master", "minor") in families if n == 6 else families == {("product", "product")}
             parallel = buchberger_verify(mutated, order, threads=2, labels=labels)
-            assert parallel.checks[0].witness == check.witness
+            assert parallel == check
             unnamed = buchberger_verify(mutated, order, threads=1)
-            assert unnamed.checks[0].witness == [
+            assert unnamed.witness == [
                 {k: v for k, v in w.items() if k != "generators"} for w in check.witness
             ]
-        assert pool_of_two == [2, 2]
+        assert workers_of_two == [2, 2]
 
     # The end of a forking_sweep script: one sweep, whose error it prints,
     # whether the sweep ended within 10 s, and whether a worker is left,
@@ -542,7 +540,7 @@ class TestBuchbergerVerify:
 
 
 class TestWorkerCount:
-    """How many pool workers a sweep uses: derived from the usable CPUs and
+    """How many workers a sweep forks: derived from the usable CPUs and
     the pair count, and capped by threads when it is given."""
 
     @pytest.mark.parametrize("cpus,pairs,workers", [
@@ -586,7 +584,7 @@ class TestWorkerCount:
 
         monkeypatch.setattr(os, "fork", refuse)
 
-    def test_small_sweeps_start_no_pool(self, monkeypatch):
+    def test_small_sweeps_fork_no_workers(self, monkeypatch):
         # Serial however many CPUs there are: each has fewer pairs than two
         # workers' worth.
         monkeypatch.setattr(groebner, "_usable_cpus", lambda: 64)
@@ -597,10 +595,10 @@ class TestWorkerCount:
             (candidate_polynomials(5, "symbolic-square"), 5),
         ):
             order = CircularTermOrder(n)
-            assert buchberger_verify(term_rows(gens), order).passed
-        assert delightful_check(6, "secant", CircularTermOrder(6), with_buchberger=True).passed
+            assert buchberger_verify(term_rows(gens), order).status == "pass"
+        assert with_spair_leg(6, "secant", CircularTermOrder(6)).passed
 
-    def test_pool_rejects_non_unit_reducer_before_forking(self, pool_of_two, monkeypatch):
+    def test_non_unit_reducer_is_rejected_before_forking(self, workers_of_two, monkeypatch):
         self._forbid_fork(monkeypatch)
         order = CircularTermOrder(6)
         gens = candidate_polynomials(6, "secant")
@@ -608,15 +606,14 @@ class TestWorkerCount:
         with pytest.raises(ValueError):
             buchberger_verify(term_rows(gens), order, threads=2)
 
-    def test_derived_pool_matches_serial_secant_n7(self, pool_of_two):
+    def test_derived_workers_match_serial_secant_n7(self, workers_of_two):
         gens = term_rows(candidate_polynomials(7, "secant"))
         for order in both_inner_orders(7):
-            derived = buchberger_verify(gens, order, n=7, kind="secant")
-            serial = buchberger_verify(gens, order, n=7, kind="secant", threads=1)
-            assert derived.passed
-            assert stats_tuple(derived) == stats_tuple(serial)
-            assert derived._replace(spair_stats=None) == serial._replace(spair_stats=None)
-        assert pool_of_two == [2, 2]
+            derived = buchberger_verify(gens, order)
+            serial = buchberger_verify(gens, order, threads=1)
+            assert derived.status == "pass"
+            assert derived == serial
+        assert workers_of_two == [2, 2]
 
 
 class TestPairStreaming:
@@ -668,7 +665,7 @@ class TestPairStreaming:
             mp.setattr(groebner, "_shares", shares_spy)
             mp.setattr(os, "fork", fork_spy)
             mp.setattr(groebner._Divider, "verify_row", spy)
-            check = buchberger_verify(rows, CircularTermOrder(12), threads=threads).checks[0]
+            check = buchberger_verify(rows, CircularTermOrder(12), threads=threads)
         os.close(w)
         with open(r) as pipe:
             seen = [tuple(map(int, line.split())) for line in pipe]
@@ -701,7 +698,7 @@ class TestPairStreaming:
         assert received == [i for m in sizes for i in range(m)]
         assert all(type(i) is int for i in received)
 
-    def test_sweep_runs_with_no_basis_in_the_frame(self, pool_of_two, monkeypatch):
+    def test_sweep_runs_with_no_basis_in_the_frame(self, workers_of_two, monkeypatch):
         # buchberger_verify drops its list of generators once the divider is
         # built, and the labels are no list either, so neither a serial
         # sweep nor a forked worker holds a list of the basis.
@@ -718,9 +715,9 @@ class TestPairStreaming:
         for threads in (1, 2):
             for order in both_inner_orders(5):
                 rows = groebner.generator_rows(5, labels, order)
-                assert buchberger_verify(rows, order, threads=threads, labels=labels).passed
+                assert buchberger_verify(rows, order, threads=threads, labels=labels).status == "pass"
         assert held == [("buchberger_verify", [])] * 4
-        assert pool_of_two == [2, 2]
+        assert workers_of_two == [2, 2]
 
     def test_labelled_rows_reach_the_divider_unlisted(self, monkeypatch):
         # Given labels, the packing is sized from them, so the divider reads
@@ -737,7 +734,7 @@ class TestPairStreaming:
             labels = groebner.candidate_basis(n, kind)
             order = CircularTermOrder(n)
             rows = groebner.generator_rows(n, labels, order)
-            assert buchberger_verify(rows, order, labels=labels).passed
+            assert buchberger_verify(rows, order, labels=labels).status == "pass"
             degree = 5 if kind == "secant" else 4
             assert read[-1] == (rows, order.packing(2 * degree).limit, degree)
 
@@ -748,7 +745,7 @@ class TestPairStreaming:
         assert [groebner._label_degree(l) for l in labels] == [g.degree for g in label_polynomials(n, labels)]
         assert groebner._label_degree(("binomial", (1, 2, 3, 4), 1)) == 2
 
-    def test_row_above_its_declared_degree_is_rejected_before_forking(self, pool_of_two, monkeypatch):
+    def test_row_above_its_declared_degree_is_rejected_before_forking(self, workers_of_two, monkeypatch):
         # A degree-6 product filed under a minor's label: the packing sized
         # from the labels, whose largest degree is 5, could not hold its
         # S-pairs.
@@ -759,7 +756,7 @@ class TestPairStreaming:
             rows = groebner.generator_rows(6, labels, order)
             with pytest.raises(ValueError, match="a reducer of degree 6 exceeds the declared degree 5"):
                 buchberger_verify(rows, order, threads=2, labels=labels)
-        assert pool_of_two == []
+        assert workers_of_two == []
         labels = [("minor", (1, 2, 3), (4, 5, 6)), ("minor", (2, 3, 4), (5, 6, 1))]
         rows = [term_rows([toric[0] * toric[1]])[0], term_rows([off_diagonal_minor(*labels[1][1:])])[0]]
         with pytest.raises(ValueError, match="a reducer of degree 4 exceeds the declared degree 3"):
@@ -776,7 +773,7 @@ class TestPairStreaming:
             with pytest.raises(ValueError, match="a monomial twice|a zero coefficient"):
                 buchberger_verify([rows], order)
 
-    def test_worker_shares_are_interleaved_row_ranges(self, pool_of_two, monkeypatch):
+    def test_worker_shares_are_interleaved_row_ranges(self, workers_of_two, monkeypatch):
         # A worker is forked with its share of the rows in memory, a range:
         # no row number or pair is sent to it.
         given_shares = []
@@ -791,9 +788,8 @@ class TestPairStreaming:
         for order in both_inner_orders(5):
             parallel = buchberger_verify(gens, order, threads=2)
             serial = buchberger_verify(gens, order, threads=1)
-            assert stats_tuple(parallel) == stats_tuple(serial)
-            assert parallel.checks == serial.checks
-        assert pool_of_two == [2, 2]
+            assert parallel == serial
+        assert workers_of_two == [2, 2]
         # The 55 rows, the even ones to worker 0 and the odd ones to worker 1.
         m = len(gens)
         assert given_shares == [[range(0, m, 2), range(1, m, 2)]] * 2
@@ -995,8 +991,8 @@ class TestBases:
             assert leading_monomial(order, f * g) == mul(lt_f, lt_g)
 
     def test_symbolic_gb_5_buchberger_passes(self):
-        cert = buchberger_verify(term_rows(candidate_polynomials(5, "symbolic-square")), CircularTermOrder(5))
-        assert cert.passed
+        leg = buchberger_verify(term_rows(candidate_polynomials(5, "symbolic-square")), CircularTermOrder(5))
+        assert leg.status == "pass"
 
 
 class TestLabels:
@@ -1069,30 +1065,33 @@ class TestSecantBasisIsOddCycleBijection:
 
 class TestDelightfulCheck:
     def test_secant_n5_with_buchberger(self):
-        cert = delightful_check(5, "secant", CircularTermOrder(5, "grevlex"), with_buchberger=True)
+        cert = with_spair_leg(5, "secant", CircularTermOrder(5, "grevlex"))
         assert cert.passed
         names = [c.name for c in cert.checks]
         assert "initial_ideal_matches_combinatorial_target" in names
         assert any(c.status == "cited" for c in cert.checks)
+        assert names[-1] == "spairs_reduce_to_zero"
 
     def test_secant_n6_lex_with_buchberger(self):
-        cert = delightful_check(6, "secant", CircularTermOrder(6, "lex"), with_buchberger=True)
+        cert = with_spair_leg(6, "secant", CircularTermOrder(6, "lex"))
         assert cert.passed
 
     def test_symbolic_n5_without_buchberger(self):
-        cert = delightful_check(5, "symbolic-square", CircularTermOrder(5), with_buchberger=False)
+        cert = delightful_check(5, "symbolic-square", CircularTermOrder(5))
         assert cert.passed
-        assert cert.spair_stats is None
+        # The S-pair leg is the caller's to append, and no other leg counts.
+        assert "spairs_reduce_to_zero" not in [c.name for c in cert.checks]
+        assert all(c.counters is None for c in cert.checks)
 
     def test_symbolic_n7_membership_and_initial_legs(self):
-        cert = delightful_check(7, "symbolic-square", CircularTermOrder(7), with_buchberger=False)
+        cert = delightful_check(7, "symbolic-square", CircularTermOrder(7))
         assert cert.passed
         statuses = {c.name: c.status for c in cert.checks}
         assert statuses["generators_member_of_symbolic_square"] == "pass"
         assert statuses["initial_ideal_matches_combinatorial_target"] == "pass"
 
     def test_secant_n9_membership_and_initial_legs(self):
-        cert = delightful_check(9, "secant", CircularTermOrder(9), with_buchberger=False)
+        cert = delightful_check(9, "secant", CircularTermOrder(9))
         assert cert.passed
         assert cert.generator_count == 1843
 
