@@ -609,8 +609,11 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
     Leg (b) runs on the packed monomials of the target's packing: a master's
     or minor's lead is its first term's, and a product's is the sum of its
     toric factors' (LT(f*g) = LT(f)*LT(g) under any term order).  It holds
-    one ideal, the target T, built before the pass, and no list of leading
-    monomials L.  It passes iff every lead lies in <T> and every minimal
+    one ideal, the target T, built before the pass, no copy of T's
+    generators and no list of leading monomials L: MonomialIdeal.meet marks
+    each minimal generator of T the first time a lead equals it, in T's own
+    index, and the leg counts those first meetings.  It passes iff every
+    lead lies in <T> and the count reaches len(T), i.e. every minimal
     generator of T is itself a lead, which holds iff <L> = <T>.  One way:
     then <T> <= <L> <= <T>.  The other: a minimal generator mu of T lies in
     <L>, so some lead l divides it; l lies in <T>, so some minimal generator
@@ -639,14 +642,16 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
         return rows, target.packing.pack(rows[0][1])
 
     # Leg (b) as the leads stream past: each must lie in the target, and
-    # each minimal generator of the target must turn up among them.
-    bad, unhit, inside = [], set(target.keys), True
+    # each minimal generator of the target must turn up among them, counted
+    # once by its first meeting.
+    bad, met, first, inside = [], set(), 0, True
     for gi, label in enumerate(labels):
         rows, lead = built(label)
-        if target.contains_key(lead):
-            unhit.discard(lead)
-        else:
+        hit = target.meet(lead, met)
+        if hit is None:
             inside = False
+        else:
+            first += hit
         if rows is None:
             if factor_ok[label[1]] and factor_ok[label[2]]:
                 continue
@@ -663,7 +668,7 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
         bad.append(witness)
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
-    if inside and not unhit:
+    if inside and first == len(target):
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
         # Only a failing leg builds the leading-term ideal, for its witness.

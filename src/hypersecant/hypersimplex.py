@@ -11,7 +11,7 @@ Groebner machinery they certify.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .order import _check_terms, normalize_edge
 from .poly import _rank_image, canonical_sorted, degree, edge_factors, is_edge_var
@@ -63,22 +63,26 @@ class MonomialIdeal:
     divides m iff subtracting g's fields from m's, every guard set, clears
     no guard, whatever the weights above the fields.  A generator is kept
     unless a kept one divides it: a proper divisor has a lower degree, so it
-    came first, and a repeat meets its first copy.  `keys` holds the kept
-    ones, `contains_key` looks up another packed monomial, and the factors
-    of `generators` are read back when first asked for.  The support of a
-    monomial is the set of guard bits of its nonzero fields; the index maps
-    it to the one generator with exactly that support, or a tuple of them.
-    A divisor of m has its support inside m's, so only generators filed
-    under submasks of m's support are candidates.  The submasks are
-    enumerated while there are no more of them than supports in the index
-    (at most 16 for a degree-4 monomial); past that, the supports are scanned.
+    came first, and a repeat meets its first copy.  The support of a
+    monomial is the set of guard bits of its nonzero fields; the index files
+    each kept generator under its support.  A squarefree one is filed as a
+    marker, False until `meet` first meets it and True after, and no key:
+    its fields are its support shifted down `bits`, and it divides every
+    monomial whose support holds its own.  Any other is filed as its key,
+    or a tuple of keys where supports collide (a squarefree generator would
+    divide them, so it never shares their support).  `keys`, `generators`,
+    `degrees()` and len() are read back from the index.  A divisor of m has
+    its support inside m's, so only generators filed under submasks of m's
+    support are candidates.  The submasks are enumerated while there are no
+    more of them than supports in the index (at most 16 for a degree-4
+    monomial); past that, the supports are scanned.
     """
 
-    __slots__ = ("packing", "keys", "_by_support", "_generators")
+    __slots__ = ("packing", "_by_support", "_generators")
 
     def __init__(self, generators: Iterable[int], packing):
         self.packing, self._by_support, self._generators = packing, {}, None
-        guard, ones, index, keys, last = packing.guard, packing.ones, self._by_support, [], 0
+        guard, ones, index, last = packing.guard, packing.ones, self._by_support, 0
         for p in generators:
             degree = packing.degree(p)
             if degree < last:
@@ -86,10 +90,11 @@ class MonomialIdeal:
             last = degree
             if not self.contains_key(p):
                 support = ((p | guard) - ones) & guard
-                held = index.get(support)
-                index[support] = p if held is None else (held, p) if held.__class__ is int else held + (p,)
-                keys.append(p)
-        self.keys = tuple(keys)
+                if degree == support.bit_count():
+                    index[support] = False
+                else:
+                    held = index.get(support)
+                    index[support] = p if held is None else (held, p) if held.__class__ is int else held + (p,)
 
     def contains_key(self, p: int) -> bool:
         """True iff some minimal generator divides the monomial packed as p
@@ -108,18 +113,50 @@ class MonomialIdeal:
                 sub = (sub - 1) & support
         return any(not s & ~support and _divides(pg, held, guard) for s, held in index.items())
 
+    def meet(self, p: int, met: set) -> int | None:
+        """None if the monomial packed as p lies outside the ideal, else 1 if
+        it is a minimal generator met for the first time, else 0.  A first
+        meeting marks the generator, a squarefree one in the index and any
+        other in the caller's set `met`, so over one ideal the count of
+        first meetings reaches len(self) iff every generator has been met."""
+        packing, index = self.packing, self._by_support
+        support = ((p | packing.guard) - packing.ones) & packing.guard
+        held = index.get(support)
+        if held is False and packing.degree(p) == support.bit_count():
+            index[support] = True
+            return 1
+        if p not in met and (held == p if held.__class__ is int else held.__class__ is tuple and p in held):
+            met.add(p)
+            return 1
+        return 0 if self.contains_key(p) else None
+
+    def _filed(self) -> Iterator[tuple[int, int | None]]:
+        """(support, key) per minimal generator, in the index's order, the
+        key None for a squarefree one."""
+        for support, held in self._by_support.items():
+            for p in (None,) if held.__class__ is bool else (held,) if held.__class__ is int else held:
+                yield support, p
+
+    @property
+    def keys(self) -> tuple[int, ...]:
+        """The packed minimal generators, in the index's order."""
+        join, bits = self.packing.join, self.packing.bits
+        return tuple(join(s >> bits) if p is None else p for s, p in self._filed())
+
     @property
     def generators(self) -> tuple[tuple, ...]:
         """The factors of the minimal generators, by degree, then factors."""
         if self._generators is None:
-            self._generators = tuple(canonical_sorted(map(self.packing.factors, self.keys)))
+            factors, bits = self.packing.factors, self.packing.bits
+            self._generators = tuple(canonical_sorted(factors(s >> bits if p is None else p) for s, p in self._filed()))
         return self._generators
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return sum(1 for _ in self._filed())
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(set(map(self.packing.degree, self.keys))))
+        degree = self.packing.degree
+        return tuple(sorted({s.bit_count() if p is None else degree(p) for s, p in self._filed()}))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MonomialIdeal) and self.generators == other.generators
@@ -132,7 +169,11 @@ class MonomialIdeal:
 
 
 def _divides(pg: int, held, guard: int) -> bool:
-    """Whether a packed generator, or one of a tuple, divides pg's monomial."""
+    """Whether a generator filed under a submask of pg's support as `held`,
+    a squarefree one's marker, a packed key or a tuple of them, divides
+    pg's monomial."""
+    if held.__class__ is bool:
+        return True
     if held.__class__ is int:
         return (pg - held) & guard == guard
     return any((pg - g) & guard == guard for g in held)

@@ -792,9 +792,12 @@ class TestStreamedOutput:
         # peaked at 18.1-19.1 MiB with a list of its labels, a set of the
         # target's candidates and a list per support in the target's index.
         # With product labels made when read, the target streamed and one
-        # key per support, it peaks at 16.4-17.0 MiB at n = 8 and near
+        # key per support, it peaked at 16.4-17.0 MiB at n = 8 and near
         # 25.6 MiB at n = 10, where those structures took it to 41.5 MiB.
-        for n, bound in ((8, 17.5), (10, 30)):
+        # With each squarefree generator of the target filed by its support
+        # alone and marked in place when met, it peaks near 15.4 MiB at
+        # n = 8 and 20.4 MiB at n = 10, against 16.2-16.4 and 25.2-25.4 MiB.
+        for n, bound in ((8, 16.5), (10, 23)):
             code, peak_mib, _ = child_peak_rss(["verify", "delightful", "--n", str(n), "--kind", "symbolic"], SRC)
             assert code == EXIT_OK
             assert peak_mib < bound, n

@@ -1187,6 +1187,32 @@ class TestDelightfulCheck:
             assert leg.status == ("pass" if verdicts[-1] else "fail"), len(kept)
         assert verdicts == [True, False, True][: len(variants)]
 
+    @pytest.mark.parametrize(
+        "kind,squarefree", [("secant", True), ("symbolic-square", True), ("symbolic-square", False)]
+    )
+    @pytest.mark.parametrize("inner", ["grevlex", "lex"])
+    def test_repeated_lead_does_not_stand_in_for_a_missing_one(self, monkeypatch, kind, squarefree, inner):
+        # The generator behind one minimal lead, met by no other lead, gives
+        # way to a second copy of another such generator, squarefree or not:
+        # the generator count stays, one minimal generator of the target is
+        # met twice and another never, so a count of meetings that did not
+        # tell a repeat from a first meeting would pass.
+        order = CircularTermOrder(6, inner)
+        labels = list(groebner.candidate_basis(6, kind))
+        leads, target = _leads_and_target(6, kind, order)
+        shared, minimal = Counter(leads), set(target.generators)
+        alone = [k for k, m in enumerate(leads) if shared[m] == 1 and m in minimal]
+        k = alone[0]
+        j = next(j for j in alone[1:] if all(e == 1 for _, e in leads[j]) == squarefree)
+        labels[k] = labels[j]
+        substitute_generators(monkeypatch, {}, labels=labels)
+        cert = delightful_check(6, kind, order)
+        assert cert.checks[0].status == "pass"
+        leg = _check(cert, "initial_ideal_matches_combinatorial_target")
+        assert leg.status == "fail"
+        assert format_factors(leads[k]) in leg.witness["missing"]
+        assert leg.witness == _reference_witness(6, kind, order)
+
 
 def _check(cert, name):
     return next(c for c in cert.checks if c.name == name)

@@ -430,16 +430,28 @@ class TestMonomialIdeal:
         ideal = packed_ideal(gens, probes)
         minimal = reference_minimal_generators(gens)
         assert ideal.generators == minimal
-        # Each minimal generator is filed once, under its own support: alone
-        # as a packed int, or in a tuple where two or more share it.
+        # Each minimal generator is filed once, under its own support: a
+        # squarefree one as the marker False and no key; any other alone as
+        # a packed int, or in a tuple where two or more share the support.
         packing, index = ideal.packing, dict(ideal._by_support)
+        squarefree = {g for g in minimal if all(e == 1 for _, e in g)}
         filed = []
         for support, held in index.items():
+            if held is False:
+                g = packing.factors(packing.join(support >> packing.bits))
+                assert g in squarefree
+                filed.append(g)
+                continue
             assert isinstance(held, int) or (isinstance(held, tuple) and len(held) >= 2)
             held = (held,) if isinstance(held, int) else held
             assert all(((g | packing.guard) - packing.ones) & packing.guard == support for g in held)
-            filed += held
-        assert sorted(filed) == sorted(ideal.keys)
+            assert not squarefree & set(map(packing.factors, held))
+            filed += map(packing.factors, held)
+        assert sorted(filed, key=canonical_key) == list(minimal)
+        # The keys rebuilt from the index are the minimal generators.
+        assert sorted(ideal.keys) == sorted(map(packing.pack, minimal))
+        assert len(ideal) == len(minimal)
+        assert ideal.degrees() == tuple(sorted(set(map(degree, minimal))))
         for probe in probes:
             assert ideal_contains(ideal, probe) == any(divides(g, probe) for g in minimal)
         assert ideal._by_support == index
@@ -462,13 +474,47 @@ class TestMonomialIdeal:
         assert list(map(packing.degree, keys)) == list(map(degree, gens))
         ideal = MonomialIdeal(iter(keys), packing)
         minimal = reference_minimal_generators(gens)
-        # The kept keys, in the order of their first copies.
+        # The kept keys, in the order of their first copies, except that
+        # keys sharing a support come together, at the first one's place.
         minimal_keys = set(map(packing.pack, minimal))
-        assert ideal.keys == tuple(p for p in dict.fromkeys(keys) if p in minimal_keys)
+        kept = [p for p in dict.fromkeys(keys) if p in minimal_keys]
+        support = {p: ((p | packing.guard) - packing.ones) & packing.guard for p in kept}
+        assert ideal.keys == tuple(p for s in dict.fromkeys(map(support.get, kept)) for p in kept if support[p] == s)
         assert ideal.generators == minimal
         probes = data.draw(st.lists(monomial_strategy(n=6, max_factors=4, max_exp=2), max_size=8))
         for probe in probes + gens:
             assert ideal_contains(ideal, probe) == any(divides(g, probe) for g in gens)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_meet_counts_each_minimal_generator_once(self, data):
+        # A stream of leads with repeats: the generators, other monomials
+        # and products of the two, in any order.  meet counts a first
+        # meeting once per distinct lead that is a minimal generator,
+        # squarefree or not, answers None exactly outside the ideal, and
+        # leaves membership as it was.
+        gens = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), max_size=12))
+        others = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), max_size=6))
+        leads = gens + others + [mul(a, b) for a, b in zip(gens, others)]
+        if leads:
+            leads += data.draw(st.lists(st.sampled_from(leads), max_size=8))
+        leads = data.draw(st.permutations(leads))
+        ideal = packed_ideal(gens, leads)
+        minimal = reference_minimal_generators(gens)
+
+        def membership():
+            return [ideal_contains(ideal, m) for m in leads]
+
+        inside = [any(divides(g, m) for g in minimal) for m in leads]
+        assert membership() == inside
+        met, first = set(), 0
+        for m, want in zip(leads, inside):
+            hit = ideal.meet(ideal.packing.pack(m), met)
+            assert (hit is not None) == want, m
+            first += hit or 0
+        assert first == len(set(leads) & set(minimal))
+        assert membership() == inside
+        assert ideal.generators == minimal and len(ideal) == len(minimal)
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_generators_sharing_a_support_are_both_kept_and_found(self, inner):
