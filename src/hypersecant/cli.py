@@ -15,7 +15,7 @@ import os
 import stat
 import sys
 import time
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator
 
 from . import groebner
 from .fixtures import reproduce_reference_examples
@@ -472,7 +472,7 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> tuple[int, Payload]:
     return code, _text_lines(lines + ["PASS" if ok else "FAIL"])
 
 
-def _with_spair_leg(args: argparse.Namespace, cert: GroebnerCertificate, labels: Sequence[tuple],
+def _with_spair_leg(args: argparse.Namespace, cert: GroebnerCertificate, labels: Collection[tuple],
                     rows: Iterable[list], order: CircularTermOrder) -> GroebnerCertificate:
     """cert with the S-pair leg of the generators `rows`, named by `labels`,
     appended last; the leg's wall time goes to stderr when the sweep ends."""

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import marshal
 import os
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
-from math import comb, isqrt
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .hypersimplex import MonomialIdeal, SecantClasses, in_toric_ideal, toric_gb
@@ -388,7 +388,7 @@ def buchberger_verify(
     G: Iterable[list],
     order: CircularTermOrder,
     threads: int | None = None,
-    labels: Sequence[tuple] | None = None,
+    labels: Collection[tuple] | None = None,
 ) -> CheckResult:
     """The leg "spairs_reduce_to_zero": every S-pair of G reduces to zero
     modulo G.  Its counters are SPairStats.
@@ -398,7 +398,8 @@ def buchberger_verify(
     product criterion) and counted.  Failures carry the offending pair and
     its nonzero remainder as a witness; given the label of each generator
     (see _family), the witness also names both generators of the pair by
-    family under "generators".  The m(m-1)/2 pairs are counted, never
+    family under "generators", read in one pass over the labels that runs
+    only when some pair fails.  The m(m-1)/2 pairs are counted, never
     listed: each row i of pairs (i, j) is reduced by one call of
     _Divider.verify_row, serially or on forked workers (_sweep), and rows
     are aggregated in order, so the leg is the serial one.  `threads` is the
@@ -406,10 +407,12 @@ def buchberger_verify(
     usable CPUs and the number of S-pairs.  A non-homogeneous generator
     raises ValueError before any worker starts.
 
-    Given labels, G is read as it is packed, and the packing is sized from
-    the labels' degrees (_label_degree); a generator above its declared
-    degree raises ValueError before any worker starts.  Without labels, G
-    is read once to find its largest degree.
+    Given labels, a sized and re-iterable collection read in order, G is
+    read as it is packed, and the packing is sized from the labels' degrees
+    (_label_degree); a generator above its declared degree, or a count of
+    labels other than that of generators, raises ValueError before any
+    worker starts.  Without labels, G is read once to find its largest
+    degree.
     """
     if labels is None:
         G = list(G)
@@ -422,6 +425,8 @@ def buchberger_verify(
     divider = _Divider(order.packing(2 * top), G, top)
     m = len(divider.lts)
     del G
+    if labels is not None and len(labels) != m:
+        raise ValueError(f"{len(labels)} labels for {m} generators")
     results = _sweep(divider, threads)
     failures: list = []
     skipped = reduced = max_terms = 0
@@ -430,11 +435,10 @@ def buchberger_verify(
         skipped += sk
         reduced += rd
         max_terms = max(max_terms, mt)
-    if labels is not None:
-        failures = [
-            {"pair": f["pair"], "generators": [_family(labels[k]) for k in f["pair"]], **f}
-            for f in failures
-        ]
+    if labels is not None and failures:
+        named = {k for f in failures for k in f["pair"]}
+        family = {k: _family(label) for k, label in enumerate(labels) if k in named}
+        failures = [{"pair": f["pair"], "generators": [family[k] for k in f["pair"]], **f} for f in failures]
     counters = SPairStats(m * (m - 1) // 2, skipped, reduced, max_terms)
     return CheckResult("spairs_reduce_to_zero", "fail" if failures else "pass", failures or None, counters)
 
@@ -467,10 +471,11 @@ def _minor_splits(n: int):
         yield from circular_minor_splits(sub)
 
 
-class _Labels(Sequence):
+class _Labels:
     """The labels of `head`, then ("product", a, b) for each pair a <= b of m
-    toric binomials in combinations_with_replacement order, made when read or
-    unranked from an index, so no list of products is held; a slice is a list."""
+    toric binomials in combinations_with_replacement order, made as they are
+    read, so no list of products is held.  Sized, and read afresh by each
+    iteration; never indexed."""
 
     __slots__ = ("head", "m")
 
@@ -485,22 +490,10 @@ class _Labels(Sequence):
         for a, b in combinations_with_replacement(range(self.m), 2):
             yield "product", a, b
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
-        if not -len(self) <= k < len(self):
-            raise IndexError("label index out of range")
-        k %= len(self)
-        if k < len(self.head):
-            return self.head[k]
-        # j counts from the end; the r pairs (m - r, b) hold r(r - 1)/2 <= j < r(r + 1)/2.
-        j = len(self) - 1 - k
-        r = (1 + isqrt(8 * j + 1)) // 2
-        return "product", self.m - r, self.m - 1 - j + r * (r - 1) // 2
 
-
-def candidate_basis(n: int, kind: str) -> Sequence[tuple]:
-    """The family label of each generator of the candidate basis of `kind`.
+def candidate_basis(n: int, kind: str) -> Collection[tuple]:
+    """The family label of each generator of the candidate basis of `kind`,
+    a sized collection that each iteration reads in order (_Labels).
 
     A label is ("master", seq) for the master of an admissible sequence,
     ("minor", rows, cols) for the 3x3 minor on a circularly consecutive
@@ -509,7 +502,7 @@ def candidate_basis(n: int, kind: str) -> Sequence[tuple]:
     odd degree, then the minors, whose antidiagonal leading terms are the
     nested noncrossing triples.  The symbolic-square basis is the minors,
     the degree-3 masters, then the products in combinations_with_replacement
-    order, read from a _Labels.  generator_rows() builds their rows.
+    order, each made as it is read.  generator_rows() builds their rows.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
@@ -551,7 +544,7 @@ def _generator(label: tuple, order: CircularTermOrder) -> list[tuple[int, tuple]
     return [(c, packing.factors(p)) for p, c in sorted(terms, reverse=True)]
 
 
-def generator_rows(n: int, labels: Sequence[tuple], order: CircularTermOrder) -> Iterator[list]:
+def generator_rows(n: int, labels: Iterable[tuple], order: CircularTermOrder) -> Iterator[list]:
     """The rows (see order.py) of the polynomials of candidate_basis labels
     at n, descending in the order, in label order, each built when asked for.
 
@@ -610,16 +603,17 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
     or minor's lead is its first term's, and a product's is the sum of its
     toric factors' (LT(f*g) = LT(f)*LT(g) under any term order).  It holds
     one ideal, the target T, built before the pass, no copy of T's
-    generators and no list of leading monomials L: MonomialIdeal.meet marks
-    each minimal generator of T the first time a lead equals it, in T's own
-    index, and the leg counts those first meetings.  It passes iff every
-    lead lies in <T> and the count reaches len(T), i.e. every minimal
-    generator of T is itself a lead, which holds iff <L> = <T>.  One way:
-    then <T> <= <L> <= <T>.  The other: a minimal generator mu of T lies in
-    <L>, so some lead l divides it; l lies in <T>, so some minimal generator
-    mu' divides l, and mu' | mu forces mu' = l = mu.  Only a failing leg
-    makes a second pass, which minimalizes the leads and names the minimal
-    generators missing from each side.
+    generators, no list of leading monomials L and no count of its own:
+    MonomialIdeal.meet tells whether a lead lies in <T> and marks each
+    minimal generator of T the first time a lead equals it, counting
+    T.unmet down.  The leg passes iff every lead lies in <T> and T.unmet
+    ends at 0, i.e. every minimal generator of T is itself a lead, which
+    holds iff <L> = <T>.  One way: then <T> <= <L> <= <T>.  The other: a
+    minimal generator mu of T lies in <L>, so some lead l divides it; l
+    lies in <T>, so some minimal generator mu' divides l, and mu' | mu
+    forces mu' = l = mu.  Only a failing leg makes a second pass, which
+    minimalizes the leads and names the minimal generators missing from
+    each side.
     """
     labels = candidate_basis(n, kind)
     graph = NoncrossingGraph(n)
@@ -642,16 +636,11 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
         return rows, target.packing.pack(rows[0][1])
 
     # Leg (b) as the leads stream past: each must lie in the target, and
-    # each minimal generator of the target must turn up among them, counted
-    # once by its first meeting.
-    bad, met, first, inside = [], set(), 0, True
+    # each minimal generator of the target must turn up among them.
+    bad, inside = [], True
     for gi, label in enumerate(labels):
         rows, lead = built(label)
-        hit = target.meet(lead, met)
-        if hit is None:
-            inside = False
-        else:
-            first += hit
+        inside &= target.meet(lead)
         if rows is None:
             if factor_ok[label[1]] and factor_ok[label[2]]:
                 continue
@@ -668,7 +657,7 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
         bad.append(witness)
     checks = [CheckResult(leg, "fail" if bad else "pass", bad or None)]
 
-    if inside and first == len(target):
+    if inside and not target.unmet:
         checks.append(CheckResult("initial_ideal_matches_combinatorial_target", "pass"))
     else:
         # Only a failing leg builds the leading-term ideal, for its witness.

@@ -70,18 +70,21 @@ class MonomialIdeal:
     its fields are its support shifted down `bits`, and it divides every
     monomial whose support holds its own.  Any other is filed as its key,
     or a tuple of keys where supports collide (a squarefree generator would
-    divide them, so it never shares their support).  `keys`, `generators`,
-    `degrees()` and len() are read back from the index.  A divisor of m has
-    its support inside m's, so only generators filed under submasks of m's
-    support are candidates.  The submasks are enumerated while there are no
-    more of them than supports in the index (at most 16 for a degree-4
-    monomial); past that, the supports are scanned.
+    divide them, so it never shares their support), and once met it is
+    also held in the set `_met`.  len() is the count of kept generators,
+    and `unmet` counts down from it as meet first meets each; `generators`
+    and `degrees()` are read back from the index.  Marks change none of
+    these, nor membership.  A divisor of m has its support inside m's, so
+    only generators filed under submasks of m's support are candidates.
+    The submasks are enumerated while there are no more of them than
+    supports in the index (at most 16 for a degree-4 monomial); past that,
+    the supports are scanned.
     """
 
-    __slots__ = ("packing", "_by_support", "_generators")
+    __slots__ = ("packing", "_by_support", "_generators", "_met", "_size", "unmet")
 
     def __init__(self, generators: Iterable[int], packing):
-        self.packing, self._by_support, self._generators = packing, {}, None
+        self.packing, self._by_support, self._generators, self._met, size = packing, {}, None, set(), 0
         guard, ones, index, last = packing.guard, packing.ones, self._by_support, 0
         for p in generators:
             degree = packing.degree(p)
@@ -89,12 +92,14 @@ class MonomialIdeal:
                 raise ValueError(f"generators must come in nondecreasing degree: {degree} after {last}")
             last = degree
             if not self.contains_key(p):
+                size += 1
                 support = ((p | guard) - ones) & guard
                 if degree == support.bit_count():
                     index[support] = False
                 else:
                     held = index.get(support)
                     index[support] = p if held is None else (held, p) if held.__class__ is int else held + (p,)
+        self._size = self.unmet = size
 
     def contains_key(self, p: int) -> bool:
         """True iff some minimal generator divides the monomial packed as p
@@ -113,22 +118,22 @@ class MonomialIdeal:
                 sub = (sub - 1) & support
         return any(not s & ~support and _divides(pg, held, guard) for s, held in index.items())
 
-    def meet(self, p: int, met: set) -> int | None:
-        """None if the monomial packed as p lies outside the ideal, else 1 if
-        it is a minimal generator met for the first time, else 0.  A first
-        meeting marks the generator, a squarefree one in the index and any
-        other in the caller's set `met`, so over one ideal the count of
-        first meetings reaches len(self) iff every generator has been met."""
+    def meet(self, p: int) -> bool:
+        """Whether the monomial packed as p lies in the ideal.  A minimal
+        generator met for the first time is marked, a squarefree one in the
+        index and any other in `_met`, and `unmet` counts it down, so
+        `unmet` reaches 0 iff every minimal generator has been met."""
         packing, index = self.packing, self._by_support
         support = ((p | packing.guard) - packing.ones) & packing.guard
         held = index.get(support)
         if held is False and packing.degree(p) == support.bit_count():
             index[support] = True
-            return 1
-        if p not in met and (held == p if held.__class__ is int else held.__class__ is tuple and p in held):
-            met.add(p)
-            return 1
-        return 0 if self.contains_key(p) else None
+        elif (held == p if held.__class__ is int else held.__class__ is tuple and p in held) and p not in self._met:
+            self._met.add(p)
+        else:
+            return self.contains_key(p)
+        self.unmet -= 1
+        return True
 
     def _filed(self) -> Iterator[tuple[int, int | None]]:
         """(support, key) per minimal generator, in the index's order, the
@@ -136,12 +141,6 @@ class MonomialIdeal:
         for support, held in self._by_support.items():
             for p in (None,) if held.__class__ is bool else (held,) if held.__class__ is int else held:
                 yield support, p
-
-    @property
-    def keys(self) -> tuple[int, ...]:
-        """The packed minimal generators, in the index's order."""
-        join, bits = self.packing.join, self.packing.bits
-        return tuple(join(s >> bits) if p is None else p for s, p in self._filed())
 
     @property
     def generators(self) -> tuple[tuple, ...]:
@@ -152,7 +151,7 @@ class MonomialIdeal:
         return self._generators
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._filed())
+        return self._size
 
     def degrees(self) -> tuple[int, ...]:
         degree = self.packing.degree

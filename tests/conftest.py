@@ -386,6 +386,14 @@ def packed_ideal(generators, probes=(), n=8, inner="grevlex"):
     return MonomialIdeal([packing.pack(m) for m in sorted(generators, key=degree)], packing)
 
 
+def ideal_keys(ideal) -> tuple[int, ...]:
+    """The packed minimal generators of a MonomialIdeal, in its index's
+    order: a squarefree one's key rebuilt from its support, as
+    packing.join(support >> bits)."""
+    join, bits = ideal.packing.join, ideal.packing.bits
+    return tuple(join(s >> bits) if p is None else p for s, p in ideal._filed())
+
+
 def ideal_contains(ideal, m: tuple) -> bool:
     """MonomialIdeal.contains_key on m packed in the ideal's packing, which
     must hold its degree."""

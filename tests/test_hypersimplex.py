@@ -33,6 +33,7 @@ from conftest import (
     edges_for,
     flip_lowest_tail,
     ideal_contains,
+    ideal_keys,
     label_polynomials,
     leading_monomial,
     leading_term,
@@ -150,7 +151,7 @@ class TestInitialEdgeIdeal:
         assert len(initial_edge_ideal(5)) == expected == 10
 
     def test_n3_empty(self):
-        assert not initial_edge_ideal(3).keys
+        assert not ideal_keys(initial_edge_ideal(3))
 
     def test_matches_crossing_enumeration(self):
         # Oracle: every unordered chord pair that does not cross.
@@ -382,7 +383,7 @@ class TestMonomialIdeal:
 
     def test_empty(self):
         ideal = packed_ideal([])
-        assert not ideal.keys
+        assert not ideal_keys(ideal)
         assert not ideal_contains(ideal, mono((1, 2)))
 
     @given(st.lists(monomial_strategy(max_factors=3), max_size=6))
@@ -449,8 +450,8 @@ class TestMonomialIdeal:
             filed += map(packing.factors, held)
         assert sorted(filed, key=canonical_key) == list(minimal)
         # The keys rebuilt from the index are the minimal generators.
-        assert sorted(ideal.keys) == sorted(map(packing.pack, minimal))
-        assert len(ideal) == len(minimal)
+        assert sorted(ideal_keys(ideal)) == sorted(map(packing.pack, minimal))
+        assert len(ideal) == ideal.unmet == len(minimal)
         assert ideal.degrees() == tuple(sorted(set(map(degree, minimal))))
         for probe in probes:
             assert ideal_contains(ideal, probe) == any(divides(g, probe) for g in minimal)
@@ -479,7 +480,7 @@ class TestMonomialIdeal:
         minimal_keys = set(map(packing.pack, minimal))
         kept = [p for p in dict.fromkeys(keys) if p in minimal_keys]
         support = {p: ((p | packing.guard) - packing.ones) & packing.guard for p in kept}
-        assert ideal.keys == tuple(p for s in dict.fromkeys(map(support.get, kept)) for p in kept if support[p] == s)
+        assert ideal_keys(ideal) == tuple(p for s in dict.fromkeys(map(support.get, kept)) for p in kept if support[p] == s)
         assert ideal.generators == minimal
         probes = data.draw(st.lists(monomial_strategy(n=6, max_factors=4, max_exp=2), max_size=8))
         for probe in probes + gens:
@@ -489,10 +490,10 @@ class TestMonomialIdeal:
     @settings(max_examples=150, deadline=None)
     def test_meet_counts_each_minimal_generator_once(self, data):
         # A stream of leads with repeats: the generators, other monomials
-        # and products of the two, in any order.  meet counts a first
-        # meeting once per distinct lead that is a minimal generator,
-        # squarefree or not, answers None exactly outside the ideal, and
-        # leaves membership as it was.
+        # and products of the two, in any order.  meet counts `unmet` down
+        # once per distinct lead that is a minimal generator, squarefree or
+        # not, answers True exactly inside the ideal, and leaves membership
+        # as it was.
         gens = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), max_size=12))
         others = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), max_size=6))
         leads = gens + others + [mul(a, b) for a, b in zip(gens, others)]
@@ -507,14 +508,70 @@ class TestMonomialIdeal:
 
         inside = [any(divides(g, m) for g in minimal) for m in leads]
         assert membership() == inside
-        met, first = set(), 0
+        assert ideal.unmet == len(minimal)
+        first = 0
         for m, want in zip(leads, inside):
-            hit = ideal.meet(ideal.packing.pack(m), met)
-            assert (hit is not None) == want, m
-            first += hit or 0
+            unmet = ideal.unmet
+            assert ideal.meet(ideal.packing.pack(m)) is want, m
+            assert unmet - ideal.unmet in (0, 1)
+            first += unmet - ideal.unmet
         assert first == len(set(leads) & set(minimal))
+        assert ideal.unmet == len(minimal) - first
         assert membership() == inside
         assert ideal.generators == minimal and len(ideal) == len(minimal)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_marks_change_no_reading_of_the_ideal(self, data):
+        # Whatever subset of the leads is met, and in whatever order,
+        # contains_key, generators, degrees() and len() read as before.
+        gens = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), max_size=12))
+        probes = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=3), max_size=8))
+        leads = gens + probes + [mul(a, b) for a, b in zip(gens, probes)]
+        ideal = packed_ideal(gens, leads)
+        pack = ideal.packing.pack
+
+        def readings():
+            ideal._generators = None  # read afresh from the index, marks and all
+            return [ideal.contains_key(pack(m)) for m in leads], ideal.generators, ideal.degrees(), len(ideal)
+
+        before = readings()
+        for m in data.draw(st.lists(st.sampled_from(leads), max_size=20)) if leads else []:
+            ideal.meet(pack(m))
+            assert readings() == before
+        for m in gens:
+            ideal.meet(pack(m))
+        assert ideal.unmet == 0
+        assert readings() == before
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_meeting_every_generator_twice_empties_unmet_once(self, data):
+        # Each minimal generator twice, in any order: unmet never goes below
+        # 0 and reaches it exactly once, at the last first meeting.
+        gens = data.draw(st.lists(monomial_strategy(n=5, max_factors=4, max_exp=2), min_size=1, max_size=12))
+        ideal = packed_ideal(gens)
+        minimal = reference_minimal_generators(gens)
+        stream = data.draw(st.permutations(list(minimal) * 2))
+        seen, trace = set(), []
+        for m in stream:
+            assert ideal.meet(ideal.packing.pack(m))
+            seen.add(m)
+            trace.append(ideal.unmet)
+            assert ideal.unmet == len(minimal) - len(seen) >= 0
+        assert sum(1 for u, v in zip([len(minimal)] + trace, trace) if u and not v) == 1
+        assert trace[-1] == 0
+
+    def test_len_is_kept_not_counted(self, monkeypatch):
+        ideal = initial_edge_ideal(6)
+        want = len(ideal_keys(ideal))
+
+        def refuse(self):
+            raise AssertionError("len() walked the index")
+
+        monkeypatch.setattr(MonomialIdeal, "_filed", refuse)
+        assert len(ideal) == want == 30
+        assert repr(ideal) == "MonomialIdeal(30 minimal generators)"
 
     @pytest.mark.parametrize("inner", ["grevlex", "lex"])
     def test_generators_sharing_a_support_are_both_kept_and_found(self, inner):
@@ -539,7 +596,7 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError, match="nondecreasing degree: 2 after 3"):
             MonomialIdeal([quadric, cubic, quadric], packing)
         # A multiple after its divisor, and a repeat, are dropped, not refused.
-        assert MonomialIdeal([quadric, quadric, quadric + cubic], packing).keys == (quadric,)
+        assert ideal_keys(MonomialIdeal([quadric, quadric, quadric + cubic], packing)) == (quadric,)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,8 @@ from hypersecant.noncrossing import odd_floor
 from hypersecant.poly import degree, edge_factors
 
 from conftest import (
+    both_inner_orders,
+    ideal_keys,
     mul,
     nested_triple_monomials,
     packed_ideal,
@@ -109,7 +112,7 @@ class TestSecantOfEdgeIdeal:
         assert ideal.generators == (mono((1, 2), (1, 5), (2, 3), (3, 4), (4, 5)),)
 
     def test_n4_empty(self):
-        assert not secant_of_edge_ideal(NoncrossingGraph(4), 3).keys
+        assert not ideal_keys(secant_of_edge_ideal(NoncrossingGraph(4), 3))
 
     def test_n6_counts(self):
         ideal = secant_of_edge_ideal(NoncrossingGraph(6), 5)
@@ -139,7 +142,7 @@ class TestSymbolicSquareOfEdgeIdeal:
         assert ideal.degrees() == (4,)
 
     def test_n3_empty(self):
-        assert not symbolic_square_of_edge_ideal(NoncrossingGraph(3)).keys
+        assert not ideal_keys(symbolic_square_of_edge_ideal(NoncrossingGraph(3)))
 
     def test_identity_square_plus_secant(self):
         for n in range(4, 7):
@@ -182,7 +185,31 @@ class TestPackedTargets:
             assert target.generators == want.generators
             assert target == want and len(target) == len(want)
             packing = target.packing
-            assert sorted(target.keys) == sorted(map(packing.pack, want.generators))
+            assert sorted(ideal_keys(target)) == sorted(map(packing.pack, want.generators))
+
+    @pytest.mark.parametrize(
+        "n, by_degree",
+        [
+            (6, {3: 5, 5: 12}),
+            (7, {3: 35, 5: 77, 7: 1}),
+            (8, {3: 140, 5: 352, 7: 16}),
+            (9, {3: 420, 5: 1_287, 7: 135, 9: 1}),
+            (10, {3: 1_050, 5: 4_004, 7: 800, 9: 20}),
+        ],
+    )
+    def test_secant_target_size_by_degree(self, n, by_degree):
+        # The minimal generators of the secant target by degree, one per
+        # induced odd cycle of each length, under either inner order.
+        for order in both_inner_orders(n):
+            target = secant_of_edge_ideal(NoncrossingGraph(n), odd_floor(n), order)
+            assert Counter(map(degree, target.generators)) == by_degree
+            assert len(target) == target.unmet == sum(by_degree.values())
+
+    @pytest.mark.parametrize("n, size", [(6, 380), (7, 1_673), (8, 5_628)])
+    def test_symbolic_target_size(self, n, size):
+        for order in both_inner_orders(n):
+            target = symbolic_square_of_edge_ideal(NoncrossingGraph(n), order)
+            assert len(target) == target.unmet == len(ideal_keys(target)) == size
 
     def test_order_for_another_n_is_refused(self):
         with pytest.raises(ValueError):
