@@ -243,7 +243,7 @@ def certificate_to_json(cert: GroebnerCertificate) -> dict:
 
 def certificate_text(cert: GroebnerCertificate) -> str:
     lines = [
-        f"n = {cert.n}  kind = {cert.kind or '-'}  order = circular/{cert.order_descriptor['inner']}  "
+        f"n = {cert.n}  kind = {cert.kind}  order = circular/{cert.order_descriptor['inner']}  "
         f"generators = {cert.generator_count}"
     ]
     for c in cert.checks:
@@ -384,7 +384,7 @@ def _cmd_admissible(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.k is not None and args.k < 1:
         raise UsageError(f"--k must be at least 1, got {args.k}")
     _check_bound(args, n, SWEEP_BOUND, "admissible")
-    seqs = all_admissible_sequences(n) if args.k is None else admissible_sequences(n, args.k)
+    seqs = list(all_admissible_sequences(n) if args.k is None else admissible_sequences(n, args.k))
     if args.format == "json":
         payload = {
             "command": "admissible",
@@ -544,8 +544,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> tuple[int, Payload]:
 # ---------------------------------------------------------------------------
 
 def _parse_order(text: str) -> str:
-    value = text.removeprefix("inner=")
-    if value not in INNER_ORDERS:
+    name, _, value = text.partition("=")
+    if name != "inner" or value not in INNER_ORDERS:
         raise argparse.ArgumentTypeError(
             f"--order must be inner=grevlex or inner=lex, got {text!r}"
         )
@@ -580,7 +580,7 @@ def _add_command(sub, name: str, handler, *, n: bool = True, order: bool = True,
     if n:
         p.add_argument("--n", type=int, default=None, help="ambient vertex count")
     if order:
-        p.add_argument("--order", type=_parse_order, default="grevlex", dest="inner",
+        p.add_argument("--order", type=_parse_order, default="inner=grevlex", dest="inner",
                        metavar="inner=grevlex|lex", help="inner order of the circular blocks")
     formats = ("text", "json", "algebra-script") if script else ("text", "json")
     p.add_argument("--format", choices=formats, default="text")

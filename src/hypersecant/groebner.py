@@ -14,7 +14,7 @@ import marshal
 import os
 from collections.abc import Collection, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -87,8 +87,8 @@ class GroebnerCertificate(NamedTuple):
     order_descriptor: dict
     generator_count: int
     checks: tuple[CheckResult, ...]
-    n: int | None = None
-    kind: str | None = None
+    n: int
+    kind: str
 
     @property
     def passed(self) -> bool:
@@ -472,28 +472,36 @@ def _minor_splits(n: int):
 
 
 class _Labels:
-    """The labels of `head`, then ("product", a, b) for each pair a <= b of m
-    toric binomials in combinations_with_replacement order, made as they are
-    read, so no list of products is held.  Sized, and read afresh by each
-    iteration; never indexed."""
+    """The labels of candidate_basis(n, kind), each family made afresh by
+    each iteration, so no label is held.  Sized, and read in order; never
+    indexed."""
 
-    __slots__ = ("head", "m")
+    __slots__ = ("n", "kind", "m")
 
-    def __init__(self, head: list, m: int = 0):
-        self.head, self.m = head, m
+    def __init__(self, n: int, kind: str):
+        # The symbolic square's products pair its m toric binomials.
+        self.n, self.kind, self.m = n, kind, 0 if kind == SECANT else 2 * comb(n, 4)
+
+    def _masters(self) -> Iterator[tuple]:
+        seqs = all_admissible_sequences(self.n) if self.kind == SECANT else admissible_sequences(self.n, 1)
+        return (("master", s) for s in seqs)
 
     def __len__(self) -> int:
-        return len(self.head) + self.m * (self.m + 1) // 2
+        # The masters are counted as they are made; three minors per 6-subset.
+        return sum(1 for _ in self._masters()) + 3 * comb(self.n, 6) + self.m * (self.m + 1) // 2
 
     def __iter__(self) -> Iterator[tuple]:
-        yield from self.head
-        for a, b in combinations_with_replacement(range(self.m), 2):
-            yield "product", a, b
+        minors = (("minor", rows, cols) for rows, cols in _minor_splits(self.n))
+        if self.kind == SECANT:
+            return chain(self._masters(), minors)
+        pairs = combinations_with_replacement(range(self.m), 2)
+        return chain(minors, self._masters(), (("product", a, b) for a, b in pairs))
 
 
 def candidate_basis(n: int, kind: str) -> Collection[tuple]:
     """The family label of each generator of the candidate basis of `kind`,
-    a sized collection that each iteration reads in order (_Labels).
+    a sized collection that each iteration makes afresh, in order, as it is
+    read (_Labels); no family is held as a list.
 
     A label is ("master", seq) for the master of an admissible sequence,
     ("minor", rows, cols) for the 3x3 minor on a circularly consecutive
@@ -502,16 +510,13 @@ def candidate_basis(n: int, kind: str) -> Collection[tuple]:
     odd degree, then the minors, whose antidiagonal leading terms are the
     nested noncrossing triples.  The symbolic-square basis is the minors,
     the degree-3 masters, then the products in combinations_with_replacement
-    order, each made as it is read.  generator_rows() builds their rows.
+    order.  generator_rows() builds their rows.
     """
     if not isinstance(n, int) or n < 4:
         raise ValueError(f"need n >= 4, got {n!r}")
     if kind not in (SECANT, SYMBOLIC_SQUARE):
         raise ValueError(f"kind must be 'secant' or 'symbolic-square', got {kind!r}")
-    minors = [("minor", rows, cols) for rows, cols in _minor_splits(n)]
-    if kind == SECANT:
-        return _Labels([("master", s) for s in all_admissible_sequences(n)] + minors)
-    return _Labels(minors + [("master", s) for s in admissible_sequences(n, 1)], 2 * comb(n, 4))
+    return _Labels(n, kind)
 
 
 def _label_degree(label: tuple) -> int:

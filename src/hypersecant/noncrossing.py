@@ -20,8 +20,9 @@ strictly increase, so it is the rotation that starts at the least i.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from operator import sub
-from typing import Iterable, NamedTuple
+from heapq import merge
+from operator import ne, sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .hypersimplex import MonomialIdeal, crosses
 from .order import CircularTermOrder, _Packing
@@ -35,7 +36,7 @@ class NoncrossingGraph:
     paths on them.
     """
 
-    __slots__ = ("n", "vertices", "_index", "_adj")
+    __slots__ = ("n", "vertices", "_adj")
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 3:
@@ -44,7 +45,6 @@ class NoncrossingGraph:
         self.vertices = tuple(
             (a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
         )
-        self._index = {v: i for i, v in enumerate(self.vertices)}
         adj = [0] * len(self.vertices)
         for i, e in enumerate(self.vertices):
             for j in range(i + 1, len(self.vertices)):
@@ -56,15 +56,6 @@ class NoncrossingGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def index_of(self, e: tuple[int, int]) -> int:
-        try:
-            return self._index[e]
-        except KeyError:
-            raise ValueError(f"({e[0]},{e[1]}) is not a chord for n={self.n}") from None
-
-    def adjacent(self, e: tuple[int, int], f: tuple[int, int]) -> bool:
-        return bool(self._adj[self.index_of(e)] >> self.index_of(f) & 1)
 
     def adjacency_pairs(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         """All adjacent vertex pairs (e, f) with e < f, in vertex order."""
@@ -257,14 +248,16 @@ class AdmissibleSequence(_Fields):
         return cls((length - 1) // 2, ii[r:] + ii[:r], jj[r:] + jj[:r])
 
 
-def admissible_sequences(n: int, k: int) -> list[AdmissibleSequence]:
+def admissible_sequences(n: int, k: int) -> Iterator[AdmissibleSequence]:
     """All canonical admissible sequences of length L = 2k+1 with indices in
-    1..n, in the order of their flat tuples (i_1, j_1, ..., i_L, j_L).
+    1..n, streamed in the order of their flat tuples (i_1, j_1, ..., i_L, j_L).
+    A bad n or k raises ValueError at the call.
 
     Subtracting (p + 1) // 2 from entry p of a strictly increasing tuple
     gives a flat chain i_1 <= j_1 < i_2 <= ...: the chains with no wrap are
     the 2L-subsets of 1..n+L, and those that wrap are the (2L-1)-subsets of
-    1..n+L-1, each followed by a last j below i_1.  Loops are dropped.
+    1..n+L-1, each followed by a last j below i_1.  Each family comes in
+    flat order, so the stream merges the two.  Loops are dropped.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"need n >= 3, got {n!r}")
@@ -272,29 +265,27 @@ def admissible_sequences(n: int, k: int) -> list[AdmissibleSequence]:
         raise ValueError(f"need k >= 1, got {k!r}")
     length = 2 * k + 1
     if length > n:  # a chain needs `length` distinct i's
-        return []
+        return iter(())
     shift = [(p + 1) // 2 for p in range(2 * length)]
 
     def chains(size: int):
         return (tuple(map(sub, c, shift)) for c in combinations(range(1, n + size // 2 + 1), size))
 
-    flats = [*chains(2 * length)]
-    flats += [head + (last,) for head in chains(2 * length - 1) for last in range(1, head[0])]
-    flats.sort()
-    out = []
-    for flat in flats:
-        ii, jj = flat[0::2], flat[1::2]
-        if all(ii[l] != jj[(l + k - 1) % length] for l in range(length)):
-            out.append(AdmissibleSequence(k, ii, jj))
-    return out
+    wraps = (head + (last,) for head in chains(2 * length - 1) for last in range(1, head[0]))
+
+    def stream():
+        for flat in merge(chains(2 * length), wraps):
+            ii, jj = flat[0::2], flat[1::2]
+            # i_l against j_{l+k-1}: no loop.
+            if all(map(ne, ii, jj[k - 1:] + jj[:k - 1])):
+                yield AdmissibleSequence(k, ii, jj)
+
+    return stream()
 
 
-def all_admissible_sequences(n: int) -> list[AdmissibleSequence]:
-    """Admissible sequences of every odd length 3..n, shortest first."""
-    out = []
-    for k in range(1, (n - 1) // 2 + 1):
-        out.extend(admissible_sequences(n, k))
-    return out
+def all_admissible_sequences(n: int) -> Iterator[AdmissibleSequence]:
+    """Admissible sequences of every odd length 3..n, shortest first, streamed."""
+    return chain.from_iterable(admissible_sequences(n, k) for k in range(1, (n - 1) // 2 + 1))
 
 
 def cycle_monomial(s: AdmissibleSequence) -> tuple:

@@ -567,6 +567,12 @@ def reference_order_key(order, m):
     return tuple(parts)
 
 
+def adjacent(g, e, f):
+    """Whether the chords e and f are adjacent in the NoncrossingGraph g,
+    read from its per-vertex bitmasks."""
+    return bool(g._adj[g.vertices.index(e)] >> g.vertices.index(f) & 1)
+
+
 def reference_induced_odd_cycles(g, max_len):
     """Induced odd cycles by plain subset enumeration, the independent oracle.
 

@@ -211,7 +211,7 @@ class TestVerify:
         res = invoke("verify", "membership", "--n", "8")
         assert res.code == EXIT_OK
         assert res.stdout.endswith("PASS\n")
-        seqs = hypersecant.all_admissible_sequences(8)
+        seqs = list(hypersecant.all_admissible_sequences(8))
         order = CircularTermOrder(8)
         rows = [master_terms(s, order) for s in seqs]
         classes = {hypersimplex.SecantClasses(8)._key(r) for r in rows}
@@ -370,6 +370,15 @@ class TestBoundsAndExitCodes:
 
     def test_bad_order_is_usage_error(self):
         assert main(["toric-gb", "--n", "4", "--order", "inner=weight"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["lex", "grevlex", "=lex", "outer=lex", "inner=lex=lex", "inner="])
+    def test_order_is_spelled_inner_only(self, value, capsys):
+        # inner=grevlex and inner=lex are the only spellings; a bare order
+        # name is refused, not read as one.
+        assert main(["toric-gb", "--n", "4", "--order", value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"--order must be inner=grevlex or inner=lex, got {value!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ["initial-secant", "--n", "6", "--max-len", "4"],
@@ -855,12 +864,20 @@ def test_cold_start_loads_only_what_every_command_runs():
     assert not loaded & DEFERRED_MODULES, sorted(loaded & DEFERRED_MODULES)
 
 
+def test_certificate_header_is_required():
+    # Every certificate names its n and kind; neither has a default.
+    with pytest.raises(TypeError):
+        GroebnerCertificate({}, 0, ())
+    with pytest.raises(TypeError):
+        GroebnerCertificate({}, 0, (), 6)
+
+
 def test_records_stay_immutable_values():
     """The records are tuples or __slots__ classes, not dataclasses: fields
     cannot be assigned, and equal sequences are one set element."""
     s = AdmissibleSequence(1, (1, 3, 5), (2, 4, 6))
     check = CheckResult("leg", "pass")
-    cert = GroebnerCertificate({}, 0, (check,))
+    cert = GroebnerCertificate({}, 0, (check,), 6, "secant")
     for record, field in ((s, "k"), (s, "i"), (check, "status"), (cert, "n")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -1215,6 +1232,7 @@ REMOVED_NAMES = {
         "SPairStats.wall_time",
         "_Divider.verify_pairs",
         "_Labels.__getitem__",
+        "_Labels.head",
         "_WORKER_CTX",
         "_packed_terms",
         "_row_chunks",
@@ -1254,7 +1272,9 @@ REMOVED_NAMES = {
     ],
     "noncrossing": [
         "AdmissibleSequence.wraps",
+        "NoncrossingGraph.adjacent",
         "NoncrossingGraph.degree",
+        "NoncrossingGraph.index_of",
         "NoncrossingGraph.neighbors",
         "build_graph",
     ],

@@ -162,7 +162,7 @@ def oracle(command, n, inner):
         gens = [{"lead": monomial_to_json(g.lead), "trail": monomial_to_json(g.trail)} for g in toric_gb(n)]
         head = {"command": command, "n": n, "order": order.descriptor(), "count": len(gens)}
         return argv, {**head, "generators": gens}
-    seq = all_admissible_sequences(n)[-1]
+    seq = list(all_admissible_sequences(n))[-1]
     poly = master_polynomial(seq)
     argv += ["--i", ",".join(map(str, seq.i)), "--j", ",".join(map(str, seq.j))]
     return argv, {

@@ -187,7 +187,7 @@ class TestMasterPolynomial:
     def test_matches_formal_letter_reference(self):
         # Every admissible sequence with indices up to 8, the degenerate
         # (i_l = j_l) ones included.
-        seqs = all_admissible_sequences(8)
+        seqs = list(all_admissible_sequences(8))
         assert any(a == b for s in seqs for a, b in zip(s.i, s.j))
         for s in seqs:
             assert master_polynomial(s) == reference_master_polynomial(s)

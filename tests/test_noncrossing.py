@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,6 +20,7 @@ from hypersecant.noncrossing import odd_floor
 from hypersecant.poly import degree, edge_factors
 
 from conftest import (
+    adjacent,
     both_inner_orders,
     ideal_keys,
     mul,
@@ -51,7 +53,7 @@ class TestBuildGraph:
 
     def test_degree_of_boundary_edge_n5(self):
         g = NoncrossingGraph(5)
-        assert {f for f in g.vertices if g.adjacent((1, 2), f)} == {(3, 4), (3, 5), (4, 5)}
+        assert {f for f in g.vertices if adjacent(g, (1, 2), f)} == {(3, 4), (3, 5), (4, 5)}
 
     def test_vertex_count(self):
         for n in range(3, 9):
@@ -61,7 +63,7 @@ class TestBuildGraph:
     def test_adjacency_symmetric(self):
         g = NoncrossingGraph(6)
         for e, f in itertools.combinations(g.vertices, 2):
-            assert g.adjacent(e, f) == g.adjacent(f, e)
+            assert adjacent(g, e, f) == adjacent(g, f, e)
 
 
 class TestInducedOddCycles:
@@ -103,7 +105,7 @@ class TestInducedOddCycles:
         g = NoncrossingGraph(6)
         for cyc in induced_odd_cycles(g, 5):
             for v in cyc:
-                assert sum(1 for w in cyc if w != v and g.adjacent(v, w)) == 2
+                assert sum(1 for w in cyc if w != v and adjacent(g, v, w)) == 2
 
 
 class TestSecantOfEdgeIdeal:
@@ -265,16 +267,16 @@ class TestTargetsMatchTheirDefinitions:
 
 class TestAdmissibleSequences:
     def test_n5_k2_unique_degenerate(self):
-        seqs = admissible_sequences(5, 2)
+        seqs = list(admissible_sequences(5, 2))
         assert len(seqs) == 1
         assert seqs[0].i == (1, 2, 3, 4, 5) and seqs[0].j == (1, 2, 3, 4, 5)
 
     def test_n4_k1_empty(self):
-        assert admissible_sequences(4, 1) == []
+        assert list(admissible_sequences(4, 1)) == []
 
     def test_n6_k1_both_rotholder_types(self):
         # The ascending chain plus the chain whose last pair wraps the seam.
-        seqs = admissible_sequences(6, 1)
+        seqs = list(admissible_sequences(6, 1))
         assert [(s.i, s.j) for s in seqs] == [
             ((1, 3, 5), (2, 4, 6)),
             ((2, 4, 6), (3, 5, 1)),
@@ -288,12 +290,12 @@ class TestAdmissibleSequences:
             (8, 1): 56, (8, 2): 352, (8, 3): 16,
         }
         for (n, k), count in expected.items():
-            assert len(admissible_sequences(n, k)) == count, (n, k)
+            assert len(list(admissible_sequences(n, k))) == count, (n, k)
 
     def test_matches_brute_force_oracle(self):
         for n in range(3, 8):
             for k in range(1, (n + 1) // 2 + 1):
-                assert admissible_sequences(n, k) == reference_admissible_sequences(n, k), (n, k)
+                assert list(admissible_sequences(n, k)) == reference_admissible_sequences(n, k), (n, k)
 
     # SHA-256 of repr([(s.k, s.i, s.j) for s in all_admissible_sequences(n)]),
     # recorded at commit 8f52e29, past the oracle's reach: n -> (count, digest).
@@ -309,6 +311,27 @@ class TestAdmissibleSequences:
         flat = [(s.k, s.i, s.j) for s in all_admissible_sequences(n)]
         digest = hashlib.sha256(repr(flat).encode()).hexdigest()
         assert (len(flat), digest) == self.ENUMERATION_DIGESTS[n]
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (3, 0), (6, -1), (6.0, 1), (6, None)])
+    def test_bad_arguments_raise_at_the_call(self, n, k):
+        # Checked when the stream is made, not at its first item.
+        with pytest.raises(ValueError):
+            admissible_sequences(n, k)
+
+    def test_stream_holds_no_enumeration(self):
+        # The two chain families are merged as they are made: a stream to
+        # its end peaked at 12.7 MiB while each length was listed and sorted.
+        # A first pass fills the interpreter's free lists of tuples, which
+        # tracemalloc counts as allocated; the traced pass reuses them.
+        sum(1 for _ in all_admissible_sequences(12))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in all_admissible_sequences(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == self.ENUMERATION_DIGESTS[12][0]
+        assert peak < 1 << 20, peak
 
     def test_from_arrays_canonicalizes_rotations(self):
         # Every rotation canonicalizes to the sequence; only rotation 0
@@ -355,7 +378,7 @@ class TestCycleMonomial:
                 assert degree(cycle_monomial(s)) == s.length
 
     def test_rotation_invariance(self):
-        for canon in admissible_sequences(6, 2)[:4] + admissible_sequences(6, 1):
+        for canon in list(admissible_sequences(6, 2))[:4] + list(admissible_sequences(6, 1)):
             pairs = list(zip(canon.i, canon.j))
             for r in range(canon.length):
                 rot = pairs[r:] + pairs[:r]
