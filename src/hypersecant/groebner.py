@@ -139,14 +139,12 @@ class _Divider:
     one call, and so do its tables and memo.  Each reducer of `rows`, its
     (coefficient, factors) rows in any order, is packed as it is read, and
     only its leading term and tail are kept.  A reducer must be homogeneous
-    of degree at most `top`, by default the packing's limit, and keep
-    the row invariant (see order.py), else ValueError: no field overflows
-    unnoticed, and no term is read twice.
+    of degree at most the packing's limit and keep the row invariant (see
+    order.py), else ValueError: no field overflows unnoticed, and no term
+    is read twice.
     """
 
-    def __init__(self, packing: _Packing, rows, top: int | None = None):
-        if top is None:
-            top = packing.limit
+    def __init__(self, packing: _Packing, rows):
         self.packing = packing
         self.lts, self.tails, self.supports = [], [], []
         for g in rows:
@@ -155,8 +153,8 @@ class _Divider:
             degrees = {degree(f) for _, f in g}
             if len(degrees) > 1:
                 raise ValueError("reducers must be homogeneous")
-            if max(degrees) > top:
-                raise ValueError(f"a reducer of degree {max(degrees)} exceeds the declared degree {top}")
+            if max(degrees) > packing.limit:
+                raise ValueError(f"a reducer of degree {max(degrees)} exceeds the packing's limit {packing.limit}")
             terms = [(packing.pack(f), c) for c, f in g]
             _check_terms(terms)
             lt, ltc = max(terms)
@@ -404,25 +402,20 @@ def buchberger_verify(
     _Divider.verify_row, serially or on forked workers (_sweep), and rows
     are aggregated in order, so the leg is the serial one.  `threads` is the
     most worker processes the sweep may use, None for no cap beyond the
-    usable CPUs and the number of S-pairs.  A non-homogeneous generator
-    raises ValueError before any worker starts.
+    usable CPUs and the number of S-pairs.
 
-    Given labels, a sized and re-iterable collection read in order, G is
-    read as it is packed, and the packing is sized from the labels' degrees
-    (_label_degree); a generator above its declared degree, or a count of
-    labels other than that of generators, raises ValueError before any
-    worker starts.  Without labels, G is read once to find its largest
-    degree.
+    G is read once into a list, and the packing is sized from the largest
+    degree of its rows.  Labels, a sized and re-iterable collection read in
+    order, are counted, and read again only to name a failing pair.  A
+    non-homogeneous generator, or a count of labels other than that of
+    generators, raises ValueError before any worker starts.
     """
-    if labels is None:
-        G = list(G)
-        top = max((degree(f) for g in G for _, f in g), default=0)
-    else:
-        top = max(map(_label_degree, labels), default=0)
+    G = list(G)
+    top = max((degree(f) for g in G for _, f in g), default=0)
     # Rewrites by homogeneous reducers keep degrees, so every term of a
     # reduction has at most the degree of its S-pair's lcm, which is at most
     # twice the largest generator's.
-    divider = _Divider(order.packing(2 * top), G, top)
+    divider = _Divider(order.packing(2 * top), G)
     m = len(divider.lts)
     del G
     if labels is not None and len(labels) != m:
@@ -519,14 +512,6 @@ def candidate_basis(n: int, kind: str) -> Collection[tuple]:
     return _Labels(n, kind)
 
 
-def _label_degree(label: tuple) -> int:
-    """The degree of the generator of a candidate_basis label, or of a toric
-    binomial labelled ("binomial", quadruple, family)."""
-    if label[0] == "master":
-        return label[1].length
-    return {"minor": 3, "product": 4, "binomial": 2}[label[0]]
-
-
 def _generator(label: tuple, order: CircularTermOrder) -> list[tuple[int, tuple]]:
     """The rows of a master or minor label of candidate_basis, descending in
     `order`: a master's from master_terms, a minor's packed in
@@ -601,8 +586,8 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
     Each membership failure names its generator by list index and family: a
     master by its sequence (k, i, j), a minor by its split (rows, cols), a
     product by the indices (a, b) of its toric factors.  Legs (a) and (b)
-    make one pass over the labels and read a product only through its label
-    ("product", a, b), so no product polynomial is built.
+    count the labels in their one pass and read a product only through its
+    label ("product", a, b), so no product polynomial is built.
 
     Leg (b) runs on the packed monomials of the target's packing: a master's
     or minor's lead is its first term's, and a product's is the sum of its
@@ -642,8 +627,9 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
 
     # Leg (b) as the leads stream past: each must lie in the target, and
     # each minimal generator of the target must turn up among them.
-    bad, inside = [], True
+    bad, inside, count = [], True, 0
     for gi, label in enumerate(labels):
+        count += 1
         rows, lead = built(label)
         inside &= target.meet(lead)
         if rows is None:
@@ -678,4 +664,4 @@ def delightful_check(n: int, kind: str, order: CircularTermOrder) -> GroebnerCer
     checks.append(CheckResult("initial_of_secant_inside_secant_of_initial", "cited"))
     if kind == SYMBOLIC_SQUARE:
         checks.append(CheckResult("square_plus_secant_inside_symbolic_square", "cited"))
-    return GroebnerCertificate(order.descriptor(), len(labels), tuple(checks), n, kind)
+    return GroebnerCertificate(order.descriptor(), count, tuple(checks), n, kind)

@@ -1072,10 +1072,10 @@ def test_spair_leg_reads_the_rows_symbolic_gb_writes(monkeypatch, inner):
     read = []
     init = groebner._Divider.__init__
 
-    def spy(self, packing, rows, degree=None):
+    def spy(self, packing, rows):
         rows = list(rows)
         read.append(rows)
-        init(self, packing, rows, degree)
+        init(self, packing, rows)
 
     monkeypatch.setattr(groebner._Divider, "__init__", spy)
     order = ["--order", f"inner={inner}"]
@@ -1234,6 +1234,7 @@ REMOVED_NAMES = {
         "_Labels.__getitem__",
         "_Labels.head",
         "_WORKER_CTX",
+        "_label_degree",
         "_packed_terms",
         "_row_chunks",
         "_row_pairs",

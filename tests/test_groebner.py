@@ -29,6 +29,7 @@ from hypersecant import (
     initial_edge_ideal,
     secant_of_edge_ideal,
     symbolic_square_of_edge_ideal,
+    toric_gb,
 )
 
 from hypersecant import groebner
@@ -721,48 +722,59 @@ class TestPairStreaming:
         assert held == [("buchberger_verify", [])] * 4
         assert workers_of_two == [2, 2]
 
-    def test_labelled_rows_reach_the_divider_unlisted(self, monkeypatch):
-        # Given labels, the packing is sized from them, so the divider reads
-        # the very iterator of rows it was given, one generator at a time.
-        read = []
-        init = groebner._Divider.__init__
-
-        def spy(self, packing, rows, degree=None):
-            read.append((rows, packing.limit, degree))
-            init(self, packing, rows, degree)
-
-        monkeypatch.setattr(groebner._Divider, "__init__", spy)
-        for n, kind in ((6, "secant"), (5, "symbolic-square")):
-            labels = groebner.candidate_basis(n, kind)
-            order = CircularTermOrder(n)
-            rows = groebner.generator_rows(n, labels, order)
-            assert buchberger_verify(rows, order, labels=labels).status == "pass"
-            degree = 5 if kind == "secant" else 4
-            assert read[-1] == (rows, order.packing(2 * degree).limit, degree)
-
-    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
-    @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_label_degree_is_the_generator_degree(self, n, kind):
-        labels = groebner.candidate_basis(n, kind)
-        assert [groebner._label_degree(l) for l in labels] == [g.degree for g in label_polynomials(n, labels)]
-        assert groebner._label_degree(("binomial", (1, 2, 3, 4), 1)) == 2
-
-    def test_row_above_its_declared_degree_is_rejected_before_forking(self, workers_of_two, monkeypatch):
-        # A degree-6 product filed under a minor's label: the packing sized
-        # from the labels, whose largest degree is 5, could not hold its
-        # S-pairs.
+    @staticmethod
+    def _degree_six_minor(monkeypatch):
+        """The secant n = 6 labels, with a degree-6 toric product filed under
+        the last minor's label; every other generator has degree at most 5."""
         labels = list(groebner.candidate_basis(6, "secant"))
         toric = toric_gb_polynomials(6)
         substitute_generators(monkeypatch, {labels[-1]: toric[0] * toric[1] * toric[2]})
-        for order in both_inner_orders(6):
-            rows = groebner.generator_rows(6, labels, order)
-            with pytest.raises(ValueError, match="a reducer of degree 6 exceeds the declared degree 5"):
-                buchberger_verify(rows, order, threads=2, labels=labels)
-        assert workers_of_two == []
-        labels = [("minor", (1, 2, 3), (4, 5, 6)), ("minor", (2, 3, 4), (5, 6, 1))]
-        rows = [term_rows([toric[0] * toric[1]])[0], term_rows([off_diagonal_minor(*labels[1][1:])])[0]]
-        with pytest.raises(ValueError, match="a reducer of degree 4 exceeds the declared degree 3"):
-            buchberger_verify(iter(rows), CircularTermOrder(6), labels=labels)
+        return labels
+
+    def test_labels_do_not_change_the_leg(self, workers_of_two, monkeypatch):
+        # Labels only name the generators: with them, a generator above its
+        # family's degree gives the leg it gives without them, serially and
+        # on forked workers, and each failing pair is named by its labels.
+        labels = self._degree_six_minor(monkeypatch)
+        for threads in (1, 2):
+            for order in both_inner_orders(6):
+                named = buchberger_verify(groebner.generator_rows(6, labels, order), order, threads, labels)
+                unnamed = buchberger_verify(groebner.generator_rows(6, labels, order), order, threads)
+                assert (named.status, named.counters) == (unnamed.status, unnamed.counters)
+                assert [{k: v for k, v in w.items() if k != "generators"} for w in named.witness or []] == (
+                    unnamed.witness or []
+                )
+                for w in named.witness or []:
+                    assert w["generators"] == [groebner._family(labels[k]) for k in w["pair"]]
+        assert workers_of_two == [2, 2, 2, 2]
+
+    def test_packing_is_sized_from_the_rows(self, monkeypatch):
+        # Given labels or not, the divider packs the rows in the packing of
+        # twice their largest degree.
+        packings = []
+        init = groebner._Divider.__init__
+
+        def spy(self, packing, rows):
+            packings.append(packing)
+            init(self, packing, rows)
+
+        monkeypatch.setattr(groebner._Divider, "__init__", spy)
+        binomials = toric_gb(6)
+        cases = [(6, [("binomial", b.quadruple, b.family) for b in binomials], [b.rows() for b in binomials])]
+        for n, kind in ((5, "symbolic-square"), (6, "secant")):
+            labels = groebner.candidate_basis(n, kind)
+            cases.append((n, labels, list(groebner.generator_rows(n, labels, CircularTermOrder(n)))))
+        labels = self._degree_six_minor(monkeypatch)
+        cases.append((6, labels, list(groebner.generator_rows(6, labels, CircularTermOrder(6)))))
+        degrees = []
+        for n, labels, rows in cases:
+            order = CircularTermOrder(n)
+            d = max(degree(f) for g in rows for _, f in g)
+            for given in (labels, None):
+                buchberger_verify(iter(rows), order, labels=given)
+                assert packings.pop() is order.packing(2 * d)
+            degrees.append(d)
+        assert degrees == [2, 4, 5, 6]
 
     @pytest.mark.parametrize("flipped", [False, True], ids=["passing", "flipped-last-minor"])
     def test_label_count_other_than_generator_count_is_rejected_before_forking(self, flipped, workers_of_two,
@@ -1106,6 +1118,26 @@ class TestDelightfulCheck:
         # The S-pair leg is the caller's to append, and no other leg counts.
         assert "spairs_reduce_to_zero" not in [c.name for c in cert.checks]
         assert all(c.counters is None for c in cert.checks)
+
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_masters_are_made_once(self, monkeypatch, n, kind):
+        # The certificate counts its generators in the pass that legs (a)
+        # and (b) make, so its masters are enumerated once, not again for a
+        # count.
+        calls = []
+        for name in ("all_admissible_sequences", "admissible_sequences"):
+
+            def counted(*args, made=getattr(groebner, name), name=name):
+                calls.append((name, args))
+                return made(*args)
+
+            monkeypatch.setattr(groebner, name, counted)
+        cert = delightful_check(n, kind, CircularTermOrder(n))
+        assert cert.passed
+        assert cert.generator_count == len(eager_labels(n, kind))
+        want = ("all_admissible_sequences", (n,)) if kind == "secant" else ("admissible_sequences", (n, 1))
+        assert calls == [want]
 
     def test_symbolic_n7_membership_and_initial_legs(self):
         cert = delightful_check(7, "symbolic-square", CircularTermOrder(7))
