@@ -776,6 +776,31 @@ class TestPairStreaming:
             degrees.append(d)
         assert degrees == [2, 4, 5, 6]
 
+    @pytest.mark.parametrize("kind", ["secant", "symbolic-square"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_label_degree_is_the_generator_degree(self, n, kind):
+        # Each family has its paper degree: a master its sequence's length,
+        # a minor 3, a product of two toric binomials 4.  The rows the
+        # writer emits have it, so the packing sized from the rows is the
+        # packing of twice the largest family degree.
+        labels = groebner.candidate_basis(n, kind)
+        family = [l[1].length if l[0] == "master" else {"minor": 3, "product": 4}[l[0]] for l in labels]
+        order = CircularTermOrder(n)
+        rows = [{degree(f) for _, f in g} for g in groebner.generator_rows(n, labels, order)]
+        assert rows == [{d} for d in family]
+        assert [g.degree for g in label_polynomials(n, labels)] == family
+
+    def test_row_above_the_packing_limit_is_rejected(self):
+        # A direct caller of the divider may hand it a packing too narrow
+        # for its rows: a degree-4 product does not fit the degree-3 fields.
+        toric = toric_gb_polynomials(6)
+        minor = off_diagonal_minor((2, 3, 4), (5, 6, 1))
+        packing = CircularTermOrder(6).packing(3)
+        assert packing.limit == 3
+        assert len(groebner._Divider(packing, term_rows([minor])).lts) == 1
+        with pytest.raises(ValueError, match="a reducer of degree 4 exceeds the packing's limit 3"):
+            groebner._Divider(packing, iter(term_rows([minor, toric[0] * toric[1]])))
+
     @pytest.mark.parametrize("flipped", [False, True], ids=["passing", "flipped-last-minor"])
     def test_label_count_other_than_generator_count_is_rejected_before_forking(self, flipped, workers_of_two,
                                                                                 monkeypatch):
