@@ -390,13 +390,10 @@ def _cmd_admissible(args: argparse.Namespace) -> tuple[int, Payload]:
             "command": "admissible",
             "n": n,
             "count": len(seqs),
-            "sequences": [{"k": s.k, "i": list(s.i), "j": list(s.j)} for s in seqs],
+            "sequences": [s.to_json() for s in seqs],
         }
         return EXIT_OK, _json_dump(payload)
-    lines = [
-        f"k={s.k} i={','.join(map(str, s.i))} j={','.join(map(str, s.j))}" for s in seqs
-    ]
-    return EXIT_OK, _text_lines(lines)
+    return EXIT_OK, _text_lines(map(str, seqs))
 
 
 def _sequence_from_args(args: argparse.Namespace) -> AdmissibleSequence:
@@ -422,9 +419,7 @@ def _cmd_master_poly(args: argparse.Namespace) -> tuple[int, Payload]:
             "command": "master-poly",
             "n": n,
             "order": order.descriptor(),
-            "k": seq.k,
-            "i": list(seq.i),
-            "j": list(seq.j),
+            **seq.to_json(),
             "term_count": len(rows),
         }
         text = _JsonText().polynomial(rows, 1)
@@ -441,34 +436,27 @@ def _cmd_verify_sequences(args: argparse.Namespace) -> tuple[int, Payload]:
         raise UsageError(f"sequence uses indices above n={n}")
     _check_bound(args, n, CERTIFY_BOUND, f"verify {args.verify_what}")
     order = CircularTermOrder(n, args.inner)
-    results = []
-    # One rank-2 oracle call per relabelling class of the masters.
-    member = SecantClasses(n)
-    for s in given or all_admissible_sequences(n):
-        rows = master_terms(s, order)
-        if args.verify_what == "membership":
-            passed = bool(rows) and member(rows)
-        elif args.verify_what == "prolongation":
-            passed = bool(rows) and verify_prolongation(n, rows, s.k)
-        else:
-            passed = bool(rows) and rows[0][1] == cycle_monomial(s)
-        results.append({"k": s.k, "i": list(s.i), "j": list(s.j), "pass": passed})
-    ok = all(r["pass"] for r in results)
+    masters = ((s, master_terms(s, order)) for s in given or all_admissible_sequences(n))
+    if args.verify_what == "membership":
+        # One rank-2 oracle call per relabelling class of the masters.
+        member = SecantClasses(n)
+        results = [(s, bool(rows) and member(rows)) for s, rows in masters]
+    elif args.verify_what == "prolongation":
+        results = [(s, bool(rows) and verify_prolongation(n, rows, s.k)) for s, rows in masters]
+    else:
+        results = [(s, bool(rows) and rows[0][1] == cycle_monomial(s)) for s, rows in masters]
+    ok = all(passed for _, passed in results)
     code = EXIT_OK if ok else EXIT_FAIL
     if args.format == "json":
         payload = {
             "command": f"verify {args.verify_what}",
             "n": n,
             "order": order.descriptor(),
-            "results": results,
+            "results": [{**s.to_json(), "pass": passed} for s, passed in results],
             "pass": ok,
         }
         return code, _json_dump(payload)
-    lines = [
-        ("ok   " if r["pass"] else "FAIL ")
-        + f"k={r['k']} i={','.join(map(str, r['i']))} j={','.join(map(str, r['j']))}"
-        for r in results
-    ]
+    lines = [("ok   " if passed else "FAIL ") + str(s) for s, passed in results]
     return code, _text_lines(lines + ["PASS" if ok else "FAIL"])
 
 

@@ -560,8 +560,7 @@ def _family(label: tuple) -> dict:
     or a toric binomial by its label ("binomial", quadruple, family) from
     toric_gb, where family 1 or 2 says which pairing leads."""
     if label[0] == "master":
-        s = label[1]
-        return {"family": "master", "k": s.k, "i": list(s.i), "j": list(s.j)}
+        return {"family": "master", **label[1].to_json()}
     if label[0] == "minor":
         return {"family": "minor", "rows": list(label[1]), "cols": list(label[2])}
     if label[0] == "binomial":

@@ -87,12 +87,16 @@ def master_terms(s: AdmissibleSequence, order: CircularTermOrder) -> list[tuple[
 def verify_prolongation(n: int, rows, bound: int) -> bool:
     """All partial derivatives of order 1..bound of the homogeneous
     polynomial f with these (coefficient, factors) rows lie in the toric
-    ideal.
+    ideal, the kernel of phi: x[a,b] -> t_a*t_b over Z.
 
-    Vanishing derivatives pass; f itself is not required to be a member.
-    No derivative is built.  Write phi for the rank-1 image
-    x[a,b] -> t_a*t_b, and e_v, d_v for the exponent of v in a term m and in
-    a derivative multiset D.  Then
+    Vanishing derivatives pass; f itself need not be a member.  Only order
+    top = min(bound, deg f) is checked, and top = 0 passes: higher orders
+    vanish, and for j <= top an order-(j-1) derivative g has degree
+    e = deg f - j + 1 >= 1, so by Euler's identity e*g = sum_v x_v*d_v(g)
+    it is in the kernel once its first derivatives, of order j, are.
+
+    No derivative is built.  Write e_v, d_v for the exponent of v in a term
+    m and in a derivative multiset D.  Then
 
         d^D f = sum over the terms c_m*m with D | m of c_m*w(m,D)*m/D,
         w(m,D) = prod_v e_v!/(e_v - d_v)!,
@@ -114,7 +118,10 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
         raise ValueError(f"need bound >= 0, got {bound!r}")
     variables = sorted(_variables(rows))
     _validate_ambient(n, variables)
-    width = max(degrees, default=0).bit_length()
+    top = min(bound, max(degrees, default=0))
+    if not top:
+        return True
+    width = max(degrees).bit_length()
     fields = {v: i * width for i, v in enumerate(variables)}
     groups: dict[int, list] = {}
     for c, factors in rows:
@@ -127,9 +134,8 @@ def verify_prolongation(n: int, rows, bound: int) -> bool:
     for terms in groups.values():
         sums: dict[int, int] = {}
         for units, c in terms:
-            for size in range(1, bound + 1):
-                for key in map(sum, combinations(units, size)):
-                    sums[key] = sums.get(key, 0) + c
+            for key in map(sum, combinations(units, top)):
+                sums[key] = sums.get(key, 0) + c
         if any(sums.values()):
             return False
     return True

@@ -230,6 +230,12 @@ class AdmissibleSequence(_Fields):
     def length(self) -> int:
         return 2 * self.k + 1
 
+    def to_json(self) -> dict:
+        return {"k": self.k, "i": list(self.i), "j": list(self.j)}
+
+    def __str__(self) -> str:
+        return f"k={self.k} i={','.join(map(str, self.i))} j={','.join(map(str, self.j))}"
+
     def min_ambient(self) -> int:
         """Smallest n this sequence is valid for (any larger n works too)."""
         return max(self.i + self.j)

@@ -262,25 +262,29 @@ class TestVerifiers:
     def test_membership_cubic(self):
         assert SecantClasses(6)(master_terms(CUBIC_SEQ, CircularTermOrder(6)))
 
-    def test_prolongation_pentad(self):
-        assert verify_prolongation(5, poly_rows(master_polynomial(PENTAD_SEQ)), 2)
-
-    def test_prolongation_cubic(self):
-        assert verify_prolongation(6, poly_rows(master_polynomial(CUBIC_SEQ)), 1)
-
-    def test_prolongation_bound_zero_vacuous(self):
-        p = Polynomial.from_edge_terms([(1, ((1, 2), (3, 4))), (-1, ((1, 3), (2, 4)))])
-        assert verify_prolongation(4, poly_rows(p), 0)
+    # The verdict at each bound 0..deg f + 1.  Bound 0, and any bound on a
+    # constant or zero f, passes vacuously; a bound above deg f asks for
+    # vanishing derivatives only, so it has the verdict of bound deg f.
+    @pytest.mark.parametrize("n, f, verdicts", [
+        (6, master_polynomial(CUBIC_SEQ), [True, True, False, False, False]),
+        (5, master_polynomial(PENTAD_SEQ), [True, True, True, False, False, False, False]),
+        # A toric binomial is a member, but its first derivatives are monomials.
+        (4, Polynomial.from_edge_terms([(1, ((1, 2), (3, 4))), (-1, ((1, 3), (2, 4)))]), [True, False, False, False]),
+        # A bare noncrossing pair has first derivatives outside the kernel.
+        (4, Polynomial.from_edge_terms([(1, ((1, 2), (3, 4)))]), [True, False, False, False]),
+        (4, Polynomial.from_edge_terms([(3, ())]), [True, True]),
+        (4, Polynomial.from_edge_terms([]), [True, True]),
+    ], ids=["cubic", "pentad", "toric-binomial", "noncrossing-pair", "constant", "zero"])
+    def test_prolongation_at_every_bound(self, n, f, verdicts):
+        rows = poly_rows(f)
+        assert len(verdicts) == max(map(degree, (m for _, m in rows)), default=0) + 2
+        assert [verify_prolongation(n, rows, bound) for bound in range(len(verdicts))] == verdicts
+        assert [reference_prolongation(n, f, bound) for bound in range(len(verdicts))] == verdicts
 
     def test_prolongation_rejects_inhomogeneous(self):
         p = Polynomial.from_edge_terms([(1, ((1, 2),)), (1, ((1, 2), (3, 4)))])
         with pytest.raises(ValueError):
             verify_prolongation(4, poly_rows(p), 1)
-
-    def test_prolongation_detects_non_member(self):
-        # A bare noncrossing pair has first derivatives outside the kernel.
-        p = Polynomial.from_edge_terms([(1, ((1, 2), (3, 4)))])
-        assert not verify_prolongation(4, poly_rows(p), 1)
 
     def test_leading_term_pentad_and_cubic_both_orders(self):
         for order in both_inner_orders(5):
